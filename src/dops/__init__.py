@@ -23,18 +23,11 @@ from .families import (
     terminating_pfq,
 )
 from .identities import (
+    SUITES,
+    FamilySetup,
     VerificationReport,
     Witness,
     ratio_power_closed_form,
-    verify_de,
-    verify_hyp_lincomb,
-    verify_laguerre_structure,
-    verify_moment_recursion,
-    verify_nccd,
-    verify_sr2_general,
-    verify_sr_block,
-    verify_sz4,
-    verify_sz5,
 )
 from .orthogonality import (
     FitError,
@@ -56,8 +49,6 @@ from .polynomials import (
     falling_factorial,
     format_rational,
     parse_rational,
-    poly_arith,
-    rising_factorial,
     shift,
 )
 from .series import (

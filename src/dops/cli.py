@@ -22,108 +22,21 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import identities
-from .families import (
-    FamilyParamError,
-    HypParams,
-    LagParams,
-    MLParams,
-    hyp_laguerre,
-    hyp_quasi,
-    laguerre_q_sequence,
-    laguerre_type_by_gf,
-    laguerre_type_by_recurrence,
-    ml_by_gf,
-    ml_by_recurrence,
-    ml_q_sequence,
-)
-from .identities import VerificationReport, Witness, first_mismatch
-from .orthogonality import (
-    FitError,
-    check_regularity,
-    fit_recurrence,
-    moments_by_inversion,
-    quasi_orthogonality_order,
-    verify_d_orthogonality,
-)
-from .polynomials import Poly, as_rational, binomial, format_rational, parse_rational
+from .families import FamilyParamError, HypParams, LagParams, MLParams
+from .identities import SUITES, WARNING_PREFIX, FamilySetup, VerificationReport
+from .polynomials import Poly, as_rational, format_rational, parse_rational
 
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
 FAMILIES = ("ml", "laguerre", "hyp-laguerre", "charlier")
 FORMATS = ("json", "csv", "latex")
 
-ML_SUITES = ("routes", "hahn", "nccd", "sr-block", "sr2", "de1", "de2", "sz4", "sz5",
-             "regularity", "d-orthogonality", "moment-recursion")
-LAG_SUITES = ("routes", "laguerre-structure", "regularity", "d-orthogonality")
-HYP_SUITES = ("hyp-lincomb", "quasi-order")
-
-WARNING_PREFIX = "warning: "
-
 
 class CliError(Exception):
     """Invalid parameters or usage; maps to exit code 2."""
-
-
-@dataclass
-class FamilySetup:
-    kind: str
-    order: int
-    params: object
-    beta: Optional[Fraction] = None  # hyp quasi parameter
-    l: Optional[int] = None
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    def public_params(self) -> dict:
-        p = self.params
-        if self.kind in ("ml", "charlier"):
-            return {
-                "d": p.d,
-                "alpha": format_rational(p.alpha),
-                "beta": format_rational(p.beta),
-                "c": [format_rational(ci) for ci in p.c],
-            }
-        if self.kind == "laguerre":
-            return {
-                "d": p.d,
-                "a": format_rational(p.a),
-                "beta_exp": format_rational(p.beta_exp),
-                "theta": format_rational(p.theta),
-                "b": [format_rational(bi) for bi in p.b],
-            }
-        return {
-            "d": p.d,
-            "alphavec": [format_rational(ai) for ai in p.alphavec],
-            "beta": format_rational(self.beta),
-            "l": self.l,
-        }
-
-    def default_suites(self) -> tuple[str, ...]:
-        if self.kind in ("ml", "charlier"):
-            return ML_SUITES
-        if self.kind == "laguerre":
-            return LAG_SUITES
-        return HYP_SUITES
-
-    def polys(self) -> list[Poly]:
-        if self.kind in ("ml", "charlier"):
-            return ml_by_recurrence(self.params, self.order)
-        if self.kind == "laguerre":
-            return laguerre_type_by_recurrence(self.params, self.order)
-        return [hyp_laguerre(self.params, n) for n in range(self.order + 1)]
-
-    def q_polys(self, polys: Sequence[Poly]) -> list[Poly]:
-        if self.kind in ("ml", "charlier"):
-            return ml_q_sequence(polys, self.params.w)
-        if self.kind == "laguerre":
-            return laguerre_q_sequence(polys)
-        raise CliError("companion sequence is only defined for the ml, charlier, and laguerre families")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +65,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """Resolve the run configuration: flags override the config file, which
     overrides defaults (order also honors the environment override)."""
     cfg = _load_config(getattr(args, "config", None))
+    if not isinstance(cfg.get("parameters", {}), dict):
+        raise CliError("config entry parameters must be a JSON object")
     parameters = dict(cfg.get("parameters", {}))
     merged = {
         "family": getattr(args, "family", None) or cfg.get("family"),
@@ -201,12 +116,12 @@ def build_setup(cfg: dict) -> FamilySetup:
     family = cfg.get("family")
     if family not in FAMILIES:
         raise CliError(f"--family must be one of {', '.join(FAMILIES)}")
-    d = int(cfg["d"])
-    order = int(cfg["order"])
-    if order < 0:
-        raise CliError("--order must be non-negative")
     parameters = cfg.get("parameters", {})
     try:
+        d = int(cfg["d"])
+        order = int(cfg["order"])
+        if order < 0:
+            raise CliError("--order must be non-negative")
         if family in ("ml", "charlier"):
             alpha = _param_rational(parameters, "alpha",
                                     default=Fraction(0) if family == "charlier" else None,
@@ -233,7 +148,7 @@ def build_setup(cfg: dict) -> FamilySetup:
         if l < 1:
             raise CliError("--l must be a positive integer")
         return FamilySetup(kind=family, order=order, params=params, beta=beta, l=l)
-    except FamilyParamError as exc:
+    except (FamilyParamError, TypeError) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -368,183 +283,15 @@ def _write_output(text: str, out: Optional[str]):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_witness(n: int, actual, expected, context: str) -> Witness:
-    return Witness(n=n, expected=Poly.const(expected), actual=Poly.const(actual), context=context)
-
-
-def _suite_routes(setup: FamilySetup, polys: Optional[list[Poly]]) -> VerificationReport:
-    params = setup.public_params()
-    p = setup.params
-    if setup.kind in ("ml", "charlier"):
-        rec = ml_by_recurrence(p, setup.order)
-        gf = ml_by_gf(p, setup.order)
-    else:
-        rec = laguerre_type_by_recurrence(p, setup.order)
-        gf = laguerre_type_by_gf(p, setup.order)
-    checks = [(n, rec[n], gf[n], "recurrence route vs generating-function route")
-              for n in range(setup.order + 1)]
-    if polys is not None:
-        checks += [(n, polys[n], rec[n], "supplied table vs recurrence route")
-                   for n in range(min(len(polys), setup.order + 1))]
-    witness = first_mismatch(checks)
-    return VerificationReport(identity="routes", params=params, n_min=0, n_max=setup.order,
-                              status="fail" if witness else "pass", witness=witness)
-
-
-def _suite_hahn(setup: FamilySetup, polys: Optional[list[Poly]]) -> VerificationReport:
-    """Companion-sequence conformance: the difference companions satisfy the
-    shifted band recurrence, and their fitted table shows the predicted
-    coefficient shift against the family's own table."""
-    p = setup.params
-    params = setup.public_params()
-    seq = polys if polys is not None else ml_by_recurrence(p, setup.order)
-    q = ml_q_sequence(seq, p.w)
-    alpha, beta = p.alpha, p.beta
-
-    def replay_checks():
-        x = Poly.x()
-        for n in range(len(q) - 1):
-            nxt = (x + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]
-            if n >= 1:
-                nxt = nxt - q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.b(0) - p.b(1)))
-            for k in range(2, min(n, p.d) + 1):
-                coef = (p.b(k) - (alpha + beta) * k * p.b(k - 1)
-                        + alpha * beta * k * (k - 1) * p.b(k - 2))
-                if coef != 0:
-                    nxt = nxt + q[n - k] * (binomial(n, k) * coef)
-            yield n + 1, q[n + 1], nxt, "companion band recurrence replay"
-
-    witness = first_mismatch(replay_checks())
-    notes = []
-    if witness is None:
-        p_table = fit_recurrence(seq, p.d)
-        q_table = fit_recurrence(q, p.d)
-        shift_checks = []
-        for n in range(len(q_table.beta)):
-            shift_checks.append((n, q_table.beta[n], p_table.beta[n] - alpha,
-                                 "companion beta shift by alpha"))
-        for (m, k), value in sorted(q_table.gamma.items()):
-            if k == p.d - 1:
-                expected = p_table.gamma_at(m, k) + m * alpha * beta
-                context = "top gamma class shifted by n*alpha*beta"
-            else:
-                expected = p_table.gamma_at(m, k)
-                context = "lower gamma classes unchanged"
-            shift_checks.append((m, value, expected, context))
-        bad = next(((n, a, e, ctx) for n, a, e, ctx in shift_checks if a != e), None)
-        if bad is not None:
-            witness = _scalar_witness(bad[0], bad[1], bad[2], bad[3])
-        else:
-            notes.append("fitted companion table shows the predicted shift: beta gains alpha, "
-                         "the top gamma class gains n*alpha*beta, lower classes are unchanged")
-    return VerificationReport(identity="hahn", params=params, n_min=0, n_max=len(q) - 1,
-                              status="fail" if witness else "pass", witness=witness,
-                              notes=tuple(notes))
-
-
-def _suite_regularity(setup: FamilySetup, polys: Optional[list[Poly]]) -> VerificationReport:
-    params = setup.public_params()
-    seq = polys if polys is not None else setup.polys()
-    try:
-        table = fit_recurrence(seq, setup.d)
-    except FitError as exc:
-        witness = _scalar_witness(exc.index, 1, 0, str(exc))
-        return VerificationReport(identity="regularity", params=params, n_min=0,
-                                  n_max=len(seq) - 1, status="fail", witness=witness)
-    upto = table.regular_upto()
-    flags = check_regularity(table, upto)
-    notes = []
-    if flags:
-        notes.append(WARNING_PREFIX + "regularity fails at m = "
-                     + ", ".join(str(m) for m in flags)
-                     + f" (gamma^0 vanishing); sequence is not d-orthogonal there")
-    else:
-        notes.append(f"all regularity conditions hold through m = {upto}")
-    return VerificationReport(identity="regularity", params=params, n_min=0, n_max=upto,
-                              status="pass", notes=tuple(notes))
-
-
-def _suite_d_orthogonality(setup: FamilySetup, polys: Optional[list[Poly]]) -> VerificationReport:
-    params = setup.public_params()
-    seq = polys if polys is not None else setup.polys()
-    table = moments_by_inversion(seq, setup.d)
-    report = verify_d_orthogonality(seq, table, setup.d, len(seq) - 1)
-    witness = None
-    if report.zero_failures:
-        first = report.zero_failures[0]
-        witness = _scalar_witness(first.n, first.value, 0,
-                                  f"vanishing condition at (r={first.r}, m={first.m}, n={first.n})")
-    notes = []
-    if report.regularity_failures:
-        cells = ", ".join(f"(r={c.r}, m={c.m})" for c in report.regularity_failures)
-        notes.append(WARNING_PREFIX + f"regularity conditions fail at {cells}")
-    else:
-        notes.append("all regularity conditions in the pattern are nonzero")
-    return VerificationReport(identity="d-orthogonality", params=params, n_min=0,
-                              n_max=len(seq) - 1, status="fail" if witness else "pass",
-                              witness=witness, notes=tuple(notes))
-
-
-def _suite_quasi_order(setup: FamilySetup) -> VerificationReport:
-    params = setup.public_params()
-    p = setup.params
-    basis = [hyp_laguerre(p, n) for n in range(setup.order + 1)]
-    q_seq = [hyp_quasi(p, setup.beta, setup.l, n) for n in range(setup.order + 1)]
-    found, exact = quasi_orthogonality_order(q_seq, basis, p.d)
-    witness = None
-    notes = []
-    if found != setup.l:
-        witness = _scalar_witness(found, found, setup.l, "detected quasi-orthogonality order")
-    elif not exact:
-        witness = _scalar_witness(found, 0, 1, "bottom expansion coefficient vanished somewhere")
-    else:
-        notes.append(f"quasi-orthogonality order is exactly {found}")
-    return VerificationReport(identity="quasi-order", params=params, n_min=0, n_max=setup.order,
-                              status="fail" if witness else "pass", witness=witness,
-                              notes=tuple(notes))
-
-
-def run_suites(setup: FamilySetup, suites: Sequence[str],
-               polys: Optional[list[Poly]] = None) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
-    p = setup.params
-    n = setup.order
+def run_suites(setup: FamilySetup, suites: Sequence[str]) -> list[VerificationReport]:
+    """The reports of the named suites, in order, all on the one setup; an
+    unknown id is a usage error before any suite runs."""
+    registry = SUITES[setup.kind]
     for suite in suites:
-        if suite not in setup.default_suites():
+        if suite not in registry:
             raise CliError(f"unknown suite {suite!r} for family {setup.kind!r}; "
-                           f"choose from {', '.join(setup.default_suites())}")
-        if suite == "routes":
-            reports.append(_suite_routes(setup, polys))
-        elif suite == "hahn":
-            reports.append(_suite_hahn(setup, polys))
-        elif suite == "nccd":
-            reports.append(identities.verify_nccd(p, n))
-        elif suite == "sr-block":
-            reports.extend(identities.verify_sr_block(p, n))
-        elif suite == "sr2":
-            reports.append(identities.verify_sr2_general(p, n))
-        elif suite == "de1":
-            for k in range(1, p.d + 1):
-                reports.append(identities.verify_de(p, n, ("de1", k)))
-        elif suite == "de2":
-            reports.append(identities.verify_de(p, n, "de2"))
-        elif suite == "sz4":
-            reports.append(identities.verify_sz4(p, n))
-        elif suite == "sz5":
-            reports.append(identities.verify_sz5(p.alpha, p.beta, n))
-        elif suite == "regularity":
-            reports.append(_suite_regularity(setup, polys))
-        elif suite == "d-orthogonality":
-            reports.append(_suite_d_orthogonality(setup, polys))
-        elif suite == "moment-recursion":
-            reports.append(identities.verify_moment_recursion(p, n))
-        elif suite == "laguerre-structure":
-            reports.append(identities.verify_laguerre_structure(p, n))
-        elif suite == "hyp-lincomb":
-            reports.append(identities.verify_hyp_lincomb(p, setup.beta, setup.l, n))
-        elif suite == "quasi-order":
-            reports.append(_suite_quasi_order(setup))
-    return reports
+                           f"choose from {', '.join(registry)}")
+    return [report for suite in suites for report in registry[suite](setup)]
 
 
 def _summarize(reports: list[VerificationReport]) -> dict:
@@ -563,14 +310,13 @@ def _summarize(reports: list[VerificationReport]) -> dict:
 
 
 def _gen_artifact(setup: FamilySetup, with_q: bool) -> dict:
-    polys = setup.polys()
     artifact = {
         "family": setup.kind,
         "params": setup.public_params(),
-        "polys": [_poly_row(p, n) for n, p in enumerate(polys)],
+        "polys": [_poly_row(p, n) for n, p in enumerate(setup.polys)],
     }
     if with_q:
-        artifact["q_polys"] = [_poly_row(p, n) for n, p in enumerate(setup.q_polys(polys))]
+        artifact["q_polys"] = [_poly_row(p, n) for n, p in enumerate(setup.q)]
     return artifact
 
 
@@ -589,7 +335,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_table(path: str) -> tuple[FamilySetup, list[Poly]]:
+def _parse_table(path: str) -> FamilySetup:
+    """The setup a gen artifact describes, with its rows as the table."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             artifact = json.load(fh)
@@ -597,42 +344,31 @@ def _parse_table(path: str) -> tuple[FamilySetup, list[Poly]]:
         raise CliError(f"cannot read table artifact {path}: {exc}") from exc
     try:
         family = artifact["family"]
-        params = artifact["params"]
-        rows = artifact["polys"]
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"table artifact {path} is missing required keys") from exc
-    parameters = {k: v for k, v in params.items() if k not in ("d",)}
+        params = dict(artifact["params"])
+        table = [Poly([as_rational(c) for c in row["coeffs"]]) for row in artifact["polys"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"table artifact {path} is malformed: {exc!r}") from exc
     cfg = {
         "family": family,
-        "d": params.get("d", 1),
-        "order": len(rows) - 1,
-        "format": "json",
-        "out": None,
-        "suites": None,
-        "parameters": parameters,
+        "d": params.pop("d", 1),
+        "order": len(table) - 1,
+        "parameters": params,
     }
-    setup = build_setup(cfg)
-    polys = []
-    for row in rows:
-        polys.append(Poly([parse_rational(c) for c in row["coeffs"]]))
-    return setup, polys
+    return replace(build_setup(cfg), table=table)
+
+
+def _suite_ids(cfg: dict, setup: FamilySetup) -> Sequence[str]:
+    suites = cfg.get("suites") or setup.default_suites()
+    return _rational_list(suites) if isinstance(suites, str) else suites
 
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
-    polys = None
     if getattr(args, "from_table", None):
-        setup, polys = _parse_table(args.from_table)
-        if cfg.get("suites"):
-            suites = cfg["suites"]
-        else:
-            suites = setup.default_suites()
+        setup = _parse_table(args.from_table)
     else:
         setup = build_setup(cfg)
-        suites = cfg.get("suites") or setup.default_suites()
-    if isinstance(suites, str):
-        suites = _rational_list(suites)
-    reports = run_suites(setup, suites, polys)
+    reports = run_suites(setup, _suite_ids(cfg, setup))
     artifact = {
         "family": setup.kind,
         "params": setup.public_params(),
@@ -656,12 +392,10 @@ def cmd_verify(args) -> int:
     return 1 if artifact["summary"]["fail"] else 0
 
 
-def _moments_artifact(setup: FamilySetup, polys: Optional[list[Poly]] = None) -> dict:
-    seq = polys if polys is not None else setup.polys()
-    if setup.d > len(seq) - 1:
-        raise CliError(f"need order N >= d (d = {setup.d}, N = {len(seq) - 1})")
-    table = moments_by_inversion(seq, setup.d)
-    pattern = verify_d_orthogonality(seq, table, setup.d, len(seq) - 1)
+def _moments_artifact(setup: FamilySetup) -> dict:
+    if setup.d > setup.order:
+        raise CliError(f"need order N >= d (d = {setup.d}, N = {setup.order})")
+    table, pattern = setup.moments, setup.pattern
     return {
         "family": setup.kind,
         "params": setup.public_params(),
@@ -704,10 +438,7 @@ def cmd_moments(args) -> int:
 def cmd_report(args) -> int:
     cfg = _merge_config(args)
     setup = build_setup(cfg)
-    suites = cfg.get("suites") or setup.default_suites()
-    if isinstance(suites, str):
-        suites = _rational_list(suites)
-    reports = run_suites(setup, suites)
+    reports = run_suites(setup, _suite_ids(cfg, setup))
     artifact = {
         "family": setup.kind,
         "params": setup.public_params(),

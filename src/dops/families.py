@@ -218,7 +218,8 @@ def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
     ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i)."""
     ratio = gf_ratio_power(params.alpha, params.beta, n_max)
     if any(ci != 0 for ci in params.c):
-        exponent = Series(n_max, [Poly.zero()] + [Poly.const(ci) for ci in params.c])
+        terms = [Poly.zero()] + [Poly.const(ci) for ci in params.c]
+        exponent = Series(n_max, terms[:n_max + 1])
         k = series_mul(ratio, series_exp(exponent))
     else:
         k = ratio

@@ -1,8 +1,18 @@
-"""One verification operation per catalog identity.
+"""One verification operation per catalog identity, run from one registry.
 
 Every check here is an exact polynomial identity over the rationals: a pass
 means coefficientwise equality at every checked index, never a numerical
 tolerance.  Reports carry the first failing witness when something breaks.
+
+A run is one ``FamilySetup``: the family, its parameters, the truncation
+order and, optionally, a supplied table of P_0..P_N.  The objects the suites
+share (the family, its companion sequence, the fitted recurrence tables, the
+moments, the generating-function route, the ratio-power closed forms) are
+computed on first use and kept for the rest of the run, and every suite
+reads the family from the setup, so a supplied table is what gets checked.
+``SUITES`` maps each family kind to its suites in run order; a suite is a
+function of the setup returning its reports.  A suite whose index range is
+empty reports not-applicable.
 
 A few identities are recorded in two variants.  The "stated" variant is the
 original transcription; where that transcription is internally inconsistent
@@ -18,21 +28,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .families import (
     HypParams,
-    LagParams,
-    MLParams,
     hyp_laguerre,
     hyp_quasi,
+    laguerre_q_sequence,
+    laguerre_type_by_gf,
     laguerre_type_by_recurrence,
     ml_by_gf,
     ml_by_recurrence,
     ml_q_sequence,
     terminating_pfq,
 )
-from .orthogonality import RecurrenceTable, fit_recurrence, moments_by_inversion
+from .orthogonality import (
+    FitError,
+    MomentTable,
+    OrthogonalityReport,
+    RecurrenceTable,
+    check_regularity,
+    fit_recurrence,
+    moments_by_inversion,
+    quasi_orthogonality_order,
+    verify_d_orthogonality,
+)
 from .polynomials import (
     Poly,
     RationalLike,
@@ -53,21 +74,34 @@ __all__ = [
     "Witness",
     "first_mismatch",
     "VerificationReport",
+    "FamilySetup",
+    "SUITES",
+    "verify_routes",
+    "verify_hahn",
     "verify_nccd",
     "verify_sr_block",
-    "verify_sr2_general",
+    "verify_sr2",
     "verify_de",
+    "verify_de1",
+    "verify_de2",
     "verify_sz4",
     "verify_sz5",
-    "verify_hyp_lincomb",
-    "verify_laguerre_structure",
+    "verify_regularity",
+    "verify_orthogonality",
     "verify_moment_recursion",
+    "verify_laguerre_structure",
+    "verify_hyp_lincomb",
+    "verify_quasi_order",
     "ratio_power_closed_form",
 ]
 
 # Free constants are linear on both sides of the relations that carry one, so
 # two sample values already force the identity; three over-determine it.
 FREE_CONSTANT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-2, 3))
+
+# Notes that start with this prefix are warnings: they are counted in a run's
+# summary but never change a report's status.
+WARNING_PREFIX = "warning: "
 
 
 @dataclass(frozen=True)
@@ -133,6 +167,9 @@ def first_mismatch(checks: Iterable[tuple[int, Poly, Poly, str]]) -> Optional[Wi
 
 def _report(identity: str, params: dict, n_min: int, n_max: int,
             witness: Optional[Witness], notes: Sequence[str] = ()) -> VerificationReport:
+    """A pass or fail report; a pass over an empty range is not-applicable."""
+    if witness is None and n_max < n_min:
+        return _not_applicable(identity, params, n_min, n_max, "empty index range")
     return VerificationReport(
         identity=identity,
         params=params,
@@ -156,38 +193,139 @@ def _not_applicable(identity: str, params: dict, n_min: int, n_max: int,
     )
 
 
-def ml_params_dict(p: MLParams) -> dict:
-    return {
-        "family": "ml",
-        "d": p.d,
-        "alpha": format_rational(p.alpha),
-        "beta": format_rational(p.beta),
-        "c": [format_rational(ci) for ci in p.c],
-    }
+def _reconciled(identity: str, params: dict, n_min: int, n_max: int,
+                checks: Callable[[str], Iterable], repair_note: str) -> VerificationReport:
+    """Reconciliation mode: ``checks("stated")`` first, ``checks("repaired")``
+    second.  A repaired pass pins ``repair_note``, formatted with the stated
+    form's first witness (``{n}``, ``{context}``); when both variants fail the
+    stated witness is the one reported."""
+    stated = first_mismatch(checks("stated"))
+    if stated is None:
+        return _report(identity, params, n_min, n_max, None, ("stated form verified",))
+    if first_mismatch(checks("repaired")) is None:
+        note = repair_note.format(n=stated.n, context=stated.context)
+        return _report(identity, params, n_min, n_max, None, (note,))
+    return _report(identity, params, n_min, n_max, stated)
 
 
-def lag_params_dict(p: LagParams) -> dict:
-    return {
-        "family": "laguerre",
-        "d": p.d,
-        "a": format_rational(p.a),
-        "beta_exp": format_rational(p.beta_exp),
-        "theta": format_rational(p.theta),
-        "b": [format_rational(bi) for bi in p.b],
-    }
+def _scalar_witness(n: int, actual, expected, context: str) -> Witness:
+    return Witness(n=n, expected=Poly.const(expected), actual=Poly.const(actual), context=context)
 
 
-def hyp_params_dict(p: HypParams, beta=None, l=None) -> dict:
-    out = {
-        "family": "hyp-laguerre",
-        "d": p.d,
-        "alphavec": [format_rational(ai) for ai in p.alphavec],
-    }
-    if beta is not None:
-        out["beta"] = format_rational(beta)
-    if l is not None:
-        out["l"] = l
-    return out
+def _fit_witness(exc: FitError) -> Witness:
+    """The step at which a sequence left its band recurrence."""
+    return _scalar_witness(exc.index, 1, 0, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# The run object
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FamilySetup:
+    """One verification run.
+
+    ``kind`` is one of ml, charlier, laguerre and hyp-laguerre; ``beta`` and
+    ``l`` are the quasi-orthogonality parameters of hyp-laguerre.  ``table``
+    is a supplied P_0..P_order; when present it is the family every suite
+    checks.  The cached attributes below are computed at most once per run.
+    """
+
+    kind: str
+    order: int
+    params: object
+    beta: Optional[Fraction] = None  # hyp quasi parameter
+    l: Optional[int] = None
+    table: Optional[list[Poly]] = None
+
+    @property
+    def d(self) -> int:
+        return self.params.d
+
+    def public_params(self, tagged: bool = False) -> dict:
+        """The parameters as an artifact writes them; ``tagged`` adds the
+        family name identity reports carry (charlier is the ml family)."""
+        p = self.params
+        out: dict = {"family": "ml" if self.kind == "charlier" else self.kind} if tagged else {}
+        if self.kind in ("ml", "charlier"):
+            out.update(d=p.d, alpha=format_rational(p.alpha), beta=format_rational(p.beta),
+                       c=[format_rational(ci) for ci in p.c])
+        elif self.kind == "laguerre":
+            out.update(d=p.d, a=format_rational(p.a), beta_exp=format_rational(p.beta_exp),
+                       theta=format_rational(p.theta), b=[format_rational(bi) for bi in p.b])
+        else:
+            out.update(d=p.d, alphavec=[format_rational(ai) for ai in p.alphavec],
+                       beta=format_rational(self.beta), l=self.l)
+        return out
+
+    def default_suites(self) -> tuple[str, ...]:
+        return tuple(SUITES[self.kind])
+
+    def recurrence_route(self) -> list[Poly]:
+        """P_0..P_order from the band recurrence (hyp-laguerre: the
+        terminating sums, which have no second route)."""
+        if self.kind == "laguerre":
+            return laguerre_type_by_recurrence(self.params, self.order)
+        if self.kind == "hyp-laguerre":
+            return self.hyp_basis
+        return ml_by_recurrence(self.params, self.order)
+
+    @cached_property
+    def polys(self) -> list[Poly]:
+        """The family under test: the supplied table, else the recurrence route."""
+        return self.table if self.table is not None else self.recurrence_route()
+
+    @cached_property
+    def gf(self) -> list[Poly]:
+        """P_0..P_order read off the generating function."""
+        if self.kind == "laguerre":
+            return laguerre_type_by_gf(self.params, self.order)
+        return ml_by_gf(self.params, self.order)
+
+    @cached_property
+    def q(self) -> list[Poly]:
+        """Companion sequence Q_0..Q_{order-1} under the lowering operator."""
+        if self.kind == "laguerre":
+            return laguerre_q_sequence(self.polys)
+        if self.kind == "hyp-laguerre":
+            raise ValueError("companion sequence is only defined for the ml, charlier, "
+                             "and laguerre families")
+        return ml_q_sequence(self.polys, self.params.w)
+
+    @cached_property
+    def p_table(self) -> RecurrenceTable:
+        return fit_recurrence(self.polys, self.d)
+
+    @cached_property
+    def q_table(self) -> RecurrenceTable:
+        return fit_recurrence(self.q, self.d)
+
+    @cached_property
+    def moments(self) -> MomentTable:
+        return moments_by_inversion(self.polys, self.d)
+
+    @cached_property
+    def pattern(self) -> OrthogonalityReport:
+        return verify_d_orthogonality(self.polys, self.moments, self.d, self.order)
+
+    @cached_property
+    def hyp_basis(self) -> list[Poly]:
+        return [hyp_laguerre(self.params, n) for n in range(self.order + 1)]
+
+    @cached_property
+    def quasi(self) -> list[Poly]:
+        return [hyp_quasi(self.params, self.beta, self.l, n) for n in range(self.order + 1)]
+
+    @cached_property
+    def _closed_forms(self) -> dict[int, Poly]:
+        return {}
+
+    def closed_form(self, n: int) -> Poly:
+        """ratio_power_closed_form at the run's ratio parameters."""
+        if n not in self._closed_forms:
+            self._closed_forms[n] = ratio_power_closed_form(self.params.alpha, self.params.beta, n)
+        return self._closed_forms[n]
 
 
 def _delta_powers(poly: Poly, w: Fraction, upto: int) -> list[Poly]:
@@ -199,15 +337,129 @@ def _delta_powers(poly: Poly, w: Fraction, upto: int) -> list[Poly]:
 
 
 # ---------------------------------------------------------------------------
+# Routes, companions and orthogonality
+# ---------------------------------------------------------------------------
+
+
+def verify_routes(setup: FamilySetup) -> list[VerificationReport]:
+    """The recurrence route equals the generating-function route, and a
+    supplied table equals the recurrence route."""
+    rec = setup.recurrence_route() if setup.table is not None else setup.polys
+    checks = [(n, rec[n], setup.gf[n], "recurrence route vs generating-function route")
+              for n in range(setup.order + 1)]
+    if setup.table is not None:
+        checks += [(n, setup.table[n], rec[n], "supplied table vs recurrence route")
+                   for n in range(setup.order + 1)]
+    return [_report("routes", setup.public_params(), 0, setup.order, first_mismatch(checks))]
+
+
+def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
+    """Companion-sequence conformance: the difference companions satisfy the
+    shifted band recurrence, and their fitted table shows the predicted
+    coefficient shift against the family's own table."""
+    p = setup.params
+    params = setup.public_params()
+    if setup.order < p.d + 2:
+        return [_not_applicable("hahn", params, 0, setup.order - 1,
+                                f"fitting the companion table needs order N >= d + 2 = {p.d + 2}")]
+    q = setup.q
+    alpha, beta = p.alpha, p.beta
+
+    def replay_checks():
+        x = Poly.x()
+        for n in range(len(q) - 1):
+            nxt = (x + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]
+            if n >= 1:
+                nxt = nxt - q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.b(0) - p.b(1)))
+            for k in range(2, min(n, p.d) + 1):
+                coef = (p.b(k) - (alpha + beta) * k * p.b(k - 1)
+                        + alpha * beta * k * (k - 1) * p.b(k - 2))
+                if coef != 0:
+                    nxt = nxt + q[n - k] * (binomial(n, k) * coef)
+            yield n + 1, q[n + 1], nxt, "companion band recurrence replay"
+
+    witness = first_mismatch(replay_checks())
+    notes = []
+    if witness is None:
+        try:
+            p_table, q_table = setup.p_table, setup.q_table
+        except FitError as exc:
+            return [_report("hahn", params, 0, len(q) - 1, _fit_witness(exc))]
+        shift_checks = []
+        for n in range(len(q_table.beta)):
+            shift_checks.append((n, q_table.beta[n], p_table.beta[n] - alpha,
+                                 "companion beta shift by alpha"))
+        for (m, k), value in sorted(q_table.gamma.items()):
+            if k == p.d - 1:
+                expected = p_table.gamma_at(m, k) + m * alpha * beta
+                context = "top gamma class shifted by n*alpha*beta"
+            else:
+                expected = p_table.gamma_at(m, k)
+                context = "lower gamma classes unchanged"
+            shift_checks.append((m, value, expected, context))
+        bad = next(((n, a, e, ctx) for n, a, e, ctx in shift_checks if a != e), None)
+        if bad is not None:
+            witness = _scalar_witness(bad[0], bad[1], bad[2], bad[3])
+        else:
+            notes.append("fitted companion table shows the predicted shift: beta gains alpha, "
+                         "the top gamma class gains n*alpha*beta, lower classes are unchanged")
+    return [_report("hahn", params, 0, len(q) - 1, witness, notes)]
+
+
+def verify_regularity(setup: FamilySetup) -> list[VerificationReport]:
+    """Fit the band recurrence and flag every vanishing gamma^0; a flag is a
+    warning, a sequence that fits no band recurrence is a failure."""
+    params = setup.public_params()
+    upto = setup.order - 1 - setup.d
+    if upto < 0:
+        return [_not_applicable("regularity", params, 0, upto,
+                                f"fitting the band recurrence needs order N >= d + 1 = {setup.d + 1}")]
+    try:
+        table = setup.p_table
+    except FitError as exc:
+        return [_report("regularity", params, 0, setup.order, _fit_witness(exc))]
+    flags = check_regularity(table, upto)
+    if flags:
+        note = (WARNING_PREFIX + "regularity fails at m = " + ", ".join(str(m) for m in flags)
+                + " (gamma^0 vanishing); sequence is not d-orthogonal there")
+    else:
+        note = f"all regularity conditions hold through m = {upto}"
+    return [_report("regularity", params, 0, upto, None, (note,))]
+
+
+def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
+    """The full d-orthogonality pattern of the dual-functional moments."""
+    params = setup.public_params()
+    if setup.order < setup.d:
+        return [_not_applicable("d-orthogonality", params, 0, setup.order,
+                                f"the moments need order N >= d = {setup.d}")]
+    report = setup.pattern
+    witness = None
+    if report.zero_failures:
+        first = report.zero_failures[0]
+        witness = _scalar_witness(first.n, first.value, 0,
+                                  f"vanishing condition at (r={first.r}, m={first.m}, n={first.n})")
+    if report.regularity_failures:
+        cells = ", ".join(f"(r={c.r}, m={c.m})" for c in report.regularity_failures)
+        note = WARNING_PREFIX + f"regularity conditions fail at {cells}"
+    else:
+        note = "all regularity conditions in the pattern are nonzero"
+    return [_report("d-orthogonality", params, 0, setup.order, witness, (note,))]
+
+
+# ---------------------------------------------------------------------------
 # Connection and structure relations
 # ---------------------------------------------------------------------------
 
 
-def verify_nccd(p: MLParams, n_max: int) -> VerificationReport:
+def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
     """P_n = Q_n - n alpha Q_{n-1}: the two-term connection between the family
     and its difference companions.  At alpha = 0 this degenerates to P = Q."""
-    polys = ml_by_recurrence(p, n_max)
-    q = ml_q_sequence(polys, p.w)
+    p, polys, n_max = setup.params, setup.polys, setup.order
+    params = setup.public_params(tagged=True)
+    if n_max < 1:
+        return [_not_applicable("nccd", params, 0, n_max - 1, "empty index range")]
+    q = setup.q
 
     def checks():
         yield 0, polys[0], q[0], "P_0 = Q_0"
@@ -217,67 +469,77 @@ def verify_nccd(p: MLParams, n_max: int) -> VerificationReport:
     notes = []
     if p.alpha == 0:
         notes.append("alpha = 0: connection degenerates to P_n = Q_n (difference-Appell case)")
-    return _report("nccd", ml_params_dict(p), 0, n_max - 1, first_mismatch(checks()), notes)
+    return [_report("nccd", params, 0, n_max - 1, first_mismatch(checks()), notes)]
 
 
-def verify_sr_block(p: MLParams, n_max: int) -> list[VerificationReport]:
+def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
     """The five displayed recurrences tying the family to its difference
     companions (shift identity, cross identity, difference of a product in
     both displayed forms, and the multiplication relation), each as an exact
-    polynomial identity for n below n_max."""
-    params = ml_params_dict(p)
+    polynomial identity for n below the order."""
+    p, polys, q, n_max = setup.params, setup.polys, setup.q, setup.order
+    params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
-    polys = ml_by_recurrence(p, n_max)
-    q = ml_q_sequence(polys, w)
-    reports: list[VerificationReport] = []
     hi = n_max - 1
+    shifted = [shift(polys[n], w) for n in range(n_max)]
+    product_delta = [delta_w(polys[n + 1] * polys[n], w) for n in range(n_max)]
+    reports: list[VerificationReport] = []
 
     def sr5():
         for n in range(n_max):
             rhs = q[n] - (q[n - 1] * (n * beta) if n >= 1 else Poly.zero())
-            yield n, shift(polys[n], w), rhs, "P_n(x+w) vs Q_n - n*beta*Q_{n-1}"
+            yield n, shifted[n], rhs, "P_n(x+w) vs Q_n - n*beta*Q_{n-1}"
 
     reports.append(_report("sr5", params, 0, hi, first_mismatch(sr5())))
 
     def sr7():
         for n in range(1, n_max):
             lhs = polys[n] - polys[n - 1] * (beta * n)
-            rhs = shift(polys[n], w) - shift(polys[n - 1], w) * (alpha * n)
+            rhs = shifted[n] - shifted[n - 1] * (alpha * n)
             yield n, lhs, rhs, "P_n - beta*n*P_{n-1} vs shifted"
 
     reports.append(_report("sr7", params, 1, hi, first_mismatch(sr7())))
 
     def sr3():
         for n in range(n_max):
-            yield n, q[n] * w, shift(polys[n], w) * alpha - polys[n] * beta, "w*Q_n vs alpha*P_n(x+w) - beta*P_n"
+            yield n, q[n] * w, shifted[n] * alpha - polys[n] * beta, "w*Q_n vs alpha*P_n(x+w) - beta*P_n"
 
     reports.append(_report("sr3", params, 0, hi, first_mismatch(sr3())))
 
     def sr4():
         for n in range(n_max):
-            lhs = delta_w(polys[n + 1] * polys[n], w)
-            rhs = shift(polys[n], w) * q[n] * (n + 1)
+            rhs = shifted[n] * q[n] * (n + 1)
             if n >= 1:
                 rhs = rhs + polys[n + 1] * q[n - 1] * n
-            yield n, lhs, rhs, "delta_w(P_{n+1} P_n) vs product form"
+            yield n, product_delta[n], rhs, "delta_w(P_{n+1} P_n) vs product form"
 
     reports.append(_report("sr4", params, 0, hi, first_mismatch(sr4())))
 
     def sr4_alt():
         for n in range(n_max):
-            lhs = delta_w(polys[n + 1] * polys[n], w)
             rhs = q[n] * q[n] * (n + 1)
             if n >= 1:
                 rhs = rhs + polys[n + 1] * q[n - 1] * n
                 rhs = rhs - q[n] * q[n - 1] * (n * (n + 1) * beta)
-            yield n, lhs, rhs, "delta_w(P_{n+1} P_n) vs squared form"
+            yield n, product_delta[n], rhs, "delta_w(P_{n+1} P_n) vs squared form"
 
     reports.append(_report("sr4-alt", params, 0, hi, first_mismatch(sr4_alt())))
-    reports.append(_verify_sr6(p, polys, q, n_max))
+
+    def sr6(variant):
+        for n in range(n_max):
+            for c in FREE_CONSTANT_SAMPLES:
+                lhs, rhs = _sr6_sides(p, polys, q, n, c, variant)
+                yield n, lhs, rhs, f"(x - {format_rational(c)})Q_n, variant {variant}"
+
+    reports.append(_reconciled(
+        "sr6", params, 0, hi, sr6,
+        "stated form fails (first witness at n = {n}); repaired form pinned: the free "
+        "constant multiplies Q_n rather than P_n, and the binomial correction sum "
+        "enters with the opposite sign"))
     return reports
 
 
-def _sr6_sides(p: MLParams, polys, q, n: int, c: Fraction, variant: str) -> tuple[Poly, Poly]:
+def _sr6_sides(p, polys, q, n: int, c: Fraction, variant: str) -> tuple[Poly, Poly]:
     """Both sides of the multiplication relation (x - c) Q_n = ... at one n.
 
     stated: the free constant multiplies P_n on the right and the correction
@@ -299,49 +561,29 @@ def _sr6_sides(p: MLParams, polys, q, n: int, c: Fraction, variant: str) -> tupl
     return lhs, rhs
 
 
-def _verify_sr6(p: MLParams, polys, q, n_max: int) -> VerificationReport:
-    params = ml_params_dict(p)
-    hi = n_max - 1
-
-    def checks(variant):
-        for n in range(hi + 1):
-            for c in FREE_CONSTANT_SAMPLES:
-                lhs, rhs = _sr6_sides(p, polys, q, n, c, variant)
-                yield n, lhs, rhs, f"(x - {format_rational(c)})Q_n, variant {variant}"
-
-    stated = first_mismatch(checks("stated"))
-    if stated is None:
-        return _report("sr6", params, 0, hi, None, ("stated form verified",))
-    repaired = first_mismatch(checks("repaired"))
-    if repaired is None:
-        notes = (
-            "stated form fails (first witness at n = %d); repaired form pinned: the free "
-            "constant multiplies Q_n rather than P_n, and the binomial correction sum "
-            "enters with the opposite sign" % stated.n,
-        )
-        return _report("sr6", params, 0, hi, None, notes)
-    return _report("sr6", params, 0, hi, stated)
-
-
-def verify_sr2_general(p: MLParams, n_max: int) -> VerificationReport:
+def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
     """The general multiplication relation for d >= 2, assembled entirely from
-    the fitted recurrence tables of the family and its companion sequence.
+    the fitted recurrence table of the companion sequence.
 
     Checked at three values of the free constant, in both displayed forms
     (the plain one and the remark form obtained by stepping the connection
     once).  Needs every lambda_k = k alpha nonzero, so alpha = 0 reports
     not-applicable rather than failure."""
-    params = ml_params_dict(p)
-    lo, hi = p.d + 1, n_max - 1
+    p, polys = setup.params, setup.polys
+    params = setup.public_params(tagged=True)
+    lo, hi = p.d + 1, setup.order - 1
     if p.d < 2:
-        return _not_applicable("sr2", params, lo, hi, "requires d >= 2")
+        return [_not_applicable("sr2", params, lo, hi, "requires d >= 2")]
     if p.alpha == 0:
-        return _not_applicable("sr2", params, lo, hi,
-                               "lambda_n = n*alpha vanishes identically at alpha = 0")
-    polys = ml_by_recurrence(p, n_max)
-    q = ml_q_sequence(polys, p.w)
-    p_table = fit_recurrence(polys, p.d)
-    q_table = fit_recurrence(q, p.d)
+        return [_not_applicable("sr2", params, lo, hi,
+                                "lambda_n = n*alpha vanishes identically at alpha = 0")]
+    if hi < lo:
+        return [_not_applicable("sr2", params, lo, hi, "empty index range")]
+    q = setup.q
+    try:
+        q_table = setup.q_table
+    except FitError as exc:
+        return [_report("sr2", params, lo, hi, _fit_witness(exc))]
 
     def correction_sum(n: int) -> Poly:
         out = Poly.zero()
@@ -374,18 +616,11 @@ def verify_sr2_general(p: MLParams, n_max: int) -> VerificationReport:
                             + polys[n - 1] * (lam * (lam + xi)) - s * lam)
                 yield n, lhs2, rhs2, f"remark form, c = {format_rational(c)}, variant {variant}"
 
-    stated = first_mismatch(checks("stated"))
-    if stated is None:
-        return _report("sr2", params, lo, hi, None, ("stated form verified",))
-    repaired = first_mismatch(checks("repaired"))
-    if repaired is None:
-        notes = (
-            "stated form fails (first witness at n = %d, %s); repaired form pinned: the "
-            "free constant multiplies the companion polynomial on the right, matching the "
-            "left-hand side" % (stated.n, stated.context),
-        )
-        return _report("sr2", params, lo, hi, None, notes)
-    return _report("sr2", params, lo, hi, stated)
+    return [_reconciled(
+        "sr2", params, lo, hi, checks,
+        "stated form fails (first witness at n = {n}, {context}); repaired form pinned: the "
+        "free constant multiplies the companion polynomial on the right, matching the "
+        "left-hand side")]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +628,7 @@ def verify_sr2_general(p: MLParams, n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _de1_sides(p: MLParams, polys, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
+def _de1_sides(p, polys, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
     alpha, w, d = p.alpha, p.w, p.d
     x = Poly.x()
     beta_n = table.beta[n]
@@ -414,7 +649,7 @@ def _de1_sides(p: MLParams, polys, table: RecurrenceTable, n: int, k: int) -> tu
     return polys[n - k + 1], rhs
 
 
-def _de2_sides(p: MLParams, polys, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
+def _de2_sides(p, polys, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
     alpha, w, d = p.alpha, p.w, p.d
     x = Poly.x()
     beta_n = table.beta[n]
@@ -431,7 +666,7 @@ def _de2_sides(p: MLParams, polys, table: RecurrenceTable, n: int) -> tuple[Poly
     return polys[n - d] * (n - d), rhs
 
 
-def verify_de(p: MLParams, n_max: int, which) -> VerificationReport:
+def verify_de(setup: FamilySetup, which) -> VerificationReport:
     """Difference equations assembled from the fitted recurrence table.
 
     ``which`` is "de2" for the order-(d+1) equation in a single polynomial,
@@ -441,20 +676,23 @@ def verify_de(p: MLParams, n_max: int, which) -> VerificationReport:
     below that the falling-factorial denominators vanish and the indices are
     reported out-of-range.
     """
-    params = ml_params_dict(p)
+    p, polys = setup.params, setup.polys
+    params = setup.public_params(tagged=True)
     if which == "de2":
         identity, k = "de2", None
     else:
         identity = f"de1:k={which[1]}"
         k = int(which[1])
-    lo, hi = p.d, n_max - 1
+    lo, hi = p.d, setup.order - 1
     if k is not None and not 0 <= k <= p.d:
         return _not_applicable(identity, params, lo, hi,
                                f"difference depth k = {k} outside the admissible range 0..{p.d}")
     if hi < lo:
         return _not_applicable(identity, params, lo, hi, "no admissible indices below n = d")
-    polys = ml_by_recurrence(p, n_max)
-    table = fit_recurrence(polys, p.d)
+    try:
+        table = setup.p_table
+    except FitError as exc:
+        return _report(identity, params, lo, hi, _fit_witness(exc))
 
     def checks():
         for n in range(lo, hi + 1):
@@ -466,6 +704,15 @@ def verify_de(p: MLParams, n_max: int, which) -> VerificationReport:
 
     notes = (f"indices n < {p.d} skipped as out-of-range",)
     return _report(identity, params, lo, hi, first_mismatch(checks()), notes)
+
+
+def verify_de1(setup: FamilySetup) -> list[VerificationReport]:
+    """The mixed difference equation at every depth k = 1..d."""
+    return [verify_de(setup, ("de1", k)) for k in range(1, setup.d + 1)]
+
+
+def verify_de2(setup: FamilySetup) -> list[VerificationReport]:
+    return [verify_de(setup, "de2")]
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +761,10 @@ def _ratio_power_stated_form(alpha: Fraction, beta: Fraction, n: int) -> Poly:
     return acc * (-alpha) ** n
 
 
-def verify_sz5(alpha: RationalLike, beta: RationalLike, n_max: int) -> VerificationReport:
+def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
     """Closed-form expansion of the ratio power against the exponent-route
-    series, coefficient by coefficient."""
-    alpha = as_rational(alpha)
-    beta = as_rational(beta)
+    series, coefficient by coefficient.  Does not read the family."""
+    alpha, beta, n_max = setup.params.alpha, setup.params.beta, setup.order
     params = {
         "family": "ratio-power",
         "alpha": format_rational(alpha),
@@ -526,27 +772,28 @@ def verify_sz5(alpha: RationalLike, beta: RationalLike, n_max: int) -> Verificat
     }
     truth = egf_extract(gf_ratio_power(alpha, beta, n_max))
 
-    def checks(form: Callable[[Fraction, Fraction, int], Poly], label: str):
+    def checks(form: Callable[[int], Poly], label: str):
         for n in range(n_max + 1):
-            yield n, form(alpha, beta, n), truth[n], label
+            yield n, form(n), truth[n], label
 
     stated: Optional[Witness]
     if alpha == 0:
         stated = None
         stated_note = "stated form not evaluable at alpha = 0 (weights divide by alpha)"
     else:
-        stated = first_mismatch(checks(_ratio_power_stated_form, "stated closed form"))
+        stated = first_mismatch(checks(lambda n: _ratio_power_stated_form(alpha, beta, n),
+                                       "stated closed form"))
         stated_note = None
     if stated is None and stated_note is None:
-        return _report("sz5", params, 0, n_max, None, ("stated form verified",))
-    repaired = first_mismatch(checks(ratio_power_closed_form, "repaired closed form"))
+        return [_report("sz5", params, 0, n_max, None, ("stated form verified",))]
+    repaired = first_mismatch(checks(setup.closed_form, "repaired closed form"))
     if repaired is None:
         if stated_note is None:
             stated_note = ("stated form fails (first witness at n = %d); repaired form pinned: "
                            "weights (-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n"
                            % stated.n)
-        return _report("sz5", params, 0, n_max, None, (stated_note,))
-    return _report("sz5", params, 0, n_max, repaired)
+        return [_report("sz5", params, 0, n_max, None, (stated_note,))]
+    return [_report("sz5", params, 0, n_max, repaired)]
 
 
 def _compositions(weight: int, parts: int):
@@ -577,9 +824,8 @@ def _exp_coefficients(values: Sequence[Fraction], n_max: int) -> list[Fraction]:
     return out
 
 
-def verify_sz4(p: MLParams, n_max: int) -> VerificationReport:
-    """Explicit multinomial form of the family against the generating
-    function route.
+def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
+    """Explicit multinomial form of the family, checked against P_n.
 
     The repaired interpretation composes the closed-form ratio-power
     coefficients with the exponential factor exactly:
@@ -590,19 +836,19 @@ def verify_sz4(p: MLParams, n_max: int) -> VerificationReport:
     with P0 the repaired closed form.  The stated transcription (multinomial
     weights over parts that do not sum to n, powers (beta/alpha)**s
     (-alpha)**n (-beta)**m) is tried first where evaluable."""
-    params = ml_params_dict(p)
-    truth = ml_by_gf(p, n_max)
+    p, truth, n_max = setup.params, setup.polys, setup.order
+    params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
     notes: list[str] = []
+    a_coeffs = _exp_coefficients(list(p.c), n_max)
 
     def repaired(n: int) -> Poly:
-        a_coeffs = _exp_coefficients(list(p.c), n)
         acc = Poly.zero()
         for m in range(n + 1):
             if a_coeffs[m] == 0:
                 continue
             scale = Fraction(factorial(n), factorial(n - m)) * a_coeffs[m]
-            acc = acc + ratio_power_closed_form(alpha, beta, n - m) * scale
+            acc = acc + setup.closed_form(n - m) * scale
         return acc
 
     def stated(n: int) -> Poly:
@@ -640,15 +886,15 @@ def verify_sz4(p: MLParams, n_max: int) -> VerificationReport:
         if stated_failed:
             notes.append("stated multinomial form fails (first witness at n = %d)" % stated_witness.n)
     if not stated_failed:
-        return _report("sz4", params, 0, n_max, None, ("stated form verified",))
+        return [_report("sz4", params, 0, n_max, None, ("stated form verified",))]
     repaired_witness = first_mismatch(
         (n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1))
     if repaired_witness is None:
         notes.append("repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{n-m} with A the "
                      "exponential-factor coefficients and P0 the repaired ratio-power closed form; "
                      "exponent coefficients enter as a_i = c_i = b_{i-1}/i!")
-        return _report("sz4", params, 0, n_max, None, notes)
-    return _report("sz4", params, 0, n_max, repaired_witness, notes)
+        return [_report("sz4", params, 0, n_max, None, notes)]
+    return [_report("sz4", params, 0, n_max, repaired_witness, notes)]
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +902,7 @@ def verify_sz4(p: MLParams, n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_hyp_lincomb(p: HypParams, beta: RationalLike, l: int, n_max: int) -> VerificationReport:
+def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     """Finite linear combinations between terminating hypergeometric families.
 
     Three components share the report: the index-shift lemma for terminating
@@ -665,8 +911,8 @@ def verify_hyp_lincomb(p: HypParams, beta: RationalLike, l: int, n_max: int) -> 
     reduction to a plain family when the first parameter aligns.  The stated
     reduction sums only l terms; for d >= 2 the consistent window is d*l
     terms, and the repaired variant pins that."""
-    beta = as_rational(beta)
-    params = hyp_params_dict(p, beta, l)
+    p, beta, l, n_max, basis = setup.params, setup.beta, setup.l, setup.order, setup.polys
+    params = setup.public_params(tagged=True)
     dl = p.d * l
     dens = tuple(ai + 1 for ai in p.alphavec)
     notes: list[str] = []
@@ -688,31 +934,30 @@ def verify_hyp_lincomb(p: HypParams, beta: RationalLike, l: int, n_max: int) -> 
 
     witness = first_mismatch(lemma_checks())
     if witness is not None:
-        return _report("hyp-lincomb", params, 0, n_max, witness, notes)
+        return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
     notes.append("index-shift lemma verified at a generic non-integer parameter")
 
     # Component 2: the order-l combination.
     def lincomb_checks():
         for n in range(n_max + 1):
-            rhs = hyp_quasi(p, beta, l, n)
             lhs = Poly.zero()
             for k in range(min(n, dl) + 1):
                 coef = ((-1) ** k * binomial(dl, k) * falling_value(n, k)
                         * pochhammer(beta + dl + 1, n - k) / pochhammer(beta + 1, n))
                 if coef != 0:
-                    lhs = lhs + hyp_laguerre(p, n - k) * coef
-            yield n, lhs, rhs, "order-l combination"
+                    lhs = lhs + basis[n - k] * coef
+            yield n, lhs, setup.quasi[n], "order-l combination"
 
     witness = first_mismatch(lincomb_checks())
     if witness is not None:
-        return _report("hyp-lincomb", params, 0, n_max, witness, notes)
+        return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
     notes.append("order-l combination verified")
 
     # Component 3: the aligned-parameter reduction, beta2 = alpha_1 - d*l.
     beta2 = p.alphavec[0] - dl
     if beta2.denominator == 1 and beta2.numerator <= -1:
         notes.append("aligned reduction skipped: alpha_1 - d*l is a negative integer")
-        return _report("hyp-lincomb", params, 0, n_max, None, notes)
+        return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
     reduced = HypParams(p.d, (beta2,) + p.alphavec[1:])
 
     def reduction_checks(window: int):
@@ -723,20 +968,40 @@ def verify_hyp_lincomb(p: HypParams, beta: RationalLike, l: int, n_max: int) -> 
                 coef = ((-1) ** k * binomial(window, k) * falling_value(n, k)
                         * pochhammer(p.alphavec[0] + 1, n - k) / pochhammer(beta2 + 1, n))
                 if coef != 0:
-                    lhs = lhs + hyp_laguerre(p, n - k) * coef
+                    lhs = lhs + basis[n - k] * coef
             yield n, lhs, rhs, f"aligned reduction, window {window}"
 
     stated = first_mismatch(reduction_checks(l))
     if stated is None:
         notes.append("aligned reduction verified in the stated l-term window")
-        return _report("hyp-lincomb", params, 0, n_max, None, notes)
+        return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
     repaired = first_mismatch(reduction_checks(dl))
     if repaired is None:
         notes.append("stated l-term reduction window fails (first witness at n = %d); repaired "
                      "form pinned: the window is d*l terms with binomial(d*l, k) weights"
                      % stated.n)
-        return _report("hyp-lincomb", params, 0, n_max, None, notes)
-    return _report("hyp-lincomb", params, 0, n_max, stated, notes)
+        return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
+    return [_report("hyp-lincomb", params, 0, n_max, stated, notes)]
+
+
+def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
+    """The quasi-orthogonal combinations have detected order exactly l over
+    the family, with a nonzero bottom expansion coefficient."""
+    params = setup.public_params()
+    d, l = setup.d, setup.l
+    if setup.order < d * l:
+        return [_not_applicable("quasi-order", params, 0, setup.order,
+                                f"order l = {l} is detectable only from N >= d*l = {d * l}")]
+    found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d)
+    witness = None
+    notes = []
+    if found != l:
+        witness = _scalar_witness(found, found, l, "detected quasi-orthogonality order")
+    elif not exact:
+        witness = _scalar_witness(found, 0, 1, "bottom expansion coefficient vanished somewhere")
+    else:
+        notes.append(f"quasi-orthogonality order is exactly {found}")
+    return [_report("quasi-order", params, 0, setup.order, witness, notes)]
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +1009,18 @@ def verify_hyp_lincomb(p: HypParams, beta: RationalLike, l: int, n_max: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def verify_laguerre_structure(p: LagParams, n_max: int) -> VerificationReport:
+def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
     """Derivative structure relation of the Laguerre-type family under the
     exponent convention alpha = -(beta_exp + 1).
 
     The relation is stated for theta = 0; a nonzero theta shifts the whole
     family by a*theta in x, so the repaired variant carries the matching
     shift on the multiplier of P'_n."""
-    params = lag_params_dict(p)
+    p, polys = setup.params, setup.polys
+    params = setup.public_params(tagged=True)
     alpha = -(p.beta_exp + 1)
-    polys = laguerre_type_by_recurrence(p, n_max)
     a = p.a
-    hi = n_max - 1
+    hi = setup.order - 1
 
     def rhs_at(n: int) -> Poly:
         out = polys[n] * n
@@ -768,21 +1033,15 @@ def verify_laguerre_structure(p: LagParams, n_max: int) -> VerificationReport:
                 out = out + polys[n - i] * coef
         return out
 
-    def checks(lhs_poly: Poly):
+    def checks(variant):
+        lhs_poly = Poly.x() if variant == "stated" else Poly.x() + Poly.const(a * p.theta)
         for n in range(hi + 1):
             yield n, lhs_poly * derivative(polys[n]), rhs_at(n), "structure relation"
 
-    stated = first_mismatch(checks(Poly.x()))
-    if stated is None:
-        return _report("laguerre-structure", params, 0, hi, None, ("stated form verified",))
-    if p.theta != 0:
-        repaired = first_mismatch(checks(Poly.x() + Poly.const(a * p.theta)))
-        if repaired is None:
-            notes = ("stated form fails for theta != 0 (the family is the theta = 0 family "
-                     "shifted by a*theta in x); repaired form pinned: the derivative multiplier "
-                     "is x + a*theta",)
-            return _report("laguerre-structure", params, 0, hi, None, notes)
-    return _report("laguerre-structure", params, 0, hi, stated)
+    return [_reconciled(
+        "laguerre-structure", params, 0, hi, checks,
+        "stated form fails for theta != 0 (the family is the theta = 0 family shifted by "
+        "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta")]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +1049,7 @@ def verify_laguerre_structure(p: LagParams, n_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_moment_recursion(p: MLParams, n_max: int) -> VerificationReport:
+def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     """Finite linear recursion satisfied by the dual-functional moments.
 
     The repaired interpretation applies biorthogonality to the exponential
@@ -804,9 +1063,12 @@ def verify_moment_recursion(p: MLParams, n_max: int) -> VerificationReport:
     powers (beta/alpha)**k (-alpha)**n against raw monomial moments) is tried
     first where evaluable; disagreement there is recorded as a finding, not a
     failure of the moments themselves."""
-    params = ml_params_dict(p)
-    polys = ml_by_recurrence(p, n_max)
-    table = moments_by_inversion(polys, p.d)
+    p, n_max = setup.params, setup.order
+    params = setup.public_params(tagged=True)
+    if n_max < p.d:
+        return [_not_applicable("moment-recursion", params, 0, n_max,
+                                f"the moments need order N >= d = {p.d}")]
+    table = setup.moments
     alpha, beta = p.alpha, p.beta
     notes: list[str] = []
 
@@ -816,7 +1078,7 @@ def verify_moment_recursion(p: MLParams, n_max: int) -> VerificationReport:
         for r in range(p.d):
             for n in range(n_max + 1):
                 lhs = Fraction(factorial(n), factorial(r)) * (ainv[n - r] if n >= r else Fraction(0))
-                rhs = table.apply(r, ratio_power_closed_form(alpha, beta, n))
+                rhs = table.apply(r, setup.closed_form(n))
                 yield n, Poly.const(lhs), Poly.const(rhs), f"biorthogonal recursion, r = {r}"
 
     def stated_checks():
@@ -842,7 +1104,7 @@ def verify_moment_recursion(p: MLParams, n_max: int) -> VerificationReport:
         (k, Poly.const(table.moment(r, k)), Poly.zero(), f"vanishing moments below r = {r}")
         for r in range(p.d) for k in range(r))
     if zero_witness is not None:
-        return _report("moment-recursion", params, 0, n_max, zero_witness, notes)
+        return [_report("moment-recursion", params, 0, n_max, zero_witness, notes)]
     notes.append("vanishing pattern of low moments verified")
 
     if alpha == 0:
@@ -857,12 +1119,45 @@ def verify_moment_recursion(p: MLParams, n_max: int) -> VerificationReport:
                          % (stated_witness.n, stated_witness.context,
                             stated_witness.actual, stated_witness.expected))
     if not stated_failed:
-        return _report("moment-recursion", params, 0, n_max, None,
-                       notes + ["stated form verified"])
+        return [_report("moment-recursion", params, 0, n_max, None,
+                        notes + ["stated form verified"])]
     repaired_witness = first_mismatch(repaired_checks())
     if repaired_witness is None:
         notes.append("repaired form pinned: n!/r! Ainv_{n-r} = <u_r, P0_n> with Ainv the "
                      "coefficients of the inverse exponential factor (weight-(n-r) composition "
                      "sums in -c_i) and P0 the repaired ratio-power closed form")
-        return _report("moment-recursion", params, 0, n_max, None, notes)
-    return _report("moment-recursion", params, 0, n_max, repaired_witness, notes)
+        return [_report("moment-recursion", params, 0, n_max, None, notes)]
+    return [_report("moment-recursion", params, 0, n_max, repaired_witness, notes)]
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+# Suite id -> suite, per family, in the order a full run reports them.
+ML_SUITES = {
+    "routes": verify_routes,
+    "hahn": verify_hahn,
+    "nccd": verify_nccd,
+    "sr-block": verify_sr_block,
+    "sr2": verify_sr2,
+    "de1": verify_de1,
+    "de2": verify_de2,
+    "sz4": verify_sz4,
+    "sz5": verify_sz5,
+    "regularity": verify_regularity,
+    "d-orthogonality": verify_orthogonality,
+    "moment-recursion": verify_moment_recursion,
+}
+LAG_SUITES = {
+    "routes": verify_routes,
+    "laguerre-structure": verify_laguerre_structure,
+    "regularity": verify_regularity,
+    "d-orthogonality": verify_orthogonality,
+}
+HYP_SUITES = {
+    "hyp-lincomb": verify_hyp_lincomb,
+    "quasi-order": verify_quasi_order,
+}
+SUITES = {"ml": ML_SUITES, "charlier": ML_SUITES, "laguerre": LAG_SUITES,
+          "hyp-laguerre": HYP_SUITES}

@@ -24,12 +24,10 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "format_rational",
-    "poly_arith",
     "shift",
     "delta_w",
     "derivative",
     "falling_factorial",
-    "rising_factorial",
     "falling_value",
     "pochhammer",
     "binomial",
@@ -252,17 +250,6 @@ class Poly:
         return out
 
 
-def poly_arith(p: Poly, q: Poly, op: str) -> Poly:
-    """Ring arithmetic dispatcher: op is one of "add", "sub", "mul"."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
 def shift(p: Poly, h: RationalLike) -> Poly:
     """Return q with q(x) = p(x+h), expanded exactly by Horner composition."""
     h = as_rational(h)
@@ -298,16 +285,4 @@ def falling_factorial(w: RationalLike, n: int) -> Poly:
     out = Poly.one()
     for j in range(n):
         out = out * Poly((-j * w, 1))
-    return out
-
-
-def rising_factorial(w: RationalLike, n: int) -> Poly:
-    """Step-w rising factorial polynomial x(x+w)(x+2w)...(x+(n-1)w); 1 for n=0.
-
-    Related to the falling product by a shift of (n-1)w.
-    """
-    w = as_rational(w)
-    out = Poly.one()
-    for j in range(n):
-        out = out * Poly((j * w, 1))
     return out

@@ -22,11 +22,12 @@ from dops.families import (
     ml_q_sequence,
 )
 from dops.identities import (
+    FamilySetup,
     verify_de,
     verify_hyp_lincomb,
     verify_moment_recursion,
     verify_nccd,
-    verify_sr2_general,
+    verify_sr2,
     verify_sr_block,
     verify_sz4,
     verify_sz5,
@@ -129,10 +130,11 @@ def test_criterion_3_hahn_property():
 @criterion(4, desc="connection and structure relations hold exactly on every parameter set")
 def test_criterion_4_connection_and_structure():
     for p in ML_ALL:
-        assert verify_nccd(p, 13).status == "pass", p
-        for rep in verify_sr_block(p, 13):
+        setup = FamilySetup("ml", 13, p)
+        assert verify_nccd(setup)[0].status == "pass", p
+        for rep in verify_sr_block(setup):
             assert rep.status == "pass", (p, rep.identity, rep.witness)
-        rep = verify_sr2_general(p, 13)
+        (rep,) = verify_sr2(setup)
         if p.d >= 2 and p.alpha != 0:
             assert rep.status == "pass", (p, rep.witness)
         else:
@@ -142,10 +144,11 @@ def test_criterion_4_connection_and_structure():
 @criterion(5, desc="difference equations hold at every admissible depth for d <= 3")
 def test_criterion_5_difference_equations():
     for p in ML_ALL:
+        setup = FamilySetup("ml", 13, p)
         for k in range(0, p.d + 1):
-            rep = verify_de(p, 13, ("de1", k))
+            rep = verify_de(setup, ("de1", k))
             assert rep.status == "pass", (p, k, rep.witness)
-        rep = verify_de(p, 13, "de2")
+        rep = verify_de(setup, "de2")
         assert rep.status == "pass", (p, rep.witness)
 
 
@@ -169,7 +172,7 @@ def test_criterion_7_hypergeometric_connections():
         p = HypParams(d, [F(1, 2), F(4, 3)][:d])
         beta = F(1, 5)
         for l in (1, 2):
-            rep = verify_hyp_lincomb(p, beta, l, 8)
+            (rep,) = verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p, beta, l))
             assert rep.status == "pass", (d, l, rep.witness)
             assert any("reduction" in note for note in rep.notes)
             basis = [hyp_laguerre(p, n) for n in range(9)]
@@ -180,15 +183,16 @@ def test_criterion_7_hypergeometric_connections():
 @criterion(8, desc="reconciliation suite validates a documented interpretation of every "
                    "ambiguous identity")
 def test_criterion_8_reconciliation():
-    rep = verify_sz5(1, -1, 8)
+    (rep,) = verify_sz5(FamilySetup("ml", 8, MLParams(1, 1, -1)))
     assert rep.status == "pass"
     assert any("repaired form pinned" in note for note in rep.notes)
     for p in [MLParams(2, 1, -1, [1]), MLParams(3, 2, F(1, 2), [F(-1, 3), F(1, 5)]),
               MLParams(2, 0, -1, [F(1, 2)])]:
-        rep = verify_sz4(p, 8)
+        setup = FamilySetup("ml", 8, p)
+        (rep,) = verify_sz4(setup)
         assert rep.status == "pass", rep.witness
         assert any("pinned" in note for note in rep.notes)
-        rep = verify_moment_recursion(p, 8)
+        (rep,) = verify_moment_recursion(setup)
         assert rep.status == "pass", rep.witness
         assert any("pinned" in note for note in rep.notes)
 

@@ -3,6 +3,8 @@ config/env resolution, and the table-mode round trip."""
 
 import json
 
+import pytest
+
 from dops.cli import main
 
 
@@ -136,6 +138,18 @@ class TestConfigResolution:
         assert code == 2
         assert "expected 2 exponent coefficients" in err
 
+    @pytest.mark.parametrize("parameters, named", [
+        ({"alpha": 1.5, "beta": "-1"}, "1.5"),
+        (5, "parameters"),
+    ])
+    def test_malformed_config_is_bad_input(self, tmp_path, capsys, parameters, named):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": "ml", "d": 1, "order": 4,
+                                    "parameters": parameters}))
+        code, _, err = run_cli(["gen", "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+
 
 class TestVerify:
     def test_full_suite_passes(self, capsys):
@@ -194,36 +208,100 @@ class TestVerify:
         assert len(lines) == 3
 
 
+ML = ["--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1", "--c", "1"]
+LAGUERRE = ["--family", "laguerre", "--d", "3", "--a", "1/2", "--beta-exp", "-3/2",
+            "--theta", "1/7", "--b", "1,1/3,1/5"]
+HYP = ["--family", "hyp-laguerre", "--d", "2", "--alphavec", "1/2,1/3", "--beta", "1/4",
+       "--l", "2"]
+# Every suite that reads P_n, by family.  sz5 checks the ratio power alone;
+# sr4 (in sr-block) is the discrete product rule with Q_n = delta_w P_{n+1}/(n+1),
+# which holds for any table.
+TABLE_SUITES = (
+    [(ML, suite) for suite in ("routes", "hahn", "nccd", "sr-block", "sr2", "de1", "de2", "sz4",
+                               "regularity", "d-orthogonality", "moment-recursion")]
+    + [(LAGUERRE, suite) for suite in ("routes", "laguerre-structure", "regularity",
+                                       "d-orthogonality")]
+    + [(HYP, suite) for suite in ("hyp-lincomb", "quasi-order")]
+)
+
+
 class TestTableMode:
-    def _gen(self, tmp_path, capsys, extra=()):
+    def _gen(self, tmp_path, capsys, family=ML, order="9"):
         path = tmp_path / "table.json"
-        args = ["gen", "--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1",
-                "--c", "1", "--order", "9", "--out", str(path), *extra]
-        assert main(args) == 0
+        assert main(["gen", *family, "--order", order, "--out", str(path)]) == 0
         capsys.readouterr()
         return path
+
+    def _tamper(self, table, n, value):
+        artifact = json.loads(table.read_text())
+        artifact["polys"][n]["coeffs"][0] = value
+        table.write_text(json.dumps(artifact))
 
     def test_round_trip_byte_identical(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)
         in_process = tmp_path / "direct.json"
         from_table = tmp_path / "table_mode.json"
-        assert main(["verify", "--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1",
-                     "--c", "1", "--order", "9", "--out", str(in_process)]) == 0
+        assert main(["verify", *ML, "--order", "9", "--out", str(in_process)]) == 0
         assert main(["verify", "--from-table", str(table), "--out", str(from_table)]) == 0
         capsys.readouterr()
         assert in_process.read_bytes() == from_table.read_bytes()
 
-    def test_tampered_table_fails_routes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family, suite", TABLE_SUITES,
+                             ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
+    def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
+        table = self._gen(tmp_path, capsys, family)
+        self._tamper(table, 3, "7")
+        code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", suite], capsys)
+        assert code == 1
+        reports = json.loads(out)["reports"]
+        statuses = {r["identity"]: r["status"] for r in reports}
+        assert statuses.pop("sr4", "pass") == "pass"
+        assert set(statuses.values()) == {"fail"}
+        if suite == "routes":
+            assert reports[0]["witness"]["n"] == 3
+
+    def test_failed_fit_fails_the_suite_and_the_run_goes_on(self, tmp_path, capsys):
+        table = self._gen(tmp_path, capsys)
+        self._tamper(table, 5, "12345")
+        code, out, _ = run_cli(["verify", "--from-table", str(table)], capsys)
+        assert code == 1
+        reports = {r["identity"]: r for r in json.loads(out)["reports"]}
+        witness = reports["hahn"]["witness"]
+        assert witness["n"] == 4
+        assert "no bandwidth-4 recurrence: step 4" in witness["context"]
+        for identity in ("sr2", "de1:k=1", "de1:k=2", "de2", "regularity"):
+            assert reports[identity]["status"] == "fail"
+        assert reports["sz5"]["status"] == "pass"
+
+    def test_row_without_coeffs_is_bad_input(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)
         artifact = json.loads(table.read_text())
-        artifact["polys"][3]["coeffs"][0] = "7"
+        del artifact["polys"][2]["coeffs"]
         table.write_text(json.dumps(artifact))
-        code, out, _ = run_cli(["verify", "--from-table", str(table),
-                                "--suites", "routes"], capsys)
-        assert code == 1
-        report = json.loads(out)["reports"][0]
-        assert report["status"] == "fail"
-        assert report["witness"]["n"] == 3
+        code, _, err = run_cli(["verify", "--from-table", str(table)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "malformed" in err
+
+
+SMALL_ORDER_RUNS = [
+    (ML, 2),
+    (["--family", "ml", "--d", "3", "--alpha", "1", "--beta", "-1", "--c", "1,1/2"], 3),
+    (["--family", "charlier", "--d", "1", "--beta", "-1"], 1),
+    (LAGUERRE, 3),
+    (HYP, 2),
+]
+
+
+@pytest.mark.parametrize("family, order", [
+    (family, order) for family, d in SMALL_ORDER_RUNS for order in range(d + 3)],
+    ids=[f"{family[1]}-d{d}-N{order}" for family, d in SMALL_ORDER_RUNS for order in range(d + 3)])
+def test_small_orders_fail_nothing(capsys, family, order):
+    code, out, err = run_cli(["verify", *family, "--order", str(order)], capsys)
+    assert code == 0, err
+    reports = json.loads(out)["reports"]
+    assert all(r["status"] != "fail" for r in reports)
+    # a pass over an empty index range is no pass
+    assert all(r["status"] == "not-applicable" for r in reports if r["range"][1] < r["range"][0])
 
 
 class TestMoments:

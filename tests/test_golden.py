@@ -1,0 +1,66 @@
+"""Golden artifacts: the CLI output for fixed small configurations must stay
+byte-identical.
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+rewrites tests/golden/ from the current code; only do that for an intended
+change of the artifact format, and say so where the change is recorded.
+"""
+
+import os
+import sys
+
+import pytest
+
+from dops.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+FAMILIES = {
+    "ml": ["--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1", "--c", "1",
+           "--order", "9"],
+    "charlier": ["--family", "charlier", "--d", "1", "--beta", "-1", "--order", "9"],
+    "laguerre": ["--family", "laguerre", "--d", "3", "--a", "1/2", "--beta-exp", "-3/2",
+                 "--theta", "1/7", "--b", "1,1/3,1/5", "--order", "10"],
+    "hyp": ["--family", "hyp-laguerre", "--d", "2", "--alphavec", "1/2,1/3", "--beta", "1/4",
+            "--l", "2", "--order", "8"],
+}
+
+# file name -> (argv, expected exit code); "{table}" is the ml gen artifact.
+CASES = {
+    **{f"{fam}-{cmd}.json": ([cmd, *argv], 0)
+       for fam, argv in FAMILIES.items() for cmd in ("gen", "verify", "moments", "report")},
+    "ml-report.csv": (["report", *FAMILIES["ml"], "--format", "csv"], 0),
+    "ml-report.tex": (["report", *FAMILIES["ml"], "--format", "latex"], 0),
+    "ml-verify-from-table.json": (["verify", "--from-table", "{table}"], 0),
+}
+
+
+def produce(name, directory) -> tuple[int, bytes]:
+    table = os.path.join(directory, "table.json")
+    assert main(["gen", *FAMILIES["ml"], "--out", table]) == 0
+    argv, _ = CASES[name]
+    out = os.path.join(directory, name)
+    code = main([arg.format(table=table) for arg in argv] + ["--out", out])
+    with open(out, "rb") as fh:
+        return code, fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_is_byte_identical(name, tmp_path, capsys):
+    code, data = produce(name, str(tmp_path))
+    capsys.readouterr()
+    assert code == CASES[name][1]
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert data == fh.read()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, data = produce(name, tmp)
+            assert code == CASES[name][1], (name, code)
+            with open(os.path.join(GOLDEN, name), "wb") as fh:
+                fh.write(data)

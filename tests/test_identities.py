@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dops.families import HypParams, LagParams, MLParams, hyp_laguerre, ml_by_recurrence, ml_q_sequence
 from dops.identities import (
+    FamilySetup,
     VerificationReport,
     Witness,
     ratio_power_closed_form,
@@ -18,7 +19,7 @@ from dops.identities import (
     verify_laguerre_structure,
     verify_moment_recursion,
     verify_nccd,
-    verify_sr2_general,
+    verify_sr2,
     verify_sr_block,
     verify_sz4,
     verify_sz5,
@@ -44,6 +45,16 @@ ML_GRID = [
 ]
 
 
+def ml(p, order):
+    """A run of the ml suites on the recurrence family of p."""
+    return FamilySetup("ml", order, p)
+
+
+def single(reports):
+    (report,) = reports
+    return report
+
+
 class TestReportInvariants:
     def test_witness_iff_fail(self):
         with pytest.raises(ValueError):
@@ -53,7 +64,7 @@ class TestReportInvariants:
                                witness=Witness(0, Poly.one(), Poly.zero()))
 
     def test_serialization_shape(self):
-        rep = verify_nccd(CLASSICAL, 5)
+        rep = single(verify_nccd(ml(CLASSICAL, 5)))
         data = rep.to_dict()
         assert data["identity"] == "nccd"
         assert data["status"] == "pass"
@@ -70,10 +81,10 @@ class TestNccd:
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_grid(self, p):
-        assert verify_nccd(p, 13).status == "pass"
+        assert single(verify_nccd(ml(p, 13))).status == "pass"
 
     def test_appell_note(self):
-        rep = verify_nccd(MLParams(1, 0, -1), 6)
+        rep = single(verify_nccd(ml(MLParams(1, 0, -1), 6)))
         assert rep.status == "pass"
         assert any("alpha = 0" in note for note in rep.notes)
 
@@ -87,13 +98,13 @@ class TestSrBlock:
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_grid_all_pass(self, p):
-        reports = verify_sr_block(p, 13)
+        reports = verify_sr_block(ml(p, 13))
         assert {r.identity for r in reports} == {"sr3", "sr4", "sr4-alt", "sr5", "sr6", "sr7"}
         for rep in reports:
             assert rep.status == "pass", (rep.identity, rep.witness)
 
     def test_sr6_pins_repair_for_generic_parameters(self):
-        reports = {r.identity: r for r in verify_sr_block(CLASSICAL, 8)}
+        reports = {r.identity: r for r in verify_sr_block(ml(CLASSICAL, 8))}
         assert any("repaired form pinned" in note for note in reports["sr6"].notes)
 
     def test_sr6_trivial_base_case(self):
@@ -124,8 +135,8 @@ class TestImpliedIdentities:
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_consequence_holds_on_reports(self, p):
-        reports = {r.identity: r for r in verify_sr_block(p, 10)}
-        nccd = verify_nccd(p, 10)
+        reports = {r.identity: r for r in verify_sr_block(ml(p, 10))}
+        nccd = single(verify_nccd(ml(p, 10)))
         if nccd.status == "pass" and reports["sr5"].status == "pass":
             assert reports["sr3"].status == "pass"
 
@@ -133,15 +144,15 @@ class TestImpliedIdentities:
 class TestSr2:
     @pytest.mark.parametrize("p", [p for p in ML_GRID if p.d >= 2 and p.alpha != 0], ids=str)
     def test_grid(self, p):
-        rep = verify_sr2_general(p, 13)
+        rep = single(verify_sr2(ml(p, 13)))
         assert rep.status == "pass", rep.witness
         assert any("repaired form pinned" in note for note in rep.notes)
 
     def test_not_applicable_below_d2(self):
-        assert verify_sr2_general(CLASSICAL, 8).status == "not-applicable"
+        assert single(verify_sr2(ml(CLASSICAL, 8))).status == "not-applicable"
 
     def test_not_applicable_at_alpha_zero(self):
-        rep = verify_sr2_general(MLParams(2, 0, -1, [F(1, 2)]), 8)
+        rep = single(verify_sr2(ml(MLParams(2, 0, -1, [F(1, 2)]), 8)))
         assert rep.status == "not-applicable"
         assert "alpha = 0" in rep.notes[0]
 
@@ -149,35 +160,35 @@ class TestSr2:
 class TestDifferenceEquations:
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_de2_grid(self, p):
-        assert verify_de(p, 13, "de2").status == "pass"
+        assert verify_de(ml(p, 13), "de2").status == "pass"
 
     @pytest.mark.parametrize("p", [p for p in ML_GRID if p.d >= 2], ids=str)
     def test_de1_all_depths(self, p):
         for k in range(0, p.d + 1):
-            rep = verify_de(p, 12, ("de1", k))
+            rep = verify_de(ml(p, 12), ("de1", k))
             assert rep.status == "pass", (k, rep.witness)
 
     def test_de1_depth_one_exists_for_d1(self):
-        assert verify_de(CLASSICAL, 10, ("de1", 1)).status == "pass"
+        assert verify_de(ml(CLASSICAL, 10), ("de1", 1)).status == "pass"
 
     def test_inadmissible_depth(self):
-        rep = verify_de(CLASSICAL, 10, ("de1", 2))
+        rep = verify_de(ml(CLASSICAL, 10), ("de1", 2))
         assert rep.status == "not-applicable"
 
     def test_out_of_range_note(self):
-        rep = verify_de(MLParams(3, 1, -1, [1, F(1, 2)]), 12, "de2")
+        rep = verify_de(ml(MLParams(3, 1, -1, [1, F(1, 2)]), 12), "de2")
         assert any("out-of-range" in note for note in rep.notes)
 
 
 class TestClosedForms:
     def test_sz5_symmetric(self):
-        rep = verify_sz5(1, -1, 6)
+        rep = single(verify_sz5(ml(MLParams(1, 1, -1), 6)))
         assert rep.status == "pass"
         assert any("repaired form pinned" in note for note in rep.notes)
 
     def test_sz5_single_binomial_edge(self):
-        assert verify_sz5(1, 0, 6).status == "pass"
-        assert verify_sz5(0, -1, 6).status == "pass"
+        assert single(verify_sz5(ml(MLParams(1, 1, 0), 6))).status == "pass"
+        assert single(verify_sz5(ml(MLParams(1, 0, -1), 6))).status == "pass"
 
     def test_sz5_closed_form_values(self):
         # w = 2: first coefficients of exp(x artanh t)
@@ -188,7 +199,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_sz4_grid(self, p):
-        rep = verify_sz4(p, 8)
+        rep = single(verify_sz4(ml(p, 8)))
         assert rep.status == "pass", rep.witness
         assert any("pinned" in note or "stated form verified" in note for note in rep.notes)
 
@@ -212,7 +223,7 @@ class TestHypLincomb:
     @pytest.mark.parametrize("d,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_grid(self, d, l):
         p = HypParams(d, [F(1, 2), F(4, 3)][:d])
-        rep = verify_hyp_lincomb(p, F(1, 5), l, 8)
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p, F(1, 5), l)))
         assert rep.status == "pass", rep.witness
         assert any("lemma verified" in note for note in rep.notes)
         if d >= 2:
@@ -222,23 +233,25 @@ class TestHypLincomb:
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(Exception):
-            verify_hyp_lincomb(HypParams(1, [1]), F(-2), 1, 4)
+            verify_hyp_lincomb(FamilySetup("hyp-laguerre", 4, HypParams(1, [1]), F(-2), 1))
 
 
 class TestLaguerreStructure:
     def test_classical_case(self):
         # d = 1 with no exponential corrections reduces to the classical
         # derivative relation x P'_n = n P_n - n(n+alpha) P_{n-1}.
-        rep = verify_laguerre_structure(LagParams(1, 1, -1), 10)
+        rep = single(verify_laguerre_structure(FamilySetup("laguerre", 10, LagParams(1, 1, -1))))
         assert rep.status == "pass"
         assert "stated form verified" in rep.notes
 
     def test_d2_with_corrections(self):
-        rep = verify_laguerre_structure(LagParams(2, F(1, 2), F(-3, 2), 0, [1, F(1, 3)]), 10)
+        rep = single(verify_laguerre_structure(
+            FamilySetup("laguerre", 10, LagParams(2, F(1, 2), F(-3, 2), 0, [1, F(1, 3)]))))
         assert rep.status == "pass"
 
     def test_theta_shift_repair(self):
-        rep = verify_laguerre_structure(LagParams(2, 1, -2, F(1, 2), [0, 1]), 8)
+        rep = single(verify_laguerre_structure(
+            FamilySetup("laguerre", 8, LagParams(2, 1, -2, F(1, 2), [0, 1]))))
         assert rep.status == "pass"
         assert any("x + a*theta" in note for note in rep.notes)
 
@@ -252,16 +265,16 @@ class TestLaguerreStructure:
 class TestMomentRecursion:
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_grid(self, p):
-        rep = verify_moment_recursion(p, 8)
+        rep = single(verify_moment_recursion(ml(p, 8)))
         assert rep.status == "pass", rep.witness
         assert any("vanishing pattern" in note for note in rep.notes)
 
     def test_d1_collapse(self):
         # With no exponential corrections the left side collapses to the
         # Kronecker case n = r.
-        rep = verify_moment_recursion(CLASSICAL, 8)
+        rep = single(verify_moment_recursion(ml(CLASSICAL, 8)))
         assert rep.status == "pass"
 
     def test_repair_pinned_for_d2(self):
-        rep = verify_moment_recursion(MLParams(2, 1, -1, [1]), 8)
+        rep = single(verify_moment_recursion(ml(MLParams(2, 1, -1, [1]), 8)))
         assert any("repaired form pinned" in note for note in rep.notes)
