@@ -112,14 +112,22 @@ def _param_list(parameters: dict, key: str) -> Optional[list[Fraction]]:
     return [as_rational(v) for v in value]
 
 
+def _param_int(value, key: str) -> int:
+    """The value as an int; a config file may hold a float, a string or a
+    bool there, and none of them is accepted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"--{key} must be an integer, got {value!r}")
+    return value
+
+
 def build_setup(cfg: dict) -> FamilySetup:
     family = cfg.get("family")
     if family not in FAMILIES:
         raise CliError(f"--family must be one of {', '.join(FAMILIES)}")
     parameters = cfg.get("parameters", {})
     try:
-        d = int(cfg["d"])
-        order = int(cfg["order"])
+        d = _param_int(cfg["d"], "d")
+        order = _param_int(cfg["order"], "order")
         if order < 0:
             raise CliError("--order must be non-negative")
         if family in ("ml", "charlier"):
@@ -144,7 +152,7 @@ def build_setup(cfg: dict) -> FamilySetup:
             raise CliError("missing required parameter --alphavec")
         params = HypParams(d, alphavec)
         beta = _param_rational(parameters, "beta", default=Fraction(0))
-        l = int(parameters.get("l", 1))
+        l = _param_int(parameters.get("l", 1), "l")
         if l < 1:
             raise CliError("--l must be a positive integer")
         return FamilySetup(kind=family, order=order, params=params, beta=beta, l=l)
@@ -447,7 +455,9 @@ def cmd_report(args) -> int:
         "reports": [r.to_dict() for r in reports],
         "summary": _summarize(reports),
     }
-    if setup.kind != "hyp-laguerre":
+    # The moments need N >= d; below that the section is left out, and the
+    # suites that read them are not-applicable.
+    if setup.kind != "hyp-laguerre" and setup.order >= setup.d:
         artifact["moments"] = _moments_artifact(setup)
     fmt = cfg["format"]
     if fmt == "json":

@@ -433,7 +433,10 @@ def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
     if setup.order < setup.d:
         return [_not_applicable("d-orthogonality", params, 0, setup.order,
                                 f"the moments need order N >= d = {setup.d}")]
-    report = setup.pattern
+    try:
+        report = setup.pattern
+    except FitError as exc:
+        return [_report("d-orthogonality", params, 0, setup.order, _fit_witness(exc))]
     witness = None
     if report.zero_failures:
         first = report.zero_failures[0]
@@ -992,7 +995,10 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
     if setup.order < d * l:
         return [_not_applicable("quasi-order", params, 0, setup.order,
                                 f"order l = {l} is detectable only from N >= d*l = {d * l}")]
-    found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d)
+    try:
+        found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d)
+    except FitError as exc:
+        return [_report("quasi-order", params, 0, setup.order, _fit_witness(exc))]
     witness = None
     notes = []
     if found != l:
@@ -1068,7 +1074,10 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     if n_max < p.d:
         return [_not_applicable("moment-recursion", params, 0, n_max,
                                 f"the moments need order N >= d = {p.d}")]
-    table = setup.moments
+    try:
+        table = setup.moments
+    except FitError as exc:
+        return [_report("moment-recursion", params, 0, n_max, _fit_witness(exc))]
     alpha, beta = p.alpha, p.beta
     notes: list[str] = []
 

@@ -34,8 +34,9 @@ __all__ = [
 
 
 class FitError(ValueError):
-    """The input sequence satisfies no band recurrence of the requested
-    bandwidth; ``index`` is the first step where fitting failed."""
+    """The input sequence does not have the shape a fit needs (element i of
+    degree i, and monic for a recurrence), or satisfies no band recurrence of
+    the requested bandwidth; ``index`` is the first element or step at fault."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
@@ -55,7 +56,7 @@ def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
         raise ValueError(f"need basis elements up to degree {q.degree}, have {len(basis) - 1}")
     for i, p in enumerate(basis[: q.degree + 1]):
         if p.degree != i:
-            raise ValueError(f"basis element {i} has degree {p.degree}, expected {i}")
+            raise FitError(i, f"basis element {i} has degree {p.degree}, expected {i}")
     out = [Fraction(0)] * (q.degree + 1)
     rest = q
     while not rest.is_zero():
@@ -122,7 +123,7 @@ def fit_recurrence(polys: Sequence[Poly], d: int) -> RecurrenceTable:
         raise ValueError(f"need degrees through {d + 1} to fit a bandwidth-{d + 2} recurrence")
     for i, p in enumerate(polys):
         if p.degree != i or not p.is_monic():
-            raise ValueError(f"input element {i} is not monic of degree {i}")
+            raise FitError(i, f"input element {i} is not monic of degree {i}")
     beta: list[Fraction] = []
     gamma: dict[tuple[int, int], Fraction] = {}
     for n in range(n_max):

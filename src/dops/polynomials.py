@@ -7,6 +7,12 @@ Polynomials are dense coefficient tuples with no trailing zeros, so two
 polynomials are equal exactly when their reduced coefficient sequences are
 equal.  That coefficientwise equality is the single pass/fail criterion used
 by every identity check in the package; nothing is ever compared numerically.
+
+The two hot kernels, ``Poly * Poly`` and ``shift``, do their inner loops on
+Python ints: they put the coefficients over their lcm denominator, work on
+the integer numerators, and build one reduced Fraction per output
+coefficient at the end.  Stored values are the same reduced Fractions either
+way, so equality, hashing and every serialized artifact are unchanged.
 """
 
 from __future__ import annotations
@@ -188,13 +194,15 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            a, da = _integer_content(self.coeffs)
+            b, db = _integer_content(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        out[i + j] += ai * bj
+            den = da * db
+            return Poly(Fraction(c, den) for c in out)
         if isinstance(other, (int, Fraction)):
             f = as_rational(other)
             return Poly(tuple(c * f for c in self.coeffs))
@@ -250,16 +258,34 @@ class Poly:
         return out
 
 
+def _integer_content(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Return (nums, den) with coeffs[k] == nums[k] / den and den the lcm of
+    the coefficient denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def shift(p: Poly, h: RationalLike) -> Poly:
-    """Return q with q(x) = p(x+h), expanded exactly by Horner composition."""
+    """Return q with q(x) = p(x+h), by an integer Taylor shift.
+
+    With D the lcm of p's denominators, h = a/b and n = deg p, the integer
+    polynomial R(y) = D b**n p(y/b) is shifted by the integer a with the
+    n(n+1)/2 multiply-adds of repeated synthetic division; then
+    q_j = R(y+a)_j / (D b**(n-j)).  The result equals the Horner composition
+    of p with x + h coefficient for coefficient.
+    """
     h = as_rational(h)
     if h == 0 or p.is_zero():
         return p
-    xh = Poly((h, 1))
-    acc = Poly()
-    for c in reversed(p.coeffs):
-        acc = acc * xh + Poly.const(c)
-    return acc
+    a, b = h.numerator, h.denominator
+    r, den = _integer_content(p.coeffs)
+    n = len(r) - 1
+    for k in range(n):
+        r[k] *= b ** (n - k)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r[j] += a * r[j + 1]
+    return Poly(Fraction(c, den * b ** (n - j)) for j, c in enumerate(r))
 
 
 def delta_w(p: Poly, w: RationalLike) -> Poly:

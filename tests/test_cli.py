@@ -138,14 +138,23 @@ class TestConfigResolution:
         assert code == 2
         assert "expected 2 exponent coefficients" in err
 
-    @pytest.mark.parametrize("parameters, named", [
-        ({"alpha": 1.5, "beta": "-1"}, "1.5"),
-        (5, "parameters"),
-    ])
-    def test_malformed_config_is_bad_input(self, tmp_path, capsys, parameters, named):
+    # Each case overrides entries of a valid hyp-laguerre config (which reads
+    # d, order and l); a d, order or l that is not a true int is bad input.
+    MALFORMED = {
+        "float-alpha": ({"family": "ml", "parameters": {"alpha": 1.5, "beta": "-1"}}, "1.5"),
+        "non-object-parameters": ({"parameters": 5}, "parameters"),
+        **{f"{key}-{tag}": ({key: value} if key != "l" else
+                            {"parameters": {"alphavec": ["1/2", "1/3"], "l": value}}, f"--{key}")
+           for key in ("d", "order", "l")
+           for tag, value in (("float", 2.7), ("string", "2"), ("bool", True))},
+    }
+
+    @pytest.mark.parametrize("override, named", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_config_is_bad_input(self, tmp_path, capsys, override, named):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"family": "ml", "d": 1, "order": 4,
-                                    "parameters": parameters}))
+        path.write_text(json.dumps({"family": "hyp-laguerre", "d": 2, "order": 4,
+                                    "parameters": {"alphavec": ["1/2", "1/3"], "l": 1},
+                                    **override}))
         code, _, err = run_cli(["gen", "--config", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and named in err
@@ -232,9 +241,10 @@ class TestTableMode:
         capsys.readouterr()
         return path
 
-    def _tamper(self, table, n, value):
+    def _tamper(self, table, n, value, k=0):
+        """Set coefficient k of P_n to value; k past the end appends a term."""
         artifact = json.loads(table.read_text())
-        artifact["polys"][n]["coeffs"][0] = value
+        artifact["polys"][n]["coeffs"][k:k + 1] = [value]
         table.write_text(json.dumps(artifact))
 
     def test_round_trip_byte_identical(self, tmp_path, capsys):
@@ -246,11 +256,9 @@ class TestTableMode:
         capsys.readouterr()
         assert in_process.read_bytes() == from_table.read_bytes()
 
-    @pytest.mark.parametrize("family, suite", TABLE_SUITES,
-                             ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
-    def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
+    def _assert_tampered_table_fails(self, tmp_path, capsys, family, suite, k, value):
         table = self._gen(tmp_path, capsys, family)
-        self._tamper(table, 3, "7")
+        self._tamper(table, 3, value, k)
         code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", suite], capsys)
         assert code == 1
         reports = json.loads(out)["reports"]
@@ -259,6 +267,18 @@ class TestTableMode:
         assert set(statuses.values()) == {"fail"}
         if suite == "routes":
             assert reports[0]["witness"]["n"] == 3
+
+    @pytest.mark.parametrize("family, suite", TABLE_SUITES,
+                             ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
+    def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
+        self._assert_tampered_table_fails(tmp_path, capsys, family, suite, 0, "7")
+
+    @pytest.mark.parametrize("family, suite", TABLE_SUITES,
+                             ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
+    @pytest.mark.parametrize("k, value", [(3, "2"), (4, "1")], ids=["leading-2", "extra-x4"])
+    def test_non_monic_row_fails_suite(self, tmp_path, capsys, family, suite, k, value):
+        """A row that is not monic of its degree fails the suites, not the run."""
+        self._assert_tampered_table_fails(tmp_path, capsys, family, suite, k, value)
 
     def test_failed_fit_fails_the_suite_and_the_run_goes_on(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)
@@ -292,16 +312,26 @@ SMALL_ORDER_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("family, order", [
-    (family, order) for family, d in SMALL_ORDER_RUNS for order in range(d + 3)],
-    ids=[f"{family[1]}-d{d}-N{order}" for family, d in SMALL_ORDER_RUNS for order in range(d + 3)])
-def test_small_orders_fail_nothing(capsys, family, order):
-    code, out, err = run_cli(["verify", *family, "--order", str(order)], capsys)
+SMALL_ORDER_CASES = {
+    f"{prefix}{family[1]}-d{d}-N{order}": (command, family, order)
+    for command, prefix in (("verify", ""), ("report", "report-"))
+    for family, d in SMALL_ORDER_RUNS for order in range(d + 3)
+}
+
+
+@pytest.mark.parametrize("command, family, order", SMALL_ORDER_CASES.values(),
+                         ids=SMALL_ORDER_CASES.keys())
+def test_small_orders_fail_nothing(capsys, command, family, order):
+    code, out, err = run_cli([command, *family, "--order", str(order)], capsys)
     assert code == 0, err
-    reports = json.loads(out)["reports"]
+    artifact = json.loads(out)
+    reports = artifact["reports"]
     assert all(r["status"] != "fail" for r in reports)
     # a pass over an empty index range is no pass
     assert all(r["status"] == "not-applicable" for r in reports if r["range"][1] < r["range"][0])
+    # the moments need order N >= d
+    assert ("moments" in artifact) == (command == "report" and family[1] != "hyp-laguerre"
+                                       and order >= int(family[3]))
 
 
 class TestMoments:

@@ -26,10 +26,16 @@ FAMILIES = {
             "--l", "2", "--order", "8"],
 }
 
+# ml with a non-integer step w = alpha - beta = 5/6, so shift and delta_w
+# take their denominator path.
+STEP = ["--family", "ml", "--d", "2", "--alpha", "1/2", "--beta", "-1/3", "--c", "1/5",
+        "--order", "12"]
+
 # file name -> (argv, expected exit code); "{table}" is the ml gen artifact.
 CASES = {
     **{f"{fam}-{cmd}.json": ([cmd, *argv], 0)
        for fam, argv in FAMILIES.items() for cmd in ("gen", "verify", "moments", "report")},
+    **{f"ml-step-{cmd}.json": ([cmd, *STEP], 0) for cmd in ("gen", "verify", "report")},
     "ml-report.csv": (["report", *FAMILIES["ml"], "--format", "csv"], 0),
     "ml-report.tex": (["report", *FAMILIES["ml"], "--format", "latex"], 0),
     "ml-verify-from-table.json": (["verify", "--from-table", "{table}"], 0),

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dops.polynomials import (
@@ -85,6 +85,73 @@ class TestShift:
     @given(polys, rationals, rationals)
     def test_shift_composes(self, p, a, b):
         assert shift(shift(p, a), b) == shift(p, a + b)
+
+
+def horner_shift(p, h):
+    """Reference p(x+h) by Horner composition on Fraction coefficient lists."""
+    acc = []
+    for c in reversed(p.coeffs):
+        out = [F(0)] * (len(acc) + 1)
+        for k, a in enumerate(acc):
+            out[k] += h * a
+            out[k + 1] += a
+        out[0] += c
+        acc = out
+    return Poly(acc)
+
+
+def naive_mul(p, q):
+    """Reference p*q by Fraction convolution."""
+    if p.is_zero() or q.is_zero():
+        return Poly.zero()
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+# Wide denominators, so that lcm denominators exceed every single one.
+kernel_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+kernel_polys = st.lists(kernel_rationals, max_size=12).map(Poly)
+COPRIME = Poly([F(1, 2), F(-1, 3), F(1, 5), F(-1, 7), F(1, 11)])
+
+
+class TestIntegerKernels:
+    """shift and Poly*Poly work on integer numerators; they must agree with
+    the Fraction references exactly and still store Fractions."""
+
+    @given(kernel_polys, kernel_rationals)
+    @example(Poly.zero(), F(-5, 6))
+    @example(Poly.const(F(-7, 3)), F(5, 6))
+    @example(COPRIME, F(-5, 6))
+    @example(COPRIME, F(7, 4))
+    def test_shift_matches_horner(self, p, h):
+        q = shift(p, h)
+        assert q == horner_shift(p, h)
+        assert all(type(c) is F for c in q.coeffs)
+
+    @given(kernel_polys, kernel_polys)
+    @example(COPRIME, Poly([F(1, 13), F(-1, 17)]))
+    @example(Poly.zero(), COPRIME)
+    @example(Poly.const(F(2, 9)), COPRIME)
+    def test_mul_matches_fraction_convolution(self, p, q):
+        r = p * q
+        assert r == naive_mul(p, q)
+        assert all(type(c) is F for c in r.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(kernel_rationals, max_size=13).map(Poly), kernel_rationals)
+    @example(COPRIME * COPRIME * COPRIME, F(-5, 6))
+    def test_shift_matches_sympy(self, p, h):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                   for k, c in enumerate(p.coeffs))
+        step = sympy.Rational(h.numerator, h.denominator)
+        shifted = sympy.expand(sympy.sympify(expr).subs(x, x + step))
+        coeffs = sympy.Poly(shifted, x).all_coeffs()[::-1] if p.coeffs else []
+        assert shift(p, h) == Poly(F(int(c.p), int(c.q)) for c in coeffs)
 
 
 class TestDeltaW:
