@@ -14,14 +14,16 @@ reads the family from the setup, so a supplied table is what gets checked.
 function of the setup returning its reports.  A suite whose index range is
 empty reports not-applicable.
 
-A few identities are recorded in two variants.  The "stated" variant is the
+Seven identities are recorded in two variants.  The "stated" variant is the
 original transcription; where that transcription is internally inconsistent
 (a misplaced free constant, a flipped summation sign, a missing scale
 factor), a "repaired" variant derived from the generating functions is kept
-alongside it.  Such checks run in reconciliation mode: the stated form is
-tried first, the repaired form second, and the report pins which variant
-verified.  A repaired pass is still a pass, with the repair documented in
-the notes; silent substitution never happens.
+alongside it.  All seven run in reconciliation mode through ``_reconciled``:
+the stated form is tried first, the repaired form second.  A stated pass
+passes; a repaired pass after a stated failure (or a stated form that cannot
+be evaluated) passes with the repair and the stated failure pinned in the
+notes; when both fail, the report carries the repaired witness plus one
+note saying where the stated form failed.  Silent substitution never happens.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .polynomials import (
     pochhammer,
     shift,
 )
-from .series import egf_extract, gf_ratio_power
+from .series import Series, egf_extract, gf_ratio_power, series_exp
 
 __all__ = [
     "Witness",
@@ -194,27 +196,44 @@ def _not_applicable(identity: str, params: dict, n_min: int, n_max: int,
 
 
 def _reconciled(identity: str, params: dict, n_min: int, n_max: int,
-                checks: Callable[[str], Iterable], repair_note: str) -> VerificationReport:
-    """Reconciliation mode: ``checks("stated")`` first, ``checks("repaired")``
-    second.  A repaired pass pins ``repair_note``, formatted with the stated
-    form's first witness (``{n}``, ``{context}``); when both variants fail the
-    stated witness is the one reported."""
-    stated = first_mismatch(checks("stated"))
-    if stated is None:
-        return _report(identity, params, n_min, n_max, None, ("stated form verified",))
-    if first_mismatch(checks("repaired")) is None:
-        note = repair_note.format(n=stated.n, context=stated.context)
-        return _report(identity, params, n_min, n_max, None, (note,))
-    return _report(identity, params, n_min, n_max, stated)
+                stated: Iterable | str, repaired: Iterable, pinned: Sequence[str],
+                leading: Sequence[str] = (),
+                verified: str = "stated form verified") -> VerificationReport:
+    """Reconciliation mode, the one policy for every identity whose stated
+    transcription is inconsistent.
+
+    ``stated`` is the stated form's checks, or the reason it cannot be
+    evaluated; ``repaired`` is the repaired form's checks, tried only when the
+    stated form does not pass.  ``pinned`` holds the notes of a repaired pass,
+    as templates over the stated form's first witness (``{n}``, ``{context}``,
+    ``{actual}``, ``{expected}``); its first note says how the stated form
+    failed, and a not-evaluable reason stands in for it.  Every report starts
+    with the ``leading`` notes.  When both forms fail, the report carries the
+    repaired witness, since the repaired form is the one the suite pins, and
+    one note saying where the stated form failed."""
+    if isinstance(stated, str):
+        notes = (stated, *(template.format() for template in pinned[1:]))
+        failure = stated
+    else:
+        witness = first_mismatch(stated)
+        if witness is None:
+            return _report(identity, params, n_min, n_max, None, (*leading, verified))
+        notes = tuple(template.format(**vars(witness)) for template in pinned)
+        failure = f"stated form fails too (first witness at n = {witness.n}, {witness.context})"
+    witness = first_mismatch(repaired)
+    if witness is None:
+        return _report(identity, params, n_min, n_max, None, (*leading, *notes))
+    return _report(identity, params, n_min, n_max, witness, (*leading, failure))
 
 
 def _scalar_witness(n: int, actual, expected, context: str) -> Witness:
     return Witness(n=n, expected=Poly.const(expected), actual=Poly.const(actual), context=context)
 
 
-def _fit_witness(exc: FitError) -> Witness:
-    """The step at which a sequence left its band recurrence."""
-    return _scalar_witness(exc.index, 1, 0, str(exc))
+def _fit_witness(exc: FitError, lo: int, hi: int) -> Witness:
+    """The step at which a sequence left its band recurrence, moved to the
+    nearest end of the report's range [lo, hi]; the context names the row."""
+    return _scalar_witness(min(max(exc.index, lo), hi), 1, 0, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +403,7 @@ def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
         try:
             p_table, q_table = setup.p_table, setup.q_table
         except FitError as exc:
-            return [_report("hahn", params, 0, len(q) - 1, _fit_witness(exc))]
+            return [_report("hahn", params, 0, len(q) - 1, _fit_witness(exc, 0, len(q) - 1))]
         shift_checks = []
         for n in range(len(q_table.beta)):
             shift_checks.append((n, q_table.beta[n], p_table.beta[n] - alpha,
@@ -417,7 +436,8 @@ def verify_regularity(setup: FamilySetup) -> list[VerificationReport]:
     try:
         table = setup.p_table
     except FitError as exc:
-        return [_report("regularity", params, 0, setup.order, _fit_witness(exc))]
+        return [_report("regularity", params, 0, setup.order,
+                        _fit_witness(exc, 0, setup.order))]
     flags = check_regularity(table, upto)
     if flags:
         note = (WARNING_PREFIX + "regularity fails at m = " + ", ".join(str(m) for m in flags)
@@ -436,7 +456,8 @@ def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
     try:
         report = setup.pattern
     except FitError as exc:
-        return [_report("d-orthogonality", params, 0, setup.order, _fit_witness(exc))]
+        return [_report("d-orthogonality", params, 0, setup.order,
+                        _fit_witness(exc, 0, setup.order))]
     witness = None
     if report.zero_failures:
         first = report.zero_failures[0]
@@ -535,10 +556,10 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
                 yield n, lhs, rhs, f"(x - {format_rational(c)})Q_n, variant {variant}"
 
     reports.append(_reconciled(
-        "sr6", params, 0, hi, sr6,
-        "stated form fails (first witness at n = {n}); repaired form pinned: the free "
-        "constant multiplies Q_n rather than P_n, and the binomial correction sum "
-        "enters with the opposite sign"))
+        "sr6", params, 0, hi, sr6("stated"), sr6("repaired"),
+        ("stated form fails (first witness at n = {n}); repaired form pinned: the free "
+         "constant multiplies Q_n rather than P_n, and the binomial correction sum "
+         "enters with the opposite sign",)))
     return reports
 
 
@@ -586,7 +607,7 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
     try:
         q_table = setup.q_table
     except FitError as exc:
-        return [_report("sr2", params, lo, hi, _fit_witness(exc))]
+        return [_report("sr2", params, lo, hi, _fit_witness(exc, lo, hi))]
 
     def correction_sum(n: int) -> Poly:
         out = Poly.zero()
@@ -620,10 +641,10 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
                 yield n, lhs2, rhs2, f"remark form, c = {format_rational(c)}, variant {variant}"
 
     return [_reconciled(
-        "sr2", params, lo, hi, checks,
-        "stated form fails (first witness at n = {n}, {context}); repaired form pinned: the "
-        "free constant multiplies the companion polynomial on the right, matching the "
-        "left-hand side")]
+        "sr2", params, lo, hi, checks("stated"), checks("repaired"),
+        ("stated form fails (first witness at n = {n}, {context}); repaired form pinned: the "
+         "free constant multiplies the companion polynomial on the right, matching the "
+         "left-hand side",))]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +716,7 @@ def verify_de(setup: FamilySetup, which) -> VerificationReport:
     try:
         table = setup.p_table
     except FitError as exc:
-        return _report(identity, params, lo, hi, _fit_witness(exc))
+        return _report(identity, params, lo, hi, _fit_witness(exc, lo, hi))
 
     def checks():
         for n in range(lo, hi + 1):
@@ -779,24 +800,14 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         for n in range(n_max + 1):
             yield n, form(n), truth[n], label
 
-    stated: Optional[Witness]
     if alpha == 0:
-        stated = None
-        stated_note = "stated form not evaluable at alpha = 0 (weights divide by alpha)"
+        stated = "stated form not evaluable at alpha = 0 (weights divide by alpha)"
     else:
-        stated = first_mismatch(checks(lambda n: _ratio_power_stated_form(alpha, beta, n),
-                                       "stated closed form"))
-        stated_note = None
-    if stated is None and stated_note is None:
-        return [_report("sz5", params, 0, n_max, None, ("stated form verified",))]
-    repaired = first_mismatch(checks(setup.closed_form, "repaired closed form"))
-    if repaired is None:
-        if stated_note is None:
-            stated_note = ("stated form fails (first witness at n = %d); repaired form pinned: "
-                           "weights (-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n"
-                           % stated.n)
-        return [_report("sz5", params, 0, n_max, None, (stated_note,))]
-    return [_report("sz5", params, 0, n_max, repaired)]
+        stated = checks(lambda n: _ratio_power_stated_form(alpha, beta, n), "stated closed form")
+    return [_reconciled(
+        "sz5", params, 0, n_max, stated, checks(setup.closed_form, "repaired closed form"),
+        ("stated form fails (first witness at n = {n}); repaired form pinned: weights "
+         "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n",))]
 
 
 def _compositions(weight: int, parts: int):
@@ -814,17 +825,8 @@ def _compositions(weight: int, parts: int):
 
 def _exp_coefficients(values: Sequence[Fraction], n_max: int) -> list[Fraction]:
     """Coefficients of exp(sum values[i-1] t**i) through t**n_max."""
-    out = []
-    for m in range(n_max + 1):
-        acc = Fraction(0)
-        for comp in _compositions(m, len(values)):
-            term = Fraction(1)
-            for i, k in enumerate(comp):
-                if k:
-                    term *= values[i] ** k / factorial(k)
-            acc += term
-        out.append(acc)
-    return out
+    exponent = Series.from_scalars(n_max, [0, *values[:n_max]])
+    return [c.coefficient(0) for c in series_exp(exponent).coeffs]
 
 
 def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
@@ -842,7 +844,6 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     p, truth, n_max = setup.params, setup.polys, setup.order
     params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
-    notes: list[str] = []
     a_coeffs = _exp_coefficients(list(p.c), n_max)
 
     def repaired(n: int) -> Poly:
@@ -876,28 +877,19 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
                         acc = acc + (Poly.x() * shift(ff, (n - s - 1) * w)) * coef
         return acc
 
-    stated_witness: Optional[Witness]
     if alpha == 0:
-        stated_witness = None
-        notes.append("stated form not evaluable at alpha = 0; in the repaired form the weight "
-                     "alpha**(n-k) simply kills every term but k = n")
-        stated_failed = True
+        stated_checks = ("stated form not evaluable at alpha = 0; in the repaired form the weight "
+                         "alpha**(n-k) simply kills every term but k = n")
     else:
-        stated_witness = first_mismatch(
-            (n, stated(n), truth[n], "stated multinomial form") for n in range(n_max + 1))
-        stated_failed = stated_witness is not None
-        if stated_failed:
-            notes.append("stated multinomial form fails (first witness at n = %d)" % stated_witness.n)
-    if not stated_failed:
-        return [_report("sz4", params, 0, n_max, None, ("stated form verified",))]
-    repaired_witness = first_mismatch(
-        (n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1))
-    if repaired_witness is None:
-        notes.append("repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{n-m} with A the "
-                     "exponential-factor coefficients and P0 the repaired ratio-power closed form; "
-                     "exponent coefficients enter as a_i = c_i = b_{i-1}/i!")
-        return [_report("sz4", params, 0, n_max, None, notes)]
-    return [_report("sz4", params, 0, n_max, repaired_witness, notes)]
+        stated_checks = ((n, stated(n), truth[n], "stated multinomial form")
+                         for n in range(n_max + 1))
+    return [_reconciled(
+        "sz4", params, 0, n_max, stated_checks,
+        ((n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1)),
+        ("stated multinomial form fails (first witness at n = {n})",
+         "repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{{n-m}} with A the "
+         "exponential-factor coefficients and P0 the repaired ratio-power closed form; "
+         "exponent coefficients enter as a_i = c_i = b_{{i-1}}/i!"))]
 
 
 # ---------------------------------------------------------------------------
@@ -974,17 +966,11 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
                     lhs = lhs + basis[n - k] * coef
             yield n, lhs, rhs, f"aligned reduction, window {window}"
 
-    stated = first_mismatch(reduction_checks(l))
-    if stated is None:
-        notes.append("aligned reduction verified in the stated l-term window")
-        return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
-    repaired = first_mismatch(reduction_checks(dl))
-    if repaired is None:
-        notes.append("stated l-term reduction window fails (first witness at n = %d); repaired "
-                     "form pinned: the window is d*l terms with binomial(d*l, k) weights"
-                     % stated.n)
-        return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
-    return [_report("hyp-lincomb", params, 0, n_max, stated, notes)]
+    return [_reconciled(
+        "hyp-lincomb", params, 0, n_max, reduction_checks(l), reduction_checks(dl),
+        ("stated l-term reduction window fails (first witness at n = {n}); repaired form "
+         "pinned: the window is d*l terms with binomial(d*l, k) weights",),
+        notes, verified="aligned reduction verified in the stated l-term window")]
 
 
 def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
@@ -998,7 +984,8 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
     try:
         found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d)
     except FitError as exc:
-        return [_report("quasi-order", params, 0, setup.order, _fit_witness(exc))]
+        return [_report("quasi-order", params, 0, setup.order,
+                        _fit_witness(exc, 0, setup.order))]
     witness = None
     notes = []
     if found != l:
@@ -1045,9 +1032,9 @@ def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
             yield n, lhs_poly * derivative(polys[n]), rhs_at(n), "structure relation"
 
     return [_reconciled(
-        "laguerre-structure", params, 0, hi, checks,
-        "stated form fails for theta != 0 (the family is the theta = 0 family shifted by "
-        "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta")]
+        "laguerre-structure", params, 0, hi, checks("stated"), checks("repaired"),
+        ("stated form fails for theta != 0 (the family is the theta = 0 family shifted by "
+         "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta",))]
 
 
 # ---------------------------------------------------------------------------
@@ -1077,10 +1064,8 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     try:
         table = setup.moments
     except FitError as exc:
-        return [_report("moment-recursion", params, 0, n_max, _fit_witness(exc))]
+        return [_report("moment-recursion", params, 0, n_max, _fit_witness(exc, 0, n_max))]
     alpha, beta = p.alpha, p.beta
-    notes: list[str] = []
-
     ainv = _exp_coefficients([-ci for ci in p.c], n_max)
 
     def repaired_checks():
@@ -1113,30 +1098,18 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         (k, Poly.const(table.moment(r, k)), Poly.zero(), f"vanishing moments below r = {r}")
         for r in range(p.d) for k in range(r))
     if zero_witness is not None:
-        return [_report("moment-recursion", params, 0, n_max, zero_witness, notes)]
-    notes.append("vanishing pattern of low moments verified")
+        return [_report("moment-recursion", params, 0, n_max, zero_witness)]
 
-    if alpha == 0:
-        notes.append("stated form not evaluable at alpha = 0")
-        stated_witness = None
-        stated_failed = True
-    else:
-        stated_witness = first_mismatch(stated_checks())
-        stated_failed = stated_witness is not None
-        if stated_failed:
-            notes.append("stated recursion disagrees first at n = %d (%s): left %s vs right %s"
-                         % (stated_witness.n, stated_witness.context,
-                            stated_witness.actual, stated_witness.expected))
-    if not stated_failed:
-        return [_report("moment-recursion", params, 0, n_max, None,
-                        notes + ["stated form verified"])]
-    repaired_witness = first_mismatch(repaired_checks())
-    if repaired_witness is None:
-        notes.append("repaired form pinned: n!/r! Ainv_{n-r} = <u_r, P0_n> with Ainv the "
-                     "coefficients of the inverse exponential factor (weight-(n-r) composition "
-                     "sums in -c_i) and P0 the repaired ratio-power closed form")
-        return [_report("moment-recursion", params, 0, n_max, None, notes)]
-    return [_report("moment-recursion", params, 0, n_max, repaired_witness, notes)]
+    return [_reconciled(
+        "moment-recursion", params, 0, n_max,
+        "stated form not evaluable at alpha = 0" if alpha == 0 else stated_checks(),
+        repaired_checks(),
+        ("stated recursion disagrees first at n = {n} ({context}): left {actual} vs right "
+         "{expected}",
+         "repaired form pinned: n!/r! Ainv_{{n-r}} = <u_r, P0_n> with Ainv the coefficients of "
+         "the inverse exponential factor (weight-(n-r) composition sums in -c_i) and P0 the "
+         "repaired ratio-power closed form"),
+        ("vanishing pattern of low moments verified",))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 config/env resolution, and the table-mode round trip."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dops.cli import main
+from dops.cli import main, run_suites
+from dops.families import HypParams, LagParams, MLParams
+from dops.identities import FamilySetup
 
 
 def run_cli(args, capsys):
@@ -220,6 +225,8 @@ class TestVerify:
 ML = ["--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1", "--c", "1"]
 LAGUERRE = ["--family", "laguerre", "--d", "3", "--a", "1/2", "--beta-exp", "-3/2",
             "--theta", "1/7", "--b", "1,1/3,1/5"]
+LAGUERRE_THETA = ["--family", "laguerre", "--d", "3", "--a", "1", "--beta-exp", "-1/2",
+                  "--theta", "1/3", "--b", "0,1/2,1/3"]
 HYP = ["--family", "hyp-laguerre", "--d", "2", "--alphavec", "1/2,1/3", "--beta", "1/4",
        "--l", "2"]
 # Every suite that reads P_n, by family.  sz5 checks the ratio power alone;
@@ -256,29 +263,52 @@ class TestTableMode:
         capsys.readouterr()
         assert in_process.read_bytes() == from_table.read_bytes()
 
-    def _assert_tampered_table_fails(self, tmp_path, capsys, family, suite, k, value):
+    def _assert_tampered_table_fails(self, tmp_path, capsys, family, suite, n, k, value):
         table = self._gen(tmp_path, capsys, family)
-        self._tamper(table, 3, value, k)
+        self._tamper(table, n, value, k)
         code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", suite], capsys)
-        assert code == 1
         reports = json.loads(out)["reports"]
-        statuses = {r["identity"]: r["status"] for r in reports}
-        assert statuses.pop("sr4", "pass") == "pass"
-        assert set(statuses.values()) == {"fail"}
+        # sr4 holds for any table; sr7 and laguerre-structure read only P_0..P_{N-1}, N = 9
+        unaffected = {"sr4"} | ({"sr7", "laguerre-structure"} if n == 9 else set())
+        failing = [r for r in reports if r["identity"] not in unaffected]
+        assert all(r["status"] == "pass" for r in reports if r["identity"] in unaffected)
+        assert all(r["status"] == "fail" for r in failing)
+        assert code == (1 if failing else 0)
+        for r in failing:
+            assert r["range"][0] <= r["witness"]["n"] <= r["range"][1], r["identity"]
         if suite == "routes":
-            assert reports[0]["witness"]["n"] == 3
+            assert reports[0]["witness"]["n"] == n
 
     @pytest.mark.parametrize("family, suite", TABLE_SUITES,
                              ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
     def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
-        self._assert_tampered_table_fails(tmp_path, capsys, family, suite, 0, "7")
+        self._assert_tampered_table_fails(tmp_path, capsys, family, suite, 3, 0, "7")
+
+    @pytest.mark.parametrize("family, order, suite, identity, n, context", [
+        (ML, "9", "sr-block", "sr6", 4, "(x - 0)Q_n, variant repaired"),
+        (LAGUERRE_THETA, "10", "laguerre-structure", "laguerre-structure", 5, "structure relation"),
+    ], ids=["ml-sr6", "laguerre-structure"])
+    def test_both_forms_fail_reports_the_repaired_witness(self, tmp_path, capsys, family, order,
+                                                         suite, identity, n, context):
+        """The stated form fails on every generic table; when the repaired form
+        fails too, the witness is the repaired one, next to the changed row."""
+        table = self._gen(tmp_path, capsys, family, order)
+        self._tamper(table, 5, "12345", k=1)
+        code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", suite], capsys)
+        assert code == 1
+        report = next(r for r in json.loads(out)["reports"] if r["identity"] == identity)
+        assert (report["witness"]["n"], report["witness"]["context"]) == (n, context)
+        [note] = report["notes"]
+        assert note.startswith("stated form fails too (first witness at n = 1")
 
     @pytest.mark.parametrize("family, suite", TABLE_SUITES,
                              ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
-    @pytest.mark.parametrize("k, value", [(3, "2"), (4, "1")], ids=["leading-2", "extra-x4"])
-    def test_non_monic_row_fails_suite(self, tmp_path, capsys, family, suite, k, value):
-        """A row that is not monic of its degree fails the suites, not the run."""
-        self._assert_tampered_table_fails(tmp_path, capsys, family, suite, k, value)
+    @pytest.mark.parametrize("n, k, value", [(3, 3, "2"), (3, 4, "1"), (1, 1, "2"), (9, 9, "2")],
+                             ids=["leading-2", "extra-x4", "leading-2-P1", "leading-2-PN"])
+    def test_non_monic_row_fails_suite(self, tmp_path, capsys, family, suite, n, k, value):
+        """A row that is not monic of its degree fails the suites, not the run,
+        and the witness lies inside the report's range even when the row does not."""
+        self._assert_tampered_table_fails(tmp_path, capsys, family, suite, n, k, value)
 
     def test_failed_fit_fails_the_suite_and_the_run_goes_on(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)
@@ -332,6 +362,35 @@ def test_small_orders_fail_nothing(capsys, command, family, order):
     # the moments need order N >= d
     assert ("moments" in artifact) == (command == "report" and family[1] != "hyp-laguerre"
                                        and order >= int(family[3]))
+
+
+@st.composite
+def small_setups(draw):
+    """Every family at d <= 4 and order 0..d+3, over degenerate parameters:
+    alpha or beta zero, c zero, a < 0, theta != 0, alphavec zero."""
+    kind = draw(st.sampled_from(["ml", "charlier", "laguerre", "hyp-laguerre"]))
+    d = draw(st.integers(1, 4))
+    order = draw(st.integers(0, d + 3))
+    if kind in ("ml", "charlier"):
+        ratios = [F(0), F(1), F(-1, 2)]
+        alpha = F(0) if kind == "charlier" else draw(st.sampled_from(ratios))
+        beta = draw(st.sampled_from([r for r in ratios if r != alpha]))
+        c = draw(st.lists(st.sampled_from([F(0), F(1, 3)]), min_size=d - 1, max_size=d - 1))
+        return FamilySetup(kind, order, MLParams(d, alpha, beta, c))
+    if kind == "laguerre":
+        params = LagParams(d, draw(st.sampled_from([1, -2])), draw(st.sampled_from([0, -1])),
+                           draw(st.sampled_from([F(0), F(1, 3)])))
+        return FamilySetup(kind, order, params)
+    alphavec = draw(st.lists(st.sampled_from([F(0), F(1, 2)]), min_size=d, max_size=d))
+    return FamilySetup(kind, order, HypParams(d, alphavec),
+                       beta=draw(st.sampled_from([F(0), F(1, 5)])), l=draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=250, deadline=None)
+@given(small_setups())
+def test_small_order_sweep_fails_nothing(setup):
+    reports = run_suites(setup, setup.default_suites())
+    assert [r.to_dict() for r in reports if r.status == "fail"] == []
 
 
 class TestMoments:

@@ -241,3 +241,52 @@ class TestHypFamilies:
             poly = hyp_laguerre(p, n)
             assert poly.degree == n
             assert poly(0) == 1
+
+
+class TestSympyOracle:
+    """sympy's own series expansion of each generating function is a route
+    independent of dops.series; it must give the recurrence route."""
+
+    @pytest.fixture(autouse=True)
+    def _sympy(self):
+        self.sympy = pytest.importorskip("sympy")
+        self.x, self.t = self.sympy.symbols("x t")
+
+    def rational(self, value):
+        return self.sympy.Rational(value.numerator, value.denominator)
+
+    def poly(self, expr) -> Poly:
+        coeffs = self.sympy.Poly(self.sympy.expand(expr), self.x).all_coeffs()[::-1]
+        return Poly(F(int(c.p), int(c.q)) for c in coeffs)
+
+    def egf_polys(self, gf, order: int) -> list[Poly]:
+        """n! times the t**n coefficient of gf, for n = 0..order."""
+        expansion = self.sympy.series(gf, self.t, 0, order + 1).removeO()
+        return [self.poly(self.sympy.factorial(n) * expansion.coeff(self.t, n))
+                for n in range(order + 1)]
+
+    def test_ml(self):
+        p = MLParams(2, F(1, 2), F(-1, 3), [F(1, 5)])
+        alpha, beta, c = self.rational(p.alpha), self.rational(p.beta), self.rational(p.c[0])
+        x, t = self.x, self.t
+        gf = ((1 - beta * t) / (1 - alpha * t)) ** (x / (alpha - beta)) * self.sympy.exp(c * t)
+        assert self.egf_polys(gf, 8) == ml_by_recurrence(p, 8)
+
+    def test_laguerre(self):
+        # order 5: sympy needs ~3 s here and close to a minute at order 8
+        p = LagParams(3, 1, F(-1, 2), F(1, 3), [0, F(1, 2), F(1, 3)])
+        a, theta = self.rational(p.a), self.rational(p.theta)
+        x, t = self.x, self.t
+        pi = sum(self.rational(p.b_at(i)) * t**i / self.sympy.factorial(i) for i in range(1, p.d))
+        # the t = 0 constant exp(theta + b_0) is removed, as in laguerre_type_by_gf
+        gf = ((1 - a * t) ** self.rational(p.beta_exp)
+              * self.sympy.exp((x * t + theta) / (1 - a * t) - theta + pi))
+        assert self.egf_polys(gf, 5) == laguerre_type_by_recurrence(p, 5)
+
+    def test_hyp_laguerre_d1_is_assoc_laguerre(self):
+        alpha = F(1, 2)
+        a = self.rational(alpha)
+        for n in range(9):
+            expected = (self.sympy.factorial(n) / self.sympy.rf(a + 1, n)
+                        * self.sympy.assoc_laguerre(n, a, self.x))
+            assert hyp_laguerre(HypParams(1, [alpha]), n) == self.poly(expected)
