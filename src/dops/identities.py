@@ -196,33 +196,33 @@ def _not_applicable(identity: str, params: dict, n_min: int, n_max: int,
 
 
 def _reconciled(identity: str, params: dict, n_min: int, n_max: int,
-                stated: Iterable | str, repaired: Iterable, pinned: Sequence[str],
-                leading: Sequence[str] = (),
+                stated: Iterable | str, repaired: Iterable, failed: str,
+                repair: str | None = None, leading: Sequence[str] = (),
                 verified: str = "stated form verified") -> VerificationReport:
     """Reconciliation mode, the one policy for every identity whose stated
     transcription is inconsistent.
 
     ``stated`` is the stated form's checks, or the reason it cannot be
     evaluated; ``repaired`` is the repaired form's checks, tried only when the
-    stated form does not pass.  ``pinned`` holds the notes of a repaired pass,
-    as templates over the stated form's first witness (``{n}``, ``{context}``,
-    ``{actual}``, ``{expected}``); its first note says how the stated form
-    failed, and a not-evaluable reason stands in for it.  Every report starts
-    with the ``leading`` notes.  When both forms fail, the report carries the
-    repaired witness, since the repaired form is the one the suite pins, and
-    one note saying where the stated form failed."""
+    stated form does not pass.  A repaired pass carries ``failed``, a template
+    over the stated form's first witness (``{n}``, ``{context}``, ``{actual}``,
+    ``{expected}``), or the not-evaluable reason in its place, then the plain
+    ``repair`` note if there is one.  Every report starts with the ``leading``
+    notes.  When both forms fail, the report carries the repaired witness,
+    since the repaired form is the one the suite pins, and one note saying
+    where the stated form failed."""
     if isinstance(stated, str):
-        notes = (stated, *(template.format() for template in pinned[1:]))
-        failure = stated
+        failed = failure = stated
     else:
         witness = first_mismatch(stated)
         if witness is None:
             return _report(identity, params, n_min, n_max, None, (*leading, verified))
-        notes = tuple(template.format(**vars(witness)) for template in pinned)
+        failed = failed.format(**vars(witness))
         failure = f"stated form fails too (first witness at n = {witness.n}, {witness.context})"
     witness = first_mismatch(repaired)
     if witness is None:
-        return _report(identity, params, n_min, n_max, None, (*leading, *notes))
+        pinned = (failed,) if repair is None else (failed, repair)
+        return _report(identity, params, n_min, n_max, None, (*leading, *pinned))
     return _report(identity, params, n_min, n_max, witness, (*leading, failure))
 
 
@@ -557,9 +557,9 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
 
     reports.append(_reconciled(
         "sr6", params, 0, hi, sr6("stated"), sr6("repaired"),
-        ("stated form fails (first witness at n = {n}); repaired form pinned: the free "
-         "constant multiplies Q_n rather than P_n, and the binomial correction sum "
-         "enters with the opposite sign",)))
+        "stated form fails (first witness at n = {n}); repaired form pinned: the free "
+        "constant multiplies Q_n rather than P_n, and the binomial correction sum "
+        "enters with the opposite sign"))
     return reports
 
 
@@ -642,9 +642,9 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
 
     return [_reconciled(
         "sr2", params, lo, hi, checks("stated"), checks("repaired"),
-        ("stated form fails (first witness at n = {n}, {context}); repaired form pinned: the "
-         "free constant multiplies the companion polynomial on the right, matching the "
-         "left-hand side",))]
+        "stated form fails (first witness at n = {n}, {context}); repaired form pinned: the "
+        "free constant multiplies the companion polynomial on the right, matching the "
+        "left-hand side")]
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +806,8 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         stated = checks(lambda n: _ratio_power_stated_form(alpha, beta, n), "stated closed form")
     return [_reconciled(
         "sz5", params, 0, n_max, stated, checks(setup.closed_form, "repaired closed form"),
-        ("stated form fails (first witness at n = {n}); repaired form pinned: weights "
-         "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n",))]
+        "stated form fails (first witness at n = {n}); repaired form pinned: weights "
+        "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n")]
 
 
 def _compositions(weight: int, parts: int):
@@ -886,10 +886,10 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     return [_reconciled(
         "sz4", params, 0, n_max, stated_checks,
         ((n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1)),
-        ("stated multinomial form fails (first witness at n = {n})",
-         "repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{{n-m}} with A the "
-         "exponential-factor coefficients and P0 the repaired ratio-power closed form; "
-         "exponent coefficients enter as a_i = c_i = b_{{i-1}}/i!"))]
+        "stated multinomial form fails (first witness at n = {n})",
+        "repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{n-m} with A the "
+        "exponential-factor coefficients and P0 the repaired ratio-power closed form; "
+        "exponent coefficients enter as a_i = c_i = b_{i-1}/i!")]
 
 
 # ---------------------------------------------------------------------------
@@ -968,9 +968,9 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
 
     return [_reconciled(
         "hyp-lincomb", params, 0, n_max, reduction_checks(l), reduction_checks(dl),
-        ("stated l-term reduction window fails (first witness at n = {n}); repaired form "
-         "pinned: the window is d*l terms with binomial(d*l, k) weights",),
-        notes, verified="aligned reduction verified in the stated l-term window")]
+        "stated l-term reduction window fails (first witness at n = {n}); repaired form "
+        "pinned: the window is d*l terms with binomial(d*l, k) weights",
+        leading=notes, verified="aligned reduction verified in the stated l-term window")]
 
 
 def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
@@ -1033,8 +1033,8 @@ def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
 
     return [_reconciled(
         "laguerre-structure", params, 0, hi, checks("stated"), checks("repaired"),
-        ("stated form fails for theta != 0 (the family is the theta = 0 family shifted by "
-         "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta",))]
+        "stated form fails for theta != 0 (the family is the theta = 0 family shifted by "
+        "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta")]
 
 
 # ---------------------------------------------------------------------------
@@ -1104,12 +1104,12 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         "moment-recursion", params, 0, n_max,
         "stated form not evaluable at alpha = 0" if alpha == 0 else stated_checks(),
         repaired_checks(),
-        ("stated recursion disagrees first at n = {n} ({context}): left {actual} vs right "
-         "{expected}",
-         "repaired form pinned: n!/r! Ainv_{{n-r}} = <u_r, P0_n> with Ainv the coefficients of "
-         "the inverse exponential factor (weight-(n-r) composition sums in -c_i) and P0 the "
-         "repaired ratio-power closed form"),
-        ("vanishing pattern of low moments verified",))]
+        "stated recursion disagrees first at n = {n} ({context}): left {actual} vs right "
+        "{expected}",
+        "repaired form pinned: n!/r! Ainv_{n-r} = <u_r, P0_n> with Ainv the coefficients of "
+        "the inverse exponential factor (weight-(n-r) composition sums in -c_i) and P0 the "
+        "repaired ratio-power closed form",
+        leading=("vanishing pattern of low moments verified",))]
 
 
 # ---------------------------------------------------------------------------

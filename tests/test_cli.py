@@ -241,6 +241,21 @@ TABLE_SUITES = (
 )
 
 
+# Row n gets coefficient k set to value; n = 9 is P_N of the order-9 tables.
+# sr7 (in sr-block) and laguerre-structure are known to stop one index short:
+# their ranges end at N-1, so they never read P_N and pass a change confined to
+# it (the FOUND entry on their ranges in CHANGES.md).  Those two cases are
+# strict xfails: once the ranges reach N they pass, and the mark must go.
+NON_MONIC_CASES = [
+    pytest.param(family, suite, n, k, value, id=f"{row}-{family[1]}-{suite}",
+                 marks=[pytest.mark.xfail(strict=True, reason="sr7 and laguerre-structure stop at N-1")]
+                 if n == 9 and suite in ("sr-block", "laguerre-structure") else [])
+    for row, (n, k, value) in [("leading-2", (3, 3, "2")), ("extra-x4", (3, 4, "1")),
+                               ("leading-2-P1", (1, 1, "2")), ("leading-2-PN", (9, 9, "2"))]
+    for family, suite in TABLE_SUITES
+]
+
+
 class TestTableMode:
     def _gen(self, tmp_path, capsys, family=ML, order="9"):
         path = tmp_path / "table.json"
@@ -267,15 +282,14 @@ class TestTableMode:
         table = self._gen(tmp_path, capsys, family)
         self._tamper(table, n, value, k)
         code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", suite], capsys)
+        assert code == 1
         reports = json.loads(out)["reports"]
-        # sr4 holds for any table; sr7 and laguerre-structure read only P_0..P_{N-1}, N = 9
-        unaffected = {"sr4"} | ({"sr7", "laguerre-structure"} if n == 9 else set())
-        failing = [r for r in reports if r["identity"] not in unaffected]
-        assert all(r["status"] == "pass" for r in reports if r["identity"] in unaffected)
-        assert all(r["status"] == "fail" for r in failing)
-        assert code == (1 if failing else 0)
-        for r in failing:
-            assert r["range"][0] <= r["witness"]["n"] <= r["range"][1], r["identity"]
+        statuses = {r["identity"]: r["status"] for r in reports}
+        assert statuses.pop("sr4", "pass") == "pass"
+        assert set(statuses.values()) == {"fail"}
+        for r in reports:
+            if r["status"] == "fail":
+                assert r["range"][0] <= r["witness"]["n"] <= r["range"][1], r["identity"]
         if suite == "routes":
             assert reports[0]["witness"]["n"] == n
 
@@ -301,10 +315,7 @@ class TestTableMode:
         [note] = report["notes"]
         assert note.startswith("stated form fails too (first witness at n = 1")
 
-    @pytest.mark.parametrize("family, suite", TABLE_SUITES,
-                             ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
-    @pytest.mark.parametrize("n, k, value", [(3, 3, "2"), (3, 4, "1"), (1, 1, "2"), (9, 9, "2")],
-                             ids=["leading-2", "extra-x4", "leading-2-P1", "leading-2-PN"])
+    @pytest.mark.parametrize("family, suite, n, k, value", NON_MONIC_CASES)
     def test_non_monic_row_fails_suite(self, tmp_path, capsys, family, suite, n, k, value):
         """A row that is not monic of its degree fails the suites, not the run,
         and the witness lies inside the report's range even when the row does not."""
