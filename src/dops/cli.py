@@ -77,17 +77,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
         "suites": getattr(args, "suites", None) or cfg.get("suites"),
         "parameters": parameters,
     }
-    for key, flag in (("alpha", "alpha"), ("beta", "beta"), ("a", "a"),
-                      ("theta", "theta"), ("beta_exp", "beta_exp")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            parameters[key] = value
-    for key in ("c", "b", "alphavec"):
-        value = getattr(args, key, None)
-        if value is not None:
-            parameters[key] = value
-    if getattr(args, "l", None) is not None:
-        parameters["l"] = args.l
+    for key in ("alpha", "beta", "a", "theta", "beta_exp", "c", "b", "alphavec", "l"):
+        if getattr(args, key, None) is not None:
+            parameters[key] = getattr(args, key)
+    if merged["format"] not in FORMATS:
+        raise CliError(f"--format must be one of {', '.join(FORMATS)}, got {merged['format']!r}")
+    if merged["out"] is not None and not (isinstance(merged["out"], str) and merged["out"]):
+        raise CliError(f"--out must be a non-empty path string, got {merged['out']!r}")
+    suites = merged["suites"]
+    if not (suites is None or isinstance(suites, str)
+            or isinstance(suites, list) and all(isinstance(s, str) for s in suites)):
+        raise CliError(f"--suites must be a string or a list of strings, got {suites!r}")
     if merged["order"] is None:
         merged["order"] = int(os.environ.get(DEFAULT_ORDER_ENV, "16"))
     if merged["d"] is None:
@@ -548,10 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FamilyParamError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,9 @@
 
 Every family comes with a recurrence construction and a generating-function
 construction, and the two must agree coefficientwise; that equality is the
-backbone test of the whole package.  Parameter conventions:
+backbone test of the whole package.  A recurrence construction writes its
+coefficients down as a ``RecurrenceTable`` and regenerates it, so fitted and
+constructed recurrences are run by the same code.  Parameter conventions:
 
 * Mittag-Leffler type: generating function ((1-beta t)/(1-alpha t))**(x/w)
   times exp(sum c_i t**i), with w = alpha - beta.  The exponent coefficients
@@ -39,6 +41,7 @@ from .polynomials import (
     factorial,
     falling_value,
 )
+from .orthogonality import RecurrenceTable
 from .series import Series, egf_extract, gf_ratio_power, normalize_exponent, series_exp, series_log1p_scaled, series_mul
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "MLParams",
     "LagParams",
     "HypParams",
+    "ml_recurrence_table",
     "ml_by_recurrence",
     "ml_by_gf",
     "ml_q_sequence",
@@ -175,42 +179,34 @@ class HypParams:
 # ---------------------------------------------------------------------------
 
 
-def _ml_bracket(alpha: Fraction, beta: Fraction, b, k: int) -> Fraction:
-    """Coefficient bracket of the step-k term in the band recurrence:
-    b_k - (alpha+beta) k b_{k-1} + alpha beta k (k-1) b_{k-2}."""
-    return b(k) - (alpha + beta) * k * b(k - 1) + alpha * beta * k * (k - 1) * b(k - 2)
+def ml_recurrence_table(alpha: RationalLike, beta: RationalLike, b, d: int,
+                        n_max: int) -> RecurrenceTable:
+    """The (d+2)-term band recurrence of the Mittag-Leffler type family,
 
+        P_{n+1} = (x + (alpha+beta) n + b_0) P_n
+                  - n ((n-1) alpha beta + (alpha+beta) b_0 - b_1) P_{n-1}
+                  + sum_{k=2..d} C(n,k) [b_k - (alpha+beta) k b_{k-1}
+                                         + alpha beta k (k-1) b_{k-2}] P_{n-k},
 
-def ml_sequence_from_coefficients(alpha: RationalLike, beta: RationalLike, b,
-                                  n_max: int, band: int) -> list[Poly]:
-    """Run the band recurrence directly from (alpha, beta, b_k) data.
-
-    This does not require alpha != beta, which makes it usable at the exact
-    confluent point alpha = beta = a where the family degenerates to the
-    derivative-operator (Laguerre type) case.  ``b`` is a callable k -> b_k
-    and ``band`` bounds the step sum (terms vanish beyond it anyway).
+    as the table of steps 0..n_max-1; ``b`` is a callable k -> b_k.  alpha =
+    beta is accepted: the coefficients are polynomial in (alpha, beta), so at
+    alpha = beta = a the table is the exact confluent (derivative-operator,
+    Laguerre type) limit.
     """
-    alpha = as_rational(alpha)
-    beta = as_rational(beta)
-    polys = [Poly.one()]
-    x = Poly.x()
-    for n in range(n_max):
-        nxt = (x + Poly.const((alpha + beta) * n + b(0))) * polys[n]
-        if n >= 1:
-            g1 = n * ((n - 1) * alpha * beta + (alpha + beta) * b(0) - b(1))
-            nxt = nxt - Poly.const(g1) * polys[n - 1]
-        for k in range(2, min(n, band) + 1):
-            coef = binomial(n, k) * _ml_bracket(alpha, beta, b, k)
-            if coef != 0:
-                nxt = nxt + Poly.const(coef) * polys[n - k]
-        polys.append(nxt)
-    return polys
+    alpha, beta = as_rational(alpha), as_rational(beta)
+    s, p = alpha + beta, alpha * beta
+    gamma = {}
+    for n in range(1, n_max):
+        gamma[(n, d - 1)] = n * ((n - 1) * p + s * b(0) - b(1))
+        for k in range(2, min(n, d) + 1):
+            bracket = b(k) - s * k * b(k - 1) + p * k * (k - 1) * b(k - 2)
+            gamma[(n - k + 1, d - k)] = -binomial(n, k) * bracket
+    return RecurrenceTable(d, n_max, tuple(-(s * n + b(0)) for n in range(n_max)), gamma)
 
 
 def ml_by_recurrence(params: MLParams, n_max: int) -> list[Poly]:
     """Monic P_0..P_{n_max} generated by the (d+2)-term band recurrence."""
-    return ml_sequence_from_coefficients(params.alpha, params.beta, params.b,
-                                         n_max, params.d)
+    return ml_recurrence_table(params.alpha, params.beta, params.b, params.d, n_max).regenerate()
 
 
 def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
@@ -239,24 +235,22 @@ def ml_q_sequence(polys: Sequence[Poly], w: RationalLike) -> list[Poly]:
 
 def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
     """Monic P_0..P_{n_max} from the band recurrence of the Laguerre-type
-    family (b_i = 0 for i >= d)."""
-    a, beta, theta = params.a, params.beta_exp, params.theta
-    polys = [Poly.one()]
-    x = Poly.x()
-    for n in range(n_max):
-        nxt = (x + Poly.const(a * (theta - beta + 2 * n) + params.b_at(1))) * polys[n]
-        if n >= 1:
-            g1 = n * (a * a * (n - beta - 1) + 2 * a * params.b_at(1) - params.b_at(2))
-            nxt = nxt - Poly.const(g1) * polys[n - 1]
-        for i in range(2, min(n, params.d) + 1):
-            bracket = (params.b_at(i + 1) / factorial(i)
-                       - 2 * a * params.b_at(i) / factorial(i - 1)
-                       + a * a * params.b_at(i - 1) / factorial(i - 2))
-            coef = bracket * falling_value(n, i)
-            if coef != 0:
-                nxt = nxt + Poly.const(coef) * polys[n - i]
-        polys.append(nxt)
-    return polys
+    family (b_i = 0 for i >= d),
+
+        P_{n+1} = (x + a (theta - beta_exp + 2n) + b_1) P_n
+                  - n (a^2 (n - beta_exp - 1) + 2 a b_1 - b_2) P_{n-1}
+                  + sum_{i=2..d} n!/(n-i)! [b_{i+1}/i! - 2 a b_i/(i-1)!
+                                            + a^2 b_{i-1}/(i-2)!] P_{n-i}."""
+    a, beta, theta, b, d = params.a, params.beta_exp, params.theta, params.b_at, params.d
+    gamma = {}
+    for n in range(1, n_max):
+        gamma[(n, d - 1)] = n * (a * a * (n - beta - 1) + 2 * a * b(1) - b(2))
+        for i in range(2, min(n, d) + 1):
+            bracket = (b(i + 1) / factorial(i) - 2 * a * b(i) / factorial(i - 1)
+                       + a * a * b(i - 1) / factorial(i - 2))
+            gamma[(n - i + 1, d - i)] = -bracket * falling_value(n, i)
+    beta_n = tuple(-(a * (theta - beta + 2 * n) + b(1)) for n in range(n_max))
+    return RecurrenceTable(d, n_max, beta_n, gamma).regenerate()
 
 
 def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:

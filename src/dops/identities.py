@@ -28,7 +28,7 @@ note saying where the stated form failed.  Silent substitution never happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -43,6 +43,7 @@ from .families import (
     ml_by_gf,
     ml_by_recurrence,
     ml_q_sequence,
+    ml_recurrence_table,
     terminating_pfq,
 )
 from .orthogonality import (
@@ -144,10 +145,6 @@ class VerificationReport:
     def __post_init__(self):
         if (self.status == "fail") != (self.witness is not None):
             raise ValueError("a witness is present exactly when the status is fail")
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -372,6 +369,15 @@ def verify_routes(setup: FamilySetup) -> list[VerificationReport]:
     return [_report("routes", setup.public_params(), 0, setup.order, first_mismatch(checks))]
 
 
+def _hahn_shift(table: RecurrenceTable, alpha: Fraction, beta: Fraction) -> RecurrenceTable:
+    """The table the difference companions Q_n = delta_w P_{n+1}/(n+1) obey:
+    beta gains alpha (the table's beta_n, which is subtracted, falls by
+    alpha), the top gamma class gains n*alpha*beta, lower classes are unchanged."""
+    top = table.d - 1
+    gamma = {(m, k): g + m * alpha * beta if k == top else g for (m, k), g in table.gamma.items()}
+    return replace(table, beta=tuple(b - alpha for b in table.beta), gamma=gamma)
+
+
 def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
     """Companion-sequence conformance: the difference companions satisfy the
     shifted band recurrence, and their fitted table shows the predicted
@@ -382,43 +388,24 @@ def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
         return [_not_applicable("hahn", params, 0, setup.order - 1,
                                 f"fitting the companion table needs order N >= d + 2 = {p.d + 2}")]
     q = setup.q
-    alpha, beta = p.alpha, p.beta
-
-    def replay_checks():
-        x = Poly.x()
-        for n in range(len(q) - 1):
-            nxt = (x + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]
-            if n >= 1:
-                nxt = nxt - q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.b(0) - p.b(1)))
-            for k in range(2, min(n, p.d) + 1):
-                coef = (p.b(k) - (alpha + beta) * k * p.b(k - 1)
-                        + alpha * beta * k * (k - 1) * p.b(k - 2))
-                if coef != 0:
-                    nxt = nxt + q[n - k] * (binomial(n, k) * coef)
-            yield n + 1, q[n + 1], nxt, "companion band recurrence replay"
-
-    witness = first_mismatch(replay_checks())
+    shifted = _hahn_shift(ml_recurrence_table(p.alpha, p.beta, p.b, p.d, len(q) - 1), p.alpha, p.beta)
+    witness = first_mismatch((n + 1, q[n + 1], shifted.step(q, n), "companion band recurrence replay")
+                             for n in range(len(q) - 1))
     notes = []
     if witness is None:
         try:
             p_table, q_table = setup.p_table, setup.q_table
         except FitError as exc:
             return [_report("hahn", params, 0, len(q) - 1, _fit_witness(exc, 0, len(q) - 1))]
-        shift_checks = []
-        for n in range(len(q_table.beta)):
-            shift_checks.append((n, q_table.beta[n], p_table.beta[n] - alpha,
-                                 "companion beta shift by alpha"))
-        for (m, k), value in sorted(q_table.gamma.items()):
-            if k == p.d - 1:
-                expected = p_table.gamma_at(m, k) + m * alpha * beta
-                context = "top gamma class shifted by n*alpha*beta"
-            else:
-                expected = p_table.gamma_at(m, k)
-                context = "lower gamma classes unchanged"
-            shift_checks.append((m, value, expected, context))
-        bad = next(((n, a, e, ctx) for n, a, e, ctx in shift_checks if a != e), None)
+        expected = _hahn_shift(p_table, p.alpha, p.beta)
+        checks = [(n, b, expected.beta[n], "companion beta shift by alpha")
+                  for n, b in enumerate(q_table.beta)]
+        checks += [(m, g, expected.gamma_at(m, k), "top gamma class shifted by n*alpha*beta"
+                    if k == p.d - 1 else "lower gamma classes unchanged")
+                   for (m, k), g in sorted(q_table.gamma.items())]
+        bad = next(((n, a, e, ctx) for n, a, e, ctx in checks if a != e), None)
         if bad is not None:
-            witness = _scalar_witness(bad[0], bad[1], bad[2], bad[3])
+            witness = _scalar_witness(*bad)
         else:
             notes.append("fitted companion table shows the predicted shift: beta gains alpha, "
                          "the top gamma class gains n*alpha*beta, lower classes are unchanged")

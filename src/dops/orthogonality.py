@@ -71,14 +71,16 @@ def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Fitted coefficients of the band recurrence
+    """Coefficients of the band recurrence
 
         P_{n+1} = (x - beta_n) P_n - sum_{nu=0..d-1} gamma_{n-nu}^{d-1-nu} P_{n-1-nu}
 
-    for a monic sequence of degrees 0..n_max.  ``gamma`` maps the pair
-    (subscript m, superscript k) to the stored value; each pair is determined
-    by exactly one fitting step.  The superscript-0 class carries the
-    regularity conditions gamma_{m+1}^0 != 0.
+    for a monic sequence of degrees 0..n_max, either fitted to the sequence
+    or written down by a family's construction.  ``gamma`` maps the pair
+    (subscript m, superscript k) to the stored value; each pair enters
+    exactly one step.  The superscript-0 class carries the regularity
+    conditions gamma_{m+1}^0 != 0.  ``step`` is the one place a band
+    recurrence is run.
     """
 
     d: int
@@ -92,15 +94,20 @@ class RecurrenceTable:
         except KeyError:
             raise ValueError(f"gamma with subscript {m} and superscript {k} is outside the fitted range") from None
 
+    def step(self, polys: Sequence[Poly], n: int) -> Poly:
+        """P_{n+1} from the recurrence at step n, reading P_{n-d}..P_n from polys."""
+        nxt = Poly((-self.beta[n], 1)) * polys[n]
+        for nu in range(min(self.d, n)):
+            g = self.gamma_at(n - nu, self.d - 1 - nu)
+            if g:
+                nxt = nxt - polys[n - 1 - nu] * g
+        return nxt
+
     def regenerate(self) -> list[Poly]:
-        """Re-run the fitted recurrence from P_0 = 1; reproduces the input."""
+        """Run the recurrence from P_0 = 1; reproduces a fitted input."""
         polys = [Poly.one()]
-        x = Poly.x()
         for n in range(self.n_max):
-            nxt = (x - Poly.const(self.beta[n])) * polys[n]
-            for nu in range(min(self.d, n)):
-                nxt = nxt - polys[n - 1 - nu] * self.gamma_at(n - nu, self.d - 1 - nu)
-            polys.append(nxt)
+            polys.append(self.step(polys, n))
         return polys
 
     def regular_upto(self) -> int:

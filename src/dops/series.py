@@ -71,11 +71,6 @@ class Series:
     def from_scalars(cls, order: int, scalars: Iterable[RationalLike]) -> "Series":
         return cls(order, tuple(Poly.const(s) for s in scalars))
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(order, self.coeffs[: order + 1])
-
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented

@@ -52,6 +52,14 @@ class TestGen:
         assert rows[1] == ["1", "1"]
         assert rows[2] == ["2", "2", "1"]
 
+    def test_unwritable_out_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
+                                "--beta", "-1", "--order", "3", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "missing" in err
+        assert not out.parent.exists()
+
     def test_csv_columns_are_stable(self, capsys):
         code, out, _ = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
                                 "--beta", "-1", "--order", "3", "--format", "csv"], capsys)
@@ -144,23 +152,29 @@ class TestConfigResolution:
         assert "expected 2 exponent coefficients" in err
 
     # Each case overrides entries of a valid hyp-laguerre config (which reads
-    # d, order and l); a d, order or l that is not a true int is bad input.
+    # d, order and l) and runs the command that reads the entry; a d, order or
+    # l that is not a true int is bad input, and so is a format, out or suites
+    # entry that argparse would have refused.
     MALFORMED = {
-        "float-alpha": ({"family": "ml", "parameters": {"alpha": 1.5, "beta": "-1"}}, "1.5"),
-        "non-object-parameters": ({"parameters": 5}, "parameters"),
-        **{f"{key}-{tag}": ({key: value} if key != "l" else
+        "float-alpha": ("gen", {"family": "ml", "parameters": {"alpha": 1.5, "beta": "-1"}}, "1.5"),
+        "non-object-parameters": ("gen", {"parameters": 5}, "parameters"),
+        **{f"{key}-{tag}": ("gen", {key: value} if key != "l" else
                             {"parameters": {"alphavec": ["1/2", "1/3"], "l": value}}, f"--{key}")
            for key in ("d", "order", "l")
            for tag, value in (("float", 2.7), ("string", "2"), ("bool", True))},
+        "unknown-format": ("gen", {"format": "xml"}, "--format"),
+        "non-string-out": ("gen", {"out": 5}, "--out"),
+        "empty-out": ("gen", {"out": ""}, "--out"),
+        "nested-suites": ("verify", {"suites": [["routes"]]}, "--suites"),
     }
 
-    @pytest.mark.parametrize("override, named", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_malformed_config_is_bad_input(self, tmp_path, capsys, override, named):
+    @pytest.mark.parametrize("command, override, named", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_config_is_bad_input(self, tmp_path, capsys, command, override, named):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"family": "hyp-laguerre", "d": 2, "order": 4,
                                     "parameters": {"alphavec": ["1/2", "1/3"], "l": 1},
                                     **override}))
-        code, _, err = run_cli(["gen", "--config", str(path)], capsys)
+        code, _, err = run_cli([command, "--config", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and named in err
 
@@ -333,6 +347,19 @@ class TestTableMode:
         for identity in ("sr2", "de1:k=1", "de1:k=2", "de2", "regularity"):
             assert reports[identity]["status"] == "fail"
         assert reports["sz5"]["status"] == "pass"
+
+    def test_companion_replay_witness(self, tmp_path, capsys):
+        """Changing the x coefficient of P_5 changes Q_4, so the companion
+        replay fails before any table is fitted."""
+        table = self._gen(tmp_path, capsys)
+        self._tamper(table, 5, "12345", k=1)
+        code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", "hahn"], capsys)
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        witness = report["witness"]
+        assert (witness["n"], witness["context"]) == (4, "companion band recurrence replay")
+        assert witness["expected"][:3] == ["65", "80", "38"]
+        assert witness["actual"][:3] == ["12621/5", "80", "38"]
 
     def test_row_without_coeffs_is_bad_input(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)

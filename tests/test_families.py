@@ -20,8 +20,9 @@ from dops.families import (
     ml_by_gf,
     ml_by_recurrence,
     ml_q_sequence,
-    ml_sequence_from_coefficients,
+    ml_recurrence_table,
 )
+from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, binomial, delta_w
 
 X = Poly.x()
@@ -94,6 +95,13 @@ class TestMLFamilies:
         for n, poly in enumerate(ml_by_recurrence(p, 12)):
             assert poly.degree == n
             assert poly.is_monic()
+
+    @pytest.mark.parametrize("p", ML_GRID, ids=str)
+    def test_recurrence_table_is_the_fitted_table(self, p):
+        table = ml_recurrence_table(p.alpha, p.beta, p.b, p.d, 10)
+        fitted = fit_recurrence(table.regenerate(), p.d)
+        assert fitted.beta == table.beta
+        assert fitted.gamma == table.gamma
 
     def test_charlier_limit_is_appell(self):
         p = MLParams(2, 0, -1, [F(1, 2)])
@@ -202,7 +210,7 @@ class TestConfluentLimit:
         def b(k):
             return math.factorial(k + 1) * c[k] if 0 <= k < len(c) else F(0)
 
-        confluent = ml_sequence_from_coefficients(a, a, b, 8, d)
+        confluent = ml_recurrence_table(a, a, b, d, 8).regenerate()
         lag_b = [F(0)] + [math.factorial(i) * c[i - 1] for i in range(1, d)]
         assert confluent == laguerre_type_by_recurrence(LagParams(d, a, 0, 0, lag_b), 8)
 

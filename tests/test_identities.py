@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dops.families import HypParams, LagParams, MLParams, hyp_laguerre, ml_by_recurrence, ml_q_sequence
+from dops.families import (
+    HypParams,
+    LagParams,
+    MLParams,
+    hyp_laguerre,
+    ml_by_recurrence,
+    ml_q_sequence,
+    ml_recurrence_table,
+)
 from dops.identities import (
     FamilySetup,
     VerificationReport,
@@ -23,7 +31,9 @@ from dops.identities import (
     verify_sr_block,
     verify_sz4,
     verify_sz5,
+    _hahn_shift,
 )
+from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, shift
 
 X = Poly.x()
@@ -70,6 +80,19 @@ class TestReportInvariants:
         assert data["status"] == "pass"
         assert data["witness"] is None
         assert data["range"] == [0, 4]
+
+
+class TestHahnShift:
+    @pytest.mark.parametrize("p", ML_GRID, ids=str)
+    def test_family_table_shifts_to_companion_table(self, p):
+        # The companions Q_0..Q_10 come from P_0..P_11; their fitted table is
+        # the family's table over the same steps, shifted.
+        q_table = fit_recurrence(ml_q_sequence(ml_by_recurrence(p, 11), p.w), p.d)
+        shifted = _hahn_shift(ml_recurrence_table(p.alpha, p.beta, p.b, p.d, 10), p.alpha, p.beta)
+        assert shifted.beta == q_table.beta
+        assert shifted.gamma == q_table.gamma
+        # Argument-keyed tooling (bench/spans.py) hashes tables passed to public calls.
+        assert hash(shifted) == hash(q_table)
 
 
 class TestNccd:
