@@ -41,7 +41,6 @@ from .orthogonality import (
     verify_d_orthogonality,
 )
 from .polynomials import (
-    ExactRational,
     Poly,
     as_rational,
     delta_w,
@@ -54,11 +53,9 @@ from .polynomials import (
 from .series import (
     Series,
     egf_extract,
-    gf_binomial_xw,
     gf_ratio_power,
     normalize_exponent,
     series_exp,
-    series_log,
     series_log1p_scaled,
     series_mul,
 )

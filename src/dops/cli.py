@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .families import FamilyParamError, HypParams, LagParams, MLParams
 from .identities import SUITES, WARNING_PREFIX, FamilySetup, VerificationReport
-from .polynomials import Poly, as_rational, format_rational, parse_rational
+from .polynomials import Poly, as_rational, format_rational
 
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
 FAMILIES = ("ml", "laguerre", "hyp-laguerre", "charlier")
@@ -88,8 +88,21 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if not (suites is None or isinstance(suites, str)
             or isinstance(suites, list) and all(isinstance(s, str) for s in suites)):
         raise CliError(f"--suites must be a string or a list of strings, got {suites!r}")
+    if getattr(args, "from_table", None):
+        # The table's own family and parameters decide the run.
+        given = [key for key in ("family", "d", "order") if merged[key] is not None]
+        if given or parameters:
+            raise CliError(f"--from-table takes the family and parameters from the table; "
+                           f"remove {', '.join(given + sorted(parameters))}")
+        return merged
     if merged["order"] is None:
-        merged["order"] = int(os.environ.get(DEFAULT_ORDER_ENV, "16"))
+        text = os.environ.get(DEFAULT_ORDER_ENV, "16")
+        try:
+            merged["order"] = int(text)
+        except ValueError:
+            merged["order"] = -1
+        if merged["order"] < 0:
+            raise CliError(f"{DEFAULT_ORDER_ENV} must be a non-negative integer, got {text!r}")
     if merged["d"] is None:
         merged["d"] = 1
     return merged
@@ -178,112 +191,84 @@ def latex_rational(value) -> str:
     return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
 
 
-def _render_json(artifact: dict) -> str:
-    return json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+def _padded_rows(gen: dict, order: int, cell):
+    """(label, n, cells) for every P row, then every Q row: cell(c) for each
+    coefficient c, padded with "0" to N + 1 columns."""
+    for label, key in (("P", "polys"), ("Q", "q_polys")):
+        for row in gen.get(key, ()):
+            coeffs = row["coeffs"]
+            yield label, row["n"], [*map(cell, coeffs), *["0"] * (order + 1 - len(coeffs))]
 
 
-def _poly_table_csv(writer, label: str, rows: list[dict], width: int):
-    for row in rows:
-        padded = row["coeffs"] + ["0"] * (width - len(row["coeffs"]))
-        writer.writerow([label, row["n"], *padded])
+def _tabular(columns: str, header: list, rows) -> str:
+    lines = [f"\\begin{{tabular}}{{{columns}}}", " & ".join(header) + " \\\\ \\hline"]
+    lines += [" & ".join(map(str, row)) + " \\\\" for row in rows]
+    return "\n".join(lines + ["\\end{tabular}"]) + "\n"
 
 
-def _render_gen_csv(artifact: dict, order: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "n", *[f"c{k}" for k in range(order + 1)]])
-    _poly_table_csv(writer, "P", artifact["polys"], order + 1)
-    if "q_polys" in artifact:
-        _poly_table_csv(writer, "Q", artifact["q_polys"], order + 1)
-    return buf.getvalue()
-
-
-def _render_gen_latex(artifact: dict, order: int) -> str:
-    lines = [
-        "% polynomial table: coefficients ascending by power",
-        "\\begin{tabular}{r|" + "r" * (order + 1) + "}",
-        "n & " + " & ".join(f"x^{{{k}}}" for k in range(order + 1)) + " \\\\ \\hline",
-    ]
-
-    def rows(label, entries):
-        for row in entries:
-            cells = [latex_rational(parse_rational(c)) for c in row["coeffs"]]
-            cells += ["0"] * (order + 1 - len(cells))
-            lines.append(f"{label}_{{{row['n']}}} & " + " & ".join(cells) + " \\\\")
-
-    rows("P", artifact["polys"])
-    if "q_polys" in artifact:
-        rows("Q", artifact["q_polys"])
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_reports_csv(reports: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["identity", "status", "n_min", "n_max", "witness_n", "notes"])
-    for rep in reports:
-        witness_n = rep["witness"]["n"] if rep["witness"] else ""
-        writer.writerow([rep["identity"], rep["status"], rep["range"][0], rep["range"][1],
-                         witness_n, " | ".join(rep["notes"])])
-    return buf.getvalue()
-
-
-def _render_reports_latex(reports: list[dict]) -> str:
-    lines = [
-        "\\begin{tabular}{llrrl}",
-        "identity & status & $n_{\\min}$ & $n_{\\max}$ & notes \\\\ \\hline",
-    ]
-    for rep in reports:
-        notes = "; ".join(rep["notes"]).replace("_", "\\_")
-        lines.append(f"{rep['identity']} & {rep['status']} & {rep['range'][0]} & "
-                     f"{rep['range'][1]} & {notes} \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_moments_csv(artifact: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    order = artifact["order"]
-    writer.writerow(["r", *[f"x{k}" for k in range(order + 1)]])
-    for row in artifact["moments"]:
-        writer.writerow([row["r"], *row["values"]])
-    writer.writerow([])
-    writer.writerow(["r", "m", "n", "kind", "value", "ok"])
-    for check in artifact["pattern"]["checks"]:
-        writer.writerow([check["r"], check["m"], check["n"], check["kind"],
-                         check["value"], check["ok"]])
-    return buf.getvalue()
-
-
-def _render_moments_latex(artifact: dict) -> str:
-    order = artifact["order"]
-    lines = [
-        "\\begin{tabular}{r|" + "r" * (order + 1) + "}",
-        "r & " + " & ".join(f"\\langle u_r, x^{{{k}}}\\rangle" for k in range(order + 1)) + " \\\\ \\hline",
-    ]
-    for row in artifact["moments"]:
-        cells = [latex_rational(parse_rational(v)) for v in row["values"]]
-        lines.append(f"{row['r']} & " + " & ".join(cells) + " \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
+def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
+    """The artifact as text.  json is the canonical artifact.  csv holds the
+    P/Q rows (gen), the reports (verify, report) or the moments and then the
+    pattern checks (moments); latex holds one tabular per table, and report
+    gives its gen, reports and moments tables in turn."""
+    if fmt == "json":
+        return json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    columns = range(order + 1)
+    moments = artifact if command == "moments" else artifact.get("moments")
+    if fmt == "csv":
+        if command == "gen":
+            rows = [["kind", "n", *(f"c{k}" for k in columns)],
+                    *([label, n, *cells] for label, n, cells in _padded_rows(artifact, order, str))]
+        elif command == "moments":
+            rows = [["r", *(f"x{k}" for k in columns)],
+                    *([row["r"], *row["values"]] for row in moments["moments"]),
+                    [], ["r", "m", "n", "kind", "value", "ok"],
+                    *([c["r"], c["m"], c["n"], c["kind"], c["value"], c["ok"]]
+                      for c in moments["pattern"]["checks"])]
+        else:
+            rows = [["identity", "status", "n_min", "n_max", "witness_n", "notes"],
+                    *([r["identity"], r["status"], *r["range"],
+                       r["witness"]["n"] if r["witness"] else "", " | ".join(r["notes"])]
+                      for r in artifact["reports"])]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    tables = []
+    if command in ("gen", "report"):
+        gen = artifact["generated"] if command == "report" else artifact
+        tables.append("% polynomial table: coefficients ascending by power\n" + _tabular(
+            "r|" + "r" * len(columns), ["n", *(f"x^{{{k}}}" for k in columns)],
+            ([f"{label}_{{{n}}}", *cells]
+             for label, n, cells in _padded_rows(gen, order, latex_rational))))
+    if command in ("verify", "report"):
+        tables.append(_tabular(
+            "llrrl", ["identity", "status", "$n_{\\min}$", "$n_{\\max}$", "notes"],
+            ([r["identity"], r["status"], *r["range"], "; ".join(r["notes"]).replace("_", "\\_")]
+             for r in artifact["reports"])))
+    if moments:
+        tables.append(_tabular(
+            "r|" + "r" * len(columns),
+            ["r", *(f"\\langle u_r, x^{{{k}}}\\rangle" for k in columns)],
+            ([row["r"], *map(latex_rational, row["values"])] for row in moments["moments"])))
+    return "\n".join(tables)
 
 
 def _write_output(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dops-", suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                                        prefix=".dops-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp_path, out)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +287,6 @@ def run_suites(setup: FamilySetup, suites: Sequence[str]) -> list[VerificationRe
     return [report for suite in suites for report in registry[suite](setup)]
 
 
-def _summarize(reports: list[VerificationReport]) -> dict:
-    return {
-        "pass": sum(1 for r in reports if r.status == "pass"),
-        "fail": sum(1 for r in reports if r.status == "fail"),
-        "not_applicable": sum(1 for r in reports if r.status == "not-applicable"),
-        "warnings": sum(1 for r in reports
-                        if any(note.startswith(WARNING_PREFIX) for note in r.notes)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -326,21 +301,6 @@ def _gen_artifact(setup: FamilySetup, with_q: bool) -> dict:
     if with_q:
         artifact["q_polys"] = [_poly_row(p, n) for n, p in enumerate(setup.q)]
     return artifact
-
-
-def cmd_gen(args) -> int:
-    cfg = _merge_config(args)
-    setup = build_setup(cfg)
-    artifact = _gen_artifact(setup, getattr(args, "with_q", False))
-    fmt = cfg["format"]
-    if fmt == "json":
-        text = _render_json(artifact)
-    elif fmt == "csv":
-        text = _render_gen_csv(artifact, setup.order)
-    else:
-        text = _render_gen_latex(artifact, setup.order)
-    _write_output(text, cfg["out"])
-    return 0
 
 
 def _parse_table(path: str) -> FamilySetup:
@@ -363,41 +323,6 @@ def _parse_table(path: str) -> FamilySetup:
         "parameters": params,
     }
     return replace(build_setup(cfg), table=table)
-
-
-def _suite_ids(cfg: dict, setup: FamilySetup) -> Sequence[str]:
-    suites = cfg.get("suites") or setup.default_suites()
-    return _rational_list(suites) if isinstance(suites, str) else suites
-
-
-def cmd_verify(args) -> int:
-    cfg = _merge_config(args)
-    if getattr(args, "from_table", None):
-        setup = _parse_table(args.from_table)
-    else:
-        setup = build_setup(cfg)
-    reports = run_suites(setup, _suite_ids(cfg, setup))
-    artifact = {
-        "family": setup.kind,
-        "params": setup.public_params(),
-        "order": setup.order,
-        "reports": [r.to_dict() for r in reports],
-        "summary": _summarize(reports),
-    }
-    fmt = cfg["format"]
-    if fmt == "json":
-        text = _render_json(artifact)
-    elif fmt == "csv":
-        text = _render_reports_csv(artifact["reports"])
-    else:
-        text = _render_reports_latex(artifact["reports"])
-    _write_output(text, cfg["out"])
-    for rep in reports:
-        line = f"{rep.status.upper():15s} {rep.identity}"
-        if rep.notes:
-            line += "  [" + "; ".join(rep.notes) + "]"
-        print(line, file=sys.stderr)
-    return 1 if artifact["summary"]["fail"] else 0
 
 
 def _moments_artifact(setup: FamilySetup) -> dict:
@@ -425,52 +350,52 @@ def _moments_artifact(setup: FamilySetup) -> dict:
     }
 
 
-def cmd_moments(args) -> int:
+def run_command(args: argparse.Namespace) -> int:
+    """Run one subcommand: resolve the configuration, build the setup and the
+    command's artifact, render and write it; returns the exit code."""
+    command = args.command
     cfg = _merge_config(args)
-    setup = build_setup(cfg)
-    artifact = _moments_artifact(setup)
-    fmt = cfg["format"]
-    if fmt == "json":
-        text = _render_json(artifact)
-    elif fmt == "csv":
-        text = _render_moments_csv(artifact)
+    if getattr(args, "from_table", None):
+        setup = _parse_table(args.from_table)
     else:
-        text = _render_moments_latex(artifact)
-    _write_output(text, cfg["out"])
-    if artifact["pattern"]["regularity_failures"]:
-        print(WARNING_PREFIX + "some regularity conditions in the pattern are zero",
-              file=sys.stderr)
-    return 1 if artifact["pattern"]["zero_failures"] else 0
-
-
-def cmd_report(args) -> int:
-    cfg = _merge_config(args)
-    setup = build_setup(cfg)
-    reports = run_suites(setup, _suite_ids(cfg, setup))
-    artifact = {
-        "family": setup.kind,
-        "params": setup.public_params(),
-        "order": setup.order,
-        "generated": _gen_artifact(setup, setup.kind != "hyp-laguerre"),
-        "reports": [r.to_dict() for r in reports],
-        "summary": _summarize(reports),
-    }
-    # The moments need N >= d; below that the section is left out, and the
-    # suites that read them are not-applicable.
-    if setup.kind != "hyp-laguerre" and setup.order >= setup.d:
-        artifact["moments"] = _moments_artifact(setup)
-    fmt = cfg["format"]
-    if fmt == "json":
-        text = _render_json(artifact)
-    elif fmt == "csv":
-        text = _render_reports_csv(artifact["reports"])
+        setup = build_setup(cfg)
+    if command == "gen":
+        artifact = _gen_artifact(setup, args.with_q)
+    elif command == "moments":
+        artifact = _moments_artifact(setup)
     else:
-        parts = [_render_gen_latex(artifact["generated"], setup.order),
-                 _render_reports_latex(artifact["reports"])]
-        if "moments" in artifact:
-            parts.append(_render_moments_latex(artifact["moments"]))
-        text = "\n".join(parts)
-    _write_output(text, cfg["out"])
+        suites = cfg["suites"] or setup.default_suites()
+        reports = run_suites(setup, _rational_list(suites) if isinstance(suites, str) else suites)
+        statuses = [r.status for r in reports]
+        artifact = {"family": setup.kind, "params": setup.public_params(), "order": setup.order,
+                    "reports": [r.to_dict() for r in reports],
+                    "summary": {
+                        "pass": statuses.count("pass"),
+                        "fail": statuses.count("fail"),
+                        "not_applicable": statuses.count("not-applicable"),
+                        "warnings": sum(any(note.startswith(WARNING_PREFIX) for note in r.notes)
+                                        for r in reports),
+                    }}
+        if command == "report":
+            artifact["generated"] = _gen_artifact(setup, setup.kind != "hyp-laguerre")
+            # The moments need N >= d; below that the section is left out, and
+            # the suites that read them are not-applicable.
+            if setup.kind != "hyp-laguerre" and setup.order >= setup.d:
+                artifact["moments"] = _moments_artifact(setup)
+    _write_output(_render(command, cfg["format"], artifact, setup.order), cfg["out"])
+    if command == "gen":
+        return 0
+    if command == "moments":
+        if artifact["pattern"]["regularity_failures"]:
+            print(WARNING_PREFIX + "some regularity conditions in the pattern are zero",
+                  file=sys.stderr)
+        return 1 if artifact["pattern"]["zero_failures"] else 0
+    if command == "verify":
+        for rep in reports:
+            line = f"{rep.status.upper():15s} {rep.identity}"
+            if rep.notes:
+                line += "  [" + "; ".join(rep.notes) + "]"
+            print(line, file=sys.stderr)
     return 1 if artifact["summary"]["fail"] else 0
 
 
@@ -518,24 +443,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_options(gen)
     gen.add_argument("--with-q", action="store_true", dest="with_q",
                      help="also emit the companion sequence Q_0..Q_{N-1}")
-    gen.set_defaults(func=cmd_gen)
 
     verify = subs.add_parser("verify", help="run identity suites")
     _add_common_options(verify)
     verify.add_argument("--suites", type=_rational_list,
                         help="comma-separated suite ids (default: all for the family)")
     verify.add_argument("--from-table", dest="from_table",
-                        help="verify against a gen artifact instead of regenerating")
-    verify.set_defaults(func=cmd_verify)
+                        help="verify against a gen artifact instead of regenerating; "
+                             "the family and parameters then come from the table")
 
     moments = subs.add_parser("moments", help="dual-functional moments and pattern")
     _add_common_options(moments)
-    moments.set_defaults(func=cmd_moments)
 
     report = subs.add_parser("report", help="combined tables, moments, and suites")
     _add_common_options(report)
     report.add_argument("--suites", type=_rational_list)
-    report.set_defaults(func=cmd_report)
 
     for sub in (gen, verify, moments, report):
         sub._negative_number_matcher = _NEGATIVE_RATIONAL
@@ -547,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

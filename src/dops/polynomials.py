@@ -21,11 +21,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-ExactRational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
-    "ExactRational",
     "Poly",
     "as_rational",
     "parse_rational",

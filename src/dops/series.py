@@ -1,8 +1,9 @@
 """Truncated formal power series in t whose coefficients are polynomials in x.
 
-This is the oracle layer: every generating function is built here twice over,
-once through the exp/log exponent route and once through closed-form binomial
-expansions, and the two constructions are required to agree coefficientwise.
+Every generating function is built here through the exp/log exponent route,
+and the ``routes`` suite requires the sequence read out of it to agree
+coefficientwise with the band recurrence.  The closed-form binomial
+expansions that cross-check the exponent route are test oracles.
 Truncation order is always explicit; binary operations truncate to the
 smaller operand order so nothing is silently extended.
 """
@@ -17,18 +18,15 @@ from .polynomials import (
     RationalLike,
     as_rational,
     factorial,
-    falling_factorial,
 )
 
 __all__ = [
     "Series",
     "series_mul",
     "series_exp",
-    "series_log",
     "series_log1p_scaled",
     "normalize_exponent",
     "gf_ratio_power",
-    "gf_binomial_xw",
     "egf_extract",
 ]
 
@@ -144,22 +142,6 @@ def series_exp(f: Series) -> Series:
     return Series(f.order, tuple(out))
 
 
-def series_log(f: Series) -> Series:
-    """log(f) for a series with constant term 1 (inverse of series_exp)."""
-    if f.coeffs[0] != Poly.one():
-        raise ValueError("series_log requires constant term exactly 1")
-    out = [Poly.zero()]
-    for n in range(1, f.order + 1):
-        acc = f.coeffs[n] * n
-        for k in range(1, n):
-            hk = out[k]
-            if hk.is_zero():
-                continue
-            acc = acc - (hk * f.coeffs[n - k]) * k
-        out.append(acc / n)
-    return Series(f.order, tuple(out))
-
-
 def series_log1p_scaled(c: RationalLike, order: int) -> Series:
     """The series of log(1 - c t): sum_{n>=1} -(c**n / n) t**n."""
     c = as_rational(c)
@@ -204,25 +186,6 @@ def gf_ratio_power(alpha: RationalLike, beta: RationalLike, order: int) -> Serie
     logs = series_log1p_scaled(beta, order) - series_log1p_scaled(alpha, order)
     exponent = logs.scale(Poly.x() / w)
     return series_exp(exponent)
-
-
-def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> Series:
-    """Closed-form series of (1 + w * sign_scale * t) ** (x/w) for w != 0.
-
-    The coefficient of t**n is the step-w falling factorial polynomial of
-    degree n times sign_scale**n / n!; this is the binomial-series cross-check
-    for the exponent-route ratio powers.
-    """
-    w = as_rational(w)
-    if w == 0:
-        raise ValueError("gf_binomial_xw requires w != 0")
-    s = as_rational(sign_scale)
-    coeffs = []
-    power = Fraction(1)
-    for n in range(order + 1):
-        coeffs.append(falling_factorial(w, n) * (power / factorial(n)))
-        power *= s
-    return Series(order, tuple(coeffs))
 
 
 def egf_extract(f: Series) -> list[Poly]:

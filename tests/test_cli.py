@@ -57,7 +57,7 @@ class TestGen:
         code, _, err = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
                                 "--beta", "-1", "--order", "3", "--out", str(out)], capsys)
         assert code == 2
-        assert err.startswith("error: ") and "missing" in err
+        assert err.startswith("error: ") and str(out) in err and ".dops-" not in err
         assert not out.parent.exists()
 
     def test_csv_columns_are_stable(self, capsys):
@@ -132,6 +132,14 @@ class TestConfigResolution:
         code, out, _ = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
                                 "--beta", "-1"], capsys)
         assert len(json.loads(out)["polys"]) == 17
+
+    @pytest.mark.parametrize("value", ["abc", "-3", ""])
+    def test_malformed_env_default_order(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DOPS_DEFAULT_ORDER", value)
+        code, _, err = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
+                                "--beta", "-1"], capsys)
+        assert code == 2
+        assert err.startswith("error: DOPS_DEFAULT_ORDER ") and "--order" not in err
 
     def test_missing_required_parameter(self, capsys):
         code, _, err = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
@@ -255,6 +263,23 @@ TABLE_SUITES = (
 )
 
 
+@pytest.mark.parametrize("family", [ML, LAGUERRE, HYP], ids=lambda family: family[1])
+def test_verify_status_lines_follow_the_reports(capsys, family):
+    """verify writes f"{STATUS:15s} {identity}  [notes]" to stderr, one line
+    per report in order, whatever the format."""
+    argv = ["verify", *family, "--order", "9"]
+    code, out, err = run_cli(argv, capsys)
+    lines = []
+    for r in json.loads(out)["reports"]:
+        line = f"{r['status'].upper():15s} {r['identity']}"
+        if r["notes"]:
+            line += "  [" + "; ".join(r["notes"]) + "]"
+        lines.append(line)
+    assert code == 0 and err == "".join(line + "\n" for line in lines)
+    for fmt in ("csv", "latex"):
+        assert run_cli([*argv, "--format", fmt], capsys)[::2] == (code, err)
+
+
 # Row n gets coefficient k set to value; n = 9 is P_N of the order-9 tables.
 # sr7 (in sr-block) and laguerre-structure are known to stop one index short:
 # their ranges end at N-1, so they never read P_N and pass a change confined to
@@ -312,6 +337,12 @@ class TestTableMode:
     def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
         self._assert_tampered_table_fails(tmp_path, capsys, family, suite, 3, 0, "7")
 
+    def test_failing_status_line(self, tmp_path, capsys):
+        table = self._gen(tmp_path, capsys)
+        self._tamper(table, 3, "7")
+        code, _, err = run_cli(["verify", "--from-table", str(table), "--suites", "nccd"], capsys)
+        assert (code, err) == (1, f"{'FAIL':15s} nccd\n")
+
     @pytest.mark.parametrize("family, order, suite, identity, n, context", [
         (ML, "9", "sr-block", "sr6", 4, "(x - 0)Q_n, variant repaired"),
         (LAGUERRE_THETA, "10", "laguerre-structure", "laguerre-structure", 5, "structure relation"),
@@ -360,6 +391,39 @@ class TestTableMode:
         assert (witness["n"], witness["context"]) == (4, "companion band recurrence replay")
         assert witness["expected"][:3] == ["65", "80", "38"]
         assert witness["actual"][:3] == ["12621/5", "80", "38"]
+
+    # Entries the table decides, given by flag or by --config, and the key named.
+    IGNORED_INPUT = {
+        "flag-family": (["--family", "laguerre"], {}, "family"),
+        "flag-d": (["--d", "3"], {}, "d"),
+        "flag-order": (["--order", "3"], {}, "order"),
+        "flag-alpha": (["--alpha", "2"], {}, "alpha"),
+        "config-family": ([], {"family": "ml"}, "family"),
+        "config-d": ([], {"d": 2}, "d"),
+        "config-order": ([], {"order": 9}, "order"),
+        "config-beta": ([], {"parameters": {"beta": "-1"}}, "beta"),
+    }
+
+    @pytest.mark.parametrize("flags, config, named", IGNORED_INPUT.values(),
+                             ids=IGNORED_INPUT.keys())
+    def test_table_decided_input_is_bad_input(self, tmp_path, capsys, flags, config, named):
+        table = self._gen(tmp_path, capsys)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"suites": ["routes"], **config}))
+        code, out, err = run_cli(["verify", "--from-table", str(table), "--config", str(path),
+                                  *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --from-table ") and err.rstrip().endswith(named)
+
+    def test_suites_format_and_out_are_allowed(self, tmp_path, capsys):
+        table = self._gen(tmp_path, capsys)
+        path = tmp_path / "run.json"
+        out = tmp_path / "reports.csv"
+        path.write_text(json.dumps({"suites": "routes", "format": "csv", "out": str(out),
+                                    "parameters": {}}))
+        code, _, _ = run_cli(["verify", "--from-table", str(table), "--config", str(path)], capsys)
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("routes,pass,0,9,")
 
     def test_row_without_coeffs_is_bad_input(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)
@@ -433,9 +497,9 @@ def test_small_order_sweep_fails_nothing(setup):
 
 class TestMoments:
     def test_regular_pattern_all_pass(self, capsys):
-        code, out, _ = run_cli(["moments", "--family", "ml", "--d", "2", "--alpha", "1",
-                                "--beta", "-1", "--c", "1", "--order", "10"], capsys)
-        assert code == 0
+        code, out, err = run_cli(["moments", "--family", "ml", "--d", "2", "--alpha", "1",
+                                  "--beta", "-1", "--c", "1", "--order", "10"], capsys)
+        assert (code, err) == (0, "")
         artifact = json.loads(out)
         assert artifact["pattern"]["zero_failures"] == 0
         assert artifact["pattern"]["regularity_failures"] == 0
@@ -448,10 +512,10 @@ class TestMoments:
         assert "N >= d" in err
 
     def test_warning_for_nonregular(self, capsys):
-        code, _, err = run_cli(["moments", "--family", "ml", "--d", "1", "--alpha", "1",
-                                "--beta", "-1", "--order", "8"], capsys)
-        assert code == 0
-        assert "warning" in err
+        for fmt in ("json", "csv", "latex"):
+            code, _, err = run_cli(["moments", "--family", "ml", "--d", "1", "--alpha", "1",
+                                    "--beta", "-1", "--order", "8", "--format", fmt], capsys)
+            assert (code, err) == (0, "warning: some regularity conditions in the pattern are zero\n")
 
     def test_latex_format(self, capsys):
         code, out, _ = run_cli(["moments", "--family", "ml", "--d", "1", "--alpha", "1",

@@ -1,10 +1,12 @@
 """Golden artifacts: the CLI output for fixed small configurations must stay
 byte-identical.
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
 
-rewrites tests/golden/ from the current code; only do that for an intended
-change of the artifact format, and say so where the change is recorded.
+rewrites tests/golden/ from the current code: every case, or only the named
+ones (so adding a case leaves the other files alone).  Rewrite an existing
+file only for an intended change of the artifact format, and say so where
+the change is recorded.
 """
 
 import os
@@ -31,13 +33,23 @@ FAMILIES = {
 STEP = ["--family", "ml", "--d", "2", "--alpha", "1/2", "--beta", "-1/3", "--c", "1/5",
         "--order", "12"]
 
+# The csv and latex renderings of every command; gen with its Q rows.
+FORMAT_RUNS = {
+    "ml-gen-q": ["gen", *FAMILIES["ml"], "--with-q"],
+    "laguerre-verify": ["verify", *FAMILIES["laguerre"]],
+    "ml-moments": ["moments", *FAMILIES["ml"]],
+    "ml-report": ["report", *FAMILIES["ml"]],
+}
+
 # file name -> (argv, expected exit code); "{table}" is the ml gen artifact.
 CASES = {
     **{f"{fam}-{cmd}.json": ([cmd, *argv], 0)
        for fam, argv in FAMILIES.items() for cmd in ("gen", "verify", "moments", "report")},
     **{f"ml-step-{cmd}.json": ([cmd, *STEP], 0) for cmd in ("gen", "verify", "report")},
-    "ml-report.csv": (["report", *FAMILIES["ml"], "--format", "csv"], 0),
-    "ml-report.tex": (["report", *FAMILIES["ml"], "--format", "latex"], 0),
+    **{f"{stem}.{ext}": ([*argv, "--format", fmt], 0)
+       for stem, argv in FORMAT_RUNS.items() for ext, fmt in (("csv", "csv"), ("tex", "latex"))},
+    # hyp-laguerre has no companion sequence and no moments section.
+    "hyp-report.tex": (["report", *FAMILIES["hyp"], "--format", "latex"], 0),
     "ml-verify-from-table.json": (["verify", "--from-table", "{table}"], 0),
 }
 
@@ -61,11 +73,11 @@ def test_artifact_is_byte_identical(name, tmp_path, capsys):
         assert data == fh.read()
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+if __name__ == "__main__" and sys.argv[1:2] == ["--record"]:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in sys.argv[2:] or sorted(CASES):
             code, data = produce(name, tmp)
             assert code == CASES[name][1], (name, code)
             with open(os.path.join(GOLDEN, name), "wb") as fh:

@@ -12,14 +12,14 @@ from dops.polynomials import Poly, factorial
 from dops.series import (
     Series,
     egf_extract,
-    gf_binomial_xw,
     gf_ratio_power,
     normalize_exponent,
     series_exp,
-    series_log,
     series_log1p_scaled,
     series_mul,
 )
+
+from oracles import gf_binomial_xw, series_log
 
 X = Poly.x()
 
