@@ -97,12 +97,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
         return merged
     if merged["order"] is None:
         text = os.environ.get(DEFAULT_ORDER_ENV, "16")
+        bad = CliError(f"{DEFAULT_ORDER_ENV} must be a non-negative integer, got {text!r}")
         try:
-            merged["order"] = int(text)
+            order = int(text)
         except ValueError:
-            merged["order"] = -1
-        if merged["order"] < 0:
-            raise CliError(f"{DEFAULT_ORDER_ENV} must be a non-negative integer, got {text!r}")
+            raise bad from None
+        if order < 0:
+            raise bad
+        merged["order"] = order
     if merged["d"] is None:
         merged["d"] = 1
     return merged
@@ -359,10 +361,15 @@ def run_command(args: argparse.Namespace) -> int:
         setup = _parse_table(args.from_table)
     else:
         setup = build_setup(cfg)
+    notices = []
     if command == "gen":
-        artifact = _gen_artifact(setup, args.with_q)
+        artifact, status = _gen_artifact(setup, args.with_q), 0
     elif command == "moments":
         artifact = _moments_artifact(setup)
+        pattern = artifact["pattern"]
+        if pattern["regularity_failures"]:
+            notices.append(WARNING_PREFIX + "some regularity conditions in the pattern are zero")
+        status = 1 if pattern["zero_failures"] else 0
     else:
         suites = cfg["suites"] or setup.default_suites()
         reports = run_suites(setup, _rational_list(suites) if isinstance(suites, str) else suites)
@@ -376,27 +383,20 @@ def run_command(args: argparse.Namespace) -> int:
                         "warnings": sum(any(note.startswith(WARNING_PREFIX) for note in r.notes)
                                         for r in reports),
                     }}
-        if command == "report":
+        status = 1 if "fail" in statuses else 0
+        if command == "verify":
+            notices = [f"{r.status.upper():15s} {r.identity}"
+                       + ("  [" + "; ".join(r.notes) + "]" if r.notes else "") for r in reports]
+        else:
             artifact["generated"] = _gen_artifact(setup, setup.kind != "hyp-laguerre")
             # The moments need N >= d; below that the section is left out, and
             # the suites that read them are not-applicable.
             if setup.kind != "hyp-laguerre" and setup.order >= setup.d:
                 artifact["moments"] = _moments_artifact(setup)
     _write_output(_render(command, cfg["format"], artifact, setup.order), cfg["out"])
-    if command == "gen":
-        return 0
-    if command == "moments":
-        if artifact["pattern"]["regularity_failures"]:
-            print(WARNING_PREFIX + "some regularity conditions in the pattern are zero",
-                  file=sys.stderr)
-        return 1 if artifact["pattern"]["zero_failures"] else 0
-    if command == "verify":
-        for rep in reports:
-            line = f"{rep.status.upper():15s} {rep.identity}"
-            if rep.notes:
-                line += "  [" + "; ".join(rep.notes) + "]"
-            print(line, file=sys.stderr)
-    return 1 if artifact["summary"]["fail"] else 0
+    for line in notices:
+        print(line, file=sys.stderr)
+    return status
 
 
 # ---------------------------------------------------------------------------
