@@ -22,16 +22,18 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import replace
-from fractions import Fraction
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
-from .families import FamilyParamError, HypParams, LagParams, MLParams
+from .families import FAMILY_PARAMS, FamilyParamError, as_int, comma_list, read_params
 from .identities import SUITES, WARNING_PREFIX, FamilySetup, VerificationReport
 from .polynomials import Poly, as_rational, format_rational
 
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
-FAMILIES = ("ml", "laguerre", "hyp-laguerre", "charlier")
+FAMILIES = tuple(FAMILY_PARAMS)
+# The family parameters a flag can set: every parameter field but d.
+PARAMETER_KEYS = tuple(dict.fromkeys(f.name for cls in FAMILY_PARAMS.values()
+                                     for f in fields(cls) if f.name != "d"))
 FORMATS = ("json", "csv", "latex")
 
 
@@ -42,10 +44,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-def _rational_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -63,23 +61,19 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Resolve the run configuration: flags override the config file, which
-    overrides defaults (order also honors the environment override)."""
+    overrides defaults (order also honors the environment override).  A
+    null entry is absent; an empty one is bad input."""
     cfg = _load_config(getattr(args, "config", None))
     if not isinstance(cfg.get("parameters", {}), dict):
         raise CliError("config entry parameters must be a JSON object")
-    parameters = dict(cfg.get("parameters", {}))
-    merged = {
-        "family": getattr(args, "family", None) or cfg.get("family"),
-        "d": getattr(args, "d", None) if getattr(args, "d", None) is not None else cfg.get("d"),
-        "order": getattr(args, "order", None) if getattr(args, "order", None) is not None else cfg.get("order"),
-        "format": getattr(args, "format", None) or cfg.get("format") or "json",
-        "out": getattr(args, "out", None) or cfg.get("out"),
-        "suites": getattr(args, "suites", None) or cfg.get("suites"),
-        "parameters": parameters,
-    }
-    for key in ("alpha", "beta", "a", "theta", "beta_exp", "c", "b", "alphavec", "l"):
+    merged = {key: getattr(args, key, None) if getattr(args, key, None) is not None else cfg.get(key)
+              for key in ("family", "d", "order", "format", "out", "suites")}
+    parameters = merged["parameters"] = dict(cfg.get("parameters", {}))
+    for key in PARAMETER_KEYS:
         if getattr(args, key, None) is not None:
             parameters[key] = getattr(args, key)
+    if merged["format"] is None:
+        merged["format"] = "json"
     if merged["format"] not in FORMATS:
         raise CliError(f"--format must be one of {', '.join(FORMATS)}, got {merged['format']!r}")
     if merged["out"] is not None and not (isinstance(merged["out"], str) and merged["out"]):
@@ -88,6 +82,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if not (suites is None or isinstance(suites, str)
             or isinstance(suites, list) and all(isinstance(s, str) for s in suites)):
         raise CliError(f"--suites must be a string or a list of strings, got {suites!r}")
+    if isinstance(suites, str):
+        merged["suites"] = comma_list(suites)
+    if merged["suites"] == []:
+        raise CliError(f"--suites must name at least one suite, got {suites!r}")
     if getattr(args, "from_table", None):
         # The table's own family and parameters decide the run.
         given = [key for key in ("family", "d", "order") if merged[key] is not None]
@@ -110,67 +108,21 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _param_rational(parameters: dict, key: str, default=None, required=False) -> Optional[Fraction]:
-    if key in parameters and parameters[key] is not None:
-        return as_rational(parameters[key])
-    if required:
-        raise CliError(f"missing required parameter --{key.replace('_', '-')}")
-    return default
-
-
-def _param_list(parameters: dict, key: str) -> Optional[list[Fraction]]:
-    if key not in parameters or parameters[key] is None:
-        return None
-    value = parameters[key]
-    if isinstance(value, str):
-        value = _rational_list(value)
-    return [as_rational(v) for v in value]
-
-
-def _param_int(value, key: str) -> int:
-    """The value as an int; a config file may hold a float, a string or a
-    bool there, and none of them is accepted."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"--{key} must be an integer, got {value!r}")
-    return value
-
-
 def build_setup(cfg: dict) -> FamilySetup:
     family = cfg.get("family")
     if family not in FAMILIES:
         raise CliError(f"--family must be one of {', '.join(FAMILIES)}")
     parameters = cfg.get("parameters", {})
     try:
-        d = _param_int(cfg["d"], "d")
-        order = _param_int(cfg["order"], "order")
+        order = as_int(cfg["order"], "order")
         if order < 0:
             raise CliError("--order must be non-negative")
-        if family in ("ml", "charlier"):
-            alpha = _param_rational(parameters, "alpha",
-                                    default=Fraction(0) if family == "charlier" else None,
-                                    required=family == "ml")
-            if family == "charlier" and alpha != 0:
+        if family == "charlier":
+            alpha = parameters.get("alpha")
+            if alpha is not None and as_rational(alpha) != 0:
                 raise CliError("the charlier family fixes alpha = 0; use --family ml for alpha != 0")
-            beta = _param_rational(parameters, "beta", required=True)
-            c = _param_list(parameters, "c") or []
-            params = MLParams(d, alpha, beta, c)
-            return FamilySetup(kind=family, order=order, params=params)
-        if family == "laguerre":
-            a = _param_rational(parameters, "a", required=True)
-            beta_exp = _param_rational(parameters, "beta_exp", default=Fraction(0))
-            theta = _param_rational(parameters, "theta", default=Fraction(0))
-            b = _param_list(parameters, "b")
-            params = LagParams(d, a, beta_exp, theta, b if b is not None else ())
-            return FamilySetup(kind=family, order=order, params=params)
-        alphavec = _param_list(parameters, "alphavec")
-        if not alphavec:
-            raise CliError("missing required parameter --alphavec")
-        params = HypParams(d, alphavec)
-        beta = _param_rational(parameters, "beta", default=Fraction(0))
-        l = _param_int(parameters.get("l", 1), "l")
-        if l < 1:
-            raise CliError("--l must be a positive integer")
-        return FamilySetup(kind=family, order=order, params=params, beta=beta, l=l)
+            parameters = {**parameters, "alpha": 0}
+        return FamilySetup(kind=family, order=order, params=read_params(family, cfg["d"], parameters))
     except (FamilyParamError, TypeError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -371,8 +323,7 @@ def run_command(args: argparse.Namespace) -> int:
             notices.append(WARNING_PREFIX + "some regularity conditions in the pattern are zero")
         status = 1 if pattern["zero_failures"] else 0
     else:
-        suites = cfg["suites"] or setup.default_suites()
-        reports = run_suites(setup, _rational_list(suites) if isinstance(suites, str) else suites)
+        reports = run_suites(setup, cfg["suites"] or setup.default_suites())
         statuses = [r.status for r in reports]
         artifact = {"family": setup.kind, "params": setup.public_params(), "order": setup.order,
                     "reports": [r.to_dict() for r in reports],
@@ -410,15 +361,12 @@ def _add_common_options(sub: argparse.ArgumentParser):
     sub.add_argument("--d", type=int, help="number of orthogonality functionals")
     sub.add_argument("--alpha", help="ml ratio parameter (rational p/q)")
     sub.add_argument("--beta", help="ml ratio parameter / hyp quasi parameter")
-    sub.add_argument("--c", type=_rational_list,
-                     help="comma-separated exponent coefficients c_1..c_{d-1} (ml)")
+    sub.add_argument("--c", help="comma-separated exponent coefficients c_1..c_{d-1} (ml)")
     sub.add_argument("--a", help="laguerre scale parameter")
     sub.add_argument("--theta", help="laguerre shift parameter")
     sub.add_argument("--beta-exp", dest="beta_exp", help="laguerre binomial exponent")
-    sub.add_argument("--b", type=_rational_list,
-                     help="comma-separated exponent coefficients b_0..b_{d-1} (laguerre)")
-    sub.add_argument("--alphavec", type=_rational_list,
-                     help="comma-separated parameters alpha_1..alpha_d (hyp-laguerre)")
+    sub.add_argument("--b", help="comma-separated exponent coefficients b_0..b_{d-1} (laguerre)")
+    sub.add_argument("--alphavec", help="comma-separated parameters alpha_1..alpha_d (hyp-laguerre)")
     sub.add_argument("--l", type=int, help="quasi-orthogonality order (hyp-laguerre)")
     sub.add_argument("--order", type=int,
                      help=f"truncation order N (default 16; env {DEFAULT_ORDER_ENV} overrides)")
@@ -446,8 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run identity suites")
     _add_common_options(verify)
-    verify.add_argument("--suites", type=_rational_list,
-                        help="comma-separated suite ids (default: all for the family)")
+    verify.add_argument("--suites", help="comma-separated suite ids (default: all for the family)")
     verify.add_argument("--from-table", dest="from_table",
                         help="verify against a gen artifact instead of regenerating; "
                              "the family and parameters then come from the table")
@@ -457,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = subs.add_parser("report", help="combined tables, moments, and suites")
     _add_common_options(report)
-    report.add_argument("--suites", type=_rational_list)
+    report.add_argument("--suites")
 
     for sub in (gen, verify, moments, report):
         sub._negative_number_matcher = _NEGATIVE_RATIONAL

@@ -27,7 +27,7 @@ constructed recurrences are run by the same code.  Parameter conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,6 +40,7 @@ from .polynomials import (
     derivative,
     factorial,
     falling_value,
+    format_rational,
 )
 from .orthogonality import RecurrenceTable
 from .series import Series, egf_extract, gf_ratio_power, normalize_exponent, series_exp, series_log1p_scaled, series_mul
@@ -49,6 +50,9 @@ __all__ = [
     "MLParams",
     "LagParams",
     "HypParams",
+    "FAMILY_PARAMS",
+    "read_params",
+    "write_params",
     "ml_recurrence_table",
     "ml_by_recurrence",
     "ml_by_gf",
@@ -66,12 +70,38 @@ class FamilyParamError(ValueError):
     """A family parameter set violates its invariants."""
 
 
-def _is_nonpositive_integer(value: Fraction, strict_negative: bool = False) -> bool:
-    if value.denominator != 1:
-        return False
-    if strict_negative:
-        return value.numerator <= -1
-    return value.numerator <= 0
+def _is_negative_integer(value: Fraction) -> bool:
+    return value.denominator == 1 and value < 0
+
+
+def as_int(value, name: str) -> int:
+    """The value as an int; a config file may hold a float, a string or a
+    bool there, and none of them is accepted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FamilyParamError(f"--{name} must be an integer, got {value!r}")
+    return value
+
+
+def comma_list(text: str) -> list[str]:
+    """The non-empty parts of a comma-separated string, stripped."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _coerce_fields(params) -> None:
+    """Coerce each field of a parameter dataclass to its annotation (a true
+    int, a rational, a tuple of rationals), then check the dimension d.
+    The annotations are strings here, as this module postpones them."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "int":
+            value = as_int(value, f.name)
+        elif f.type == "Fraction":
+            value = as_rational(value)
+        else:
+            value = tuple(as_rational(v) for v in value)
+        object.__setattr__(params, f.name, value)
+    if params.d < 1:
+        raise FamilyParamError("d must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -84,21 +114,12 @@ class MLParams:
     beta: Fraction
     c: tuple[Fraction, ...] = ()
 
-    def __init__(self, d: int, alpha: RationalLike, beta: RationalLike,
-                 c: Sequence[RationalLike] = ()):
-        if d < 1:
-            raise FamilyParamError("d must be a positive integer")
-        alpha = as_rational(alpha)
-        beta = as_rational(beta)
-        c = tuple(as_rational(ci) for ci in c)
-        if alpha == beta:
+    def __post_init__(self):
+        _coerce_fields(self)
+        if self.alpha == self.beta:
             raise FamilyParamError("alpha must differ from beta")
-        if len(c) != d - 1:
-            raise FamilyParamError(f"expected {d - 1} exponent coefficients c for d={d}, got {len(c)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "c", c)
+        if len(self.c) != self.d - 1:
+            raise FamilyParamError(f"expected {self.d - 1} exponent coefficients c for d={self.d}, got {len(self.c)}")
 
     @property
     def w(self) -> Fraction:
@@ -120,31 +141,23 @@ class MLParams:
 class LagParams:
     """Laguerre type family parameters: dimension d, the scale a != 0, the
     binomial exponent, the shift theta, and the d exponent coefficients
-    b_0..b_{d-1} (b_0 only enters the removed normalization constant)."""
+    b_0..b_{d-1} (b_0 only enters the removed normalization constant; none
+    given means all zero)."""
 
     d: int
     a: Fraction
-    beta_exp: Fraction
-    theta: Fraction
-    b: tuple[Fraction, ...]
+    beta_exp: Fraction = Fraction(0)
+    theta: Fraction = Fraction(0)
+    b: tuple[Fraction, ...] = ()
 
-    def __init__(self, d: int, a: RationalLike, beta_exp: RationalLike = 0,
-                 theta: RationalLike = 0, b: Sequence[RationalLike] = ()):
-        if d < 1:
-            raise FamilyParamError("d must be a positive integer")
-        a = as_rational(a)
-        if a == 0:
+    def __post_init__(self):
+        _coerce_fields(self)
+        if self.a == 0:
             raise FamilyParamError("a must be nonzero")
-        b = tuple(as_rational(bi) for bi in b)
-        if not b:
-            b = (Fraction(0),) * d
-        if len(b) != d:
-            raise FamilyParamError(f"expected {d} exponent coefficients b for d={d}, got {len(b)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "beta_exp", as_rational(beta_exp))
-        object.__setattr__(self, "theta", as_rational(theta))
-        object.__setattr__(self, "b", b)
+        if not self.b:
+            object.__setattr__(self, "b", (Fraction(0),) * self.d)
+        if len(self.b) != self.d:
+            raise FamilyParamError(f"expected {self.d} exponent coefficients b for d={self.d}, got {len(self.b)}")
 
     def b_at(self, i: int) -> Fraction:
         """b_i with the convention b_i = 0 for i >= d."""
@@ -156,22 +169,70 @@ class LagParams:
 @dataclass(frozen=True)
 class HypParams:
     """Hypergeometric Laguerre parameters: dimension d and the denominator
-    shifts alpha_1..alpha_d, none of which may be a negative integer."""
+    shifts alpha_1..alpha_d, none of which may be a negative integer, plus
+    the quasi-orthogonal combinations' beta (not a negative integer) and
+    order l >= 1."""
 
     d: int
     alphavec: tuple[Fraction, ...]
+    beta: Fraction = Fraction(0)
+    l: int = 1
 
-    def __init__(self, d: int, alphavec: Sequence[RationalLike]):
-        if d < 1:
-            raise FamilyParamError("d must be a positive integer")
-        alphavec = tuple(as_rational(ai) for ai in alphavec)
-        if len(alphavec) != d:
-            raise FamilyParamError(f"expected {d} parameters alphavec, got {len(alphavec)}")
-        for ai in alphavec:
-            if _is_nonpositive_integer(ai, strict_negative=True):
+    def __post_init__(self):
+        _coerce_fields(self)
+        if len(self.alphavec) != self.d:
+            raise FamilyParamError(f"expected {self.d} parameters alphavec, got {len(self.alphavec)}")
+        for ai in self.alphavec:
+            if _is_negative_integer(ai):
                 raise FamilyParamError(f"alpha_i = {ai} is a negative integer; Pochhammer denominators would vanish")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "alphavec", alphavec)
+        if _is_negative_integer(self.beta):
+            raise FamilyParamError(f"beta = {self.beta} is a negative integer")
+        if self.l < 1:
+            raise FamilyParamError("--l must be a positive integer")
+
+
+# Family kind -> its parameter class; charlier is the ml family at alpha = 0.
+FAMILY_PARAMS = {"ml": MLParams, "laguerre": LagParams, "hyp-laguerre": HypParams,
+                 "charlier": MLParams}
+
+
+def read_params(kind: str, d, values: dict):
+    """The parameters of family ``kind`` at dimension d, read from the other
+    fields as flags, a config file or an artifact give them: a missing or
+    null entry takes the field's default, a tuple field may be a
+    comma-separated string (empty means missing), and a key no field names
+    is refused.  ``write_params`` writes what this reads."""
+    cls = FAMILY_PARAMS[kind]
+    named = [f for f in fields(cls) if f.name != "d"]
+    unknown = sorted(set(values) - {f.name for f in named})
+    if unknown:
+        raise FamilyParamError(f"family {kind} takes no parameter {unknown[0]!r} "
+                               f"(its parameters are {', '.join(f.name for f in named)})")
+    given = {}
+    for f in named:
+        value = values.get(f.name)
+        is_tuple = f.type.startswith("tuple")
+        if is_tuple and isinstance(value, str):
+            value = comma_list(value)
+        if value is not None and not (is_tuple and value == []):
+            given[f.name] = value
+        elif f.default is MISSING:
+            raise FamilyParamError(f"missing required parameter --{f.name.replace('_', '-')}")
+    return cls(d, **given)
+
+
+def write_params(params) -> dict:
+    """Every field of a parameter dataclass as an artifact writes it: ints as
+    they are, rationals as p/q strings and tuples as lists of them."""
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "Fraction":
+            value = format_rational(value)
+        elif f.type != "int":
+            value = [format_rational(v) for v in value]
+        out[f.name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +379,12 @@ def hyp_laguerre(params: HypParams, n: int) -> Poly:
     return terminating_pfq(n, (), tuple(ai + 1 for ai in params.alphavec))
 
 
-def hyp_quasi(params: HypParams, beta: RationalLike, l: int, n: int) -> Poly:
+def hyp_quasi(params: HypParams, n: int) -> Poly:
     """The 2F(d+1) combination with extra numerator beta + d*l + 1 and extra
-    denominator beta + 1; quasi-orthogonal of order l over the 1Fd family."""
-    beta = as_rational(beta)
-    if _is_nonpositive_integer(beta, strict_negative=True):
-        raise FamilyParamError(f"beta = {beta} is a negative integer")
-    if l < 0:
-        raise FamilyParamError("l must be non-negative")
+    denominator beta + 1, at the params' beta and l; quasi-orthogonal of
+    order l over the 1Fd family."""
     return terminating_pfq(
         n,
-        (beta + params.d * l + 1,),
-        tuple(ai + 1 for ai in params.alphavec) + (beta + 1,),
+        (params.beta + params.d * params.l + 1,),
+        tuple(ai + 1 for ai in params.alphavec) + (params.beta + 1,),
     )

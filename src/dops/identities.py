@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .families import (
     HypParams,
+    _is_negative_integer,
     hyp_laguerre,
     hyp_quasi,
     laguerre_q_sequence,
@@ -45,6 +46,7 @@ from .families import (
     ml_q_sequence,
     ml_recurrence_table,
     terminating_pfq,
+    write_params,
 )
 from .orthogonality import (
     FitError,
@@ -242,17 +244,15 @@ def _fit_witness(exc: FitError, lo: int, hi: int) -> Witness:
 class FamilySetup:
     """One verification run.
 
-    ``kind`` is one of ml, charlier, laguerre and hyp-laguerre; ``beta`` and
-    ``l`` are the quasi-orthogonality parameters of hyp-laguerre.  ``table``
-    is a supplied P_0..P_order; when present it is the family every suite
-    checks.  The cached attributes below are computed at most once per run.
+    ``kind`` is one of ml, charlier, laguerre and hyp-laguerre, and
+    ``params`` its parameter dataclass.  ``table`` is a supplied
+    P_0..P_order; when present it is the family every suite checks.  The
+    cached attributes below are computed at most once per run.
     """
 
     kind: str
     order: int
     params: object
-    beta: Optional[Fraction] = None  # hyp quasi parameter
-    l: Optional[int] = None
     table: Optional[list[Poly]] = None
 
     @property
@@ -262,18 +262,8 @@ class FamilySetup:
     def public_params(self, tagged: bool = False) -> dict:
         """The parameters as an artifact writes them; ``tagged`` adds the
         family name identity reports carry (charlier is the ml family)."""
-        p = self.params
-        out: dict = {"family": "ml" if self.kind == "charlier" else self.kind} if tagged else {}
-        if self.kind in ("ml", "charlier"):
-            out.update(d=p.d, alpha=format_rational(p.alpha), beta=format_rational(p.beta),
-                       c=[format_rational(ci) for ci in p.c])
-        elif self.kind == "laguerre":
-            out.update(d=p.d, a=format_rational(p.a), beta_exp=format_rational(p.beta_exp),
-                       theta=format_rational(p.theta), b=[format_rational(bi) for bi in p.b])
-        else:
-            out.update(d=p.d, alphavec=[format_rational(ai) for ai in p.alphavec],
-                       beta=format_rational(self.beta), l=self.l)
-        return out
+        tag = {"family": "ml" if self.kind == "charlier" else self.kind} if tagged else {}
+        return {**tag, **write_params(self.params)}
 
     def default_suites(self) -> tuple[str, ...]:
         return tuple(SUITES[self.kind])
@@ -331,7 +321,7 @@ class FamilySetup:
 
     @cached_property
     def quasi(self) -> list[Poly]:
-        return [hyp_quasi(self.params, self.beta, self.l, n) for n in range(self.order + 1)]
+        return [hyp_quasi(self.params, n) for n in range(self.order + 1)]
 
     @cached_property
     def _closed_forms(self) -> dict[int, Poly]:
@@ -893,7 +883,8 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     reduction to a plain family when the first parameter aligns.  The stated
     reduction sums only l terms; for d >= 2 the consistent window is d*l
     terms, and the repaired variant pins that."""
-    p, beta, l, n_max, basis = setup.params, setup.beta, setup.l, setup.order, setup.polys
+    p, n_max, basis = setup.params, setup.order, setup.polys
+    beta, l = p.beta, p.l
     params = setup.public_params(tagged=True)
     dl = p.d * l
     dens = tuple(ai + 1 for ai in p.alphavec)
@@ -937,7 +928,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
 
     # Component 3: the aligned-parameter reduction, beta2 = alpha_1 - d*l.
     beta2 = p.alphavec[0] - dl
-    if beta2.denominator == 1 and beta2.numerator <= -1:
+    if _is_negative_integer(beta2):
         notes.append("aligned reduction skipped: alpha_1 - d*l is a negative integer")
         return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
     reduced = HypParams(p.d, (beta2,) + p.alphavec[1:])
@@ -964,7 +955,7 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
     """The quasi-orthogonal combinations have detected order exactly l over
     the family, with a nonzero bottom expansion coefficient."""
     params = setup.public_params()
-    d, l = setup.d, setup.l
+    d, l = setup.d, setup.params.l
     if setup.order < d * l:
         return [_not_applicable("quasi-order", params, 0, setup.order,
                                 f"order l = {l} is detectable only from N >= d*l = {d * l}")]

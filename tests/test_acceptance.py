@@ -169,14 +169,14 @@ def test_criterion_6_orthogonality_pattern():
                    "order is detected exactly")
 def test_criterion_7_hypergeometric_connections():
     for d in (1, 2):
-        p = HypParams(d, [F(1, 2), F(4, 3)][:d])
         beta = F(1, 5)
         for l in (1, 2):
-            (rep,) = verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p, beta, l))
+            p = HypParams(d, [F(1, 2), F(4, 3)][:d], beta, l)
+            (rep,) = verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p))
             assert rep.status == "pass", (d, l, rep.witness)
             assert any("reduction" in note for note in rep.notes)
             basis = [hyp_laguerre(p, n) for n in range(9)]
-            q = [hyp_quasi(p, beta, l, n) for n in range(9)]
+            q = [hyp_quasi(p, n) for n in range(9)]
             assert quasi_orthogonality_order(q, basis, d) == (l, True)
 
 

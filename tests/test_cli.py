@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dops import cli
 from dops.cli import main, run_suites
 from dops.families import HypParams, LagParams, MLParams
 from dops.identities import FamilySetup
+from dops.polynomials import Poly
 
 
 def run_cli(args, capsys):
@@ -162,7 +164,8 @@ class TestConfigResolution:
     # Each case overrides entries of a valid hyp-laguerre config (which reads
     # d, order and l) and runs the command that reads the entry; a d, order or
     # l that is not a true int is bad input, and so is a format, out or suites
-    # entry that argparse would have refused.
+    # entry that argparse would have refused, an empty one, and a parameter
+    # the family does not take.
     MALFORMED = {
         "float-alpha": ("gen", {"family": "ml", "parameters": {"alpha": 1.5, "beta": "-1"}}, "1.5"),
         "non-object-parameters": ("gen", {"parameters": 5}, "parameters"),
@@ -173,7 +176,13 @@ class TestConfigResolution:
         "unknown-format": ("gen", {"format": "xml"}, "--format"),
         "non-string-out": ("gen", {"out": 5}, "--out"),
         "empty-out": ("gen", {"out": ""}, "--out"),
+        "empty-format": ("gen", {"format": ""}, "--format"),
         "nested-suites": ("verify", {"suites": [["routes"]]}, "--suites"),
+        "empty-suites": ("verify", {"suites": []}, "--suites"),
+        "empty-suites-string": ("verify", {"suites": ""}, "--suites"),
+        "foreign-parameter": ("gen", {"parameters": {"alphavec": ["1/2", "1/3"], "gamma": "2"}},
+                              "'gamma'"),
+        "d-in-parameters": ("gen", {"parameters": {"alphavec": ["1/2", "1/3"], "d": 2}}, "'d'"),
     }
 
     @pytest.mark.parametrize("command, override, named", MALFORMED.values(), ids=MALFORMED.keys())
@@ -185,6 +194,48 @@ class TestConfigResolution:
         code, _, err = run_cli([command, "--config", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and named in err
+
+    # The flag forms: an empty out or suites, a parameter the family does not
+    # take, and a hyp beta that is a negative integer, for every command.
+    BAD_FLAGS = {
+        "empty-out": (["gen", "--family", "ml", "--alpha", "1", "--beta", "-1", "--out", ""], "--out"),
+        "empty-suites": (["verify", "--family", "ml", "--alpha", "1", "--beta", "-1",
+                          "--suites", ""], "--suites"),
+        "laguerre-alpha": (["gen", "--family", "laguerre", "--a", "1", "--alpha", "5"], "'alpha'"),
+        "ml-l": (["gen", "--family", "ml", "--alpha", "1", "--beta", "-1", "--l", "3"], "'l'"),
+        **{f"hyp-beta-{command}": ([command, "--family", "hyp-laguerre", "--d", "2",
+                                    "--alphavec", "1/2,1/3", "--beta", "-2"], "beta = -2")
+           for command in ("gen", "moments", "verify")},
+    }
+
+    @pytest.mark.parametrize("argv, named", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+    def test_bad_flag_is_bad_input(self, capsys, argv, named):
+        code, out, err = run_cli([*argv, "--order", "4"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and named in err
+
+    def test_build_setup_is_the_setup_hook(self, monkeypatch):
+        """The benchmark times setup alone by replacing cli.build_setup with a
+        stub that exits: the run must reach the setup through that name, with
+        the merged configuration, before any polynomial is built."""
+        calls, polys = [], []
+        init = Poly.__init__
+
+        def counting_init(self, *args, **kwargs):
+            polys.append(1)
+            init(self, *args, **kwargs)
+
+        def build_then_exit(cfg):
+            calls.append(cfg)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        monkeypatch.setattr(cli, "build_setup", build_then_exit)
+        with pytest.raises(SystemExit):
+            main(["verify", *ML, "--order", "9"])
+        assert calls == [{"family": "ml", "d": 2, "order": 9, "format": "json", "out": None,
+                          "suites": None, "parameters": {"alpha": "1", "beta": "-1", "c": "1"}}]
+        assert polys == []
 
 
 class TestVerify:
@@ -245,6 +296,7 @@ class TestVerify:
 
 
 ML = ["--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1", "--c", "1"]
+CHARLIER = ["--family", "charlier", "--d", "2", "--beta", "-1", "--c", "1/2"]
 LAGUERRE = ["--family", "laguerre", "--d", "3", "--a", "1/2", "--beta-exp", "-3/2",
             "--theta", "1/7", "--b", "1,1/3,1/5"]
 LAGUERRE_THETA = ["--family", "laguerre", "--d", "3", "--a", "1", "--beta-exp", "-1/2",
@@ -308,11 +360,12 @@ class TestTableMode:
         artifact["polys"][n]["coeffs"][k:k + 1] = [value]
         table.write_text(json.dumps(artifact))
 
-    def test_round_trip_byte_identical(self, tmp_path, capsys):
-        table = self._gen(tmp_path, capsys)
+    @pytest.mark.parametrize("family", [ML, CHARLIER, LAGUERRE, HYP], ids=lambda family: family[1])
+    def test_round_trip_byte_identical(self, tmp_path, capsys, family):
+        table = self._gen(tmp_path, capsys, family)
         in_process = tmp_path / "direct.json"
         from_table = tmp_path / "table_mode.json"
-        assert main(["verify", *ML, "--order", "9", "--out", str(in_process)]) == 0
+        assert main(["verify", *family, "--order", "9", "--out", str(in_process)]) == 0
         assert main(["verify", "--from-table", str(table), "--out", str(from_table)]) == 0
         capsys.readouterr()
         assert in_process.read_bytes() == from_table.read_bytes()
@@ -484,8 +537,8 @@ def small_setups(draw):
                            draw(st.sampled_from([F(0), F(1, 3)])))
         return FamilySetup(kind, order, params)
     alphavec = draw(st.lists(st.sampled_from([F(0), F(1, 2)]), min_size=d, max_size=d))
-    return FamilySetup(kind, order, HypParams(d, alphavec),
-                       beta=draw(st.sampled_from([F(0), F(1, 5)])), l=draw(st.sampled_from([1, 2])))
+    return FamilySetup(kind, order, HypParams(d, alphavec, beta=draw(st.sampled_from([F(0), F(1, 5)])),
+                                              l=draw(st.sampled_from([1, 2]))))
 
 
 @settings(max_examples=250, deadline=None)

@@ -223,9 +223,9 @@ class TestHypFamilies:
         assert hyp_laguerre(p, 2) == Poly([1, -2, F(1, 4)])
 
     def test_quasi_base_cases(self):
-        p = HypParams(1, [1])
-        assert hyp_quasi(p, 0, 1, 0) == Poly.one()
-        assert hyp_quasi(p, 0, 1, 1) == Poly([1, -1])
+        p = HypParams(1, [1], 0, 1)
+        assert hyp_quasi(p, 0) == Poly.one()
+        assert hyp_quasi(p, 1) == Poly([1, -1])
 
     def test_quasi_reduces_when_first_parameter_aligns(self):
         # With alpha_1 = beta + d*l the extra numerator cancels against the
@@ -235,13 +235,13 @@ class TestHypFamilies:
         beta = p.alphavec[0] - 2  # d*l = 2
         reduced = HypParams(2, [beta, F(4, 3)])
         for n in range(7):
-            assert hyp_quasi(p, beta, 1, n) == hyp_laguerre(reduced, n)
+            assert hyp_quasi(HypParams(2, p.alphavec, beta, 1), n) == hyp_laguerre(reduced, n)
 
     def test_rejects_negative_integer_parameters(self):
         with pytest.raises(FamilyParamError):
             HypParams(1, [-2])
         with pytest.raises(FamilyParamError):
-            hyp_quasi(HypParams(1, [1]), -3, 1, 2)
+            hyp_quasi(HypParams(1, [1], -3, 1), 2)
 
     def test_degree_and_value_at_zero(self):
         p = HypParams(2, [F(1, 2), F(4, 3)])

@@ -245,8 +245,8 @@ class TestHypLincomb:
 
     @pytest.mark.parametrize("d,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_grid(self, d, l):
-        p = HypParams(d, [F(1, 2), F(4, 3)][:d])
-        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p, F(1, 5), l)))
+        p = HypParams(d, [F(1, 2), F(4, 3)][:d], F(1, 5), l)
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p)))
         assert rep.status == "pass", rep.witness
         assert any("lemma verified" in note for note in rep.notes)
         if d >= 2:
@@ -256,7 +256,7 @@ class TestHypLincomb:
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(Exception):
-            verify_hyp_lincomb(FamilySetup("hyp-laguerre", 4, HypParams(1, [1]), F(-2), 1))
+            verify_hyp_lincomb(FamilySetup("hyp-laguerre", 4, HypParams(1, [1], F(-2), 1)))
 
 
 class TestLaguerreStructure:

@@ -44,10 +44,10 @@ class TestExpandInBasis:
         assert expand_in_basis(shift(polys[2], 2), polys) == [4, 4, 1]
 
     def test_quasi_support_window(self):
-        p = HypParams(2, [F(1, 2), F(4, 3)])
+        p = HypParams(2, [F(1, 2), F(4, 3)], F(1, 5), 1)
         basis = [hyp_laguerre(p, n) for n in range(9)]
         for n in range(2, 9):
-            coeffs = expand_in_basis(hyp_quasi(p, F(1, 5), 1, n), basis)
+            coeffs = expand_in_basis(hyp_quasi(p, n), basis)
             low = next(i for i, c in enumerate(coeffs) if c != 0)
             assert low == n - 2  # support [n - d*l, n] with d*l = 2
             assert coeffs[n - 2] != 0
@@ -290,8 +290,8 @@ class TestQuasiOrder:
 
     @pytest.mark.parametrize("d,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_hyp_pairs(self, d, l):
-        p = HypParams(d, [F(1, 2), F(4, 3)][:d])
         beta = F(1, 5)
+        p = HypParams(d, [F(1, 2), F(4, 3)][:d], beta, l)
         basis = [hyp_laguerre(p, n) for n in range(9)]
-        q = [hyp_quasi(p, beta, l, n) for n in range(9)]
+        q = [hyp_quasi(p, n) for n in range(9)]
         assert quasi_orthogonality_order(q, basis, d) == (l, True)
