@@ -66,6 +66,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(getattr(args, "config", None))
     if not isinstance(cfg.get("parameters", {}), dict):
         raise CliError("config entry parameters must be a JSON object")
+    if not hasattr(args, "suites") and cfg.get("suites") is not None:
+        raise CliError(f"{args.command} runs no suites; remove the suites entry from the config")
     merged = {key: getattr(args, key, None) if getattr(args, key, None) is not None else cfg.get(key)
               for key in ("family", "d", "order", "format", "out", "suites")}
     parameters = merged["parameters"] = dict(cfg.get("parameters", {}))

@@ -87,18 +87,34 @@ def comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _rational(value) -> Fraction:
+    """as_rational, refusing the bool that a JSON true or false gives."""
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    return as_rational(value)
+
+
 def _coerce_fields(params) -> None:
     """Coerce each field of a parameter dataclass to its annotation (a true
-    int, a rational, a tuple of rationals), then check the dimension d.
-    The annotations are strings here, as this module postpones them."""
+    int, a rational, a tuple of rationals), then check the dimension d.  A
+    value of the wrong type, such as a float or a bare number for a list in
+    a config file, or a malformed rational string is refused under the
+    field's name.  The annotations are strings here, as this module
+    postpones them."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.type == "int":
             value = as_int(value, f.name)
-        elif f.type == "Fraction":
-            value = as_rational(value)
         else:
-            value = tuple(as_rational(v) for v in value)
+            scalar = f.type == "Fraction"
+            try:
+                value = _rational(value) if scalar else tuple(_rational(v) for v in value)
+            except TypeError:
+                shape = ("an exact rational (an integer or a p/q string)" if scalar
+                         else "a list of exact rationals (integers or p/q strings)")
+                raise FamilyParamError(f"--{f.name} must be {shape}, got {value!r}") from None
+            except ValueError as exc:
+                raise FamilyParamError(f"--{f.name}: {exc}") from None
         object.__setattr__(params, f.name, value)
     if params.d < 1:
         raise FamilyParamError("d must be a positive integer")

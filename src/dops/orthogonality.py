@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .polynomials import Poly
@@ -174,11 +176,19 @@ class MomentTable:
             raise ValueError(f"moment degree {k} outside the computed range 0..{self.n_max}")
         return self.moments[r][k]
 
+    @cached_property
+    def _rows(self) -> tuple[Poly, ...]:
+        """Each functional's moments as integer numerators over one
+        denominator, held in a Poly whose x**k coefficient is moment k."""
+        return tuple(Poly(row) for row in self.moments)
+
     def apply(self, r: int, q: Poly) -> Fraction:
-        """<u_r, q> for any polynomial inside the degree budget."""
+        """<u_r, q> for any polynomial inside the degree budget: one integer
+        dot product over the two denominators."""
         if q.degree > self.n_max:
             raise ValueError(f"degree {q.degree} exceeds the moment budget {self.n_max}")
-        return sum((c * self.moments[r][k] for k, c in enumerate(q.coeffs)), Fraction(0))
+        row = self._rows[r]
+        return Fraction(sum(map(mul, q.nums, row.nums)), q.den * row.den)
 
 
 def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:

@@ -3,23 +3,28 @@ the shift / divided-difference / derivative operators built on them.
 
 Every scalar in this package is an arbitrary-precision rational
 (``fractions.Fraction``), always in lowest terms with a positive denominator.
-Polynomials are dense coefficient tuples with no trailing zeros, so two
-polynomials are equal exactly when their reduced coefficient sequences are
-equal.  That coefficientwise equality is the single pass/fail criterion used
-by every identity check in the package; nothing is ever compared numerically.
+A polynomial is stored as FLINT's ``fmpq_poly`` is: a tuple of integer
+numerators over one positive denominator, in primitive form (the gcd of the
+denominator and all numerators is 1) with no trailing zeros.  That form is
+unique, so two polynomials are equal exactly when their (numerators,
+denominator) pairs are, which is the same as their reduced coefficient
+sequences being equal.  That coefficientwise equality is the single
+pass/fail criterion used by every identity check in the package; nothing is
+ever compared numerically.
 
-The two hot kernels, ``Poly * Poly`` and ``shift``, do their inner loops on
-Python ints: they put the coefficients over their lcm denominator, work on
-the integer numerators, and build one reduced Fraction per output
-coefficient at the end.  Stored values are the same reduced Fractions either
-way, so equality, hashing and every serialized artifact are unchanged.
+Every ``Poly`` operation (sums, scalar and ``Poly`` products, division by a
+scalar, ``shift``, ``derivative`` and evaluation) works on the Python-int
+numerators and reduces once at the end, so no operation does ``Fraction``
+arithmetic per coefficient.  The reduced ``Fraction`` coefficients,
+``Poly.coeffs``, are built only when something reads them, such as a
+serializer.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -104,106 +109,149 @@ def pochhammer(y: RationalLike, n: int) -> Fraction:
 class Poly:
     """Dense univariate polynomial in x over the rationals.
 
-    ``coeffs[k]`` is the coefficient of x**k; trailing zeros are stripped on
-    construction, so the zero polynomial has an empty coefficient tuple and
-    ``degree`` is -1.  Instances are immutable and hashable.
+    Stored in FLINT's ``fmpq_poly`` layout: integer numerators ``nums`` over
+    one positive denominator ``den``, so the coefficient of x**k is
+    ``nums[k] / den``.  The pair is primitive (``gcd(den, *nums) == 1``) and
+    has no trailing zero numerators; the zero polynomial is ``((), 1)`` and
+    its ``degree`` is -1.  ``_make`` is the one normaliser every result goes
+    through, so two polynomials are equal exactly when their pairs are.
+    ``coeffs``, the coefficients as reduced Fractions, is built on first use
+    and cached.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+    def __new__(cls, coeffs: Iterable[RationalLike] = ()):
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls._make([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _make(cls, nums: list[int], den: int) -> "Poly":
+        """The polynomial nums / den in primitive form (den != 0)."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        self = object.__new__(cls)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[k]`` is the coefficient of x**k as a reduced Fraction."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple(Fraction(c, den) for c in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return cls._make([], 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls._make([1], 1)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls._make([0, 1], 1)
 
     @classmethod
     def const(cls, c: RationalLike) -> "Poly":
-        return cls((as_rational(c),))
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, k: int, c: RationalLike = 1) -> "Poly":
-        return cls((0,) * k + (as_rational(c),))
+        f = as_rational(c)
+        return cls._make([0] * k + [f.numerator], f.denominator)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return self._plus(other.nums, other.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return self._plus([-c for c in other.nums], other.den)
+
+    def _plus(self, b: Sequence[int], db: int) -> "Poly":
+        """self + b/db, over the lcm of the two denominators."""
+        a, da = self.nums, self.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da *= db // g
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return Poly._make(out, da)
+
+    def __neg__(self) -> "Poly":
+        return Poly._make([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            a, da = _integer_content(self.coeffs)
-            b, db = _integer_content(other.coeffs)
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return Poly.zero()
             out = [0] * (len(a) + len(b) - 1)
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
-            den = da * db
-            return Poly(Fraction(c, den) for c in out)
+            return Poly._make(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             f = as_rational(other)
-            return Poly(tuple(c * f for c in self.coeffs))
+            return Poly._make([c * f.numerator for c in self.nums], self.den * f.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -212,33 +260,36 @@ class Poly:
         f = as_rational(other)
         if f == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(tuple(c / f for c in self.coeffs))
+        return Poly._make([c * f.denominator for c in self.nums], self.den * f.numerator)
 
     def __call__(self, point: RationalLike) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate at a/b by Horner's rule on integers:
+        p(a/b) = sum nums[k] a**k b**(n-k) / (den b**n)."""
         p = as_rational(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+        a, b = p.numerator, p.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * scale
+            scale *= b
+        return Fraction(acc * b, self.den * scale)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+            if not self.nums[k]:
                 continue
+            c = self.coefficient(k)
             if k == 0:
                 term = format_rational(c)
             else:
@@ -256,34 +307,29 @@ class Poly:
         return out
 
 
-def _integer_content(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Return (nums, den) with coeffs[k] == nums[k] / den and den the lcm of
-    the coefficient denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def shift(p: Poly, h: RationalLike) -> Poly:
     """Return q with q(x) = p(x+h), by an integer Taylor shift.
 
-    With D the lcm of p's denominators, h = a/b and n = deg p, the integer
-    polynomial R(y) = D b**n p(y/b) is shifted by the integer a with the
-    n(n+1)/2 multiply-adds of repeated synthetic division; then
-    q_j = R(y+a)_j / (D b**(n-j)).  The result equals the Horner composition
+    With h = a/b and n = deg p, the integer polynomial
+    R(y) = den b**n p(y/b) = sum nums[k] b**(n-k) y**k is shifted by the
+    integer a with the n(n+1)/2 multiply-adds of repeated synthetic
+    division, giving S(y) = R(y+a); then q(x) = S(bx) / (den b**n), so
+    q_j = S_j b**j / (den b**n).  The result equals the Horner composition
     of p with x + h coefficient for coefficient.
     """
     h = as_rational(h)
     if h == 0 or p.is_zero():
         return p
     a, b = h.numerator, h.denominator
-    r, den = _integer_content(p.coeffs)
-    n = len(r) - 1
-    for k in range(n):
-        r[k] *= b ** (n - k)
+    n = p.degree
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * b)
+    r = [c * powers[n - k] for k, c in enumerate(p.nums)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             r[j] += a * r[j + 1]
-    return Poly(Fraction(c, den * b ** (n - j)) for j, c in enumerate(r))
+    return Poly._make([c * powers[j] for j, c in enumerate(r)], p.den * powers[n])
 
 
 def delta_w(p: Poly, w: RationalLike) -> Poly:
@@ -300,7 +346,7 @@ def delta_w(p: Poly, w: RationalLike) -> Poly:
 
 def derivative(p: Poly) -> Poly:
     """Formal derivative; coefficientwise w -> 0 limit of delta_w."""
-    return Poly(tuple(k * c for k, c in enumerate(p.coeffs) if k > 0))
+    return Poly._make([k * p.nums[k] for k in range(1, len(p.nums))], p.den)
 
 
 def falling_factorial(w: RationalLike, n: int) -> Poly:

@@ -1,13 +1,36 @@
 """Exact reference constructions that only the tests compare against.
 
 They sit outside the library on purpose: each one is an independent second
-route to an object ``dops.series`` builds another way.
+route to an object ``dops.series`` or ``dops.polynomials`` builds another
+way.
 """
 
 from fractions import Fraction
 
 from dops.polynomials import Poly, RationalLike, as_rational, factorial, falling_factorial
 from dops.series import Series
+
+
+def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Coefficientwise Fraction sum of two coefficient tuples, trailing
+    zeros stripped: the reference for ``Poly.__add__``."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def horner(coeffs: tuple[Fraction, ...], point: Fraction) -> Fraction:
+    """Horner's rule on Fraction coefficients: the reference for
+    ``Poly.__call__``."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
 
 
 def series_log(f: Series) -> Series:

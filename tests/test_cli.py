@@ -183,6 +183,20 @@ class TestConfigResolution:
         "foreign-parameter": ("gen", {"parameters": {"alphavec": ["1/2", "1/3"], "gamma": "2"}},
                               "'gamma'"),
         "d-in-parameters": ("gen", {"parameters": {"alphavec": ["1/2", "1/3"], "d": 2}}, "'d'"),
+        # A parameter value of the wrong JSON type is named by its key.
+        "float-alpha-named": ("gen", {"family": "ml", "parameters": {"alpha": 1.5, "beta": "-1"}},
+                              "--alpha"),
+        "number-for-list": ("gen", {"family": "ml", "parameters": {"alpha": "1", "beta": "-1",
+                                                                    "c": 5}}, "--c"),
+        "float-in-list": ("gen", {"parameters": {"alphavec": ["1/2", 0.5]}}, "--alphavec"),
+        "bool-beta": ("gen", {"parameters": {"alphavec": ["1/2", "1/3"], "beta": True}}, "--beta"),
+        "float-theta": ("gen", {"family": "laguerre", "parameters": {"a": "1", "theta": 0.5}},
+                        "--theta"),
+        "decimal-string": ("gen", {"family": "ml", "parameters": {"alpha": "1.5", "beta": "-1"}},
+                           "--alpha"),
+        # gen and moments run no suites, so a suites entry would be dropped.
+        "suites-in-gen": ("gen", {"suites": ["quasi-order"]}, "suites"),
+        "suites-in-moments": ("moments", {"suites": "quasi-order"}, "suites"),
     }
 
     @pytest.mark.parametrize("command, override, named", MALFORMED.values(), ids=MALFORMED.keys())
@@ -203,10 +217,23 @@ class TestConfigResolution:
                           "--suites", ""], "--suites"),
         "laguerre-alpha": (["gen", "--family", "laguerre", "--a", "1", "--alpha", "5"], "'alpha'"),
         "ml-l": (["gen", "--family", "ml", "--alpha", "1", "--beta", "-1", "--l", "3"], "'l'"),
+        "zero-denominator": (["gen", "--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1",
+                              "--c", "1/0"], "--c: invalid rational literal '1/0'"),
         **{f"hyp-beta-{command}": ([command, "--family", "hyp-laguerre", "--d", "2",
                                     "--alphavec", "1/2,1/3", "--beta", "-2"], "beta = -2")
            for command in ("gen", "moments", "verify")},
     }
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_suites_entry_is_read_by_suite_commands(self, tmp_path, capsys, command):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": "hyp-laguerre", "d": 2, "order": 4,
+                                    "parameters": {"alphavec": ["1/2", "1/3"]},
+                                    "suites": ["quasi-order"]}))
+        code, out, _ = run_cli([command, "--config", str(path)], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["identity"] for r in reports] == ["quasi-order"]
 
     @pytest.mark.parametrize("argv, named", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
     def test_bad_flag_is_bad_input(self, capsys, argv, named):
@@ -219,17 +246,17 @@ class TestConfigResolution:
         stub that exits: the run must reach the setup through that name, with
         the merged configuration, before any polynomial is built."""
         calls, polys = [], []
-        init = Poly.__init__
+        make = Poly._make
 
-        def counting_init(self, *args, **kwargs):
+        def counting_make(cls, *args, **kwargs):
             polys.append(1)
-            init(self, *args, **kwargs)
+            return make(*args, **kwargs)
 
         def build_then_exit(cfg):
             calls.append(cfg)
             raise SystemExit(0)
 
-        monkeypatch.setattr(Poly, "__init__", counting_init)
+        monkeypatch.setattr(Poly, "_make", classmethod(counting_make))
         monkeypatch.setattr(cli, "build_setup", build_then_exit)
         with pytest.raises(SystemExit):
             main(["verify", *ML, "--order", "9"])

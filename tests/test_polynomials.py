@@ -1,11 +1,13 @@
 """Exact scalar and polynomial arithmetic."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dops.orthogonality import MomentTable
 from dops.polynomials import (
     Poly,
     binomial,
@@ -18,6 +20,7 @@ from dops.polynomials import (
     pochhammer,
     shift,
 )
+from oracles import fraction_add, horner
 
 X = Poly.x()
 
@@ -152,6 +155,113 @@ class TestIntegerKernels:
         shifted = sympy.expand(sympy.sympify(expr).subs(x, x + step))
         coeffs = sympy.Poly(shifted, x).all_coeffs()[::-1] if p.coeffs else []
         assert shift(p, h) == Poly(F(int(c.p), int(c.q)) for c in coeffs)
+
+
+def assert_normal(p):
+    """(nums, den) is primitive: a tuple of ints over a positive int, gcd 1,
+    no trailing zero numerator, and den 1 for the zero polynomial."""
+    assert type(p.nums) is tuple and all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] != 0 if p.nums else p.den == 1
+
+
+def stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+monic_polys = st.lists(kernel_rationals, max_size=8).map(lambda cs: Poly([*cs, 1]))
+storage_polys = kernel_polys | monic_polys
+
+
+class TestStorage:
+    """Poly holds integer numerators over one denominator; every operation
+    must leave that pair primitive and agree with the coefficientwise
+    Fraction arithmetic of the oracles."""
+
+    @given(storage_polys, storage_polys, kernel_rationals)
+    @example(Poly([F(1, 2), F(1, 2)]), Poly([F(1, 2), F(-1, 2)]), F(2))
+    @example(COPRIME, -COPRIME, F(0))
+    @example(Poly([F(1, 6)]), Poly([F(1, 3), F(5, 7)]), F(-7, 6))
+    def test_operations_match_fraction_oracle(self, p, q, f):
+        a, b = p.coeffs, q.coeffs
+        cases = [
+            (p + q, fraction_add(a, b)),
+            (p - q, fraction_add(a, tuple(-c for c in b))),
+            (-p, tuple(-c for c in a)),
+            (p * f, stripped(c * f for c in a)),
+            (f * p, stripped(c * f for c in a)),
+            (derivative(p), tuple(k * c for k, c in enumerate(a) if k)),
+        ]
+        if f:
+            cases.append((p / f, tuple(c / f for c in a)))
+        for result, expected in cases:
+            assert_normal(result)
+            assert result.coeffs == expected
+            assert all(type(c) is F for c in result.coeffs)
+
+    @given(storage_polys, storage_polys, kernel_rationals)
+    def test_every_result_is_primitive(self, p, q, h):
+        assert_normal(p)
+        for result in (p * q, shift(p, h), Poly.const(h), Poly.monomial(3, h),
+                       p * 0, p - p, Poly.zero(), Poly.one(), Poly.x()):
+            assert_normal(result)
+        if h:
+            assert_normal(delta_w(p, h))
+
+    @given(storage_polys, kernel_rationals)
+    @example(Poly.zero(), F(3, 4))
+    @example(COPRIME, F(-5, 6))
+    def test_evaluation_matches_horner(self, p, point):
+        value = p(point)
+        assert type(value) is F
+        assert value == horner(p.coeffs, point)
+
+    @given(storage_polys)
+    @example(Poly.zero())
+    @example(Poly([F(1, 3), 1]))
+    @example(Poly([F(1, 3), F(2, 2)]))
+    def test_readers_match_fraction_oracle(self, p):
+        a = p.coeffs
+        for k in range(-1, len(a) + 2):
+            assert p.coefficient(k) == (a[k] if 0 <= k < len(a) else 0)
+        assert p.leading_coefficient == (a[-1] if a else 0)
+        assert p.is_monic() == (bool(a) and a[-1] == 1)
+        assert p.degree == len(a) - 1
+        assert p.is_zero() == (not a)
+
+    @given(storage_polys)
+    def test_coeffs_round_trip(self, p):
+        again = Poly(p.coeffs)
+        assert again == p
+        assert hash(again) == hash(p)
+        assert (again.nums, again.den) == (p.nums, p.den)
+        assert p.coeffs == tuple(F(c, p.den) for c in p.nums)
+
+    @given(storage_polys, storage_polys)
+    @example(Poly([1, 2]), Poly([F(1, 3), F(2, 3)]))
+    def test_equality_is_coefficientwise(self, p, q):
+        assert (p == q) == (p.coeffs == q.coeffs)
+
+    @given(storage_polys)
+    def test_immutable(self, p):
+        for name in ("nums", "den", "coeffs", "_coeffs", "degree"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert Poly(p.coeffs) == p
+
+    def test_readers_leave_coeffs_unbuilt(self):
+        p = Poly([F(1, 2), F(-2, 3), 1])
+        table = MomentTable(d=1, n_max=3, moments=((F(1), F(1, 5), F(-3, 7), F(2)),))
+        assert table.apply(0, p) == F(1, 2) + F(-2, 3) * F(1, 5) + F(-3, 7)
+        p.degree, p.is_zero(), p.is_monic(), p.leading_coefficient, p.coefficient(1), str(p)
+        p(F(1, 3)), p + p, p * p, p * 2, p / 3, -p, shift(p, F(1, 2)), derivative(p)
+        assert not hasattr(p, "_coeffs")
 
 
 class TestDeltaW:
