@@ -27,6 +27,7 @@ constructed recurrences are run by the same code.  Parameter conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Sequence
@@ -369,24 +370,34 @@ def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
 
     where extra_num are the a_j and den the b_j.  Raises if a denominator
     Pochhammer vanishes within the summation range.
+
+    The sum is built from its integer term ratio.  With a_j = p_j/q_j and
+    b_j = r_j/s_j, the ratio of term k+1 to term k is up[k] / down[k], where
+
+        up[k]   = (k - n) prod (p_j + k q_j) prod s_j,
+        down[k] = (k + 1) prod (r_j + k s_j) prod q_j,
+
+    so coefficient k is up[0..k-1] times down[k..n-1] over down[0..n-1]:
+    one prefix and one suffix product of integers, and one reduction.
     """
     extra_num = [as_rational(v) for v in extra_num]
     den = [as_rational(v) for v in den]
-    coeffs = []
-    term = Fraction(1)
-    for k in range(n + 1):
-        coeffs.append(term)
-        num_factor = Fraction(-n + k)
-        for aj in extra_num:
-            num_factor *= aj + k
-        den_factor = Fraction(k + 1)
-        for bj in den:
-            den_factor *= bj + k
-        if k < n:
-            if den_factor == 0:
-                raise FamilyParamError(f"Pochhammer denominator vanishes at k={k + 1}")
-            term = term * num_factor / den_factor
-    return Poly(coeffs)
+    q = math.prod(a.denominator for a in extra_num)
+    s = math.prod(b.denominator for b in den)
+    prefix = [1]
+    down = []
+    for k in range(n):
+        factor = (k + 1) * q * math.prod(b.numerator + k * b.denominator for b in den)
+        if factor == 0:
+            raise FamilyParamError(f"Pochhammer denominator vanishes at k={k + 1}")
+        down.append(factor)
+        prefix.append(prefix[-1] * (k - n) * s
+                      * math.prod(a.numerator + k * a.denominator for a in extra_num))
+    suffix = [1]
+    for factor in reversed(down):
+        suffix.append(suffix[-1] * factor)
+    suffix.reverse()
+    return Poly._make([prefix[k] * suffix[k] for k in range(n + 1)], suffix[0])
 
 
 def hyp_laguerre(params: HypParams, n: int) -> Poly:

@@ -70,7 +70,6 @@ from .polynomials import (
     falling_factorial,
     falling_value,
     format_rational,
-    pochhammer,
     shift,
 )
 from .series import Series, egf_extract, gf_ratio_power, series_exp
@@ -874,6 +873,14 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
+def _rising(y: Fraction, n_max: int) -> list[Fraction]:
+    """The rising factorials (y)_0, ..., (y)_{n_max} as one running product."""
+    out = [Fraction(1)]
+    for j in range(n_max):
+        out.append(out[-1] * (y + j))
+    return out
+
+
 def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     """Finite linear combinations between terminating hypergeometric families.
 
@@ -890,33 +897,47 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     dens = tuple(ai + 1 for ai in p.alphavec)
     notes: list[str] = []
 
-    # Component 1: the index-shift lemma at a generic second parameter.
+    # Component 1: the index-shift lemma at a generic second parameter.  Its
+    # sums repeat across (n, k, i), so each distinct one is built once.
     a2 = beta + dl + Fraction(1, 3)
+    lemma_dens = dens + (beta + 1,)
+    sums: dict[tuple[int, Fraction], Poly] = {}
+
+    def pfq(n: int, a: Fraction) -> Poly:
+        if (n, a) not in sums:
+            sums[n, a] = terminating_pfq(n, (a,), lemma_dens)
+        return sums[n, a]
 
     def lemma_checks():
-        for n in range(1, n_max + 1):
-            lhs = terminating_pfq(n, (a2 + 1,), dens + (beta + 1,))
+        # k runs over 1..min(n-1, d*l), which is empty for n < 2.
+        for n in range(2, n_max + 1):
+            lhs = pfq(n, a2 + 1)
             for k in range(1, min(n - 1, dl) + 1):
                 rhs = Poly.zero()
                 for i in range(k + 1):
                     coef = ((-1) ** i * binomial(k, i) * falling_value(n, i)
                             * falling_value(n + a2 - i, k - i) / falling_value(a2, k))
                     if coef != 0:
-                        rhs = rhs + terminating_pfq(n - i, (a2 - k + 1,), dens + (beta + 1,)) * coef
+                        rhs = rhs + pfq(n - i, a2 - k + 1) * coef
                 yield n, lhs, rhs, f"index-shift lemma at k = {k}"
 
-    witness = first_mismatch(lemma_checks())
-    if witness is not None:
-        return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
-    notes.append("index-shift lemma verified at a generic non-integer parameter")
+    if n_max < 2:
+        notes.append("index-shift lemma needs N >= 2")
+    else:
+        witness = first_mismatch(lemma_checks())
+        if witness is not None:
+            return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
+        notes.append("index-shift lemma verified at a generic non-integer parameter")
 
     # Component 2: the order-l combination.
+    shifted_rise, beta_rise = _rising(beta + dl + 1, n_max), _rising(beta + 1, n_max)
+
     def lincomb_checks():
         for n in range(n_max + 1):
             lhs = Poly.zero()
             for k in range(min(n, dl) + 1):
                 coef = ((-1) ** k * binomial(dl, k) * falling_value(n, k)
-                        * pochhammer(beta + dl + 1, n - k) / pochhammer(beta + 1, n))
+                        * shifted_rise[n - k] / beta_rise[n])
                 if coef != 0:
                     lhs = lhs + basis[n - k] * coef
             yield n, lhs, setup.quasi[n], "order-l combination"
@@ -932,6 +953,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         notes.append("aligned reduction skipped: alpha_1 - d*l is a negative integer")
         return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
     reduced = HypParams(p.d, (beta2,) + p.alphavec[1:])
+    alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
 
     def reduction_checks(window: int):
         for n in range(n_max + 1):
@@ -939,7 +961,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
             lhs = Poly.zero()
             for k in range(min(n, window) + 1):
                 coef = ((-1) ** k * binomial(window, k) * falling_value(n, k)
-                        * pochhammer(p.alphavec[0] + 1, n - k) / pochhammer(beta2 + 1, n))
+                        * alpha_rise[n - k] / beta2_rise[n])
                 if coef != 0:
                     lhs = lhs + basis[n - k] * coef
             yield n, lhs, rhs, f"aligned reduction, window {window}"

@@ -38,7 +38,6 @@ __all__ = [
     "derivative",
     "falling_factorial",
     "falling_value",
-    "pochhammer",
     "binomial",
     "factorial",
 ]
@@ -94,15 +93,6 @@ def falling_value(y: RationalLike, n: int, w: RationalLike = 1) -> Fraction:
     out = Fraction(1)
     for j in range(n):
         out *= y - j * w
-    return out
-
-
-def pochhammer(y: RationalLike, n: int) -> Fraction:
-    """Scalar rising factorial (y)_n = y(y+1)...(y+n-1); 1 for n=0."""
-    y = as_rational(y)
-    out = Fraction(1)
-    for j in range(n):
-        out *= y + j
     return out
 
 

@@ -1,12 +1,14 @@
 """Exact reference constructions that only the tests compare against.
 
 They sit outside the library on purpose: each one is an independent second
-route to an object ``dops.series`` or ``dops.polynomials`` builds another
-way.
+route to an object ``dops.series``, ``dops.polynomials``, ``dops.families``
+or ``dops.identities`` builds another way.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
+from dops.families import FamilyParamError
 from dops.polynomials import Poly, RationalLike, as_rational, factorial, falling_factorial
 from dops.series import Series
 
@@ -31,6 +33,41 @@ def horner(coeffs: tuple[Fraction, ...], point: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * point + c
     return acc
+
+
+def pochhammer(y: RationalLike, n: int) -> Fraction:
+    """Scalar rising factorial (y)_n = y(y+1)...(y+n-1); 1 for n=0: the
+    reference for the running rising-factorial tables of the hyp-lincomb
+    suite."""
+    y = as_rational(y)
+    out = Fraction(1)
+    for j in range(n):
+        out *= y + j
+    return out
+
+
+def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
+                    den: Sequence[RationalLike]) -> Poly:
+    """The terminating hypergeometric sum with leading numerator -n, one
+    Fraction term at a time: the reference for the integer term-ratio
+    ``dops.families.terminating_pfq``, raising the same error."""
+    extra_num = [as_rational(v) for v in extra_num]
+    den = [as_rational(v) for v in den]
+    coeffs = []
+    term = Fraction(1)
+    for k in range(n + 1):
+        coeffs.append(term)
+        num_factor = Fraction(-n + k)
+        for aj in extra_num:
+            num_factor *= aj + k
+        den_factor = Fraction(k + 1)
+        for bj in den:
+            den_factor *= bj + k
+        if k < n:
+            if den_factor == 0:
+                raise FamilyParamError(f"Pochhammer denominator vanishes at k={k + 1}")
+            term = term * num_factor / den_factor
+    return Poly(coeffs)
 
 
 def series_log(f: Series) -> Series:

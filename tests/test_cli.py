@@ -546,6 +546,22 @@ def test_small_orders_fail_nothing(capsys, command, family, order):
                                        and order >= int(family[3]))
 
 
+@pytest.mark.parametrize("order, note", [
+    (0, "index-shift lemma needs N >= 2"),
+    (1, "index-shift lemma needs N >= 2"),
+    (2, "index-shift lemma verified at a generic non-integer parameter"),
+])
+def test_lemma_note_claims_only_a_checked_instance(capsys, order, note):
+    # the lemma's index k runs over 1..min(n-1, d*l), so it has an instance
+    # only from n = 2 on
+    code, out, err = run_cli(["verify", *HYP, "--order", str(order), "--suites", "hyp-lincomb"],
+                             capsys)
+    assert code == 0, err
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "pass"
+    assert report["notes"][0] == note
+
+
 @st.composite
 def small_setups(draw):
     """Every family at d <= 4 and order 0..d+3, over degenerate parameters:

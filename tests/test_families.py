@@ -6,6 +6,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dops.families import (
     FamilyParamError,
@@ -21,9 +23,11 @@ from dops.families import (
     ml_by_recurrence,
     ml_q_sequence,
     ml_recurrence_table,
+    terminating_pfq,
 )
 from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, binomial, delta_w
+from oracles import terminating_pfq as fraction_pfq
 
 X = Poly.x()
 
@@ -249,6 +253,40 @@ class TestHypFamilies:
             poly = hyp_laguerre(p, n)
             assert poly.degree == n
             assert poly(0) == 1
+
+
+def pfq_outcome(pfq, n, extra_num, den):
+    """A terminating sum as its (numerators, denominator) pair, or the text
+    of the FamilyParamError it raises."""
+    try:
+        poly = pfq(n, extra_num, den)
+    except FamilyParamError as exc:
+        return str(exc)
+    return poly.nums, poly.den
+
+
+# A nonpositive integer a_j ends the sum early; a nonpositive integer b_j
+# makes a denominator Pochhammer vanish when -b_j < n.
+pfq_parameters = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                           st.integers(-12, 0).map(F))
+
+
+class TestTerminatingPfq:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12), st.lists(pfq_parameters, max_size=2),
+           st.lists(pfq_parameters, max_size=2))
+    @example(5, [F(1, 2)], [F(2, 3), F(-3)])
+    @example(6, [F(-2)], [F(1, 3)])
+    @example(3, [], [F(5, 4), F(7, 6)])
+    def test_integer_term_ratio_matches_fraction_loop(self, n, extra_num, den):
+        assert (pfq_outcome(terminating_pfq, n, extra_num, den)
+                == pfq_outcome(fraction_pfq, n, extra_num, den))
+
+    def test_vanishing_denominator_names_its_index(self):
+        with pytest.raises(FamilyParamError, match="vanishes at k=4"):
+            terminating_pfq(5, [F(1, 2)], [F(2, 3), F(-3)])
+        # past the last term a vanishing denominator is never reached
+        assert terminating_pfq(3, [], [F(-3)]) == fraction_pfq(3, [], [F(-3)])
 
 
 class TestSympyOracle:

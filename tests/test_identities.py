@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dops import identities
 from dops.families import (
     HypParams,
     LagParams,
@@ -16,6 +17,7 @@ from dops.families import (
     ml_by_recurrence,
     ml_q_sequence,
     ml_recurrence_table,
+    terminating_pfq,
 )
 from dops.identities import (
     FamilySetup,
@@ -32,9 +34,11 @@ from dops.identities import (
     verify_sz4,
     verify_sz5,
     _hahn_shift,
+    _rising,
 )
 from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, shift
+from oracles import pochhammer
 
 X = Poly.x()
 
@@ -257,6 +261,33 @@ class TestHypLincomb:
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(Exception):
             verify_hyp_lincomb(FamilySetup("hyp-laguerre", 4, HypParams(1, [1], F(-2), 1)))
+
+    def test_lemma_builds_each_distinct_sum_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, extra_num, den):
+            calls.append((n, tuple(extra_num)))
+            return terminating_pfq(n, extra_num, den)
+
+        monkeypatch.setattr(identities, "terminating_pfq", counted)
+        p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 12, p)))
+        assert rep.status == "pass", rep.witness
+        # the lemma's sums: the left side at each n, and the right side's
+        # terms at (n - i, a2 - k + 1) for 1 <= k <= min(n - 1, d*l), i <= k
+        dl, a2 = 4, p.beta + 4 + F(1, 3)
+        distinct = {(n, (a2 + 1,)) for n in range(2, 13)} | {
+            (n - i, (a2 - k + 1,))
+            for n in range(2, 13) for k in range(1, min(n - 1, dl) + 1) for i in range(k + 1)}
+        assert sorted(calls) == sorted(distinct)
+
+    def test_pochhammer_oracle(self):
+        assert pochhammer(3, 4) == 360
+        assert pochhammer(F(1, 2), 0) == 1
+
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=7), st.integers(0, 12))
+    def test_rising_tables_are_pochhammer_values(self, y, n_max):
+        assert _rising(y, n_max) == [pochhammer(y, n) for n in range(n_max + 1)]
 
 
 class TestLaguerreStructure:

@@ -17,7 +17,6 @@ from dops.polynomials import (
     falling_value,
     format_rational,
     parse_rational,
-    pochhammer,
     shift,
 )
 from oracles import fraction_add, horner
@@ -325,8 +324,6 @@ class TestFactorials:
     def test_scalar_variants(self):
         assert falling_value(5, 3) == 60
         assert falling_value(F(1, 2), 2, F(1, 3)) == F(1, 2) * F(1, 6)
-        assert pochhammer(3, 4) == 360
-        assert pochhammer(F(1, 2), 0) == 1
 
 
 @given(nonzero_rationals, nonzero_rationals)
