@@ -335,11 +335,10 @@ def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     """The same family from (1-at)**beta_exp exp((xt+theta)/(1-at) + pi(t)),
     with the t = 0 constant removed so P_0 = 1 exactly."""
     a, theta = params.a, params.theta
-    x = Poly.x()
     coeffs = [Poly.const(theta)]
     apow = Fraction(1)  # a**(n-1) running power
     for n in range(1, n_max + 1):
-        coeffs.append(x * apow + Poly.const(theta * apow * a))
+        coeffs.append(Poly((theta * apow * a, apow)))
         apow *= a
     exponent = Series(n_max, coeffs)
     pi_terms = [Poly.const(params.b_at(i) / factorial(i)) for i in range(min(params.d, n_max + 1))]
@@ -372,7 +371,8 @@ def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
     Pochhammer vanishes within the summation range.
 
     The sum is built from its integer term ratio.  With a_j = p_j/q_j and
-    b_j = r_j/s_j, the ratio of term k+1 to term k is up[k] / down[k], where
+    b_j = r_j/s_j, each unpacked once into its integer pair, the ratio of term
+    k+1 to term k is up[k] / down[k], where
 
         up[k]   = (k - n) prod (p_j + k q_j) prod s_j,
         down[k] = (k + 1) prod (r_j + k s_j) prod q_j,
@@ -380,19 +380,22 @@ def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
     so coefficient k is up[0..k-1] times down[k..n-1] over down[0..n-1]:
     one prefix and one suffix product of integers, and one reduction.
     """
-    extra_num = [as_rational(v) for v in extra_num]
-    den = [as_rational(v) for v in den]
-    q = math.prod(a.denominator for a in extra_num)
-    s = math.prod(b.denominator for b in den)
+    ups = [(a.numerator, a.denominator) for a in map(as_rational, extra_num)]
+    downs = [(b.numerator, b.denominator) for b in map(as_rational, den)]
+    q = math.prod(qj for _, qj in ups)
+    s = math.prod(sj for _, sj in downs)
     prefix = [1]
     down = []
     for k in range(n):
-        factor = (k + 1) * q * math.prod(b.numerator + k * b.denominator for b in den)
+        factor = (k + 1) * q
+        for rj, sj in downs:
+            factor *= rj + k * sj
         if factor == 0:
             raise FamilyParamError(f"Pochhammer denominator vanishes at k={k + 1}")
         down.append(factor)
-        prefix.append(prefix[-1] * (k - n) * s
-                      * math.prod(a.numerator + k * a.denominator for a in extra_num))
+        prefix.append(prefix[-1] * (k - n) * s)
+        for pj, qj in ups:
+            prefix[-1] *= pj + k * qj
     suffix = [1]
     for factor in reversed(down):
         suffix.append(suffix[-1] * factor)

@@ -28,6 +28,7 @@ note saying where the stated form failed.  Silent substitution never happens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -70,6 +71,7 @@ from .polynomials import (
     falling_factorial,
     falling_value,
     format_rational,
+    lincomb,
     shift,
 )
 from .series import Series, egf_extract, gf_ratio_power, series_exp
@@ -464,7 +466,8 @@ def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
     def checks():
         yield 0, polys[0], q[0], "P_0 = Q_0"
         for n in range(1, n_max):
-            yield n, polys[n], q[n] - q[n - 1] * p.lam(n), f"P_{n} vs Q_{n} - {n}*alpha*Q_{n - 1}"
+            yield (n, polys[n], lincomb(((1, q[n]), (-p.lam(n), q[n - 1]))),
+                   f"P_{n} vs Q_{n} - {n}*alpha*Q_{n - 1}")
 
     notes = []
     if p.alpha == 0:
@@ -487,41 +490,41 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
 
     def sr5():
         for n in range(n_max):
-            rhs = q[n] - (q[n - 1] * (n * beta) if n >= 1 else Poly.zero())
+            rhs = lincomb(((1, q[n]), (-n * beta, q[n - 1]))) if n >= 1 else q[n]
             yield n, shifted[n], rhs, "P_n(x+w) vs Q_n - n*beta*Q_{n-1}"
 
     reports.append(_report("sr5", params, 0, hi, first_mismatch(sr5())))
 
     def sr7():
         for n in range(1, n_max):
-            lhs = polys[n] - polys[n - 1] * (beta * n)
-            rhs = shifted[n] - shifted[n - 1] * (alpha * n)
+            lhs = lincomb(((1, polys[n]), (-beta * n, polys[n - 1])))
+            rhs = lincomb(((1, shifted[n]), (-alpha * n, shifted[n - 1])))
             yield n, lhs, rhs, "P_n - beta*n*P_{n-1} vs shifted"
 
     reports.append(_report("sr7", params, 1, hi, first_mismatch(sr7())))
 
     def sr3():
         for n in range(n_max):
-            yield n, q[n] * w, shifted[n] * alpha - polys[n] * beta, "w*Q_n vs alpha*P_n(x+w) - beta*P_n"
+            yield (n, q[n] * w, lincomb(((alpha, shifted[n]), (-beta, polys[n]))),
+                   "w*Q_n vs alpha*P_n(x+w) - beta*P_n")
 
     reports.append(_report("sr3", params, 0, hi, first_mismatch(sr3())))
 
     def sr4():
         for n in range(n_max):
-            rhs = shifted[n] * q[n] * (n + 1)
+            terms = [(n + 1, shifted[n], q[n])]
             if n >= 1:
-                rhs = rhs + polys[n + 1] * q[n - 1] * n
-            yield n, product_delta[n], rhs, "delta_w(P_{n+1} P_n) vs product form"
+                terms.append((n, polys[n + 1], q[n - 1]))
+            yield n, product_delta[n], lincomb(terms), "delta_w(P_{n+1} P_n) vs product form"
 
     reports.append(_report("sr4", params, 0, hi, first_mismatch(sr4())))
 
     def sr4_alt():
         for n in range(n_max):
-            rhs = q[n] * q[n] * (n + 1)
+            terms = [(n + 1, q[n], q[n])]
             if n >= 1:
-                rhs = rhs + polys[n + 1] * q[n - 1] * n
-                rhs = rhs - q[n] * q[n - 1] * (n * (n + 1) * beta)
-            yield n, product_delta[n], rhs, "delta_w(P_{n+1} P_n) vs squared form"
+                terms += [(n, polys[n + 1], q[n - 1]), (-n * (n + 1) * beta, q[n], q[n - 1])]
+            yield n, product_delta[n], lincomb(terms), "delta_w(P_{n+1} P_n) vs squared form"
 
     reports.append(_report("sr4-alt", params, 0, hi, first_mismatch(sr4_alt())))
 
@@ -548,16 +551,15 @@ def _sr6_sides(p, polys, q, n: int, c: Fraction, variant: str) -> tuple[Poly, Po
     the repaired variant is the one consistent with the band recurrences.
     """
     beta = p.beta
-    lhs = (Poly.x() - Poly.const(c)) * q[n]
-    correction = Poly.zero()
-    for i in range(1, p.d):
-        coef = binomial(n, i) * (beta * i * p.b(i - 1) - p.b(i))
-        if coef != 0:
-            correction = correction + polys[n - i] * coef
+    lhs = Poly((-c, 1)) * q[n]
+    correction = [(binomial(n, i) * (beta * i * p.b(i - 1) - p.b(i)), polys[n - i])
+                  for i in range(1, min(p.d, n + 1))]
     if variant == "stated":
-        rhs = polys[n + 1] - polys[n] * (c + p.b(0) + beta * n) - correction
+        rhs = lincomb([(1, polys[n + 1]), (-(c + p.b(0) + beta * n), polys[n]),
+                       *((-coef, poly) for coef, poly in correction)])
     else:
-        rhs = polys[n + 1] - polys[n] * (p.b(0) + beta * n) - q[n] * c + correction
+        rhs = lincomb([(1, polys[n + 1]), (-(p.b(0) + beta * n), polys[n]), (-c, q[n]),
+                       *correction])
     return lhs, rhs
 
 
@@ -586,14 +588,14 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
         return [_report("sr2", params, lo, hi, _fit_witness(exc, lo, hi))]
 
     def correction_sum(n: int) -> Poly:
-        out = Poly.zero()
+        terms = []
         for i in range(2, p.d + 1):
             for j in range(i, p.d + 1):
                 denom = Fraction(1)
                 for s in range(i, j + 1):
                     denom *= p.lam(n - s)
-                out = out + polys[n - i] * (q_table.gamma_at(n - j, p.d - j) / denom)
-        return out
+                terms.append((q_table.gamma_at(n - j, p.d - j) / denom, polys[n - i]))
+        return lincomb(terms)
 
     def checks(variant):
         for n in range(lo, hi + 1):
@@ -601,19 +603,19 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
             xi = q_table.beta[n - 1]
             lam = p.lam(n)
             for c in FREE_CONSTANT_SAMPLES:
-                lhs = (Poly.x() - Poly.const(c)) * q[n - 1]
+                lhs = Poly((-c, 1)) * q[n - 1]
                 if variant == "stated":
-                    rhs = polys[n] + polys[n - 1] * (lam + xi - c) - s
+                    rhs = lincomb(((1, polys[n]), (lam + xi - c, polys[n - 1]), (-1, s)))
                 else:
-                    rhs = polys[n] + polys[n - 1] * (lam + xi) - q[n - 1] * c - s
+                    rhs = lincomb(((1, polys[n]), (lam + xi, polys[n - 1]), (-c, q[n - 1]), (-1, s)))
                 yield n, lhs, rhs, f"plain form, c = {format_rational(c)}, variant {variant}"
-                lhs2 = (Poly.x() - Poly.const(c)) * q[n]
+                lhs2 = Poly((-c, 1)) * q[n]
                 if variant == "stated":
-                    rhs2 = ((Poly.x() + Poly.const(lam - c)) * polys[n]
-                            + polys[n - 1] * (lam * (lam + xi - c)) - s * lam)
+                    rhs2 = lincomb(((1, Poly((lam - c, 1)), polys[n]),
+                                    (lam * (lam + xi - c), polys[n - 1]), (-lam, s)))
                 else:
-                    rhs2 = ((Poly.x() + Poly.const(lam)) * polys[n] - q[n] * c
-                            + polys[n - 1] * (lam * (lam + xi)) - s * lam)
+                    rhs2 = lincomb(((1, Poly((lam, 1)), polys[n]), (-c, q[n]),
+                                    (lam * (lam + xi), polys[n - 1]), (-lam, s)))
                 yield n, lhs2, rhs2, f"remark form, c = {format_rational(c)}, variant {variant}"
 
     return [_reconciled(
@@ -630,40 +632,36 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
 
 def _de1_sides(p, polys, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
     alpha, w, d = p.alpha, p.w, p.d
-    x = Poly.x()
     beta_n = table.beta[n]
-    rhs = (x + Poly.const(k * w - k * alpha * (n - k + 2) - beta_n)) * polys[n - k]
     dw = _delta_powers(polys[n - k], w, k)
+    terms = [(1, Poly((k * w - k * alpha * (n - k + 2) - beta_n, 1)), polys[n - k])]
     for i in range(1, k + 1):
-        lead = (x + Poly.const(k * w + alpha - beta_n)) * (alpha ** i * binomial(k, i))
-        lead = lead - Poly.const(alpha ** (i + 1) * binomial(k + 1, i + 1) * (n - k + i + 2))
-        corr = Fraction(0)
-        for j in range(i):
-            corr += (binomial(k - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
-                     * table.gamma_at(n - j, d - 1 - j) / falling_value(n, j + 1))
-        rhs = rhs + (lead - Poly.const(corr)) * dw[i]
+        slope = alpha ** i * binomial(k, i)
+        corr = sum(binomial(k - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
+                   * table.gamma_at(n - j, d - 1 - j) / math.perm(n, j + 1) for j in range(i))
+        const = (slope * (k * w + alpha - beta_n)
+                 - alpha ** (i + 1) * binomial(k + 1, i + 1) * (n - k + i + 2) - corr)
+        terms.append((1, Poly((const, slope)), dw[i]))
     for i in range(k, d):
-        coef = table.gamma_at(n - i, d - 1 - i) / falling_value(n, k)
+        coef = table.gamma_at(n - i, d - 1 - i) / math.perm(n, k)
         if coef != 0:
-            rhs = rhs - _delta_powers(polys[n - i - 1], w, k)[k] * coef
-    return polys[n - k + 1], rhs
+            terms.append((-coef, _delta_powers(polys[n - i - 1], w, k)[k]))
+    return polys[n - k + 1], lincomb(terms)
 
 
 def _de2_sides(p, polys, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
     alpha, w, d = p.alpha, p.w, p.d
-    x = Poly.x()
     beta_n = table.beta[n]
     dw = _delta_powers(polys[n - d], w, d + 1)
-    rhs = (x + Poly.const((d + 1) * w - (d + 1) * alpha * (n - d + 1) - beta_n)) * dw[1]
+    terms = [(1, Poly(((d + 1) * w - (d + 1) * alpha * (n - d + 1) - beta_n, 1)), dw[1])]
     for i in range(1, d + 1):
-        lead = (x + Poly.const((d + 1) * w - beta_n)) * (alpha ** i * binomial(d, i))
-        lead = lead - Poly.const(alpha ** (i + 1) * binomial(d + 1, i + 1) * (n - d + i + 1))
-        corr = Fraction(0)
-        for j in range(i):
-            corr += (binomial(d - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
-                     * table.gamma_at(n - j, d - 1 - j) / falling_value(n, j + 1))
-        rhs = rhs + (lead - Poly.const(corr)) * dw[i + 1]
-    return polys[n - d] * (n - d), rhs
+        slope = alpha ** i * binomial(d, i)
+        corr = sum(binomial(d - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
+                   * table.gamma_at(n - j, d - 1 - j) / math.perm(n, j + 1) for j in range(i))
+        const = (slope * ((d + 1) * w - beta_n)
+                 - alpha ** (i + 1) * binomial(d + 1, i + 1) * (n - d + i + 1) - corr)
+        terms.append((1, Poly((const, slope)), dw[i + 1]))
+    return polys[n - d] * (n - d), lincomb(terms)
 
 
 def verify_de(setup: FamilySetup, which) -> VerificationReport:
@@ -737,14 +735,9 @@ def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n: int) -> 
         raise ValueError("requires alpha != beta")
     if n == 0:
         return Poly.one()
-    ff = falling_factorial(w, n - 1)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = binomial(n, k) * (-beta) ** k * alpha ** (n - k)
-        if coef == 0:
-            continue
-        acc = acc + (Poly.x() * shift(ff, (n - k - 1) * w)) * coef
-    return acc / w ** n
+    ff, x, wn = falling_factorial(w, n - 1), Poly.x(), w ** n
+    coefs = [binomial(n, k) * (-beta) ** k * alpha ** (n - k) / wn for k in range(n + 1)]
+    return lincomb((c, x, shift(ff, (n - k - 1) * w)) for k, c in enumerate(coefs) if c)
 
 
 def _ratio_power_stated_form(alpha: Fraction, beta: Fraction, n: int) -> Poly:
@@ -753,12 +746,9 @@ def _ratio_power_stated_form(alpha: Fraction, beta: Fraction, n: int) -> Poly:
     w = alpha - beta
     if n == 0:
         return Poly.one()
-    ff = falling_factorial(w, n - 1)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        coef = binomial(n, k) * (beta / alpha) ** k
-        acc = acc + (Poly.x() * shift(ff, (n - k - 1) * w)) * coef
-    return acc * (-alpha) ** n
+    ff, x, scale = falling_factorial(w, n - 1), Poly.x(), (-alpha) ** n
+    return lincomb((binomial(n, k) * (beta / alpha) ** k * scale, x, shift(ff, (n - k - 1) * w))
+                   for k in range(n + 1))
 
 
 def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
@@ -823,18 +813,13 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     a_coeffs = _exp_coefficients(list(p.c), n_max)
 
     def repaired(n: int) -> Poly:
-        acc = Poly.zero()
-        for m in range(n + 1):
-            if a_coeffs[m] == 0:
-                continue
-            scale = Fraction(factorial(n), factorial(n - m)) * a_coeffs[m]
-            acc = acc + setup.closed_form(n - m) * scale
-        return acc
+        return lincomb((math.perm(n, m) * a_coeffs[m], setup.closed_form(n - m))
+                       for m in range(n + 1) if a_coeffs[m])
 
     def stated(n: int) -> Poly:
         if n == 0:
             return Poly.one()
-        acc = Poly.zero()
+        terms = []
         for s in range(n + 1):
             for m in range(s + 1):
                 if n - m - 1 < 0:
@@ -850,8 +835,8 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
                         if k:
                             coef *= p.c[i] ** k
                     if coef != 0:
-                        acc = acc + (Poly.x() * shift(ff, (n - s - 1) * w)) * coef
-        return acc
+                        terms.append((coef, Poly.x(), shift(ff, (n - s - 1) * w)))
+        return lincomb(terms)
 
     if alpha == 0:
         stated_checks = ("stated form not evaluable at alpha = 0; in the repaired form the weight "
@@ -898,8 +883,10 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     notes: list[str] = []
 
     # Component 1: the index-shift lemma at a generic second parameter.  Its
-    # sums repeat across (n, k, i), so each distinct one is built once.
+    # sums repeat across (n, k, i), so each distinct one is built once, and
+    # the falling factorials of a2 come from one table.
     a2 = beta + dl + Fraction(1, 3)
+    a2_falling = [falling_value(a2, k) for k in range(dl + 1)]
     lemma_dens = dens + (beta + 1,)
     sums: dict[tuple[int, Fraction], Poly] = {}
 
@@ -913,12 +900,9 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         for n in range(2, n_max + 1):
             lhs = pfq(n, a2 + 1)
             for k in range(1, min(n - 1, dl) + 1):
-                rhs = Poly.zero()
-                for i in range(k + 1):
-                    coef = ((-1) ** i * binomial(k, i) * falling_value(n, i)
-                            * falling_value(n + a2 - i, k - i) / falling_value(a2, k))
-                    if coef != 0:
-                        rhs = rhs + pfq(n - i, a2 - k + 1) * coef
+                coefs = [(-1) ** i * binomial(k, i) * math.perm(n, i)
+                         * falling_value(n + a2 - i, k - i) / a2_falling[k] for i in range(k + 1)]
+                rhs = lincomb((c, pfq(n - i, a2 - k + 1)) for i, c in enumerate(coefs) if c)
                 yield n, lhs, rhs, f"index-shift lemma at k = {k}"
 
     if n_max < 2:
@@ -934,12 +918,9 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
 
     def lincomb_checks():
         for n in range(n_max + 1):
-            lhs = Poly.zero()
-            for k in range(min(n, dl) + 1):
-                coef = ((-1) ** k * binomial(dl, k) * falling_value(n, k)
-                        * shifted_rise[n - k] / beta_rise[n])
-                if coef != 0:
-                    lhs = lhs + basis[n - k] * coef
+            lhs = lincomb(((-1) ** k * binomial(dl, k) * math.perm(n, k)
+                           * shifted_rise[n - k] / beta_rise[n], basis[n - k])
+                          for k in range(min(n, dl) + 1))
             yield n, lhs, setup.quasi[n], "order-l combination"
 
     witness = first_mismatch(lincomb_checks())
@@ -958,19 +939,18 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     def reduction_checks(window: int):
         for n in range(n_max + 1):
             rhs = hyp_laguerre(reduced, n)
-            lhs = Poly.zero()
-            for k in range(min(n, window) + 1):
-                coef = ((-1) ** k * binomial(window, k) * falling_value(n, k)
-                        * alpha_rise[n - k] / beta2_rise[n])
-                if coef != 0:
-                    lhs = lhs + basis[n - k] * coef
+            lhs = lincomb(((-1) ** k * binomial(window, k) * math.perm(n, k)
+                           * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
+                          for k in range(min(n, window) + 1))
             yield n, lhs, rhs, f"aligned reduction, window {window}"
 
+    # At n = 0 both windows hold the one term k = 0 and cannot differ.
+    verified = "verified in the stated l-term window" if n_max >= 1 else "window needs N >= 1"
     return [_reconciled(
         "hyp-lincomb", params, 0, n_max, reduction_checks(l), reduction_checks(dl),
         "stated l-term reduction window fails (first witness at n = {n}); repaired form "
         "pinned: the window is d*l terms with binomial(d*l, k) weights",
-        leading=notes, verified="aligned reduction verified in the stated l-term window")]
+        leading=notes, verified="aligned reduction " + verified)]
 
 
 def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
@@ -1016,18 +996,15 @@ def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
     hi = setup.order - 1
 
     def rhs_at(n: int) -> Poly:
-        out = polys[n] * n
+        terms = [(n, polys[n])]
         if n >= 1:
-            out = out - polys[n - 1] * (n * (p.b_at(1) + a * (n + alpha)))
-        for i in range(2, min(n, p.d) + 1):
-            coef = (a * p.b_at(i - 1) / factorial(i - 2) - p.b_at(i) / factorial(i - 1))
-            coef *= falling_value(n, i)
-            if coef != 0:
-                out = out + polys[n - i] * coef
-        return out
+            terms.append((-n * (p.b_at(1) + a * (n + alpha)), polys[n - 1]))
+        terms += [((a * p.b_at(i - 1) / factorial(i - 2) - p.b_at(i) / factorial(i - 1))
+                   * math.perm(n, i), polys[n - i]) for i in range(2, min(n, p.d) + 1)]
+        return lincomb(terms)
 
     def checks(variant):
-        lhs_poly = Poly.x() if variant == "stated" else Poly.x() + Poly.const(a * p.theta)
+        lhs_poly = Poly((0 if variant == "stated" else a * p.theta, 1))
         for n in range(hi + 1):
             yield n, lhs_poly * derivative(polys[n]), rhs_at(n), "structure relation"
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .polynomials import Poly
+from .polynomials import Poly, lincomb
 
 __all__ = [
     "FitError",
@@ -98,12 +98,9 @@ class RecurrenceTable:
 
     def step(self, polys: Sequence[Poly], n: int) -> Poly:
         """P_{n+1} from the recurrence at step n, reading P_{n-d}..P_n from polys."""
-        nxt = Poly((-self.beta[n], 1)) * polys[n]
-        for nu in range(min(self.d, n)):
-            g = self.gamma_at(n - nu, self.d - 1 - nu)
-            if g:
-                nxt = nxt - polys[n - 1 - nu] * g
-        return nxt
+        return lincomb([(1, Poly((-self.beta[n], 1)), polys[n]),
+                        *((-self.gamma_at(n - nu, self.d - 1 - nu), polys[n - 1 - nu])
+                          for nu in range(min(self.d, n)))])
 
     def regenerate(self) -> list[Poly]:
         """Run the recurrence from P_0 = 1; reproduces a fitted input."""
@@ -136,7 +133,7 @@ def fit_recurrence(polys: Sequence[Poly], d: int) -> RecurrenceTable:
     beta: list[Fraction] = []
     gamma: dict[tuple[int, int], Fraction] = {}
     for n in range(n_max):
-        defect = Poly.x() * polys[n] - polys[n + 1]
+        defect = lincomb(((1, Poly.x(), polys[n]), (-1, polys[n + 1])))
         coeffs = expand_in_basis(defect, polys)
         coeffs += [Fraction(0)] * (n + 1 - len(coeffs))
         beta.append(coeffs[n])

@@ -15,9 +15,11 @@ ever compared numerically.
 Every ``Poly`` operation (sums, scalar and ``Poly`` products, division by a
 scalar, ``shift``, ``derivative`` and evaluation) works on the Python-int
 numerators and reduces once at the end, so no operation does ``Fraction``
-arithmetic per coefficient.  The reduced ``Fraction`` coefficients,
-``Poly.coeffs``, are built only when something reads them, such as a
-serializer.
+arithmetic per coefficient.  ``lincomb`` extends that to a whole linear
+combination: a sum of scaled polynomials or scaled products is added up in
+integers over one common denominator and reduced once, not once per term.
+The reduced ``Fraction`` coefficients, ``Poly.coeffs``, are built only when
+something reads them, such as a serializer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ RationalLike = Union[Fraction, int, str]
 
 __all__ = [
     "Poly",
+    "lincomb",
     "as_rational",
     "parse_rational",
     "format_rational",
@@ -297,6 +300,37 @@ class Poly:
         return out
 
 
+def lincomb(terms: Iterable[tuple]) -> Poly:
+    """The linear combination sum c*p, or sum c*p*q, over ``terms``: each term
+    is (c, p) or (c, p, q) with c rational and p, q polynomials.
+
+    Works as FLINT's ``fmpq_poly`` does, on unreduced numerators: zero terms
+    are dropped, L is the lcm of the term denominators c.den*p.den(*q.den),
+    each numerator of the shorter factor is scaled once by c.num*(L // den)
+    and multiply-added against the longer one into one integer list (a
+    2-tuple's second factor is 1), and that list over L is reduced once.  The
+    result equals the left fold of ``+`` over the terms.
+    """
+    kept = []
+    for c, p, *q in terms:
+        c = as_rational(c)
+        b, db = (q[0].nums, q[0].den) if q else ((1,), 1)
+        if c and p.nums and b:
+            a = p.nums
+            if len(a) > len(b):
+                a, b = b, a
+            kept.append((c.numerator, c.denominator * p.den * db, a, b))
+    common = math.lcm(*(den for _, den, _, _ in kept))
+    out = [0] * max((len(a) + len(b) - 1 for _, _, a, b in kept), default=0)
+    for num, den, a, b in kept:
+        s, m = num * (common // den), len(b)
+        for i, ai in enumerate(a):
+            if ai:
+                ai *= s
+                out[i:i + m] = [o + ai * bj for o, bj in zip(out[i:i + m], b)]
+    return Poly._make(out, common)
+
+
 def shift(p: Poly, h: RationalLike) -> Poly:
     """Return q with q(x) = p(x+h), by an integer Taylor shift.
 
@@ -331,7 +365,7 @@ def delta_w(p: Poly, w: RationalLike) -> Poly:
     w = as_rational(w)
     if w == 0:
         raise ValueError("delta_w requires w != 0; use derivative() for the w -> 0 limit")
-    return (shift(p, w) - p) / w
+    return lincomb(((1 / w, shift(p, w)), (-1 / w, p)))
 
 
 def derivative(p: Poly) -> Poly:

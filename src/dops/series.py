@@ -18,6 +18,7 @@ from .polynomials import (
     RationalLike,
     as_rational,
     factorial,
+    lincomb,
 )
 
 __all__ = [
@@ -107,38 +108,25 @@ class Series:
 
 
 def series_mul(f: Series, g: Series) -> Series:
-    """Cauchy product truncated at min(order f, order g)."""
+    """Cauchy product truncated at min(order f, order g); each coefficient
+    is one ``lincomb`` of its products, reduced once."""
     n = min(f.order, g.order)
-    out = []
-    for m in range(n + 1):
-        acc = Poly.zero()
-        for i in range(m + 1):
-            fi = f.coeffs[i]
-            gj = g.coeffs[m - i]
-            if fi.is_zero() or gj.is_zero():
-                continue
-            acc = acc + fi * gj
-        out.append(acc)
-    return Series(n, tuple(out))
+    return Series(n, tuple(lincomb((1, f.coeffs[i], g.coeffs[m - i]) for i in range(m + 1))
+                           for m in range(n + 1)))
 
 
 def series_exp(f: Series) -> Series:
     """exp(f) for a series with zero constant term.
 
     Solved coefficientwise from g' = f'.g, which keeps every intermediate a
-    plain convolution: g_n = (1/n) sum_{k=1..n} k f_k g_{n-k}.
+    plain convolution: g_n = sum_{k=1..n} (k/n) f_k g_{n-k}, one ``lincomb``
+    of products per coefficient, reduced once.
     """
     if not f.coeffs[0].is_zero():
         raise ValueError("series_exp requires a zero constant term; use normalize_exponent first")
     out = [Poly.one()]
     for n in range(1, f.order + 1):
-        acc = Poly.zero()
-        for k in range(1, n + 1):
-            fk = f.coeffs[k]
-            if fk.is_zero():
-                continue
-            acc = acc + (fk * out[n - k]) * k
-        out.append(acc / n)
+        out.append(lincomb((Fraction(k, n), f.coeffs[k], out[n - k]) for k in range(1, n + 1)))
     return Series(f.order, tuple(out))
 
 

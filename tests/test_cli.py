@@ -562,6 +562,22 @@ def test_lemma_note_claims_only_a_checked_instance(capsys, order, note):
     assert report["notes"][0] == note
 
 
+@pytest.mark.parametrize("order, note", [
+    (0, "aligned reduction window needs N >= 1"),
+    (1, "stated l-term reduction window fails (first witness at n = 1); repaired form pinned: "
+        "the window is d*l terms with binomial(d*l, k) weights"),
+])
+def test_reduction_note_claims_only_a_checked_window(capsys, order, note):
+    # at n = 0 both reduction windows hold the single term k = 0, so only
+    # N >= 1 can tell the stated l-term window from the d*l-term one
+    code, out, err = run_cli(["verify", *HYP, "--order", str(order), "--suites", "hyp-lincomb"],
+                             capsys)
+    assert code == 0, err
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "pass"
+    assert report["notes"][-1] == note
+
+
 @st.composite
 def small_setups(draw):
     """Every family at d <= 4 and order 0..d+3, over degenerate parameters:

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from dops.orthogonality import MomentTable
 from dops.polynomials import (
     Poly,
+    as_rational,
     binomial,
     delta_w,
     derivative,
     falling_factorial,
     falling_value,
     format_rational,
+    lincomb,
     parse_rational,
     shift,
 )
@@ -261,6 +263,43 @@ class TestStorage:
         p.degree, p.is_zero(), p.is_monic(), p.leading_coefficient, p.coefficient(1), str(p)
         p(F(1, 3)), p + p, p * p, p * 2, p / 3, -p, shift(p, F(1, 2)), derivative(p)
         assert not hasattr(p, "_coeffs")
+
+
+def left_fold(terms):
+    """Reference sum of (c, p) and (c, p, q) terms through the Poly operators."""
+    acc = Poly.zero()
+    for c, p, *q in terms:
+        acc = acc + (p * q[0] if q else p) * as_rational(c)
+    return acc
+
+
+big_rationals = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+# int, Fraction (narrow and wide denominators) and "p/q" coefficients, the
+# strings with either sign of denominator.
+coefficients = (st.integers(-20, 20) | kernel_rationals | big_rationals
+                | st.builds("{}/{}".format, st.integers(-99, 99),
+                            st.integers(1, 99) | st.integers(-99, -1)))
+term_polys = kernel_polys | st.lists(big_rationals, max_size=5).map(Poly)
+terms_lists = st.lists(st.tuples(coefficients, term_polys)
+                       | st.tuples(coefficients, term_polys, term_polys), max_size=6)
+
+
+class TestLincomb:
+    """lincomb adds its terms over one common denominator and reduces once;
+    it must give the exact (nums, den) pair of the operator fold."""
+
+    @settings(deadline=None)
+    @given(terms_lists)
+    @example([])
+    @example([(0, COPRIME), (F(1, 3), Poly.zero()), (2, COPRIME, Poly.zero()), ("0/5", COPRIME)])
+    @example([("3/-7", COPRIME), (F(5, 6), COPRIME, Poly([F(1, 13), F(-1, 17)])),
+              (-1, Poly.const(F(2, 9)))])
+    @example([(F(1, 10**30 + 1), COPRIME), (F(-1, 10**30 + 1), COPRIME, Poly.one())])
+    @example([(F(1, 6), Poly([F(1, 2), 1])), (F(-1, 10), Poly([0, F(1, 3)]), COPRIME)])
+    def test_matches_left_fold(self, terms):
+        result, expected = lincomb(terms), left_fold(terms)
+        assert (result.nums, result.den) == (expected.nums, expected.den)
+        assert_normal(result)
 
 
 class TestDeltaW:
