@@ -882,10 +882,10 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     dens = tuple(ai + 1 for ai in p.alphavec)
     notes: list[str] = []
 
-    # Component 1: the index-shift lemma at a generic second parameter.  Its
-    # sums repeat across (n, k, i), so each distinct one is built once, and
-    # the falling factorials of a2 come from one table.
-    a2 = beta + dl + Fraction(1, 3)
+    # Component 1: the index-shift lemma at a generic second parameter, kept
+    # off the integers where the falling factorials of a2 (one table) vanish.
+    # Its sums repeat across (n, k, i), so each distinct one is built once.
+    a2 = beta + dl + Fraction(1, 5 if (beta + Fraction(1, 3)).denominator == 1 else 3)
     a2_falling = [falling_value(a2, k) for k in range(dl + 1)]
     lemma_dens = dens + (beta + 1,)
     sums: dict[tuple[int, Fraction], Poly] = {}

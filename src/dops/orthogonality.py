@@ -4,14 +4,17 @@ orthogonality pattern checks built on them.
 A monic sequence of degrees 0..N determines at most one band recurrence of a
 given bandwidth; fitting is a triangular solve done by expanding the defect
 x P_n - P_{n+1} back in the P basis, so it is exact and needs no pivoting.
-Moments of the dual functionals come from inverting the (unit lower
-triangular) coefficient matrix of the sequence, which is likewise exact and
-works whether or not the sequence is regular; non-regularity is something
-these tools report, never a reason to fail.
+Moments of the dual functionals come from forward substitution through the
+(lower triangular) coefficient matrix of the sequence, over one running
+denominator, which is likewise exact and works whether or not the sequence
+is regular; non-regularity is something these tools report, never a reason
+to fail.  Expansion, moments and the pattern's pairings all run on the
+integer numerators of each ``Poly``, with no ``Poly`` arithmetic per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,29 +48,37 @@ class FitError(ValueError):
         self.index = index
 
 
+def _check_graded(basis: Sequence[Poly]) -> None:
+    for i, p in enumerate(basis):
+        if p.degree != i:
+            raise FitError(i, f"basis element {i} has degree {p.degree}, expected {i}")
+
+
 def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
     """Exact coefficients a_i with q = sum a_i basis[i].
 
     The basis must be graded (degree of basis[i] is exactly i) with nonzero
     leading coefficients; monic is the common case but not required.  Returns
-    a list of length deg(q)+1 (empty for the zero polynomial).
+    a list of length deg(q)+1 (empty for the zero polynomial).  The
+    remainder is integer numerators ``rest`` over one running denominator.
     """
     if q.is_zero():
         return []
     if q.degree >= len(basis):
         raise ValueError(f"need basis elements up to degree {q.degree}, have {len(basis) - 1}")
-    for i, p in enumerate(basis[: q.degree + 1]):
-        if p.degree != i:
-            raise FitError(i, f"basis element {i} has degree {p.degree}, expected {i}")
+    _check_graded(basis[: q.degree + 1])
     out = [Fraction(0)] * (q.degree + 1)
-    rest = q
-    while not rest.is_zero():
-        i = rest.degree
-        a = rest.leading_coefficient / basis[i].leading_coefficient
-        out[i] = a
-        rest = rest - basis[i] * a
-        if not rest.is_zero() and rest.degree >= i:
-            raise AssertionError("basis expansion failed to reduce degree")
+    rest, den = list(q.nums), q.den
+    for i in range(q.degree, -1, -1):
+        if rest[i]:
+            p = basis[i]
+            a = out[i] = Fraction(rest[i] * p.den, den * p.nums[i])
+            new = math.lcm(den, a.denominator * p.den)
+            up, c = new // den, a.numerator * new // (a.denominator * p.den)
+            rest, den = [r * up - c * b for r, b in zip(rest, p.nums)], new
+            if rest[i]:
+                raise AssertionError("basis expansion failed to reduce degree")
+        rest.pop()
     return out
 
 
@@ -179,34 +190,39 @@ class MomentTable:
         denominator, held in a Poly whose x**k coefficient is moment k."""
         return tuple(Poly(row) for row in self.moments)
 
-    def apply(self, r: int, q: Poly) -> Fraction:
-        """<u_r, q> for any polynomial inside the degree budget: one integer
-        dot product over the two denominators."""
-        if q.degree > self.n_max:
-            raise ValueError(f"degree {q.degree} exceeds the moment budget {self.n_max}")
+    def apply(self, r: int, q: Poly, shift: int = 0) -> Fraction:
+        """<u_r, x**shift q> inside the degree budget: one integer dot product
+        of q's numerators with the moment numerators from ``shift`` on."""
+        if q.degree + shift > self.n_max:
+            raise ValueError(f"degree {q.degree + shift} exceeds the moment budget {self.n_max}")
         row = self._rows[r]
-        return Fraction(sum(map(mul, q.nums, row.nums)), q.den * row.den)
+        return Fraction(sum(map(mul, q.nums, row.nums[shift:])), q.den * row.den)
 
 
 def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
-    """Dual-functional moments by triangular inversion.
-
-    Expands each monomial x**k over the monic basis; the coefficient of P_r
-    in that expansion is <u_r, x**k> by biorthogonality.  Exact and
-    unconditional (the coefficient matrix is unit lower triangular).
+    """Dual-functional moments m_r(k) = <u_r, x**k> by forward substitution,
+    m_r(n) = (delta_rn - sum_{j<n} a_nj m_r(j)) / a_nn, on integer numerators
+    over the lcm of each row's denominators: O(d N**2), for any graded basis.
     """
     n_max = len(polys) - 1
     if d < 1:
         raise ValueError("d must be a positive integer")
     if d > n_max:
         raise ValueError(f"need degrees through at least d = {d}")
-    rows: list[list[Fraction]] = [[] for _ in range(d)]
-    for k in range(n_max + 1):
-        coeffs = expand_in_basis(Poly.monomial(k), polys)
-        coeffs += [Fraction(0)] * (n_max + 1 - len(coeffs))
-        for r in range(d):
-            rows[r].append(coeffs[r])
-    return MomentTable(d=d, n_max=n_max, moments=tuple(tuple(row) for row in rows))
+    _check_graded(polys)
+    rows: list[tuple[Fraction, ...]] = []
+    for r in range(d):
+        row, nums, den = [], [], 1
+        for n, p in enumerate(polys):
+            m = Fraction((p.den * den if n == r else 0) - sum(map(mul, p.nums, nums)),
+                         den * p.nums[n])
+            if den % m.denominator:
+                up = m.denominator // math.gcd(den, m.denominator)
+                nums, den = [c * up for c in nums], den * up
+            nums.append(m.numerator * (den // m.denominator))
+            row.append(m)
+        rows.append(tuple(row))
+    return MomentTable(d=d, n_max=n_max, moments=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -236,12 +252,6 @@ class OrthogonalityReport:
     def regularity_failures(self) -> list[OrthogonalityCheck]:
         return [c for c in self.checks if c.kind == "nonzero" and not c.ok]
 
-    @property
-    def passed(self) -> bool:
-        """True when every vanishing condition holds; regularity failures are
-        reported separately (non-regular input is a finding, not a failure)."""
-        return not self.zero_failures
-
 
 def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
                            n_max: int) -> OrthogonalityReport:
@@ -251,16 +261,12 @@ def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
         raise ValueError("moment table covers fewer functionals than requested")
     checks: list[OrthogonalityCheck] = []
     for r in range(d):
-        m = 0
-        while m + (m * d + r) <= n_max:
+        for m in range((n_max - r) // (d + 1) + 1):  # while m + (m d + r) <= n_max
             base = m * d + r
             for n in range(base, min(n_max - m, len(polys) - 1) + 1):
-                value = table.apply(r, Poly.monomial(m) * polys[n])
-                if n == base:
-                    checks.append(OrthogonalityCheck(r, m, n, "nonzero", value, value != 0))
-                else:
-                    checks.append(OrthogonalityCheck(r, m, n, "zero", value, value == 0))
-            m += 1
+                value = table.apply(r, polys[n], m)
+                kind = "nonzero" if n == base else "zero"
+                checks.append(OrthogonalityCheck(r, m, n, kind, value, (value != 0) == (n == base)))
     return OrthogonalityReport(d=d, n_max=n_max, checks=tuple(checks))
 
 
@@ -283,11 +289,5 @@ def quasi_orthogonality_order(q_seq: Sequence[Poly], basis: Sequence[Poly],
     l = 0
     for n, coeffs in enumerate(expansions):
         low = next(i for i, c in enumerate(coeffs) if c != 0)
-        need = -((low - n) // d)  # ceil((n - low) / d)
-        l = max(l, need)
-    exact = True
-    for n, coeffs in enumerate(expansions):
-        if n >= d * l and coeffs[n - d * l] == 0:
-            exact = False
-            break
-    return l, exact
+        l = max(l, -((low - n) // d))  # ceil((n - low) / d)
+    return l, all(coeffs[n - d * l] != 0 for n, coeffs in enumerate(expansions) if n >= d * l)

@@ -1,14 +1,15 @@
 """Exact reference constructions that only the tests compare against.
 
 They sit outside the library on purpose: each one is an independent second
-route to an object ``dops.series``, ``dops.polynomials``, ``dops.families``
-or ``dops.identities`` builds another way.
+route to an object ``dops.series``, ``dops.polynomials``, ``dops.families``,
+``dops.orthogonality`` or ``dops.identities`` builds another way.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from dops.families import FamilyParamError
+from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
 from dops.polynomials import Poly, RationalLike, as_rational, factorial, falling_factorial
 from dops.series import Series
 
@@ -103,3 +104,66 @@ def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> Ser
         coeffs.append(falling_factorial(w, n) * (power / factorial(n)))
         power *= s
     return Series(order, tuple(coeffs))
+
+
+def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
+    """Top-down ``Poly`` subtraction of a_i basis[i] from q: the reference for
+    the integer-numerator ``dops.orthogonality.expand_in_basis``, raising the
+    same errors."""
+    if q.is_zero():
+        return []
+    if q.degree >= len(basis):
+        raise ValueError(f"need basis elements up to degree {q.degree}, have {len(basis) - 1}")
+    for i, p in enumerate(basis[: q.degree + 1]):
+        if p.degree != i:
+            raise FitError(i, f"basis element {i} has degree {p.degree}, expected {i}")
+    out = [Fraction(0)] * (q.degree + 1)
+    rest = q
+    while not rest.is_zero():
+        i = rest.degree
+        a = rest.leading_coefficient / basis[i].leading_coefficient
+        out[i] = a
+        rest = rest - basis[i] * a
+        if not rest.is_zero() and rest.degree >= i:
+            raise AssertionError("basis expansion failed to reduce degree")
+    return out
+
+
+def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
+    """Expands every monomial x**k over the basis and reads <u_r, x**k> off
+    the coefficient of P_r: the reference for the forward substitution in
+    ``dops.orthogonality.moments_by_inversion``."""
+    n_max = len(polys) - 1
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if d > n_max:
+        raise ValueError(f"need degrees through at least d = {d}")
+    rows: list[list[Fraction]] = [[] for _ in range(d)]
+    for k in range(n_max + 1):
+        coeffs = expand_in_basis(Poly.monomial(k), polys)
+        coeffs += [Fraction(0)] * (n_max + 1 - len(coeffs))
+        for r in range(d):
+            rows[r].append(coeffs[r])
+    return MomentTable(d=d, n_max=n_max, moments=tuple(tuple(row) for row in rows))
+
+
+def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
+                           n_max: int) -> OrthogonalityReport:
+    """The orthogonality pattern with each cell paired as the product
+    x**m P_n: the reference for the shifted pairings of
+    ``dops.orthogonality.verify_d_orthogonality``."""
+    if table.d < d:
+        raise ValueError("moment table covers fewer functionals than requested")
+    checks: list[OrthogonalityCheck] = []
+    for r in range(d):
+        m = 0
+        while m + (m * d + r) <= n_max:
+            base = m * d + r
+            for n in range(base, min(n_max - m, len(polys) - 1) + 1):
+                value = table.apply(r, Poly.monomial(m) * polys[n])
+                if n == base:
+                    checks.append(OrthogonalityCheck(r, m, n, "nonzero", value, value != 0))
+                else:
+                    checks.append(OrthogonalityCheck(r, m, n, "zero", value, value == 0))
+            m += 1
+    return OrthogonalityReport(d=d, n_max=n_max, checks=tuple(checks))

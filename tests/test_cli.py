@@ -578,6 +578,21 @@ def test_reduction_note_claims_only_a_checked_window(capsys, order, note):
     assert report["notes"][-1] == note
 
 
+@pytest.mark.parametrize("args", [
+    ["--d", "2", "--alphavec", "1/2,1/3", "--beta", "-13/3", "--l", "2", "--order", "4"],
+    ["--d", "1", "--alphavec", "-17/4", "--beta", "-4/3", "--l", "2", "--order", "3"],
+], ids=["a2-zero", "a2-one"])
+def test_lemma_parameter_stays_off_the_integers(capsys, args):
+    # beta + 1/3 is an integer here, so the lemma's usual a2 = beta + d*l + 1/3
+    # would be one too and its falling factorials would vanish
+    code, out, err = run_cli(["verify", "--family", "hyp-laguerre", *args], capsys)
+    assert code == 0, err
+    reports = json.loads(out)["reports"]
+    assert [r["identity"] for r in reports] == ["hyp-lincomb", "quasi-order"]
+    assert all(r["status"] == "pass" for r in reports)
+    assert reports[0]["notes"][0] == "index-shift lemma verified at a generic non-integer parameter"
+
+
 @st.composite
 def small_setups(draw):
     """Every family at d <= 4 and order 0..d+3, over degenerate parameters:

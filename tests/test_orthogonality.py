@@ -3,15 +3,28 @@
 The moment route gets an independent oracle here: the lowering-operator
 representation of the dual functionals (a truncated operator polynomial in
 the forward difference applied at 0) must reproduce every inversion moment.
+The three integer-numerator kernels are also compared with the ``Poly``
+routes in ``tests/oracles.py`` on random graded bases.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dops.families import HypParams, MLParams, hyp_laguerre, hyp_quasi, ml_by_recurrence
+import oracles
+from dops import orthogonality
+from dops.families import (
+    HypParams,
+    LagParams,
+    MLParams,
+    hyp_laguerre,
+    hyp_quasi,
+    laguerre_type_by_recurrence,
+    ml_by_recurrence,
+)
 from dops.orthogonality import (
     FitError,
     check_regularity,
@@ -21,7 +34,7 @@ from dops.orthogonality import (
     quasi_orthogonality_order,
     verify_d_orthogonality,
 )
-from dops.polynomials import Poly, binomial, delta_w, factorial, shift
+from dops.polynomials import Poly, binomial, delta_w, factorial, lincomb, shift
 
 X = Poly.x()
 
@@ -248,14 +261,14 @@ class TestOrthogonalityPattern:
         polys = ml_by_recurrence(REGULAR_D2, 10)
         table = moments_by_inversion(polys, 2)
         report = verify_d_orthogonality(polys, table, 2, 10)
-        assert report.passed
+        assert not report.zero_failures
         assert not report.regularity_failures
 
     def test_classical_regularity_gap_matches_table_flags(self):
         polys = ml_by_recurrence(CLASSICAL, 10)
         table = moments_by_inversion(polys, 1)
         report = verify_d_orthogonality(polys, table, 1, 10)
-        assert report.passed  # vanishing conditions all hold
+        assert not report.zero_failures  # vanishing conditions all hold
         assert report.regularity_failures  # but the family is not regular
         flags = check_regularity(fit_recurrence(polys, 1), 8)
         assert bool(flags) == bool(report.regularity_failures)
@@ -264,7 +277,7 @@ class TestOrthogonalityPattern:
         polys = monomials(8)
         table = moments_by_inversion(polys, 1)
         report = verify_d_orthogonality(polys, table, 1, 8)
-        assert report.passed
+        assert not report.zero_failures
         bad_m = sorted({c.m for c in report.regularity_failures})
         assert bad_m == list(range(1, max(bad_m) + 1))  # fails beyond m = 0
 
@@ -274,7 +287,7 @@ class TestOrthogonalityPattern:
         polys = [Poly.one(), X, Poly.monomial(2), Poly([1, 0, 0, 1]), Poly.monomial(4)]
         table = moments_by_inversion(polys, 1)
         report = verify_d_orthogonality(polys, table, 1, 4)
-        assert not report.passed
+        assert report.zero_failures
         assert any(c.m >= 1 for c in report.zero_failures)
 
 
@@ -295,3 +308,114 @@ class TestQuasiOrder:
         basis = [hyp_laguerre(p, n) for n in range(9)]
         q = [hyp_quasi(p, n) for n in range(9)]
         assert quasi_orthogonality_order(q, basis, d) == (l, True)
+
+
+# Coefficients for random graded bases: often zero inside, and a leading
+# coefficient that is often 1 but may be any nonzero rational.
+rationals = st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6))
+coefficients = st.one_of(st.just(F(0)), rationals)
+leading = st.one_of(st.just(F(1)), rationals.filter(bool))
+
+
+def graded(draw, n):
+    return Poly([*draw(st.lists(coefficients, min_size=n, max_size=n)), draw(leading)])
+
+
+@st.composite
+def graded_bases(draw, n_max=None):
+    if n_max is None:
+        n_max = draw(st.integers(min_value=1, max_value=12))
+    return [graded(draw, n) for n in range(n_max + 1)]
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return None
+
+
+class TestKernelsAgainstPolyOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(graded_bases(), st.data())
+    def test_expansion_of_every_degree(self, basis, data):
+        assert expand_in_basis(Poly.zero(), basis) == oracles.expand_in_basis(Poly.zero(), basis) == []
+        for q in data.draw(graded_bases(len(basis) - 1)):
+            coeffs = expand_in_basis(q, basis)
+            assert coeffs == oracles.expand_in_basis(q, basis)
+            assert lincomb(zip(coeffs, basis)) == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_bases(), st.data())
+    def test_moments_and_pattern(self, basis, data):
+        n_max = len(basis) - 1
+        d = data.draw(st.integers(min_value=1, max_value=n_max))
+        table = moments_by_inversion(basis, d)
+        assert table == oracles.moments_by_inversion(basis, d)
+        budget = data.draw(st.integers(min_value=0, max_value=n_max))
+        assert (verify_d_orthogonality(basis, table, d, budget)
+                == oracles.verify_d_orthogonality(basis, table, d, budget))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graded_bases(), st.data())
+    def test_shifted_pairing(self, basis, data):
+        n_max = len(basis) - 1
+        table = moments_by_inversion(basis, 1)
+        shift_by = data.draw(st.integers(min_value=0, max_value=n_max + 1))
+        for k, q in enumerate(data.draw(graded_bases(n_max))):
+            product = Poly.monomial(shift_by) * q
+            if k + shift_by <= n_max:
+                assert table.apply(0, q, shift_by) == table.apply(0, product)
+            else:
+                assert raised(table.apply, 0, q, shift_by) == raised(table.apply, 0, product)
+                assert raised(table.apply, 0, q, shift_by)[0] is ValueError
+
+    @settings(max_examples=40, deadline=None)
+    @given(graded_bases(), st.data())
+    def test_same_errors_on_a_basis_that_is_not_graded(self, basis, data):
+        n_max = len(basis) - 1
+        bad = data.draw(st.integers(min_value=0, max_value=n_max))
+        degree = data.draw(st.sampled_from([-1, *(k for k in range(n_max + 2) if k != bad)]))
+        basis[bad] = Poly.zero() if degree < 0 else graded(data.draw, degree)
+        q = graded(data.draw, n_max)
+        d = data.draw(st.integers(min_value=1, max_value=n_max))
+        error = raised(expand_in_basis, q, basis)
+        assert error == raised(oracles.expand_in_basis, q, basis)
+        assert error[0] is FitError and error[2] == bad
+        assert raised(moments_by_inversion, basis, d) == error
+        assert raised(oracles.moments_by_inversion, basis, d) == error
+
+    @settings(max_examples=20, deadline=None)
+    @given(graded_bases(), st.data())
+    def test_same_error_past_the_basis(self, basis, data):
+        q = graded(data.draw, len(basis) + data.draw(st.integers(min_value=0, max_value=2)))
+        error = raised(expand_in_basis, q, basis)
+        assert error == raised(oracles.expand_in_basis, q, basis)
+        assert error[0] is ValueError
+
+
+def test_moments_and_pattern_need_no_expansion_and_no_product(monkeypatch):
+    # Forward substitution and shifted pairings are O(d N**2) integer work;
+    # a call to either counted function would bring back the O(N**3) route.
+    polys = laguerre_type_by_recurrence(LagParams(3, F(1, 2), F(-3, 2), F(1, 7),
+                                                  [1, F(1, 3), F(1, 5)]), 24)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orthogonality, "expand_in_basis",
+                        counting("expand_in_basis", orthogonality.expand_in_basis))
+    monkeypatch.setattr(Poly, "__mul__", counting("Poly.__mul__", Poly.__mul__))
+    table = moments_by_inversion(polys, 3)
+    report = verify_d_orthogonality(polys, table, 3, 24)
+    assert not calls
+    assert not report.zero_failures and len(report.checks) > 100
+    # both wrappers are live: the fit still expands, and products still count
+    fit_recurrence(polys[:6], 3)
+    assert X * X == Poly.monomial(2)
+    assert calls["expand_in_basis"] == 5 and calls["Poly.__mul__"] >= 1
