@@ -45,7 +45,6 @@ from .polynomials import (
     as_rational,
     delta_w,
     derivative,
-    falling_factorial,
     format_rational,
     parse_rational,
     shift,

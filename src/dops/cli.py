@@ -291,7 +291,7 @@ def _moments_artifact(setup: FamilySetup) -> dict:
         "order": setup.order,
         "d": setup.d,
         "moments": [
-            {"r": r, "values": [format_rational(v) for v in table.moments[r]]}
+            {"r": r, "values": [format_rational(table.moment(r, k)) for k in range(table.n_max + 1)]}
             for r in range(setup.d)
         ],
         "pattern": {

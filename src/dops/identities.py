@@ -7,9 +7,13 @@ tolerance.  Reports carry the first failing witness when something breaks.
 A run is one ``FamilySetup``: the family, its parameters, the truncation
 order and, optionally, a supplied table of P_0..P_N.  The objects the suites
 share (the family, its companion sequence, the fitted recurrence tables, the
-moments, the generating-function route, the ratio-power closed forms) are
-computed on first use and kept for the rest of the run, and every suite
-reads the family from the setup, so a supplied table is what gets checked.
+moments, the generating-function route, the ratio-power closed forms, the
+delta_w powers of the difference equations) are computed on first use and
+kept for the rest of the run, and every suite reads the family from the
+setup, so a supplied table is what gets checked.  Every ratio-power form,
+stated or repaired, is a weighted sum over the step-w windows of one
+stepper, ``_ratio_windows``, which grows each window by one linear factor
+per index, so no form shifts a falling factorial.
 ``SUITES`` maps each family kind to its suites in run order; a suite is a
 function of the setup returning its reports.  A suite whose index range is
 empty reports not-applicable.
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .families import (
     HypParams,
@@ -68,7 +72,6 @@ from .polynomials import (
     delta_w,
     derivative,
     factorial,
-    falling_factorial,
     falling_value,
     format_rational,
     lincomb,
@@ -275,7 +278,7 @@ class FamilySetup:
         if self.kind == "laguerre":
             return laguerre_type_by_recurrence(self.params, self.order)
         if self.kind == "hyp-laguerre":
-            return self.hyp_basis
+            return [hyp_laguerre(self.params, n) for n in range(self.order + 1)]
         return ml_by_recurrence(self.params, self.order)
 
     @cached_property
@@ -317,30 +320,26 @@ class FamilySetup:
         return verify_d_orthogonality(self.polys, self.moments, self.d, self.order)
 
     @cached_property
-    def hyp_basis(self) -> list[Poly]:
-        return [hyp_laguerre(self.params, n) for n in range(self.order + 1)]
-
-    @cached_property
     def quasi(self) -> list[Poly]:
         return [hyp_quasi(self.params, n) for n in range(self.order + 1)]
 
     @cached_property
-    def _closed_forms(self) -> dict[int, Poly]:
-        return {}
+    def closed_forms(self) -> list[Poly]:
+        """The ratio-power closed forms P0_0..P0_order at the run's ratio
+        parameters."""
+        return ratio_power_closed_form(self.params.alpha, self.params.beta, self.order)
 
-    def closed_form(self, n: int) -> Poly:
-        """ratio_power_closed_form at the run's ratio parameters."""
-        if n not in self._closed_forms:
-            self._closed_forms[n] = ratio_power_closed_form(self.params.alpha, self.params.beta, n)
-        return self._closed_forms[n]
-
-
-def _delta_powers(poly: Poly, w: Fraction, upto: int) -> list[Poly]:
-    """[poly, delta_w poly, ..., delta_w**upto poly]."""
-    out = [poly]
-    for _ in range(upto):
-        out.append(delta_w(out[-1], w))
-    return out
+    @cached_property
+    def deltas(self) -> list[list[Poly]]:
+        """deltas[m][j] = delta_w**j P_m for j <= d+1, the powers the
+        difference equations read."""
+        out = []
+        for p in self.polys:
+            row = [p]
+            for _ in range(self.d + 1):
+                row.append(delta_w(row[-1], self.params.w))
+            out.append(row)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +629,12 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _de1_sides(p, polys, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
+def _de1_sides(p, deltas, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
+    """Both sides at (n, k); deltas[m][j] is delta_w**j P_m."""
     alpha, w, d = p.alpha, p.w, p.d
     beta_n = table.beta[n]
-    dw = _delta_powers(polys[n - k], w, k)
-    terms = [(1, Poly((k * w - k * alpha * (n - k + 2) - beta_n, 1)), polys[n - k])]
+    dw = deltas[n - k]
+    terms = [(1, Poly((k * w - k * alpha * (n - k + 2) - beta_n, 1)), dw[0])]
     for i in range(1, k + 1):
         slope = alpha ** i * binomial(k, i)
         corr = sum(binomial(k - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
@@ -645,14 +645,14 @@ def _de1_sides(p, polys, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, 
     for i in range(k, d):
         coef = table.gamma_at(n - i, d - 1 - i) / math.perm(n, k)
         if coef != 0:
-            terms.append((-coef, _delta_powers(polys[n - i - 1], w, k)[k]))
-    return polys[n - k + 1], lincomb(terms)
+            terms.append((-coef, deltas[n - i - 1][k]))
+    return deltas[n - k + 1][0], lincomb(terms)
 
 
-def _de2_sides(p, polys, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
+def _de2_sides(p, deltas, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
     alpha, w, d = p.alpha, p.w, p.d
     beta_n = table.beta[n]
-    dw = _delta_powers(polys[n - d], w, d + 1)
+    dw = deltas[n - d]
     terms = [(1, Poly(((d + 1) * w - (d + 1) * alpha * (n - d + 1) - beta_n, 1)), dw[1])]
     for i in range(1, d + 1):
         slope = alpha ** i * binomial(d, i)
@@ -661,7 +661,7 @@ def _de2_sides(p, polys, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
         const = (slope * ((d + 1) * w - beta_n)
                  - alpha ** (i + 1) * binomial(d + 1, i + 1) * (n - d + i + 1) - corr)
         terms.append((1, Poly((const, slope)), dw[i + 1]))
-    return polys[n - d] * (n - d), lincomb(terms)
+    return dw[0] * (n - d), lincomb(terms)
 
 
 def verify_de(setup: FamilySetup, which) -> VerificationReport:
@@ -674,7 +674,7 @@ def verify_de(setup: FamilySetup, which) -> VerificationReport:
     below that the falling-factorial denominators vanish and the indices are
     reported out-of-range.
     """
-    p, polys = setup.params, setup.polys
+    p = setup.params
     params = setup.public_params(tagged=True)
     if which == "de2":
         identity, k = "de2", None
@@ -695,9 +695,9 @@ def verify_de(setup: FamilySetup, which) -> VerificationReport:
     def checks():
         for n in range(lo, hi + 1):
             if k is None:
-                lhs, rhs = _de2_sides(p, polys, table, n)
+                lhs, rhs = _de2_sides(p, setup.deltas, table, n)
             else:
-                lhs, rhs = _de1_sides(p, polys, table, n, k)
+                lhs, rhs = _de1_sides(p, setup.deltas, table, n, k)
             yield n, lhs, rhs, identity
 
     notes = (f"indices n < {p.d} skipped as out-of-range",)
@@ -718,12 +718,28 @@ def verify_de2(setup: FamilySetup) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n: int) -> Poly:
-    """n! times the t**n coefficient of ((1-beta t)/(1-alpha t))**(x/w) in
-    closed form, via step-w falling factorials:
+def _ratio_windows(w: Fraction, n_max: int):
+    """The rows W(n, 0..n) for n = 1..n_max of the step-w windows
 
-        w**-n sum_{k=0..n} C(n,k) (-beta)**k alpha**(n-k)
-              x <x + (n-k-1) w | w>_{n-1}
+        W(n, k) = prod_{i=1-k..n-k-1} (x + i w) = <x + (n-k-1) w | w>_{n-1},
+
+    each row from the one before with one linear factor per window:
+    W(n+1, k) = W(n, k) (x + (n-k) w) and W(n+1, n+1) = W(n, n) (x - n w).
+    Only the current row is kept."""
+    row = [Poly.one(), Poly.one()]
+    for n in range(1, n_max + 1):
+        yield row
+        if n < n_max:
+            row = [*(window * Poly(((n - k) * w, 1)) for k, window in enumerate(row)),
+                   row[n] * Poly((-n * w, 1))]
+
+
+def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n_max: int) -> list[Poly]:
+    """P0_0..P0_{n_max}, where P0_n is n! times the t**n coefficient of
+    ((1-beta t)/(1-alpha t))**(x/w), in closed form over the windows of
+    ``_ratio_windows``:
+
+        P0_n = w**-n sum_{k=0..n} C(n,k) (-beta)**k alpha**(n-k) x W(n, k)
 
     This is the repaired convolution form; it is the independent cross-check
     for the exponent-route construction and stays valid at alpha = 0 or
@@ -733,27 +749,19 @@ def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n: int) -> 
     w = alpha - beta
     if w == 0:
         raise ValueError("requires alpha != beta")
-    if n == 0:
-        return Poly.one()
-    ff, x, wn = falling_factorial(w, n - 1), Poly.x(), w ** n
-    coefs = [binomial(n, k) * (-beta) ** k * alpha ** (n - k) / wn for k in range(n + 1)]
-    return lincomb((c, x, shift(ff, (n - k - 1) * w)) for k, c in enumerate(coefs) if c)
-
-
-def _ratio_power_stated_form(alpha: Fraction, beta: Fraction, n: int) -> Poly:
-    """The stated transcription of the same coefficient, with weights
-    (beta/alpha)**k (-alpha)**n; needs alpha != 0."""
-    w = alpha - beta
-    if n == 0:
-        return Poly.one()
-    ff, x, scale = falling_factorial(w, n - 1), Poly.x(), (-alpha) ** n
-    return lincomb((binomial(n, k) * (beta / alpha) ** k * scale, x, shift(ff, (n - k - 1) * w))
-                   for k in range(n + 1))
+    x, forms = Poly.x(), [Poly.one()]
+    for n, row in enumerate(_ratio_windows(w, n_max), 1):
+        wn = w ** n
+        forms.append(lincomb((binomial(n, k) * (-beta) ** k * alpha ** (n - k) / wn, x, window)
+                             for k, window in enumerate(row)))
+    return forms
 
 
 def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
     """Closed-form expansion of the ratio power against the exponent-route
-    series, coefficient by coefficient.  Does not read the family."""
+    series, coefficient by coefficient.  Does not read the family.  The
+    stated transcription weights the same windows by (beta/alpha)**k
+    (-alpha)**n, so it needs alpha != 0."""
     alpha, beta, n_max = setup.params.alpha, setup.params.beta, setup.order
     params = {
         "family": "ratio-power",
@@ -762,16 +770,20 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
     }
     truth = egf_extract(gf_ratio_power(alpha, beta, n_max))
 
-    def checks(form: Callable[[int], Poly], label: str):
-        for n in range(n_max + 1):
-            yield n, form(n), truth[n], label
+    def stated():
+        yield 0, Poly.one(), truth[0], "stated closed form"
+        x = Poly.x()
+        for n, row in enumerate(_ratio_windows(alpha - beta, n_max), 1):
+            scale = (-alpha) ** n
+            form = lincomb((binomial(n, k) * (beta / alpha) ** k * scale, x, window)
+                           for k, window in enumerate(row))
+            yield n, form, truth[n], "stated closed form"
 
-    if alpha == 0:
-        stated = "stated form not evaluable at alpha = 0 (weights divide by alpha)"
-    else:
-        stated = checks(lambda n: _ratio_power_stated_form(alpha, beta, n), "stated closed form")
     return [_reconciled(
-        "sz5", params, 0, n_max, stated, checks(setup.closed_form, "repaired closed form"),
+        "sz5", params, 0, n_max,
+        "stated form not evaluable at alpha = 0 (weights divide by alpha)" if alpha == 0
+        else stated(),
+        ((n, form, truth[n], "repaired closed form") for n, form in enumerate(setup.closed_forms)),
         "stated form fails (first witness at n = {n}); repaired form pinned: weights "
         "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n")]
 
@@ -813,37 +825,35 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     a_coeffs = _exp_coefficients(list(p.c), n_max)
 
     def repaired(n: int) -> Poly:
-        return lincomb((math.perm(n, m) * a_coeffs[m], setup.closed_form(n - m))
+        return lincomb((math.perm(n, m) * a_coeffs[m], setup.closed_forms[n - m])
                        for m in range(n + 1) if a_coeffs[m])
 
-    def stated(n: int) -> Poly:
-        if n == 0:
-            return Poly.one()
-        terms = []
-        for s in range(n + 1):
-            for m in range(s + 1):
-                if n - m - 1 < 0:
-                    continue  # factorial factor of negative length: ill-formed term
-                ff = falling_factorial(w, n - m - 1)
-                for comp in _compositions(m, p.d - 1):
-                    mult = Fraction(factorial(n))
-                    for k in comp:
-                        mult /= factorial(k)
-                    mult /= factorial(n - s) * factorial(s - m) * factorial(m)
-                    coef = mult * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m
-                    for i, k in enumerate(comp):
-                        if k:
-                            coef *= p.c[i] ** k
-                    if coef != 0:
-                        terms.append((coef, Poly.x(), shift(ff, (n - s - 1) * w)))
-        return lincomb(terms)
+    def stated():
+        yield 0, Poly.one(), truth[0], "stated multinomial form"
+        rows = [None]  # rows[j] = W(j, 0..j), stepped as far as n
+        for n, row in enumerate(_ratio_windows(w, n_max), 1):
+            rows.append(row)
+            terms = []
+            for s in range(n + 1):
+                for m in range(min(s, n - 1) + 1):  # m = n: window of negative length
+                    for comp in _compositions(m, p.d - 1):
+                        mult = Fraction(factorial(n))
+                        for k in comp:
+                            mult /= factorial(k)
+                        mult /= factorial(n - s) * factorial(s - m) * factorial(m)
+                        coef = mult * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m
+                        for i, k in enumerate(comp):
+                            if k:
+                                coef *= p.c[i] ** k
+                        if coef != 0:
+                            terms.append((coef, Poly.x(), rows[n - m][s - m]))
+            yield n, lincomb(terms), truth[n], "stated multinomial form"
 
     if alpha == 0:
         stated_checks = ("stated form not evaluable at alpha = 0; in the repaired form the weight "
                          "alpha**(n-k) simply kills every term but k = n")
     else:
-        stated_checks = ((n, stated(n), truth[n], "stated multinomial form")
-                         for n in range(n_max + 1))
+        stated_checks = stated()
     return [_reconciled(
         "sz4", params, 0, n_max, stated_checks,
         ((n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1)),
@@ -1049,7 +1059,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         for r in range(p.d):
             for n in range(n_max + 1):
                 lhs = Fraction(factorial(n), factorial(r)) * (ainv[n - r] if n >= r else Fraction(0))
-                rhs = table.apply(r, setup.closed_form(n))
+                rhs = table.apply(r, setup.closed_forms[n])
                 yield n, Poly.const(lhs), Poly.const(rhs), f"biorthogonal recursion, r = {r}"
 
     def stated_checks():

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -170,33 +169,29 @@ def check_regularity(table: RecurrenceTable, upto: int) -> list[int]:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments moments[r][k] = <u_r, x**k> of the first d dual functionals of
-    a monic sequence, through degree n_max."""
+    """Moments <u_r, x**k> of the first d dual functionals of a monic
+    sequence, through degree n_max.  ``rows[r]`` is functional r's moments as
+    integer numerators over the lcm of their denominators."""
 
     d: int
     n_max: int
-    moments: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
 
     def moment(self, r: int, k: int) -> Fraction:
         if not 0 <= r < self.d:
             raise ValueError(f"functional index {r} out of range 0..{self.d - 1}")
         if not 0 <= k <= self.n_max:
             raise ValueError(f"moment degree {k} outside the computed range 0..{self.n_max}")
-        return self.moments[r][k]
-
-    @cached_property
-    def _rows(self) -> tuple[Poly, ...]:
-        """Each functional's moments as integer numerators over one
-        denominator, held in a Poly whose x**k coefficient is moment k."""
-        return tuple(Poly(row) for row in self.moments)
+        nums, den = self.rows[r]
+        return Fraction(nums[k], den)
 
     def apply(self, r: int, q: Poly, shift: int = 0) -> Fraction:
         """<u_r, x**shift q> inside the degree budget: one integer dot product
         of q's numerators with the moment numerators from ``shift`` on."""
         if q.degree + shift > self.n_max:
             raise ValueError(f"degree {q.degree + shift} exceeds the moment budget {self.n_max}")
-        row = self._rows[r]
-        return Fraction(sum(map(mul, q.nums, row.nums[shift:])), q.den * row.den)
+        nums, den = self.rows[r]
+        return Fraction(sum(map(mul, q.nums, nums[shift:])), q.den * den)
 
 
 def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
@@ -210,9 +205,9 @@ def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
     if d > n_max:
         raise ValueError(f"need degrees through at least d = {d}")
     _check_graded(polys)
-    rows: list[tuple[Fraction, ...]] = []
+    rows = []
     for r in range(d):
-        row, nums, den = [], [], 1
+        nums, den = [], 1
         for n, p in enumerate(polys):
             m = Fraction((p.den * den if n == r else 0) - sum(map(mul, p.nums, nums)),
                          den * p.nums[n])
@@ -220,9 +215,8 @@ def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
                 up = m.denominator // math.gcd(den, m.denominator)
                 nums, den = [c * up for c in nums], den * up
             nums.append(m.numerator * (den // m.denominator))
-            row.append(m)
-        rows.append(tuple(row))
-    return MomentTable(d=d, n_max=n_max, moments=tuple(rows))
+        rows.append((tuple(nums), den))
+    return MomentTable(d=d, n_max=n_max, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

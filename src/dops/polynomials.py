@@ -39,7 +39,6 @@ __all__ = [
     "shift",
     "delta_w",
     "derivative",
-    "falling_factorial",
     "falling_value",
     "binomial",
     "factorial",
@@ -191,10 +190,6 @@ class Poly:
         if 0 <= k < len(self.nums):
             return Fraction(self.nums[k], self.den)
         return Fraction(0)
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficient(self.degree)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -371,12 +366,3 @@ def delta_w(p: Poly, w: RationalLike) -> Poly:
 def derivative(p: Poly) -> Poly:
     """Formal derivative; coefficientwise w -> 0 limit of delta_w."""
     return Poly._make([k * p.nums[k] for k in range(1, len(p.nums))], p.den)
-
-
-def falling_factorial(w: RationalLike, n: int) -> Poly:
-    """Step-w falling factorial polynomial x(x-w)(x-2w)...(x-(n-1)w); 1 for n=0."""
-    w = as_rational(w)
-    out = Poly.one()
-    for j in range(n):
-        out = out * Poly((-j * w, 1))
-    return out

@@ -5,12 +5,14 @@ route to an object ``dops.series``, ``dops.polynomials``, ``dops.families``,
 ``dops.orthogonality`` or ``dops.identities`` builds another way.
 """
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from dops.families import FamilyParamError
 from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
-from dops.polynomials import Poly, RationalLike, as_rational, factorial, falling_factorial
+from dops.polynomials import Poly, RationalLike, as_rational, binomial, delta_w, factorial, shift
 from dops.series import Series
 
 
@@ -34,6 +36,79 @@ def horner(coeffs: tuple[Fraction, ...], point: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * point + c
     return acc
+
+
+def falling_factorial(w: RationalLike, n: int) -> Poly:
+    """Step-w falling factorial polynomial x(x-w)(x-2w)...(x-(n-1)w); 1 for
+    n=0: the reference the ratio-power windows are shifts of."""
+    w = as_rational(w)
+    out = Poly.one()
+    for j in range(n):
+        out = out * Poly((-j * w, 1))
+    return out
+
+
+def ratio_window(w: RationalLike, n: int, k: int) -> Poly:
+    """W(n, k) = prod_{i=1-k..n-k-1} (x + i w) as the shifted falling
+    factorial <x + (n-k-1) w | w>_{n-1}: the reference for one entry of
+    ``dops.identities._ratio_windows``."""
+    w = as_rational(w)
+    return shift(falling_factorial(w, n - 1), (n - k - 1) * w)
+
+
+def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n: int) -> Poly:
+    """P0_n alone, each window a fresh shift: the reference for the stepped
+    windows of ``dops.identities.ratio_power_closed_form``."""
+    alpha, beta = as_rational(alpha), as_rational(beta)
+    w = alpha - beta
+    if n == 0:
+        return Poly.one()
+    return sum((ratio_window(w, n, k) * Poly.x() * (binomial(n, k) * (-beta) ** k
+                                                    * alpha ** (n - k) / w ** n)
+                for k in range(n + 1)), Poly.zero())
+
+
+def ratio_power_stated_form(alpha: RationalLike, beta: RationalLike, n: int) -> Poly:
+    """The sz5 stated transcription at n, weights (beta/alpha)**k (-alpha)**n
+    on fresh windows; needs alpha != 0."""
+    alpha, beta = as_rational(alpha), as_rational(beta)
+    w = alpha - beta
+    if n == 0:
+        return Poly.one()
+    return sum((ratio_window(w, n, k) * Poly.x() * (binomial(n, k) * (beta / alpha) ** k
+                                                    * (-alpha) ** n)
+                for k in range(n + 1)), Poly.zero())
+
+
+def sz4_stated_form(params, n: int) -> Poly:
+    """The sz4 stated multinomial transcription at n for ml parameters with
+    alpha != 0, each window W(n-m, s-m) a fresh shifted falling factorial:
+    the reference for the stepped rows the sz4 suite reads."""
+    alpha, beta, w, d = params.alpha, params.beta, params.w, params.d
+    if n == 0:
+        return Poly.one()
+    out = Poly.zero()
+    for s in range(n + 1):
+        for m in range(min(s, n - 1) + 1):
+            window = shift(falling_factorial(w, n - m - 1), (n - s - 1) * w)
+            for comp in itertools.product(*(range(m // i + 1) for i in range(1, d))):
+                if sum(i * k for i, k in enumerate(comp, 1)) != m:
+                    continue
+                coef = Fraction(factorial(n), factorial(n - s) * factorial(s - m) * factorial(m))
+                for c, k in zip(params.c, comp):
+                    coef *= c ** k / factorial(k)
+                out = out + window * Poly.x() * (coef * (beta / alpha) ** s * (-alpha) ** n
+                                                 * (-beta) ** m)
+    return out
+
+
+def delta_powers(poly: Poly, w: RationalLike, upto: int) -> list[Poly]:
+    """[poly, delta_w poly, ..., delta_w**upto poly], one chain per call: the
+    reference for ``FamilySetup.deltas``."""
+    out = [poly]
+    for _ in range(upto):
+        out.append(delta_w(out[-1], w))
+    return out
 
 
 def pochhammer(y: RationalLike, n: int) -> Fraction:
@@ -121,7 +196,7 @@ def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
     rest = q
     while not rest.is_zero():
         i = rest.degree
-        a = rest.leading_coefficient / basis[i].leading_coefficient
+        a = rest.coefficient(i) / basis[i].coefficient(i)
         out[i] = a
         rest = rest - basis[i] * a
         if not rest.is_zero() and rest.degree >= i:
@@ -144,7 +219,14 @@ def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
         coeffs += [Fraction(0)] * (n_max + 1 - len(coeffs))
         for r in range(d):
             rows[r].append(coeffs[r])
-    return MomentTable(d=d, n_max=n_max, moments=tuple(tuple(row) for row in rows))
+    return MomentTable(d=d, n_max=n_max, rows=tuple(over_lcm(row) for row in rows))
+
+
+def over_lcm(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """A row of rationals as integer numerators over the lcm of their
+    denominators, the layout of ``MomentTable.rows``."""
+    den = math.lcm(*(c.denominator for c in row))
+    return tuple(c.numerator * (den // c.denominator) for c in row), den
 
 
 def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,

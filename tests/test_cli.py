@@ -1,6 +1,8 @@
 """Command line contract: artifact schemas, format renderings, exit codes,
 config/env resolution, and the table-mode round trip."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
@@ -12,7 +14,7 @@ from dops import cli
 from dops.cli import main, run_suites
 from dops.families import HypParams, LagParams, MLParams
 from dops.identities import FamilySetup
-from dops.polynomials import Poly
+from dops.polynomials import Poly, format_rational
 
 
 def run_cli(args, capsys):
@@ -620,6 +622,52 @@ def small_setups(draw):
 def test_small_order_sweep_fails_nothing(setup):
     reports = run_suites(setup, setup.default_suites())
     assert [r.to_dict() for r in reports if r.status == "fail"] == []
+
+
+# Rationals with denominators <= 7, weighted toward negative integers and
+# thirds (0 among them), where parameters meet the suites' own constants.
+contract_rationals = st.one_of(
+    st.integers(-6, -1).map(F),
+    st.integers(-9, 9).map(lambda k: F(k, 3)),
+    st.fractions(min_value=-7, max_value=7, max_denominator=7),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """Any of the four commands on any family, d <= 3 and N <= 7."""
+    kind = draw(st.sampled_from(["ml", "charlier", "laguerre", "hyp-laguerre"]))
+    d = draw(st.integers(1, 3))
+    args = [draw(st.sampled_from(["gen", "verify", "moments", "report"])), "--family", kind,
+            "--d", str(d), "--order", str(draw(st.integers(0, 7)))]
+
+    def flag(name, count=1):
+        values = (format_rational(draw(contract_rationals)) for _ in range(count))
+        return [f"--{name}={','.join(values)}"] if count else []
+
+    if kind == "ml":
+        args += flag("alpha")
+    if kind in ("ml", "charlier"):
+        args += flag("beta") + flag("c", d - 1)
+    elif kind == "laguerre":
+        args += flag("a") + flag("theta") + flag("beta-exp") + flag("b", d)
+    else:
+        args += flag("alphavec", d) + flag("beta") + [f"--l={draw(st.integers(1, 2))}"]
+    return args
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_runs())
+def test_exit_code_contract(args):
+    """0 ok, 1 identity failed, 2 bad input, for any input; verify and
+    report exit 1 exactly when some report fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2), err.getvalue()
+    if args[0] in ("verify", "report") and code != 2:
+        reports = json.loads(out.getvalue())["reports"]
+        assert (code == 1) == any(r["status"] == "fail" for r in reports), err.getvalue()
 
 
 class TestMoments:

@@ -3,9 +3,10 @@ the parameter grid.  Reconciled identities must pass with the repair pinned
 in the notes, never silently."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dops import identities
@@ -25,6 +26,8 @@ from dops.identities import (
     Witness,
     ratio_power_closed_form,
     verify_de,
+    verify_de1,
+    verify_de2,
     verify_hyp_lincomb,
     verify_laguerre_structure,
     verify_moment_recursion,
@@ -38,6 +41,7 @@ from dops.identities import (
 )
 from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, shift
+import oracles
 from oracles import pochhammer
 
 X = Poly.x()
@@ -219,10 +223,8 @@ class TestClosedForms:
 
     def test_sz5_closed_form_values(self):
         # w = 2: first coefficients of exp(x artanh t)
-        assert ratio_power_closed_form(1, -1, 0) == Poly.one()
-        assert ratio_power_closed_form(1, -1, 1) == X
-        assert ratio_power_closed_form(1, -1, 2) == Poly([0, 0, 1])
-        assert ratio_power_closed_form(1, -1, 3) == Poly([0, 2, 0, 1])
+        assert ratio_power_closed_form(1, -1, 3) == [Poly.one(), X, Poly([0, 0, 1]),
+                                                     Poly([0, 2, 0, 1])]
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_sz4_grid(self, p):
@@ -236,7 +238,100 @@ class TestClosedForms:
         polys = ml_by_recurrence(p, 1)
         assert polys[0] == Poly.one()
         assert polys[1] == X + Poly.const(F(2, 7))
-        assert ratio_power_closed_form(1, -1, 1) + Poly.const(F(2, 7)) == polys[1]
+        assert ratio_power_closed_form(1, -1, 1)[1] + Poly.const(F(2, 7)) == polys[1]
+
+
+ratios = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+ratio_pairs = st.tuples(ratios, ratios).filter(lambda ab: ab[0] != ab[1])
+
+
+@st.composite
+def ml_params(draw, max_order=20):
+    """ml parameters at d <= 3 with alpha or beta often zero, and an order."""
+    d = draw(st.integers(1, 3))
+    alpha, beta = draw(ratio_pairs)
+    c = draw(st.lists(ratios, min_size=d - 1, max_size=d - 1))
+    return MLParams(d, alpha, beta, c), draw(st.integers(0, max_order))
+
+
+def stated_checks(suite, setup):
+    """The stated form a reconciled suite hands to ``_reconciled``: its
+    unconsumed checks, or the reason it cannot be evaluated."""
+    seen = []
+    with mock.patch.object(identities, "_reconciled", lambda *args, **kw: seen.append(args[4])):
+        suite(setup)
+    (stated,) = seen
+    return stated
+
+
+class TestRatioWindows:
+    """The stepped windows, and every form read off them, against the per-n
+    shifted falling factorials of ``tests/oracles.py``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(ratio_pairs, st.integers(0, 20))
+    @example((F(0), F(1, 2)), 20)
+    @example((F(-2, 3), F(0)), 20)
+    def test_windows_and_closed_forms(self, ab, n_max):
+        alpha, beta = ab
+        w = alpha - beta
+        rows = list(identities._ratio_windows(w, n_max))
+        assert len(rows) == n_max
+        for n, row in enumerate(rows, 1):
+            assert row == [oracles.ratio_window(w, n, k) for k in range(n + 1)]
+        assert ratio_power_closed_form(alpha, beta, n_max) == [
+            oracles.ratio_power_closed_form(alpha, beta, n) for n in range(n_max + 1)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(ratio_pairs, st.integers(0, 20))
+    @example((F(0), F(1, 2)), 5)
+    @example((F(-2, 3), F(0)), 20)
+    def test_sz5_stated_form(self, ab, n_max):
+        alpha, beta = ab
+        stated = stated_checks(verify_sz5, ml(MLParams(1, alpha, beta), n_max))
+        if alpha == 0:
+            assert isinstance(stated, str)
+            return
+        assert [(n, form) for n, form, _, _ in stated] == [
+            (n, oracles.ratio_power_stated_form(alpha, beta, n)) for n in range(n_max + 1)]
+
+    @settings(max_examples=6, deadline=None)
+    @given(ml_params())
+    @example((MLParams(2, F(1, 2), F(-1, 3), [F(1, 3)]), 20))
+    @example((MLParams(3, 2, -1, [1, F(-1, 2)]), 12))
+    def test_sz4_stated_form_reads_window_n_minus_m_s_minus_m(self, case):
+        p, n_max = case
+        stated = stated_checks(verify_sz4, ml(p, n_max))
+        if p.alpha == 0:
+            assert isinstance(stated, str)
+            return
+        assert [(n, form) for n, form, _, _ in stated] == [
+            (n, oracles.sz4_stated_form(p, n)) for n in range(n_max + 1)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(ml_params())
+    @example((MLParams(2, 0, F(1, 2), [1]), 20))
+    def test_deltas(self, case):
+        p, n_max = case
+        setup = ml(p, n_max)
+        assert setup.deltas == [oracles.delta_powers(poly, p.w, p.d + 1) for poly in setup.polys]
+
+    def test_shared_objects_are_built_once(self, monkeypatch):
+        p, n_max = MLParams(2, 1, -1, [1]), 24
+        setup = ml(p, n_max)
+        calls = {name: [] for name in ("shift", "ratio_power_closed_form", "delta_w")}
+        for name, seen in calls.items():
+            fn = getattr(identities, name)
+            monkeypatch.setattr(identities, name,
+                                lambda *args, _fn=fn, _seen=seen: _seen.append(args) or _fn(*args))
+        reports = [*verify_sz4(setup), *verify_sz5(setup), *verify_moment_recursion(setup)]
+        assert len(calls["shift"]) == 0
+        reports += [*verify_de1(setup), *verify_de2(setup)]
+        assert 0 < len(calls["delta_w"]) <= (p.d + 1) * (n_max + 1)
+        for suite in identities.SUITES["ml"].values():
+            reports += suite(setup)
+        assert len(calls["ratio_power_closed_form"]) == 1
+        assert all(r.status == "pass" for r in reports)
 
 
 class TestHypLincomb:
