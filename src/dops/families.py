@@ -22,7 +22,8 @@ constructed recurrences are run by the same code.  Parameter conventions:
 
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
-  quasi-orthogonality.
+  quasi-orthogonality.  A parameter set's sums for n = 0..N come from one
+  pass over n-free integer step ratios, with one reduction per n.
 """
 
 from __future__ import annotations
@@ -361,60 +362,55 @@ def laguerre_q_sequence(polys: Sequence[Poly]) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
-def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
-                    den: Sequence[RationalLike]) -> Poly:
-    """The terminating hypergeometric sum with leading numerator -n:
+def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
+                    den: Sequence[RationalLike]) -> list[Poly]:
+    """The terminating hypergeometric sums with leading numerator -n,
+    sum_{k=0..n} (-n)_k prod (a_j)_k / (prod (b_j)_k k!) x**k for
+    n = 0..n_max, where extra_num are the a_j and den the b_j.  Raises if a
+    denominator Pochhammer vanishes at some k <= n_max.
 
-        sum_{k=0..n} (-n)_k prod (a_j)_k / (prod (b_j)_k k!) x**k
-
-    where extra_num are the a_j and den the b_j.  Raises if a denominator
-    Pochhammer vanishes within the summation range.
-
-    The sum is built from its integer term ratio.  With a_j = p_j/q_j and
-    b_j = r_j/s_j, each unpacked once into its integer pair, the ratio of term
-    k+1 to term k is up[k] / down[k], where
-
-        up[k]   = (k - n) prod (p_j + k q_j) prod s_j,
-        down[k] = (k + 1) prod (r_j + k s_j) prod q_j,
-
-    so coefficient k is up[0..k-1] times down[k..n-1] over down[0..n-1]:
-    one prefix and one suffix product of integers, and one reduction.
+    One pass builds them all.  Coefficient k of sum n is (-1)**k C(n, k)
+    prod_{i<k} u_i / v_i, and the step ratio u_i / v_i = prod (a_j + i) /
+    prod (b_j + i) does not depend on n: with a_j = p_j/q_j and b_j = r_j/s_j,
+    u_i = prod (p_j + i q_j) prod s_j and v_i = prod (r_j + i s_j) prod q_j,
+    cut down by their gcd.  Sum n is kept as the integers M_k = prod_{i<k} u_i
+    prod_{k<=i<n} v_i over prod_{i<n} v_i; going to n + 1 multiplies each M_k
+    by v_n and appends M_{n+1}, so each sum costs one reduction.
     """
     ups = [(a.numerator, a.denominator) for a in map(as_rational, extra_num)]
     downs = [(b.numerator, b.denominator) for b in map(as_rational, den)]
     q = math.prod(qj for _, qj in ups)
     s = math.prod(sj for _, sj in downs)
-    prefix = [1]
-    down = []
-    for k in range(n):
-        factor = (k + 1) * q
+    sums = [Poly.one()]
+    signs, scaled, top, denom = [1], [1], 1, 1  # (-1)**k C(n, k), M_k, M_n, prod v_i
+    for i in range(n_max):
+        v = q
         for rj, sj in downs:
-            factor *= rj + k * sj
-        if factor == 0:
-            raise FamilyParamError(f"Pochhammer denominator vanishes at k={k + 1}")
-        down.append(factor)
-        prefix.append(prefix[-1] * (k - n) * s)
+            v *= rj + i * sj
+        if v == 0:
+            raise FamilyParamError(f"Pochhammer denominator vanishes at k={i + 1}")
+        u = s
         for pj, qj in ups:
-            prefix[-1] *= pj + k * qj
-    suffix = [1]
-    for factor in reversed(down):
-        suffix.append(suffix[-1] * factor)
-    suffix.reverse()
-    return Poly._make([prefix[k] * suffix[k] for k in range(n + 1)], suffix[0])
+            u *= pj + i * qj
+        g = math.gcd(u, v)
+        v //= g
+        top *= u // g
+        signs = [a - b for a, b in zip(signs + [0], [0] + signs)]
+        scaled = [m * v for m in scaled] + [top]
+        denom *= v
+        sums.append(Poly._make([c * m for c, m in zip(signs, scaled)], denom))
+    return sums
 
 
-def hyp_laguerre(params: HypParams, n: int) -> Poly:
-    """Degree-n hypergeometric Laguerre polynomial, the 1Fd terminating sum
-    with denominators alpha_i + 1; normalized to value 1 at x = 0."""
-    return terminating_pfq(n, (), tuple(ai + 1 for ai in params.alphavec))
+def hyp_laguerre(params: HypParams, n_max: int) -> list[Poly]:
+    """P_0..P_{n_max} of the hypergeometric Laguerre family: the 1Fd
+    terminating sums with denominators alpha_i + 1, of value 1 at x = 0."""
+    return terminating_pfq(n_max, (), tuple(ai + 1 for ai in params.alphavec))
 
 
-def hyp_quasi(params: HypParams, n: int) -> Poly:
-    """The 2F(d+1) combination with extra numerator beta + d*l + 1 and extra
-    denominator beta + 1, at the params' beta and l; quasi-orthogonal of
-    order l over the 1Fd family."""
-    return terminating_pfq(
-        n,
-        (params.beta + params.d * params.l + 1,),
-        tuple(ai + 1 for ai in params.alphavec) + (params.beta + 1,),
-    )
+def hyp_quasi(params: HypParams, n_max: int) -> list[Poly]:
+    """The 2F(d+1) combinations of degree 0..n_max with extra numerator
+    beta + d*l + 1 and extra denominator beta + 1, at the params' beta and
+    l; quasi-orthogonal of order l over the 1Fd family."""
+    dens = tuple(ai + 1 for ai in params.alphavec) + (params.beta + 1,)
+    return terminating_pfq(n_max, (params.beta + params.d * params.l + 1,), dens)

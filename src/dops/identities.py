@@ -72,7 +72,6 @@ from .polynomials import (
     delta_w,
     derivative,
     factorial,
-    falling_value,
     format_rational,
     lincomb,
     shift,
@@ -278,7 +277,7 @@ class FamilySetup:
         if self.kind == "laguerre":
             return laguerre_type_by_recurrence(self.params, self.order)
         if self.kind == "hyp-laguerre":
-            return [hyp_laguerre(self.params, n) for n in range(self.order + 1)]
+            return hyp_laguerre(self.params, self.order)
         return ml_by_recurrence(self.params, self.order)
 
     @cached_property
@@ -321,7 +320,7 @@ class FamilySetup:
 
     @cached_property
     def quasi(self) -> list[Poly]:
-        return [hyp_quasi(self.params, n) for n in range(self.order + 1)]
+        return hyp_quasi(self.params, self.order)
 
     @cached_property
     def closed_forms(self) -> list[Poly]:
@@ -332,11 +331,12 @@ class FamilySetup:
     @cached_property
     def deltas(self) -> list[list[Poly]]:
         """deltas[m][j] = delta_w**j P_m for j <= d+1, the powers the
-        difference equations read."""
+        difference equations read; delta_w P_m is m Q_{m-1}, and 0 for the
+        P_0 = 1 that their recurrence fit requires."""
         out = []
-        for p in self.polys:
-            row = [p]
-            for _ in range(self.d + 1):
+        for m, p in enumerate(self.polys):
+            row = [p, self.q[m - 1] * m if m else Poly.zero()]
+            for _ in range(self.d):
                 row.append(delta_w(row[-1], self.params.w))
             out.append(row)
         return out
@@ -889,31 +889,30 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     beta, l = p.beta, p.l
     params = setup.public_params(tagged=True)
     dl = p.d * l
-    dens = tuple(ai + 1 for ai in p.alphavec)
+    dens = tuple(ai + 1 for ai in p.alphavec) + (beta + 1,)
     notes: list[str] = []
 
-    # Component 1: the index-shift lemma at a generic second parameter, kept
-    # off the integers where the falling factorials of a2 (one table) vanish.
-    # Its sums repeat across (n, k, i), so each distinct one is built once.
+    # Component 1: the index-shift lemma at a generic second parameter
+    # a2 = p2/q2, off the integers where its falling factorials vanish.  Term
+    # i at (n, k) weighs (-1)^i C(k, i) n!/(n-i)! (n+a2-i)_(k-i) / (a2)_k =
+    # (-1)^i C(k, i) n!/(n-i)! q2^i prod_{j<k-i} ((n-i-j) q2 + p2) / a2_falling[k].
     a2 = beta + dl + Fraction(1, 5 if (beta + Fraction(1, 3)).denominator == 1 else 3)
-    a2_falling = [falling_value(a2, k) for k in range(dl + 1)]
-    lemma_dens = dens + (beta + 1,)
-    sums: dict[tuple[int, Fraction], Poly] = {}
-
-    def pfq(n: int, a: Fraction) -> Poly:
-        if (n, a) not in sums:
-            sums[n, a] = terminating_pfq(n, (a,), lemma_dens)
-        return sums[n, a]
+    p2, q2 = a2.numerator, a2.denominator
+    a2_falling = [math.prod(p2 - j * q2 for j in range(k)) for k in range(dl + 1)]
 
     def lemma_checks():
-        # k runs over 1..min(n-1, d*l), which is empty for n < 2.
+        # k runs over 1..min(n-1, d*l), empty for n < 2; sums[k] is the table
+        # at first parameter a2 + 1 - k, and sums[0] gives the left side.
+        sums = [terminating_pfq(n_max, (a2 + 1 - k,), dens)
+                for k in range(min(n_max - 1, dl) + 1)]
         for n in range(2, n_max + 1):
-            lhs = pfq(n, a2 + 1)
             for k in range(1, min(n - 1, dl) + 1):
-                coefs = [(-1) ** i * binomial(k, i) * math.perm(n, i)
-                         * falling_value(n + a2 - i, k - i) / a2_falling[k] for i in range(k + 1)]
-                rhs = lincomb((c, pfq(n - i, a2 - k + 1)) for i, c in enumerate(coefs) if c)
-                yield n, lhs, rhs, f"index-shift lemma at k = {k}"
+                terms, run = [], 1
+                for i in range(k, -1, -1):  # run = prod_{j<k-i} ((n-i-j) q2 + p2)
+                    terms.append((Fraction((-1) ** i * binomial(k, i) * math.perm(n, i) * q2 ** i
+                                           * run, a2_falling[k]), sums[k][n - i]))
+                    run *= (n - i + 1) * q2 + p2
+                yield n, sums[0][n], lincomb(terms), f"index-shift lemma at k = {k}"
 
     if n_max < 2:
         notes.append("index-shift lemma needs N >= 2")
@@ -945,10 +944,11 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
     reduced = HypParams(p.d, (beta2,) + p.alphavec[1:])
     alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
+    reduced_family = hyp_laguerre(reduced, n_max)
 
     def reduction_checks(window: int):
         for n in range(n_max + 1):
-            rhs = hyp_laguerre(reduced, n)
+            rhs = reduced_family[n]
             lhs = lincomb(((-1) ** k * binomial(window, k) * math.perm(n, k)
                            * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
                           for k in range(min(n, window) + 1))

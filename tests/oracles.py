@@ -125,7 +125,7 @@ def pochhammer(y: RationalLike, n: int) -> Fraction:
 def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
                     den: Sequence[RationalLike]) -> Poly:
     """The terminating hypergeometric sum with leading numerator -n, one
-    Fraction term at a time: the reference for the integer term-ratio
+    Fraction term at a time: the reference for entry n of the one-pass table
     ``dops.families.terminating_pfq``, raising the same error."""
     extra_num = [as_rational(v) for v in extra_num]
     den = [as_rational(v) for v in den]

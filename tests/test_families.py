@@ -221,15 +221,11 @@ class TestConfluentLimit:
 
 class TestHypFamilies:
     def test_base_cases(self):
-        p = HypParams(2, [0, 0])
-        assert hyp_laguerre(p, 0) == Poly.one()
-        assert hyp_laguerre(p, 1) == Poly([1, -1])
-        assert hyp_laguerre(p, 2) == Poly([1, -2, F(1, 4)])
+        assert hyp_laguerre(HypParams(2, [0, 0]), 2) == [
+            Poly.one(), Poly([1, -1]), Poly([1, -2, F(1, 4)])]
 
     def test_quasi_base_cases(self):
-        p = HypParams(1, [1], 0, 1)
-        assert hyp_quasi(p, 0) == Poly.one()
-        assert hyp_quasi(p, 1) == Poly([1, -1])
+        assert hyp_quasi(HypParams(1, [1], 0, 1), 1) == [Poly.one(), Poly([1, -1])]
 
     def test_quasi_reduces_when_first_parameter_aligns(self):
         # With alpha_1 = beta + d*l the extra numerator cancels against the
@@ -238,8 +234,7 @@ class TestHypFamilies:
         p = HypParams(2, [F(5, 2), F(4, 3)])
         beta = p.alphavec[0] - 2  # d*l = 2
         reduced = HypParams(2, [beta, F(4, 3)])
-        for n in range(7):
-            assert hyp_quasi(HypParams(2, p.alphavec, beta, 1), n) == hyp_laguerre(reduced, n)
+        assert hyp_quasi(HypParams(2, p.alphavec, beta, 1), 6) == hyp_laguerre(reduced, 6)
 
     def test_rejects_negative_integer_parameters(self):
         with pytest.raises(FamilyParamError):
@@ -249,24 +244,33 @@ class TestHypFamilies:
 
     def test_degree_and_value_at_zero(self):
         p = HypParams(2, [F(1, 2), F(4, 3)])
-        for n in range(8):
-            poly = hyp_laguerre(p, n)
+        for n, poly in enumerate(hyp_laguerre(p, 7)):
             assert poly.degree == n
             assert poly(0) == 1
 
 
-def pfq_outcome(pfq, n, extra_num, den):
-    """A terminating sum as its (numerators, denominator) pair, or the text
-    of the FamilyParamError it raises."""
+def pfq_outcome(n_max, extra_num, den):
+    """The table of terminating sums for n = 0..n_max as (numerators,
+    denominator) pairs, or the text of the FamilyParamError it raises."""
     try:
-        poly = pfq(n, extra_num, den)
+        table = terminating_pfq(n_max, extra_num, den)
     except FamilyParamError as exc:
         return str(exc)
-    return poly.nums, poly.den
+    return [(poly.nums, poly.den) for poly in table]
+
+
+def oracle_outcome(n_max, extra_num, den):
+    """The same from the Fraction loop, one sum per n; the first n that
+    raises names the first vanishing denominator, as the table must."""
+    try:
+        table = [fraction_pfq(n, extra_num, den) for n in range(n_max + 1)]
+    except FamilyParamError as exc:
+        return str(exc)
+    return [(poly.nums, poly.den) for poly in table]
 
 
 # A nonpositive integer a_j ends the sum early; a nonpositive integer b_j
-# makes a denominator Pochhammer vanish when -b_j < n.
+# makes a denominator Pochhammer vanish when -b_j < n_max.
 pfq_parameters = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=7),
                            st.integers(-12, 0).map(F))
 
@@ -276,17 +280,23 @@ class TestTerminatingPfq:
     @given(st.integers(0, 12), st.lists(pfq_parameters, max_size=2),
            st.lists(pfq_parameters, max_size=2))
     @example(5, [F(1, 2)], [F(2, 3), F(-3)])
+    @example(4, [F(1, 2)], [F(2, 3), F(-3)])
+    @example(3, [F(1, 2)], [F(2, 3), F(-3)])
     @example(6, [F(-2)], [F(1, 3)])
+    @example(12, [F(-5), F(1, 2)], [F(-12), F(7, 3)])
     @example(3, [], [F(5, 4), F(7, 6)])
-    def test_integer_term_ratio_matches_fraction_loop(self, n, extra_num, den):
-        assert (pfq_outcome(terminating_pfq, n, extra_num, den)
-                == pfq_outcome(fraction_pfq, n, extra_num, den))
+    @example(0, [], [F(0)])
+    def test_integer_term_ratio_matches_fraction_loop(self, n_max, extra_num, den):
+        assert pfq_outcome(n_max, extra_num, den) == oracle_outcome(n_max, extra_num, den)
 
     def test_vanishing_denominator_names_its_index(self):
-        with pytest.raises(FamilyParamError, match="vanishes at k=4"):
-            terminating_pfq(5, [F(1, 2)], [F(2, 3), F(-3)])
+        # (-3)_k vanishes from k = 4 on, so every table reaching n = 4 raises
+        for n_max in (4, 5, 12):
+            with pytest.raises(FamilyParamError, match="^Pochhammer denominator vanishes at k=4$"):
+                terminating_pfq(n_max, [F(1, 2)], [F(2, 3), F(-3)])
         # past the last term a vanishing denominator is never reached
-        assert terminating_pfq(3, [], [F(-3)]) == fraction_pfq(3, [], [F(-3)])
+        table = terminating_pfq(3, [], [F(-3)])
+        assert table == [fraction_pfq(n, [], [F(-3)]) for n in range(4)]
 
 
 class TestSympyOracle:
@@ -332,7 +342,7 @@ class TestSympyOracle:
     def test_hyp_laguerre_d1_is_assoc_laguerre(self):
         alpha = F(1, 2)
         a = self.rational(alpha)
-        for n in range(9):
+        for n, poly in enumerate(hyp_laguerre(HypParams(1, [alpha]), 8)):
             expected = (self.sympy.factorial(n) / self.sympy.rf(a + 1, n)
                         * self.sympy.assoc_laguerre(n, a, self.x))
-            assert hyp_laguerre(HypParams(1, [alpha]), n) == self.poly(expected)
+            assert poly == self.poly(expected)

@@ -18,7 +18,6 @@ from dops.families import (
     ml_by_recurrence,
     ml_q_sequence,
     ml_recurrence_table,
-    terminating_pfq,
 )
 from dops.identities import (
     FamilySetup,
@@ -327,7 +326,7 @@ class TestRatioWindows:
         reports = [*verify_sz4(setup), *verify_sz5(setup), *verify_moment_recursion(setup)]
         assert len(calls["shift"]) == 0
         reports += [*verify_de1(setup), *verify_de2(setup)]
-        assert 0 < len(calls["delta_w"]) <= (p.d + 1) * (n_max + 1)
+        assert 0 < len(calls["delta_w"]) <= p.d * (n_max + 1)
         for suite in identities.SUITES["ml"].values():
             reports += suite(setup)
         assert len(calls["ratio_power_closed_form"]) == 1
@@ -339,8 +338,8 @@ class TestHypLincomb:
         # 2 L_1^{(1)} - L_0^{(1)} = 1 - x = L_1^{(0)}
         p1 = HypParams(1, [1])
         p0 = HypParams(1, [0])
-        lhs = hyp_laguerre(p1, 1) * 2 - hyp_laguerre(p1, 0)
-        assert lhs == Poly([1, -1]) == hyp_laguerre(p0, 1)
+        lhs = hyp_laguerre(p1, 1)[1] * 2 - hyp_laguerre(p1, 1)[0]
+        assert lhs == Poly([1, -1]) == hyp_laguerre(p0, 1)[1]
 
     @pytest.mark.parametrize("d,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_grid(self, d, l):
@@ -358,23 +357,24 @@ class TestHypLincomb:
             verify_hyp_lincomb(FamilySetup("hyp-laguerre", 4, HypParams(1, [1], F(-2), 1)))
 
     def test_lemma_builds_each_distinct_sum_once(self, monkeypatch):
-        calls = []
-
-        def counted(n, extra_num, den):
-            calls.append((n, tuple(extra_num)))
-            return terminating_pfq(n, extra_num, den)
-
-        monkeypatch.setattr(identities, "terminating_pfq", counted)
         p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
-        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 12, p)))
+        setup = FamilySetup("hyp-laguerre", 12, p)
+        assert len(setup.polys) == 13  # the run's own family, built before counting
+        calls = {"terminating_pfq": [], "hyp_laguerre": []}
+        for name, seen in calls.items():
+            fn = getattr(identities, name)
+            monkeypatch.setattr(identities, name,
+                                lambda *args, _fn=fn, _seen=seen: _seen.append(args) or _fn(*args))
+        rep = single(verify_hyp_lincomb(setup))
         assert rep.status == "pass", rep.witness
-        # the lemma's sums: the left side at each n, and the right side's
-        # terms at (n - i, a2 - k + 1) for 1 <= k <= min(n - 1, d*l), i <= k
+        # one table over n = 0..12 per first parameter of the lemma: the left
+        # side's a2 + 1 and the right side's a2 - k + 1 for 1 <= k <= d*l
         dl, a2 = 4, p.beta + 4 + F(1, 3)
-        distinct = {(n, (a2 + 1,)) for n in range(2, 13)} | {
-            (n - i, (a2 - k + 1,))
-            for n in range(2, 13) for k in range(1, min(n - 1, dl) + 1) for i in range(k + 1)}
-        assert sorted(calls) == sorted(distinct)
+        dens = (F(3, 2), F(4, 3), p.beta + 1)
+        assert sorted(calls["terminating_pfq"]) == sorted(
+            (12, (a2 + 1 - k,), dens) for k in range(dl + 1))
+        # and the reduced family once, shared by both reduction windows
+        assert calls["hyp_laguerre"] == [(HypParams(2, [F(1, 2) - dl, F(1, 3)]), 12)]
 
     def test_pochhammer_oracle(self):
         assert pochhammer(3, 4) == 360
