@@ -56,7 +56,6 @@ from .series import (
     normalize_exponent,
     series_exp,
     series_log1p_scaled,
-    series_mul,
 )
 
 __version__ = "0.1.0"

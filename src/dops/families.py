@@ -23,7 +23,7 @@ constructed recurrences are run by the same code.  Parameter conventions:
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
   quasi-orthogonality.  A parameter set's sums for n = 0..N come from one
-  pass over n-free integer step ratios, with one reduction per n.
+  pass over n-free integer step ratios as unreduced rows, made Polys here.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Sequence
 from .polynomials import (
     Poly,
     RationalLike,
+    Row,
     as_rational,
     binomial,
     delta_w,
@@ -45,7 +46,7 @@ from .polynomials import (
     format_rational,
 )
 from .orthogonality import RecurrenceTable
-from .series import Series, egf_extract, gf_ratio_power, normalize_exponent, series_exp, series_log1p_scaled, series_mul
+from .series import Series, egf_extract, normalize_exponent, ratio_power_exponent, series_exp, series_log1p_scaled
 
 __all__ = [
     "FamilyParamError",
@@ -290,15 +291,9 @@ def ml_by_recurrence(params: MLParams, n_max: int) -> list[Poly]:
 
 def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
     """The same family read off the exponential generating function
-    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i)."""
-    ratio = gf_ratio_power(params.alpha, params.beta, n_max)
-    if any(ci != 0 for ci in params.c):
-        terms = [Poly.zero()] + [Poly.const(ci) for ci in params.c]
-        exponent = Series(n_max, terms[:n_max + 1])
-        k = series_mul(ratio, series_exp(exponent))
-    else:
-        k = ratio
-    return egf_extract(k)
+    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i), one exp of the sum."""
+    exponent = ratio_power_exponent(params.alpha, params.beta, n_max)
+    return egf_extract(series_exp(exponent + Series.from_scalars(n_max, (0, *params.c)[:n_max + 1])))
 
 
 def ml_q_sequence(polys: Sequence[Poly], w: RationalLike) -> list[Poly]:
@@ -333,7 +328,7 @@ def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
 
 
 def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
-    """The same family from (1-at)**beta_exp exp((xt+theta)/(1-at) + pi(t)),
+    """The same family as exp(beta_exp log(1-at) + (xt+theta)/(1-at) + pi(t)),
     with the t = 0 constant removed so P_0 = 1 exactly."""
     a, theta = params.a, params.theta
     coeffs = [Poly.const(theta)]
@@ -341,15 +336,11 @@ def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     for n in range(1, n_max + 1):
         coeffs.append(Poly((theta * apow * a, apow)))
         apow *= a
-    exponent = Series(n_max, coeffs)
     pi_terms = [Poly.const(params.b_at(i) / factorial(i)) for i in range(min(params.d, n_max + 1))]
-    exponent = exponent + Series(n_max, pi_terms)
+    exponent = (Series(n_max, coeffs) + Series(n_max, pi_terms)
+                + series_log1p_scaled(a, n_max).scale(params.beta_exp))
     reduced, _constant = normalize_exponent(exponent)
-    g = series_exp(reduced)
-    if params.beta_exp != 0:
-        binom = series_exp(series_log1p_scaled(a, n_max).scale(params.beta_exp))
-        g = series_mul(binom, g)
-    return egf_extract(g)
+    return egf_extract(series_exp(reduced))
 
 
 def laguerre_q_sequence(polys: Sequence[Poly]) -> list[Poly]:
@@ -363,25 +354,26 @@ def laguerre_q_sequence(polys: Sequence[Poly]) -> list[Poly]:
 
 
 def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
-                    den: Sequence[RationalLike]) -> list[Poly]:
+                    den: Sequence[RationalLike]) -> list[Row]:
     """The terminating hypergeometric sums with leading numerator -n,
     sum_{k=0..n} (-n)_k prod (a_j)_k / (prod (b_j)_k k!) x**k for
-    n = 0..n_max, where extra_num are the a_j and den the b_j.  Raises if a
-    denominator Pochhammer vanishes at some k <= n_max.
+    n = 0..n_max, where extra_num are the a_j and den the b_j, as unreduced
+    rows.  Raises if a denominator Pochhammer vanishes at some k <= n_max.
 
     One pass builds them all.  Coefficient k of sum n is (-1)**k C(n, k)
     prod_{i<k} u_i / v_i, and the step ratio u_i / v_i = prod (a_j + i) /
     prod (b_j + i) does not depend on n: with a_j = p_j/q_j and b_j = r_j/s_j,
     u_i = prod (p_j + i q_j) prod s_j and v_i = prod (r_j + i s_j) prod q_j,
-    cut down by their gcd.  Sum n is kept as the integers M_k = prod_{i<k} u_i
-    prod_{k<=i<n} v_i over prod_{i<n} v_i; going to n + 1 multiplies each M_k
-    by v_n and appends M_{n+1}, so each sum costs one reduction.
+    cut down by their gcd and signed so that v_i > 0.  Row n is the integers
+    (-1)**k C(n, k) M_k, M_k = prod_{i<k} u_i prod_{k<=i<n} v_i, over
+    prod_{i<n} v_i; going to n + 1 multiplies each M_k by v_n and appends
+    M_{n+1}.  No row is reduced: ``lincomb`` reads rows as they are.
     """
     ups = [(a.numerator, a.denominator) for a in map(as_rational, extra_num)]
     downs = [(b.numerator, b.denominator) for b in map(as_rational, den)]
     q = math.prod(qj for _, qj in ups)
     s = math.prod(sj for _, sj in downs)
-    sums = [Poly.one()]
+    rows = [Row([1], 1)]
     signs, scaled, top, denom = [1], [1], 1, 1  # (-1)**k C(n, k), M_k, M_n, prod v_i
     for i in range(n_max):
         v = q
@@ -392,20 +384,21 @@ def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
         u = s
         for pj, qj in ups:
             u *= pj + i * qj
-        g = math.gcd(u, v)
+        g = math.gcd(u, v) if v > 0 else -math.gcd(u, v)
         v //= g
         top *= u // g
         signs = [a - b for a, b in zip(signs + [0], [0] + signs)]
         scaled = [m * v for m in scaled] + [top]
         denom *= v
-        sums.append(Poly._make([c * m for c, m in zip(signs, scaled)], denom))
-    return sums
+        rows.append(Row([c * m for c, m in zip(signs, scaled)], denom))
+    return rows
 
 
 def hyp_laguerre(params: HypParams, n_max: int) -> list[Poly]:
     """P_0..P_{n_max} of the hypergeometric Laguerre family: the 1Fd
     terminating sums with denominators alpha_i + 1, of value 1 at x = 0."""
-    return terminating_pfq(n_max, (), tuple(ai + 1 for ai in params.alphavec))
+    rows = terminating_pfq(n_max, (), tuple(ai + 1 for ai in params.alphavec))
+    return [row.poly() for row in rows]
 
 
 def hyp_quasi(params: HypParams, n_max: int) -> list[Poly]:
@@ -413,4 +406,5 @@ def hyp_quasi(params: HypParams, n_max: int) -> list[Poly]:
     beta + d*l + 1 and extra denominator beta + 1, at the params' beta and
     l; quasi-orthogonal of order l over the 1Fd family."""
     dens = tuple(ai + 1 for ai in params.alphavec) + (params.beta + 1,)
-    return terminating_pfq(n_max, (params.beta + params.d * params.l + 1,), dens)
+    rows = terminating_pfq(n_max, (params.beta + params.d * params.l + 1,), dens)
+    return [row.poly() for row in rows]

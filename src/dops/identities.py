@@ -39,7 +39,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .families import (
-    HypParams,
     _is_negative_integer,
     hyp_laguerre,
     hyp_quasi,
@@ -162,10 +161,20 @@ class VerificationReport:
         }
 
 
-def first_mismatch(checks: Iterable[tuple[int, Poly, Poly, str]]) -> Optional[Witness]:
+def first_mismatch(checks: Iterable[tuple[int, Poly | list, Poly | list, str]]) -> Optional[Witness]:
+    """The first check (n, actual, expected, context) whose sides differ, as a Witness
+    of both sides reduced.  A side is a Poly or a list of ``lincomb`` terms: two Polys
+    compare as pairs, other sides pass iff lincomb(actual - expected terms) is zero."""
     for n, actual, expected, context in checks:
-        if actual != expected:
-            return Witness(n=n, expected=expected, actual=actual, context=context)
+        if isinstance(actual, Poly) and isinstance(expected, Poly):
+            if actual == expected:
+                continue
+        else:
+            plus, minus = ([(1, s)] if isinstance(s, Poly) else s for s in (actual, expected))
+            if lincomb(plus + [(-c, *factors) for c, *factors in minus]).is_zero():
+                continue
+            actual, expected = (s if isinstance(s, Poly) else lincomb(s) for s in (actual, expected))
+        return Witness(n=n, expected=expected, actual=actual, context=context)
     return None
 
 
@@ -912,7 +921,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
                     terms.append((Fraction((-1) ** i * binomial(k, i) * math.perm(n, i) * q2 ** i
                                            * run, a2_falling[k]), sums[k][n - i]))
                     run *= (n - i + 1) * q2 + p2
-                yield n, sums[0][n], lincomb(terms), f"index-shift lemma at k = {k}"
+                yield n, [(1, sums[0][n])], terms, f"index-shift lemma at k = {k}"
 
     if n_max < 2:
         notes.append("index-shift lemma needs N >= 2")
@@ -927,9 +936,9 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
 
     def lincomb_checks():
         for n in range(n_max + 1):
-            lhs = lincomb(((-1) ** k * binomial(dl, k) * math.perm(n, k)
-                           * shifted_rise[n - k] / beta_rise[n], basis[n - k])
-                          for k in range(min(n, dl) + 1))
+            lhs = [((-1) ** k * binomial(dl, k) * math.perm(n, k)
+                    * shifted_rise[n - k] / beta_rise[n], basis[n - k])
+                   for k in range(min(n, dl) + 1)]
             yield n, lhs, setup.quasi[n], "order-l combination"
 
     witness = first_mismatch(lincomb_checks())
@@ -937,22 +946,20 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
     notes.append("order-l combination verified")
 
-    # Component 3: the aligned-parameter reduction, beta2 = alpha_1 - d*l.
+    # Component 3: the aligned reduction, alpha_1 replaced by beta2 = alpha_1 - d*l.
     beta2 = p.alphavec[0] - dl
     if _is_negative_integer(beta2):
         notes.append("aligned reduction skipped: alpha_1 - d*l is a negative integer")
         return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
-    reduced = HypParams(p.d, (beta2,) + p.alphavec[1:])
     alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
-    reduced_family = hyp_laguerre(reduced, n_max)
+    reduced_family = terminating_pfq(n_max, (), (beta2 + 1,) + dens[1:p.d])
 
     def reduction_checks(window: int):
         for n in range(n_max + 1):
-            rhs = reduced_family[n]
-            lhs = lincomb(((-1) ** k * binomial(window, k) * math.perm(n, k)
-                           * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
-                          for k in range(min(n, window) + 1))
-            yield n, lhs, rhs, f"aligned reduction, window {window}"
+            lhs = [((-1) ** k * binomial(window, k) * math.perm(n, k)
+                    * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
+                   for k in range(min(n, window) + 1)]
+            yield n, lhs, [(1, reduced_family[n])], f"aligned reduction, window {window}"
 
     # At n = 0 both windows hold the one term k = 0 and cannot differ.
     verified = "verified in the stated l-term window" if n_max >= 1 else "window needs N >= 1"

@@ -32,6 +32,7 @@ RationalLike = Union[Fraction, int, str]
 
 __all__ = [
     "Poly",
+    "Row",
     "lincomb",
     "as_rational",
     "parse_rational",
@@ -295,9 +296,22 @@ class Poly:
         return out
 
 
+class Row:
+    """Integer ``nums`` over a positive ``den``: an unreduced ``lincomb`` factor."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int):
+        self.nums, self.den = nums, den
+
+    def poly(self) -> Poly:
+        """The row reduced, from a copy, as ``_make`` pops in place."""
+        return Poly._make(self.nums[:], self.den)
+
+
 def lincomb(terms: Iterable[tuple]) -> Poly:
     """The linear combination sum c*p, or sum c*p*q, over ``terms``: each term
-    is (c, p) or (c, p, q) with c rational and p, q polynomials.
+    is (c, p) or (c, p, q) with c rational and p, q a ``Poly`` or a ``Row``.
 
     Works as FLINT's ``fmpq_poly`` does, on unreduced numerators: zero terms
     are dropped, L is the lcm of the term denominators c.den*p.den(*q.den),

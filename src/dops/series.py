@@ -2,10 +2,11 @@
 
 Every generating function is built here through the exp/log exponent route,
 and the ``routes`` suite requires the sequence read out of it to agree
-coefficientwise with the band recurrence.  The closed-form binomial
-expansions that cross-check the exponent route are test oracles.
-Truncation order is always explicit; binary operations truncate to the
-smaller operand order so nothing is silently extended.
+coefficientwise with the band recurrence.  A product of exponentials is
+built as one exp of the summed exponents, never as a series product.  The
+closed-form binomial expansions that cross-check the exponent route are test
+oracles.  Truncation order is always explicit; binary operations truncate to
+the smaller operand order so nothing is silently extended.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .polynomials import (
 
 __all__ = [
     "Series",
-    "series_mul",
     "series_exp",
     "series_log1p_scaled",
     "normalize_exponent",
+    "ratio_power_exponent",
     "gf_ratio_power",
     "egf_extract",
 ]
@@ -107,14 +108,6 @@ class Series:
         return f"Series(order={self.order}; {terms})"
 
 
-def series_mul(f: Series, g: Series) -> Series:
-    """Cauchy product truncated at min(order f, order g); each coefficient
-    is one ``lincomb`` of its products, reduced once."""
-    n = min(f.order, g.order)
-    return Series(n, tuple(lincomb((1, f.coeffs[i], g.coeffs[m - i]) for i in range(m + 1))
-                           for m in range(n + 1)))
-
-
 def series_exp(f: Series) -> Series:
     """exp(f) for a series with zero constant term.
 
@@ -159,21 +152,20 @@ def normalize_exponent(f: Series) -> tuple[Series, Poly]:
     return rest, c0
 
 
-def gf_ratio_power(alpha: RationalLike, beta: RationalLike, order: int) -> Series:
-    """The series of ((1 - beta t)/(1 - alpha t)) ** (x/w) with w = alpha - beta.
-
-    Built through the exponent route: exp of (x/w) (log(1 - beta t) -
-    log(1 - alpha t)).  The coefficient of t**n is a degree-n polynomial in x
-    whose x**n coefficient is 1/n!.
-    """
-    alpha = as_rational(alpha)
-    beta = as_rational(beta)
-    w = alpha - beta
+def ratio_power_exponent(alpha: RationalLike, beta: RationalLike, order: int) -> Series:
+    """The exponent (x/w) (log(1 - beta t) - log(1 - alpha t)) of the ratio
+    power ((1 - beta t)/(1 - alpha t)) ** (x/w), w = alpha - beta."""
+    w = as_rational(alpha) - as_rational(beta)
     if w == 0:
         raise ValueError("gf_ratio_power requires alpha != beta")
     logs = series_log1p_scaled(beta, order) - series_log1p_scaled(alpha, order)
-    exponent = logs.scale(Poly.x() / w)
-    return series_exp(exponent)
+    return logs.scale(Poly.x() / w)
+
+
+def gf_ratio_power(alpha: RationalLike, beta: RationalLike, order: int) -> Series:
+    """exp of ``ratio_power_exponent``: its t**n coefficient is a degree-n
+    polynomial in x whose x**n coefficient is 1/n!."""
+    return series_exp(ratio_power_exponent(alpha, beta, order))
 
 
 def egf_extract(f: Series) -> list[Poly]:

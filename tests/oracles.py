@@ -12,7 +12,8 @@ from typing import Sequence
 
 from dops.families import FamilyParamError
 from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
-from dops.polynomials import Poly, RationalLike, as_rational, binomial, delta_w, factorial, shift
+from dops.polynomials import (Poly, RationalLike, as_rational, binomial, delta_w, factorial, lincomb,
+                              shift)
 from dops.series import Series
 
 
@@ -160,6 +161,15 @@ def series_log(f: Series) -> Series:
             acc = acc - (hk * f.coeffs[n - k]) * k
         out.append(acc / n)
     return Series(f.order, tuple(out))
+
+
+def series_mul(f: Series, g: Series) -> Series:
+    """Cauchy product truncated at min(order f, order g), each coefficient
+    one ``lincomb`` of its products: the product of two generating functions
+    that the library builds as one exponential of their summed exponents."""
+    n = min(f.order, g.order)
+    return Series(n, tuple(lincomb((1, f.coeffs[i], g.coeffs[m - i]) for i in range(m + 1))
+                           for m in range(n + 1)))
 
 
 def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> Series:

@@ -250,13 +250,17 @@ class TestHypFamilies:
 
 
 def pfq_outcome(n_max, extra_num, den):
-    """The table of terminating sums for n = 0..n_max as (numerators,
-    denominator) pairs, or the text of the FamilyParamError it raises."""
+    """The table of terminating sums for n = 0..n_max, each row reduced with
+    Poly._make to its (numerators, denominator) pair, or the text of the
+    FamilyParamError it raises.  Row n holds n + 1 numerators, trailing zeros
+    kept, over a positive denominator, and reducing it leaves it as it was."""
     try:
-        table = terminating_pfq(n_max, extra_num, den)
+        rows = terminating_pfq(n_max, extra_num, den)
     except FamilyParamError as exc:
         return str(exc)
-    return [(poly.nums, poly.den) for poly in table]
+    polys = [row.poly() for row in rows]
+    assert [(len(row.nums), row.den > 0) for row in rows] == [(n + 1, True) for n in range(n_max + 1)]
+    return [(poly.nums, poly.den) for poly in polys]
 
 
 def oracle_outcome(n_max, extra_num, den):
@@ -296,7 +300,7 @@ class TestTerminatingPfq:
                 terminating_pfq(n_max, [F(1, 2)], [F(2, 3), F(-3)])
         # past the last term a vanishing denominator is never reached
         table = terminating_pfq(3, [], [F(-3)])
-        assert table == [fraction_pfq(n, [], [F(-3)]) for n in range(4)]
+        assert [row.poly() for row in table] == [fraction_pfq(n, [], [F(-3)]) for n in range(4)]
 
 
 class TestSympyOracle:

@@ -39,7 +39,7 @@ from dops.identities import (
     _rising,
 )
 from dops.orthogonality import fit_recurrence
-from dops.polynomials import Poly, shift
+from dops.polynomials import Poly, Row, lincomb, shift
 import oracles
 from oracles import pochhammer
 
@@ -87,6 +87,67 @@ class TestReportInvariants:
         assert data["status"] == "pass"
         assert data["witness"] is None
         assert data["range"] == [0, 4]
+
+
+small_ints = st.integers(-6, 6)
+small_polys = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4).map(Poly)
+# An unreduced row: any numerators, trailing zeros allowed, over a positive den.
+small_rows = st.builds(Row, st.lists(small_ints, max_size=4), st.integers(1, 12))
+factors = st.one_of(small_polys, small_rows)
+terms = st.one_of(st.tuples(st.fractions(-3, 3, max_denominator=4) | small_ints, factors),
+                  st.tuples(small_ints, factors, factors))
+
+
+def as_poly(side):
+    """A side as the all-Poly path reads it: every Row reduced to a Poly
+    first, then one lincomb."""
+    if isinstance(side, Poly):
+        return side
+    return lincomb((c, *(f if isinstance(f, Poly) else f.poly() for f in fs)) for c, *fs in side)
+
+
+@st.composite
+def rewritten(draw, side):
+    """Another side with the same value: a Poly side as its lincomb term,
+    or each term's weight split in two, its factors scaled into unreduced
+    Rows, and the terms shuffled."""
+    if isinstance(side, Poly):
+        return [(1, side)]
+    out = []
+    for c, *fs in side:
+        part = draw(small_ints)
+        scaled = []
+        for f in fs:
+            k = draw(st.integers(1, 4))
+            scaled.append(Row([k * m for m in f.nums] + [0] * draw(st.integers(0, 2)), k * f.den))
+        out += [(part, *fs), (c - part, *scaled)]
+    return draw(st.permutations(out))
+
+
+@st.composite
+def checks(draw):
+    """A few (n, actual, expected, context) checks whose sides are Polys or
+    term lists, some equal but built from different terms."""
+    out = []
+    for n in range(draw(st.integers(1, 4))):
+        actual = draw(small_polys | st.lists(terms, max_size=3))
+        expected = draw(rewritten(actual) if draw(st.booleans()) else
+                        small_polys | st.lists(terms, max_size=3))
+        out.append((n, actual, expected, f"check {n}"))
+    return out
+
+
+class TestFirstMismatch:
+    @settings(max_examples=300, deadline=None)
+    @given(checks())
+    def test_matches_the_all_poly_path(self, cases):
+        reference = [(n, as_poly(a), as_poly(b), context) for n, a, b, context in cases]
+        assert identities.first_mismatch(cases) == identities.first_mismatch(reference)
+        for (n, a, b, context), (_, pa, pb, _) in zip(cases, reference):
+            witness = identities.first_mismatch([(n, a, b, context)])
+            assert (witness is None) == (pa == pb)
+            if witness is not None:
+                assert witness == Witness(n, pb, pa, context)
 
 
 class TestHahnShift:
@@ -365,16 +426,61 @@ class TestHypLincomb:
             fn = getattr(identities, name)
             monkeypatch.setattr(identities, name,
                                 lambda *args, _fn=fn, _seen=seen: _seen.append(args) or _fn(*args))
+        results, made = [], []
+        monkeypatch.setattr(identities, "lincomb",
+                            lambda terms, _fn=identities.lincomb: results.append(_fn(terms)) or results[-1])
+        monkeypatch.setattr(Row, "poly", lambda row, _fn=Row.poly: made.append(row) or _fn(row))
         rep = single(verify_hyp_lincomb(setup))
         assert rep.status == "pass", rep.witness
-        # one table over n = 0..12 per first parameter of the lemma: the left
-        # side's a2 + 1 and the right side's a2 - k + 1 for 1 <= k <= d*l
+        # 1 + d*l + 1 tables over n = 0..12: the lemma's left side at a2 + 1,
+        # its right side at a2 - k + 1 for 1 <= k <= d*l, and the reduced
+        # family with alpha_1 - d*l, shared by both reduction windows
         dl, a2 = 4, p.beta + 4 + F(1, 3)
         dens = (F(3, 2), F(4, 3), p.beta + 1)
         assert sorted(calls["terminating_pfq"]) == sorted(
-            (12, (a2 + 1 - k,), dens) for k in range(dl + 1))
-        # and the reduced family once, shared by both reduction windows
-        assert calls["hyp_laguerre"] == [(HypParams(2, [F(1, 2) - dl, F(1, 3)]), 12)]
+            [(12, (a2 + 1 - k,), dens) for k in range(dl + 1)] + [(12, (), (F(1, 2) - dl + 1, F(4, 3)))])
+        assert calls["hyp_laguerre"] == []
+        # the only rows made Polys are the quasi family's, n = 0..12
+        assert len(made) == 13
+        # every check is decided on a zero difference; the only lincomb
+        # results that are not zero come from the stated l-term window's
+        # first miss at n = 1: the difference, then its two sides reduced,
+        # (alpha_1 + 1)_1 / (beta2 + 1)_1 P_1 - 2 / (beta2 + 1)_1 P_0 and the
+        # reduced family's P_1
+        assert any("first witness at n = 1" in note for note in rep.notes)
+        lhs = setup.polys[1] * F(-3, 5) + Poly.const(F(4, 5))
+        rhs = hyp_laguerre(HypParams(2, [F(1, 2) - dl, F(1, 3)]), 1)[1]
+        assert [poly for poly in results if not poly.is_zero()] == [lhs - rhs, lhs, rhs]
+        # lemma (n, k) instances 1 + 2 + 3 + 4 * 8, order-l n = 0..12, the
+        # stated window's n = 0, 1 and two witness sides, the repaired window
+        assert len(results) == 38 + 13 + 4 + 13
+
+    def test_lemma_failure_reports_both_sides_reduced(self, monkeypatch):
+        # One numerator of the lemma's left-hand table (first parameter
+        # a2 + 1) is off at n = 5; every right-hand side is still the true
+        # sum, so the first check to fail is n = 5 at k = 1, and the witness
+        # holds both sides as reduced Polys.
+        p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
+        left = (p.beta + 4 + F(1, 3) + 1,)
+        build = identities.terminating_pfq
+        sides = {}
+
+        def perturbed(n_max, extra_num, den):
+            rows = build(n_max, extra_num, den)
+            if extra_num == left:
+                nums = list(rows[5].nums)
+                nums[2] += 1
+                sides["expected"], rows[5] = rows[5].poly(), Row(nums, rows[5].den)
+                sides["actual"] = rows[5].poly()
+            return rows
+
+        monkeypatch.setattr(identities, "terminating_pfq", perturbed)
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p)))
+        assert rep.status == "fail"
+        assert (rep.witness.n, rep.witness.context) == (5, "index-shift lemma at k = 1")
+        expected = Witness(5, sides["expected"], sides["actual"], "index-shift lemma at k = 1")
+        assert rep.witness.to_dict() == expected.to_dict()
+        assert sides["actual"] != sides["expected"]
 
     def test_pochhammer_oracle(self):
         assert pochhammer(3, 4) == 360

@@ -16,10 +16,9 @@ from dops.series import (
     normalize_exponent,
     series_exp,
     series_log1p_scaled,
-    series_mul,
 )
 
-from oracles import gf_binomial_xw, series_log
+from oracles import gf_binomial_xw, series_log, series_mul
 
 X = Poly.x()
 
