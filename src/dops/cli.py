@@ -15,14 +15,13 @@ identity check failed, 2 for invalid parameters or usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import math
 import os
 import re
 import sys
 import tempfile
-from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from .families import FAMILY_PARAMS, FamilyParamError, as_int, comma_list, read_params
@@ -32,8 +31,8 @@ from .polynomials import Poly, as_rational, format_rational
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
 FAMILIES = tuple(FAMILY_PARAMS)
 # The family parameters a flag can set: every parameter field but d.
-PARAMETER_KEYS = tuple(dict.fromkeys(f.name for cls in FAMILY_PARAMS.values()
-                                     for f in fields(cls) if f.name != "d"))
+PARAMETER_KEYS = tuple(dict.fromkeys(name for cls in FAMILY_PARAMS.values()
+                                     for name, _, _ in cls.FIELDS if name != "d"))
 FORMATS = ("json", "csv", "latex")
 
 
@@ -135,8 +134,12 @@ def build_setup(cfg: dict) -> FamilySetup:
 
 
 def _poly_row(p: Poly, n: int) -> dict:
-    coeffs = [format_rational(p.coefficient(k)) for k in range(max(n, p.degree) + 1)]
-    return {"n": n, "coeffs": coeffs}
+    """Row n of a table: p's coefficients as p/q strings by one gcd each, padded with "0"."""
+    den, coeffs = p.den, []
+    for c in p.nums:
+        g = math.gcd(c, den)
+        coeffs.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return {"n": n, "coeffs": coeffs + ["0"] * (n + 1 - len(coeffs))}
 
 
 def latex_rational(value) -> str:
@@ -186,6 +189,7 @@ def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
                     *([r["identity"], r["status"], *r["range"],
                        r["witness"]["n"] if r["witness"] else "", " | ".join(r["notes"])]
                       for r in artifact["reports"])]
+        import csv  # here, so that a json job never loads it
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
@@ -278,7 +282,8 @@ def _parse_table(path: str) -> FamilySetup:
         "order": len(table) - 1,
         "parameters": params,
     }
-    return replace(build_setup(cfg), table=table)
+    setup = build_setup(cfg)
+    return FamilySetup(setup.kind, setup.order, setup.params, table)
 
 
 def _moments_artifact(setup: FamilySetup) -> dict:

@@ -29,13 +29,13 @@ constructed recurrences are run by the same code.  Parameter conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import (
     Poly,
     RationalLike,
+    Record,
     Row,
     as_rational,
     binomial,
@@ -97,44 +97,65 @@ def _rational(value) -> Fraction:
     return as_rational(value)
 
 
-def _coerce_fields(params) -> None:
-    """Coerce each field of a parameter dataclass to its annotation (a true
-    int, a rational, a tuple of rationals), then check the dimension d.  A
-    value of the wrong type, such as a float or a bare number for a list in
-    a config file, or a malformed rational string is refused under the
-    field's name.  The annotations are strings here, as this module
-    postpones them."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.type == "int":
-            value = as_int(value, f.name)
-        else:
-            scalar = f.type == "Fraction"
-            try:
-                value = _rational(value) if scalar else tuple(_rational(v) for v in value)
-            except TypeError:
-                shape = ("an exact rational (an integer or a p/q string)" if scalar
-                         else "a list of exact rationals (integers or p/q strings)")
-                raise FamilyParamError(f"--{f.name} must be {shape}, got {value!r}") from None
-            except ValueError as exc:
-                raise FamilyParamError(f"--{f.name}: {exc}") from None
-        object.__setattr__(params, f.name, value)
-    if params.d < 1:
-        raise FamilyParamError("d must be a positive integer")
+# A parameter field's kind: a true int, an exact rational, or a tuple of them;
+# REQUIRED stands for the default of a field that has none.
+INT, RATIONAL, RATIONALS = "int", "rational", "rationals"
+REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class MLParams:
+class _Params(Record):
+    """An immutable parameter set.  ``FIELDS``, the one table of its fields as
+    (name, kind, default) with d first, drives the constructor and the
+    readers.  The constructor takes the fields positionally or by name and
+    coerces each to its kind: a value of the wrong type, such as a float or a
+    bare number for a list in a config file, or a malformed rational string
+    is refused under the field's name.  Then it checks d and runs the class's
+    own ``_check``."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name, _, _ in cls.FIELDS)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args))
+        if len(args) > len(given) or not kwargs.keys() <= set(self._fields) - given.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}, "
+                            f"got {len(args)} positional and {sorted(kwargs)} by name")
+        given.update(kwargs)
+        for name, kind, default in self.FIELDS:
+            value = given.get(name, default)
+            if value is REQUIRED:
+                raise TypeError(f"{type(self).__name__} missing required field {name!r}")
+            if kind == INT:
+                value = as_int(value, name)
+            else:
+                scalar = kind == RATIONAL
+                try:
+                    value = _rational(value) if scalar else tuple(_rational(v) for v in value)
+                except TypeError:
+                    shape = ("an exact rational (an integer or a p/q string)" if scalar
+                             else "a list of exact rationals (integers or p/q strings)")
+                    raise FamilyParamError(f"--{name} must be {shape}, got {value!r}") from None
+                except ValueError as exc:
+                    raise FamilyParamError(f"--{name}: {exc}") from None
+            object.__setattr__(self, name, value)
+        if self.d < 1:
+            raise FamilyParamError("d must be a positive integer")
+        self._check()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class MLParams(_Params):
     """Mittag-Leffler type family parameters: dimension d, the two ratio
     parameters (alpha != beta), and the d-1 exponent coefficients c_1..c_{d-1}."""
 
-    d: int
-    alpha: Fraction
-    beta: Fraction
-    c: tuple[Fraction, ...] = ()
+    FIELDS = (("d", INT, REQUIRED), ("alpha", RATIONAL, REQUIRED), ("beta", RATIONAL, REQUIRED),
+              ("c", RATIONALS, ()))
 
-    def __post_init__(self):
-        _coerce_fields(self)
+    def _check(self):
         if self.alpha == self.beta:
             raise FamilyParamError("alpha must differ from beta")
         if len(self.c) != self.d - 1:
@@ -156,21 +177,16 @@ class MLParams:
         return n * self.alpha
 
 
-@dataclass(frozen=True)
-class LagParams:
+class LagParams(_Params):
     """Laguerre type family parameters: dimension d, the scale a != 0, the
     binomial exponent, the shift theta, and the d exponent coefficients
     b_0..b_{d-1} (b_0 only enters the removed normalization constant; none
     given means all zero)."""
 
-    d: int
-    a: Fraction
-    beta_exp: Fraction = Fraction(0)
-    theta: Fraction = Fraction(0)
-    b: tuple[Fraction, ...] = ()
+    FIELDS = (("d", INT, REQUIRED), ("a", RATIONAL, REQUIRED), ("beta_exp", RATIONAL, 0),
+              ("theta", RATIONAL, 0), ("b", RATIONALS, ()))
 
-    def __post_init__(self):
-        _coerce_fields(self)
+    def _check(self):
         if self.a == 0:
             raise FamilyParamError("a must be nonzero")
         if not self.b:
@@ -185,20 +201,16 @@ class LagParams:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(_Params):
     """Hypergeometric Laguerre parameters: dimension d and the denominator
     shifts alpha_1..alpha_d, none of which may be a negative integer, plus
     the quasi-orthogonal combinations' beta (not a negative integer) and
     order l >= 1."""
 
-    d: int
-    alphavec: tuple[Fraction, ...]
-    beta: Fraction = Fraction(0)
-    l: int = 1
+    FIELDS = (("d", INT, REQUIRED), ("alphavec", RATIONALS, REQUIRED), ("beta", RATIONAL, 0),
+              ("l", INT, 1))
 
-    def __post_init__(self):
-        _coerce_fields(self)
+    def _check(self):
         if len(self.alphavec) != self.d:
             raise FamilyParamError(f"expected {self.d} parameters alphavec, got {len(self.alphavec)}")
         for ai in self.alphavec:
@@ -222,35 +234,35 @@ def read_params(kind: str, d, values: dict):
     comma-separated string (empty means missing), and a key no field names
     is refused.  ``write_params`` writes what this reads."""
     cls = FAMILY_PARAMS[kind]
-    named = [f for f in fields(cls) if f.name != "d"]
-    unknown = sorted(set(values) - {f.name for f in named})
+    named = [f for f in cls.FIELDS if f[0] != "d"]
+    unknown = sorted(set(values) - {name for name, _, _ in named})
     if unknown:
         raise FamilyParamError(f"family {kind} takes no parameter {unknown[0]!r} "
-                               f"(its parameters are {', '.join(f.name for f in named)})")
+                               f"(its parameters are {', '.join(name for name, _, _ in named)})")
     given = {}
-    for f in named:
-        value = values.get(f.name)
-        is_tuple = f.type.startswith("tuple")
+    for name, field_kind, default in named:
+        value = values.get(name)
+        is_tuple = field_kind == RATIONALS
         if is_tuple and isinstance(value, str):
             value = comma_list(value)
         if value is not None and not (is_tuple and value == []):
-            given[f.name] = value
-        elif f.default is MISSING:
-            raise FamilyParamError(f"missing required parameter --{f.name.replace('_', '-')}")
+            given[name] = value
+        elif default is REQUIRED:
+            raise FamilyParamError(f"missing required parameter --{name.replace('_', '-')}")
     return cls(d, **given)
 
 
 def write_params(params) -> dict:
-    """Every field of a parameter dataclass as an artifact writes it: ints as
-    they are, rationals as p/q strings and tuples as lists of them."""
+    """Every field of a parameter set as an artifact writes it: ints as they
+    are, rationals as p/q strings and tuples as lists of them."""
     out = {}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.type == "Fraction":
+    for name, kind, _ in params.FIELDS:
+        value = getattr(params, name)
+        if kind == RATIONAL:
             value = format_rational(value)
-        elif f.type != "int":
+        elif kind == RATIONALS:
             value = [format_rational(v) for v in value]
-        out[f.name] = value
+        out[name] = value
     return out
 
 

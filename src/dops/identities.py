@@ -33,7 +33,6 @@ note saying where the stated form failed.  Silent substitution never happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -66,6 +65,7 @@ from .orthogonality import (
 from .polynomials import (
     Poly,
     RationalLike,
+    Record,
     as_rational,
     binomial,
     delta_w,
@@ -111,14 +111,13 @@ FREE_CONSTANT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-2, 3))
 WARNING_PREFIX = "warning: "
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """First failing index of an identity check, with both sides."""
 
-    n: int
-    expected: Poly
-    actual: Poly
-    context: str = ""
+    _fields = ("n", "expected", "actual", "context")
+
+    def __init__(self, n: int, expected: Poly, actual: Poly, context: str = ""):
+        self.n, self.expected, self.actual, self.context = n, expected, actual, context
 
     def to_dict(self) -> dict:
         return {
@@ -129,8 +128,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one identity check over an index range.
 
     status is "pass", "fail", or "not-applicable"; a witness is present
@@ -138,17 +136,14 @@ class VerificationReport:
     reconciliation conventions; they never affect the status.
     """
 
-    identity: str
-    params: dict
-    n_min: int
-    n_max: int
-    status: str
-    witness: Optional[Witness] = None
-    notes: tuple[str, ...] = ()
+    __slots__ = _fields = ("identity", "params", "n_min", "n_max", "status", "witness", "notes")
 
-    def __post_init__(self):
-        if (self.status == "fail") != (self.witness is not None):
+    def __init__(self, identity: str, params: dict, n_min: int, n_max: int, status: str,
+                 witness: Optional[Witness] = None, notes: tuple[str, ...] = ()):
+        if (status == "fail") != (witness is not None):
             raise ValueError("a witness is present exactly when the status is fail")
+        self.identity, self.params, self.n_min, self.n_max = identity, params, n_min, n_max
+        self.status, self.witness, self.notes = status, witness, notes
 
     def to_dict(self) -> dict:
         return {
@@ -252,20 +247,20 @@ def _fit_witness(exc: FitError, lo: int, hi: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FamilySetup:
+class FamilySetup(Record):
     """One verification run.
 
     ``kind`` is one of ml, charlier, laguerre and hyp-laguerre, and
-    ``params`` its parameter dataclass.  ``table`` is a supplied
+    ``params`` its parameter set.  ``table`` is a supplied
     P_0..P_order; when present it is the family every suite checks.  The
     cached attributes below are computed at most once per run.
     """
 
-    kind: str
-    order: int
-    params: object
-    table: Optional[list[Poly]] = None
+    _fields = ("kind", "order", "params", "table")
+    __hash__ = None
+
+    def __init__(self, kind: str, order: int, params, table: Optional[list[Poly]] = None):
+        self.kind, self.order, self.params, self.table = kind, order, params, table
 
     @property
     def d(self) -> int:
@@ -374,7 +369,7 @@ def _hahn_shift(table: RecurrenceTable, alpha: Fraction, beta: Fraction) -> Recu
     alpha), the top gamma class gains n*alpha*beta, lower classes are unchanged."""
     top = table.d - 1
     gamma = {(m, k): g + m * alpha * beta if k == top else g for (m, k), g in table.gamma.items()}
-    return replace(table, beta=tuple(b - alpha for b in table.beta), gamma=gamma)
+    return RecurrenceTable(table.d, table.n_max, tuple(b - alpha for b in table.beta), gamma)
 
 
 def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:

@@ -15,12 +15,11 @@ integer numerators of each ``Poly``, with no ``Poly`` arithmetic per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polynomials import Poly, lincomb
+from .polynomials import Poly, Record, lincomb
 
 __all__ = [
     "FitError",
@@ -81,8 +80,7 @@ def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
+class RecurrenceTable(Record):
     """Coefficients of the band recurrence
 
         P_{n+1} = (x - beta_n) P_n - sum_{nu=0..d-1} gamma_{n-nu}^{d-1-nu} P_{n-1-nu}
@@ -92,13 +90,14 @@ class RecurrenceTable:
     (subscript m, superscript k) to the stored value; each pair enters
     exactly one step.  The superscript-0 class carries the regularity
     conditions gamma_{m+1}^0 != 0.  ``step`` is the one place a band
-    recurrence is run.
+    recurrence is run.  Equality and hashing leave ``gamma`` out.
     """
 
-    d: int
-    n_max: int
-    beta: tuple[Fraction, ...]
-    gamma: dict[tuple[int, int], Fraction] = field(compare=False)
+    __slots__ = ("d", "n_max", "beta", "gamma")
+    _fields = ("d", "n_max", "beta")
+
+    def __init__(self, d: int, n_max: int, beta: tuple[Fraction, ...], gamma: dict[tuple[int, int], Fraction]):
+        self.d, self.n_max, self.beta, self.gamma = d, n_max, beta, gamma
 
     def gamma_at(self, m: int, k: int) -> Fraction:
         try:
@@ -167,15 +166,15 @@ def check_regularity(table: RecurrenceTable, upto: int) -> list[int]:
     return [m for m in range(upto + 1) if table.gamma_at(m + 1, 0) == 0]
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(Record):
     """Moments <u_r, x**k> of the first d dual functionals of a monic
     sequence, through degree n_max.  ``rows[r]`` is functional r's moments as
     integer numerators over the lcm of their denominators."""
 
-    d: int
-    n_max: int
-    rows: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = _fields = ("d", "n_max", "rows")
+
+    def __init__(self, d: int, n_max: int, rows: tuple[tuple[tuple[int, ...], int], ...]):
+        self.d, self.n_max, self.rows = d, n_max, rows
 
     def moment(self, r: int, k: int) -> Fraction:
         if not 0 <= r < self.d:
@@ -219,24 +218,21 @@ def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
     return MomentTable(d=d, n_max=n_max, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class OrthogonalityCheck:
+class OrthogonalityCheck(Record):
     """One (r, m, n) cell of the orthogonality pattern: ``kind`` is "zero"
     for the vanishing conditions and "nonzero" for the regularity ones."""
 
-    r: int
-    m: int
-    n: int
-    kind: str
-    value: Fraction
-    ok: bool
+    __slots__ = _fields = ("r", "m", "n", "kind", "value", "ok")
+
+    def __init__(self, r: int, m: int, n: int, kind: str, value: Fraction, ok: bool):
+        self.r, self.m, self.n, self.kind, self.value, self.ok = r, m, n, kind, value, ok
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    d: int
-    n_max: int
-    checks: tuple[OrthogonalityCheck, ...]
+class OrthogonalityReport(Record):
+    __slots__ = _fields = ("d", "n_max", "checks")
+
+    def __init__(self, d: int, n_max: int, checks: tuple[OrthogonalityCheck, ...]):
+        self.d, self.n_max, self.checks = d, n_max, checks
 
     @property
     def zero_failures(self) -> list[OrthogonalityCheck]:

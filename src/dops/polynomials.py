@@ -32,6 +32,7 @@ RationalLike = Union[Fraction, int, str]
 
 __all__ = [
     "Poly",
+    "Record",
     "Row",
     "lincomb",
     "as_rational",
@@ -294,6 +295,28 @@ class Poly:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
+
+
+class Record:
+    """A value record: equality, hashing and repr over the ``_fields`` attributes."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
 
 
 class Row:

@@ -4,6 +4,9 @@ config/env resolution, and the table-mode round trip."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +18,19 @@ from dops.cli import main, run_suites
 from dops.families import HypParams, LagParams, MLParams
 from dops.identities import FamilySetup
 from dops.polynomials import Poly, format_rational
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # Every job is a fresh interpreter, so what ``import dops.cli`` loads is
+    # start-up that each job pays again.
+    code = "import sys, dops.cli; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def run_cli(args, capsys):

@@ -14,6 +14,8 @@ from dops.families import (
     HypParams,
     LagParams,
     MLParams,
+    read_params,
+    write_params,
     hyp_laguerre,
     hyp_quasi,
     laguerre_q_sequence,
@@ -70,6 +72,41 @@ class TestMLParams:
         assert p.b(1) == 2 * F(1, 3)   # 2! c_2
         assert p.b(2) == 0             # zero from d-1 on
         assert p.b(5) == 0
+
+
+# (kind, d, the values read_params reads, the same parameters built directly)
+PARAMETER_SETS = [
+    ("ml", 2, {"alpha": "1/2", "beta": -1, "c": "1/3"}, MLParams(2, F(1, 2), -1, [F(1, 3)])),
+    ("charlier", 1, {"alpha": 0, "beta": "-2"}, MLParams(1, 0, -2)),
+    ("laguerre", 2, {"a": "1/2", "theta": None, "b": [1, "1/3"]},
+     LagParams(2, F(1, 2), 0, 0, [1, F(1, 3)])),
+    ("hyp-laguerre", 2, {"alphavec": "1/2,1/3", "beta": "1/4", "l": 2},
+     HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)),
+]
+PARAMETER_IDS = [kind for kind, *_ in PARAMETER_SETS]
+
+
+class TestParameterRecords:
+    @pytest.mark.parametrize("kind, d, values, built", PARAMETER_SETS, ids=PARAMETER_IDS)
+    def test_read_params_equals_and_hashes_like_the_direct_build(self, kind, d, values, built):
+        # Argument-keyed tooling (bench/spans.py) counts parameter sets by value.
+        read = read_params(kind, d, values)
+        assert read == built and hash(read) == hash(built)
+        assert len({read, built}) == 1
+
+    @pytest.mark.parametrize("kind, d, values, built", PARAMETER_SETS, ids=PARAMETER_IDS)
+    def test_write_params_round_trips(self, kind, d, values, built):
+        written = write_params(read_params(kind, d, values))
+        assert read_params(kind, written.pop("d"), written) == built
+
+    @pytest.mark.parametrize("params, name", [(MLParams(1, 1, -1), "alpha"), (LagParams(1, 1), "b"),
+                                              (HypParams(1, [0]), "l")], ids=["ml", "laguerre", "hyp"])
+    def test_fields_cannot_be_assigned(self, params, name):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 3)
+        with pytest.raises(AttributeError):
+            params.d = 2
+        assert params.d == 1
 
 
 class TestMLFamilies:

@@ -80,6 +80,14 @@ class TestReportInvariants:
             VerificationReport("x", {}, 0, 1, "pass",
                                witness=Witness(0, Poly.one(), Poly.zero()))
 
+    def test_witnesses_with_equal_fields_are_equal(self):
+        witness = Witness(2, Poly([1, 2]), Poly([1, 3]), "row 2")
+        again = Witness(n=2, expected=Poly(["1", 2]), actual=Poly([1, 3]), context="row 2")
+        assert witness == again and hash(witness) == hash(again)
+        assert witness != Witness(2, Poly([1, 2]), Poly([1, 3]))
+        assert vars(witness) == {"n": 2, "expected": Poly([1, 2]), "actual": Poly([1, 3]),
+                                 "context": "row 2"}
+
     def test_serialization_shape(self):
         rep = single(verify_nccd(ml(CLASSICAL, 5)))
         data = rep.to_dict()

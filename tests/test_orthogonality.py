@@ -27,6 +27,7 @@ from dops.families import (
 )
 from dops.orthogonality import (
     FitError,
+    MomentTable,
     check_regularity,
     expand_in_basis,
     fit_recurrence,
@@ -188,6 +189,13 @@ class TestMoments:
         table = moments_by_inversion(ml_by_recurrence(CLASSICAL, 6), 1)
         assert table.moment(0, 1) == 0
         assert table.moment(0, 2) == 0
+
+    def test_tables_with_equal_fields_are_equal(self):
+        polys = ml_by_recurrence(REGULAR_D2, 6)
+        table, again = moments_by_inversion(polys, 2), moments_by_inversion(list(polys), 2)
+        assert table is not again and table == again and hash(table) == hash(again)
+        assert table == MomentTable(table.d, table.n_max, table.rows)
+        assert table != moments_by_inversion(polys, 1)
 
     def test_low_moments_vanish_below_r(self):
         polys = ml_by_recurrence(MLParams(3, 2, F(1, 2), [F(-1, 3), F(1, 5)]), 8)
