@@ -92,7 +92,6 @@ class TestParameterRecords:
         # Argument-keyed tooling (bench/spans.py) counts parameter sets by value.
         read = read_params(kind, d, values)
         assert read == built and hash(read) == hash(built)
-        assert len({read, built}) == 1
 
     @pytest.mark.parametrize("kind, d, values, built", PARAMETER_SETS, ids=PARAMETER_IDS)
     def test_write_params_round_trips(self, kind, d, values, built):
