@@ -53,7 +53,6 @@ from .series import (
     Series,
     egf_extract,
     gf_ratio_power,
-    normalize_exponent,
     series_exp,
     series_log1p_scaled,
 )

@@ -14,11 +14,14 @@ constructed recurrences are run by the same code.  Parameter conventions:
   step w, and the companion sequence is Q_n = delta_w(P_{n+1}) / (n+1).
 
 * Laguerre type: generating function (1-at)**beta_exp times
-  exp((xt+theta)/(1-at) + sum b_i t**i / i!).  The constant exp(theta + b_0)
-  produced at t = 0 is removed exactly (it is irrational for rational
-  nonzero arguments), so P_0 = 1 and all coefficients stay rational; theta
-  then acts only through the t-dependent part of its expansion, which is an
-  x-shift by a*theta.  The lowering operator is d/dx.
+  exp((xt+theta)/(1-at) + sum b_i t**i / i!).  The exponent is built from
+  t**1 on, so the constant exp(theta + b_0) it would have at t = 0 (an
+  irrational for rational nonzero arguments) is never formed: P_0 = 1 and
+  all coefficients stay rational, and b_0 drops out.  Theta then acts only
+  through the t-dependent part of its expansion, which is an x-shift by
+  a*theta.  The recurrence route is the confluent (alpha = beta = a)
+  Mittag-Leffler table with beta_exp folded into its b, translated by
+  a*theta.  The lowering operator is d/dx.
 
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
@@ -42,11 +45,10 @@ from .polynomials import (
     delta_w,
     derivative,
     factorial,
-    falling_value,
     format_rational,
 )
 from .orthogonality import RecurrenceTable
-from .series import Series, egf_extract, normalize_exponent, ratio_power_exponent, series_exp, series_log1p_scaled
+from .series import Series, egf_extract, ratio_power_exponent, series_exp, series_log1p_scaled
 
 __all__ = [
     "FamilyParamError",
@@ -180,8 +182,8 @@ class MLParams(_Params):
 class LagParams(_Params):
     """Laguerre type family parameters: dimension d, the scale a != 0, the
     binomial exponent, the shift theta, and the d exponent coefficients
-    b_0..b_{d-1} (b_0 only enters the removed normalization constant; none
-    given means all zero)."""
+    b_0..b_{d-1} (b_0 would only enter the t = 0 constant, which is never
+    formed; none given means all zero)."""
 
     FIELDS = (("d", INT, REQUIRED), ("a", RATIONAL, REQUIRED), ("beta_exp", RATIONAL, 0),
               ("theta", RATIONAL, 0), ("b", RATIONALS, ()))
@@ -282,8 +284,8 @@ def ml_recurrence_table(alpha: RationalLike, beta: RationalLike, b, d: int,
 
     as the table of steps 0..n_max-1; ``b`` is a callable k -> b_k.  alpha =
     beta is accepted: the coefficients are polynomial in (alpha, beta), so at
-    alpha = beta = a the table is the exact confluent (derivative-operator,
-    Laguerre type) limit.
+    alpha = beta = a the table is the exact confluent (derivative-operator)
+    limit, and ``laguerre_type_by_recurrence`` is built from it.
     """
     alpha, beta = as_rational(alpha), as_rational(beta)
     s, p = alpha + beta, alpha * beta
@@ -321,38 +323,31 @@ def ml_q_sequence(polys: Sequence[Poly], w: RationalLike) -> list[Poly]:
 
 def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
     """Monic P_0..P_{n_max} from the band recurrence of the Laguerre-type
-    family (b_i = 0 for i >= d),
-
-        P_{n+1} = (x + a (theta - beta_exp + 2n) + b_1) P_n
-                  - n (a^2 (n - beta_exp - 1) + 2 a b_1 - b_2) P_{n-1}
-                  + sum_{i=2..d} n!/(n-i)! [b_{i+1}/i! - 2 a b_i/(i-1)!
-                                            + a^2 b_{i-1}/(i-2)!] P_{n-i}."""
-    a, beta, theta, b, d = params.a, params.beta_exp, params.theta, params.b_at, params.d
-    gamma = {}
-    for n in range(1, n_max):
-        gamma[(n, d - 1)] = n * (a * a * (n - beta - 1) + 2 * a * b(1) - b(2))
-        for i in range(2, min(n, d) + 1):
-            bracket = (b(i + 1) / factorial(i) - 2 * a * b(i) / factorial(i - 1)
-                       + a * a * b(i - 1) / factorial(i - 2))
-            gamma[(n - i + 1, d - i)] = -bracket * falling_value(n, i)
-    beta_n = tuple(-(a * (theta - beta + 2 * n) + b(1)) for n in range(n_max))
-    return RecurrenceTable(d, n_max, beta_n, gamma).regenerate()
+    family: the confluent Mittag-Leffler table ``ml_recurrence_table(a, a,
+    k -> b_{k+1} - k! a**(k+1) beta_exp, d, n_max)`` (b_i = 0 for i >= d)
+    with every beta_n lowered by a theta, which translates the family by
+    a theta in x.  The beta_exp terms cancel in every gamma class below the
+    top one, since -k! + 2k (k-1)! - k(k-1) (k-2)! = 0."""
+    a, beta, b = params.a, params.beta_exp, params.b_at
+    table = ml_recurrence_table(a, a, lambda k: b(k + 1) - factorial(k) * a ** (k + 1) * beta,
+                                params.d, n_max)
+    translation = a * params.theta
+    return RecurrenceTable(table.d, n_max, tuple(beta_n - translation for beta_n in table.beta),
+                           table.gamma).regenerate()
 
 
 def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     """The same family as exp(beta_exp log(1-at) + (xt+theta)/(1-at) + pi(t)),
-    with the t = 0 constant removed so P_0 = 1 exactly."""
+    pi(t) = sum b_i t**i / i!, with the exponent started at t**1: its t = 0
+    constant theta + b_0 is never formed, so P_0 = 1 exactly."""
     a, theta = params.a, params.theta
-    coeffs = [Poly.const(theta)]
+    coeffs = [Poly.zero()]
     apow = Fraction(1)  # a**(n-1) running power
     for n in range(1, n_max + 1):
-        coeffs.append(Poly((theta * apow * a, apow)))
+        coeffs.append(Poly((theta * apow * a + params.b_at(n) / factorial(n), apow)))
         apow *= a
-    pi_terms = [Poly.const(params.b_at(i) / factorial(i)) for i in range(min(params.d, n_max + 1))]
-    exponent = (Series(n_max, coeffs) + Series(n_max, pi_terms)
-                + series_log1p_scaled(a, n_max).scale(params.beta_exp))
-    reduced, _constant = normalize_exponent(exponent)
-    return egf_extract(series_exp(reduced))
+    exponent = Series(n_max, coeffs) + series_log1p_scaled(a, n_max).scale(params.beta_exp)
+    return egf_extract(series_exp(exponent))
 
 
 def laguerre_q_sequence(polys: Sequence[Poly]) -> list[Poly]:

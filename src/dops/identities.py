@@ -792,21 +792,11 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n")]
 
 
-def _compositions(weight: int, parts: int):
-    """All tuples (k_1..k_parts) of non-negative integers with
-    sum i*k_i = weight."""
-    if parts == 0:
-        if weight == 0:
-            yield ()
-        return
-    step = parts  # weight contributed per unit of the last part
-    for k_last in range(weight // step + 1):
-        for rest in _compositions(weight - step * k_last, parts - 1):
-            yield rest + (k_last,)
-
-
 def _exp_coefficients(values: Sequence[Fraction], n_max: int) -> list[Fraction]:
-    """Coefficients of exp(sum values[i-1] t**i) through t**n_max."""
+    """Coefficients of exp(sum values[i-1] t**i) through t**n_max.  Entry m
+    is the multinomial sum of prod values[i-1]**k_i / k_i! over the tuples
+    with sum i k_i = m, the composition sum of the sz4 and moment-recursion
+    stated forms."""
     exponent = Series.from_scalars(n_max, [0, *values[:n_max]])
     return [c.coefficient(0) for c in series_exp(exponent).coeffs]
 
@@ -818,7 +808,8 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     coefficients with the exponential factor exactly:
 
         P_n = sum_{m=0..n} n!/(n-m)! A_m P0_{n-m},
-        A_m = sum over weight-m composition tuples of prod c_i**k_i / k_i!,
+        A_m = [t**m] exp(sum c_i t**i)
+            = sum over weight-m composition tuples of prod c_i**k_i / k_i!,
 
     with P0 the repaired closed form.  The stated transcription (multinomial
     weights over parts that do not sum to n, powers (beta/alpha)**s
@@ -840,17 +831,10 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
             terms = []
             for s in range(n + 1):
                 for m in range(min(s, n - 1) + 1):  # m = n: window of negative length
-                    for comp in _compositions(m, p.d - 1):
-                        mult = Fraction(factorial(n))
-                        for k in comp:
-                            mult /= factorial(k)
-                        mult /= factorial(n - s) * factorial(s - m) * factorial(m)
-                        coef = mult * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m
-                        for i, k in enumerate(comp):
-                            if k:
-                                coef *= p.c[i] ** k
-                        if coef != 0:
-                            terms.append((coef, Poly.x(), rows[n - m][s - m]))
+                    coef = (Fraction(factorial(n), factorial(n - s) * factorial(s - m) * factorial(m))
+                            * a_coeffs[m] * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m)
+                    if coef != 0:
+                        terms.append((coef, Poly.x(), rows[n - m][s - m]))
             yield n, lincomb(terms), truth[n], "stated multinomial form"
 
     if alpha == 0:
@@ -1067,17 +1051,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     def stated_checks():
         for r in range(p.d):
             for n in range(r, n_max + 1):
-                lhs = Fraction(0)
-                for comp in _compositions(n - r, p.d - 1):
-                    mult = Fraction(factorial(n - r))
-                    for k in comp:
-                        mult /= factorial(k)
-                    mult /= factorial(r)
-                    term = mult
-                    for i, k in enumerate(comp):
-                        if k:
-                            term *= (-p.c[i]) ** k
-                    lhs += term
+                lhs = Fraction(factorial(n - r), factorial(r)) * ainv[n - r]
                 rhs = Fraction(0)
                 for k in range(r, n + 1):
                     rhs += binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)

@@ -13,13 +13,13 @@ pass/fail criterion used by every identity check in the package; nothing is
 ever compared numerically.
 
 Every ``Poly`` operation (sums, scalar and ``Poly`` products, division by a
-scalar, ``shift``, ``derivative`` and evaluation) works on the Python-int
-numerators and reduces once at the end, so no operation does ``Fraction``
-arithmetic per coefficient.  ``lincomb`` extends that to a whole linear
-combination: a sum of scaled polynomials or scaled products is added up in
-integers over one common denominator and reduced once, not once per term.
-The reduced ``Fraction`` coefficients, ``Poly.coeffs``, are built only when
-something reads them, such as a serializer.
+scalar, ``shift`` and ``derivative``) works on the Python-int numerators and
+reduces once at the end, so no operation does ``Fraction`` arithmetic per
+coefficient.  ``lincomb`` extends that to a whole linear combination: a sum
+of scaled polynomials or scaled products is added up in integers over one
+common denominator and reduced once, not once per term.  The reduced
+``Fraction`` coefficients, ``Poly.coeffs``, are built only when something
+reads them, such as a serializer.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "shift",
     "delta_w",
     "derivative",
-    "falling_value",
     "binomial",
     "factorial",
 ]
@@ -88,16 +87,6 @@ def binomial(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
-
-
-def falling_value(y: RationalLike, n: int, w: RationalLike = 1) -> Fraction:
-    """Scalar step-w falling factorial y(y-w)(y-2w)...(y-(n-1)w); 1 for n=0."""
-    y = as_rational(y)
-    w = as_rational(w)
-    out = Fraction(1)
-    for j in range(n):
-        out *= y - j * w
-    return out
 
 
 class Poly:
@@ -225,9 +214,6 @@ class Poly:
         out += a[len(b):]
         return Poly._make(out, da)
 
-    def __neg__(self) -> "Poly":
-        return Poly._make([-c for c in self.nums], self.den)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             a, b = self.nums, other.nums
@@ -251,17 +237,6 @@ class Poly:
         if f == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
         return Poly._make([c * f.denominator for c in self.nums], self.den * f.numerator)
-
-    def __call__(self, point: RationalLike) -> Fraction:
-        """Evaluate at a/b by Horner's rule on integers:
-        p(a/b) = sum nums[k] a**k b**(n-k) / (den b**n)."""
-        p = as_rational(point)
-        a, b = p.numerator, p.denominator
-        acc, scale = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * a + c * scale
-            scale *= b
-        return Fraction(acc * b, self.den * scale)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums

@@ -26,7 +26,6 @@ __all__ = [
     "Series",
     "series_exp",
     "series_log1p_scaled",
-    "normalize_exponent",
     "ratio_power_exponent",
     "gf_ratio_power",
     "egf_extract",
@@ -60,14 +59,6 @@ class Series:
         raise AttributeError("Series is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls(order, (Poly.one(),))
-
-    @classmethod
     def from_scalars(cls, order: int, scalars: Iterable[RationalLike]) -> "Series":
         return cls(order, tuple(Poly.const(s) for s in scalars))
 
@@ -82,9 +73,6 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         return Series(n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Series":
-        return Series(self.order, tuple(-c for c in self.coeffs))
 
     def scale(self, factor) -> "Series":
         """Multiply every coefficient by a rational or a fixed Poly."""
@@ -116,7 +104,7 @@ def series_exp(f: Series) -> Series:
     of products per coefficient, reduced once.
     """
     if not f.coeffs[0].is_zero():
-        raise ValueError("series_exp requires a zero constant term; use normalize_exponent first")
+        raise ValueError("series_exp requires a zero constant term")
     out = [Poly.one()]
     for n in range(1, f.order + 1):
         out.append(lincomb((Fraction(k, n), f.coeffs[k], out[n - k]) for k in range(1, n + 1)))
@@ -132,24 +120,6 @@ def series_log1p_scaled(c: RationalLike, order: int) -> Series:
         power *= c
         coeffs.append(Poly.const(-power / n))
     return Series(order, tuple(coeffs))
-
-
-def normalize_exponent(f: Series) -> tuple[Series, Poly]:
-    """Split off the constant term of an exponent series.
-
-    Returns (f minus its constant term, the removed constant).  Callers
-    exponentiate the remainder, which pins the generating function to the
-    value 1 at t = 0 without ever forming exp of a rational.  A constant term
-    of positive degree in x is rejected: it would make the t = 0 value
-    x-dependent.
-    """
-    c0 = f.coeffs[0]
-    if c0.degree > 0:
-        raise ValueError("exponent constant term must not depend on x")
-    if c0.is_zero():
-        return f, Poly.zero()
-    rest = Series(f.order, (Poly.zero(),) + f.coeffs[1:])
-    return rest, c0
 
 
 def ratio_power_exponent(alpha: RationalLike, beta: RationalLike, order: int) -> Series:

@@ -5,7 +5,6 @@ route to an object ``dops.series``, ``dops.polynomials``, ``dops.families``,
 ``dops.orthogonality`` or ``dops.identities`` builds another way.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -28,15 +27,6 @@ def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Frac
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def horner(coeffs: tuple[Fraction, ...], point: Fraction) -> Fraction:
-    """Horner's rule on Fraction coefficients: the reference for
-    ``Poly.__call__``."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
 
 
 def falling_factorial(w: RationalLike, n: int) -> Poly:
@@ -81,10 +71,36 @@ def ratio_power_stated_form(alpha: RationalLike, beta: RationalLike, n: int) -> 
                 for k in range(n + 1)), Poly.zero())
 
 
+def compositions(weight: int, parts: int):
+    """All tuples (k_1..k_parts) of non-negative integers with
+    sum i*k_i = weight."""
+    if parts == 0:
+        if weight == 0:
+            yield ()
+        return
+    for k_last in range(weight // parts + 1):
+        for rest in compositions(weight - parts * k_last, parts - 1):
+            yield rest + (k_last,)
+
+
+def composition_sum(values: Sequence[Fraction], weight: int) -> Fraction:
+    """The multinomial sum of prod values[i-1]**k_i / k_i! over the tuples
+    with sum i*k_i = weight: the reference for entry ``weight`` of
+    ``dops.identities._exp_coefficients(values, ...)``."""
+    total = Fraction(0)
+    for comp in compositions(weight, len(values)):
+        term = Fraction(1)
+        for c, k in zip(values, comp):
+            term *= c ** k / factorial(k)
+        total += term
+    return total
+
+
 def sz4_stated_form(params, n: int) -> Poly:
     """The sz4 stated multinomial transcription at n for ml parameters with
-    alpha != 0, each window W(n-m, s-m) a fresh shifted falling factorial:
-    the reference for the stepped rows the sz4 suite reads."""
+    alpha != 0, each window W(n-m, s-m) a fresh shifted falling factorial
+    and each composition its own term: the reference for the stepped rows
+    the sz4 suite reads."""
     alpha, beta, w, d = params.alpha, params.beta, params.w, params.d
     if n == 0:
         return Poly.one()
@@ -92,15 +108,55 @@ def sz4_stated_form(params, n: int) -> Poly:
     for s in range(n + 1):
         for m in range(min(s, n - 1) + 1):
             window = shift(falling_factorial(w, n - m - 1), (n - s - 1) * w)
-            for comp in itertools.product(*(range(m // i + 1) for i in range(1, d))):
-                if sum(i * k for i, k in enumerate(comp, 1)) != m:
-                    continue
+            for comp in compositions(m, d - 1):
                 coef = Fraction(factorial(n), factorial(n - s) * factorial(s - m) * factorial(m))
                 for c, k in zip(params.c, comp):
                     coef *= c ** k / factorial(k)
                 out = out + window * Poly.x() * (coef * (beta / alpha) ** s * (-alpha) ** n
                                                  * (-beta) ** m)
     return out
+
+
+def moment_recursion_stated(params, table: MomentTable, n_max: int) -> list:
+    """The moment-recursion stated checks (n, left, right, context) for ml
+    parameters with alpha != 0: left (n-r)!/r! times the weight-(n-r)
+    composition sum in -c_i, right sum_k C(n, k) (beta/alpha)**k (-alpha)**n
+    <u_r, x**k>, for r < d and n = r..n_max."""
+    alpha, beta = params.alpha, params.beta
+    minus_c = [-c for c in params.c]
+    checks = []
+    for r in range(params.d):
+        for n in range(r, n_max + 1):
+            left = Fraction(factorial(n - r), factorial(r)) * composition_sum(minus_c, n - r)
+            right = sum((binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
+                         for k in range(r, n + 1)), Fraction(0))
+            checks.append((n, Poly.const(left), Poly.const(right), f"stated recursion, r = {r}"))
+    return checks
+
+
+def laguerre_by_recurrence(params, n_max: int) -> list[Poly]:
+    """Monic P_0..P_{n_max} of the Laguerre-type family from its explicit
+    band recurrence (b_i = 0 for i >= d),
+
+        P_{n+1} = (x + a (theta - beta_exp + 2n) + b_1) P_n
+                  - n (a^2 (n - beta_exp - 1) + 2 a b_1 - b_2) P_{n-1}
+                  + sum_{i=2..d} n!/(n-i)! [b_{i+1}/i! - 2 a b_i/(i-1)!
+                                            + a^2 b_{i-1}/(i-2)!] P_{n-i},
+
+    one Poly term at a time: the reference for the confluent-table route
+    ``dops.families.laguerre_type_by_recurrence``."""
+    a, beta, theta, b, d = params.a, params.beta_exp, params.theta, params.b_at, params.d
+    polys = [Poly.one()]
+    for n in range(n_max):
+        nxt = Poly((a * (theta - beta + 2 * n) + b(1), 1)) * polys[n]
+        if n >= 1:
+            nxt = nxt - polys[n - 1] * (n * (a * a * (n - beta - 1) + 2 * a * b(1) - b(2)))
+        for i in range(2, min(n, d) + 1):
+            bracket = (b(i + 1) / factorial(i) - 2 * a * b(i) / factorial(i - 1)
+                       + a * a * b(i - 1) / factorial(i - 2))
+            nxt = nxt + polys[n - i] * (math.perm(n, i) * bracket)
+        polys.append(nxt)
+    return polys
 
 
 def delta_powers(poly: Poly, w: RationalLike, upto: int) -> list[Poly]:

@@ -29,6 +29,7 @@ from dops.families import (
 )
 from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, binomial, delta_w
+import oracles
 from oracles import terminating_pfq as fraction_pfq
 
 X = Poly.x()
@@ -252,7 +253,31 @@ class TestConfluentLimit:
 
         confluent = ml_recurrence_table(a, a, b, d, 8).regenerate()
         lag_b = [F(0)] + [math.factorial(i) * c[i - 1] for i in range(1, d)]
-        assert confluent == laguerre_type_by_recurrence(LagParams(d, a, 0, 0, lag_b), 8)
+        assert confluent == oracles.laguerre_by_recurrence(LagParams(d, a, 0, 0, lag_b), 8)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def lag_params(draw):
+    """Laguerre parameters at d = 1..4 with beta_exp and theta nonzero."""
+    d = draw(st.integers(1, 4))
+    b = draw(st.lists(small_rationals, min_size=d, max_size=d))
+    return LagParams(d, draw(nonzero_rationals), draw(nonzero_rationals), draw(nonzero_rationals), b)
+
+
+class TestLaguerreDifferential:
+    @settings(max_examples=30, deadline=None)
+    @given(lag_params())
+    @example(LagParams(4, F(-2, 3), F(5, 4), F(1, 3), [1, F(1, 2), F(-2, 5), 3]))
+    def test_both_routes_match_the_explicit_recurrence(self, p):
+        # The confluent-table route and the generating function route against
+        # the Laguerre band recurrence written out term by term.
+        expected = oracles.laguerre_by_recurrence(p, 14)
+        assert laguerre_type_by_recurrence(p, 14) == expected
+        assert laguerre_type_by_gf(p, 14) == expected
 
 
 class TestHypFamilies:
@@ -282,7 +307,7 @@ class TestHypFamilies:
         p = HypParams(2, [F(1, 2), F(4, 3)])
         for n, poly in enumerate(hyp_laguerre(p, 7)):
             assert poly.degree == n
-            assert poly(0) == 1
+            assert poly.coefficient(0) == 1
 
 
 def pfq_outcome(n_max, extra_num, den):

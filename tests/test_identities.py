@@ -3,6 +3,7 @@ the parameter grid.  Reconciled identities must pass with the repair pinned
 in the notes, never silently."""
 
 from fractions import Fraction as F
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from dops.families import (
     ml_recurrence_table,
 )
 from dops.identities import (
+    SUITES,
     FamilySetup,
     VerificationReport,
     Witness,
@@ -541,3 +543,116 @@ class TestMomentRecursion:
     def test_repair_pinned_for_d2(self):
         rep = single(verify_moment_recursion(ml(MLParams(2, 1, -1, [1]), 8)))
         assert any("repaired form pinned" in note for note in rep.notes)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ml_params(max_order=10))
+    @example((MLParams(4, 2, F(1, 2), [F(-1, 3), F(1, 5), 1]), 9))
+    def test_stated_checks_match_the_composition_oracle(self, case):
+        p, n_max = case
+        if n_max < p.d:
+            return
+        setup = ml(p, n_max)
+        stated = stated_checks(verify_moment_recursion, setup)
+        if p.alpha == 0:
+            assert isinstance(stated, str)
+            return
+        table = oracles.moments_by_inversion(setup.polys, p.d)
+        assert list(stated) == oracles.moment_recursion_stated(p, table, n_max)
+
+
+class TestExpCoefficients:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(ratios, max_size=3), st.integers(0, 10))
+    @example([F(1, 2), F(-1, 3), F(2, 5)], 10)
+    def test_entries_are_composition_sums(self, c, n_max):
+        # d <= 4 carries at most three exponent coefficients; the sz4 form
+        # reads c and the moment recursion -c.
+        for values in (c, [-ci for ci in c]):
+            assert identities._exp_coefficients(values, n_max) == [
+                oracles.composition_sum(values, m) for m in range(n_max + 1)]
+
+
+# The row-sensitivity sweep: an N = 9 table with the x**0 coefficient of one
+# row moved by 1/7, or the x**1 coefficient where it is not the leading one
+# (delta_w and d/dx remove a constant), must fail every suite whose range
+# holds that row.  ml covers the delta_w suites, laguerre (the confluent-table
+# route) the derivative-operator ones and hyp the hypergeometric ones.
+SWEEP_ORDER = 9
+SWEEP_FAMILIES = {
+    "ml-d1": ("ml", MLParams(1, 2, F(1, 2))),
+    "ml-d2": ("ml", MLParams(2, 2, F(1, 2), [F(-1, 3)])),
+    "laguerre-d3": ("laguerre", LagParams(3, F(2, 3), F(5, 4), F(-1, 3), [1, F(1, 2), F(-2, 5)])),
+    "hyp-d2": ("hyp-laguerre", HypParams(2, [F(1, 2), F(4, 3)])),
+}
+SWEEP_ROWS = [(k, m) for k in (0, 1) for m in range(2 * k, SWEEP_ORDER + 1)]
+
+
+def sweep_exemption(family, identity, k, m):
+    """Why a report may pass with row m perturbed although m lies in its
+    range, or None when it must fail."""
+    if identity == "sr4":
+        return "sr4 holds for any table"
+    if identity == "sz5":
+        return "sz5 reads no P_n"
+    if (k, m) == (0, 0) and identity in ("d-orthogonality", "quasi-order"):
+        return "perturbing P_0 only rescales it, which the orthogonality pattern cannot see"
+    if family == "ml-d1" and m == 0 and identity == "sr6":
+        return "at d = 1 P_0 enters sr6 only through b_0, which is 0"
+    if family == "ml-d1" and k == 1 and identity in ("d-orthogonality", "moment-recursion"):
+        return ("at d = 1, b_0 = 0 makes gamma_1 = 0 and u_0 the evaluation at x = 0, "
+                "where an x term vanishes")
+    return None
+
+
+# Rows a suite misses because its range stops one short of N; each must fail
+# once the range reaches N, and until then is a strict xfail.
+ONE_SHORT = [
+    ("ml-d1", "sr7", 0, SWEEP_ORDER - 1),
+    ("ml-d2", "sr7", 0, SWEEP_ORDER - 1),
+    ("laguerre-d3", "laguerre-structure", 0, SWEEP_ORDER),
+    ("laguerre-d3", "laguerre-structure", 1, SWEEP_ORDER),
+]
+
+
+@cache
+def sweep_table(family):
+    kind, params = SWEEP_FAMILIES[family]
+    return tuple(FamilySetup(kind, SWEEP_ORDER, params).polys)
+
+
+def sweep_reports(family, k=None, m=None):
+    """Every suite's reports on the family's table, with the x**k
+    coefficient of row m moved by 1/7 when k is given."""
+    kind, params = SWEEP_FAMILIES[family]
+    table = list(sweep_table(family))
+    if k is not None:
+        table[m] = table[m] + Poly.monomial(k, F(1, 7))
+    setup = FamilySetup(kind, SWEEP_ORDER, params, table)
+    return [report for suite in SUITES[kind].values() for report in suite(setup)]
+
+
+class TestRowSensitivity:
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_unperturbed_table_passes(self, family):
+        assert {r.status for r in sweep_reports(family)} <= {"pass", "not-applicable"}
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_every_suite_fails_for_every_row_in_its_range(self, family):
+        one_short = {(identity, k, m) for name, identity, k, m in ONE_SHORT if name == family}
+        missed = {}
+        for k, m in SWEEP_ROWS:
+            for r in sweep_reports(family, k, m):
+                if (r.status == "pass" and r.n_min <= m <= r.n_max
+                        and (r.identity, k, m) not in one_short
+                        and sweep_exemption(family, r.identity, k, m) is None):
+                    missed.setdefault((k, m), []).append(r.identity)
+        assert missed == {}
+
+    @pytest.mark.xfail(strict=True, reason="sr7 and laguerre-structure stop at N-1: a constant "
+                       "added to P_{N-1} cancels in sr7 at n = N-1, and laguerre-structure "
+                       "never reads P_N")
+    @pytest.mark.parametrize("family, identity, k, m", ONE_SHORT,
+                             ids=[f"{f}-{identity}-x{k}-row{m}" for f, identity, k, m in ONE_SHORT])
+    def test_one_short_ranges(self, family, identity, k, m):
+        statuses = {r.identity: r.status for r in sweep_reports(family, k, m)}
+        assert statuses[identity] == "fail"

@@ -243,7 +243,7 @@ def _sigma_moment(params: MLParams, r: int, f: Poly, order: int) -> F:
     acc = F(0)
     g = f
     for j in range(order + 1):
-        acc += op[j] * g(0)
+        acc += op[j] * g.coefficient(0)
         if g.is_zero():
             break
         g = delta_w(g, params.w)
