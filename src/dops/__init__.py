@@ -50,11 +50,9 @@ from .polynomials import (
     shift,
 )
 from .series import (
-    Series,
     egf_extract,
     gf_ratio_power,
     series_exp,
-    series_log1p_scaled,
 )
 
 __version__ = "0.1.0"

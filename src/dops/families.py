@@ -14,13 +14,15 @@ constructed recurrences are run by the same code.  Parameter conventions:
   step w, and the companion sequence is Q_n = delta_w(P_{n+1}) / (n+1).
 
 * Laguerre type: generating function (1-at)**beta_exp times
-  exp((xt+theta)/(1-at) + sum b_i t**i / i!).  The exponent is built from
-  t**1 on, so the constant exp(theta + b_0) it would have at t = 0 (an
-  irrational for rational nonzero arguments) is never formed: P_0 = 1 and
-  all coefficients stay rational, and b_0 drops out.  Theta then acts only
+  exp((xt+theta)/(1-at) + sum b_i t**i / i!).  Both routes are the
+  confluent (alpha = beta = a) Mittag-Leffler ones: the generating function
+  is read off the confluent ratio-power exponent x t/(1-at) plus scalar
+  terms, and the recurrence is the confluent table with beta_exp folded
+  into its b, translated by a*theta.  The exponent is built from t**1 on,
+  so the constant exp(theta + b_0) it would have at t = 0 (an irrational
+  for rational nonzero arguments) is never formed: P_0 = 1 and all
+  coefficients stay rational, and b_0 drops out.  Theta then acts only
   through the t-dependent part of its expansion, which is an x-shift by
-  a*theta.  The recurrence route is the confluent (alpha = beta = a)
-  Mittag-Leffler table with beta_exp folded into its b, translated by
   a*theta.  The lowering operator is d/dx.
 
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
@@ -48,7 +50,7 @@ from .polynomials import (
     format_rational,
 )
 from .orthogonality import RecurrenceTable
-from .series import Series, egf_extract, ratio_power_exponent, series_exp, series_log1p_scaled
+from .series import egf_extract, ratio_power_exponent, series_exp
 
 __all__ = [
     "FamilyParamError",
@@ -303,11 +305,21 @@ def ml_by_recurrence(params: MLParams, n_max: int) -> list[Poly]:
     return ml_recurrence_table(params.alpha, params.beta, params.b, params.d, n_max).regenerate()
 
 
+def _by_gf(alpha: RationalLike, beta: RationalLike, s, n_max: int) -> list[Poly]:
+    """P_0..P_{n_max} read off the exponential generating function
+    exp(ratio_power_exponent(alpha, beta) + sum_{n>=1} s(n) t**n), one exp of
+    the sum; ``s`` is a callable n -> s_n.  The exponent starts at t**1."""
+    exponent = ratio_power_exponent(alpha, beta, n_max)
+    for n in range(1, n_max + 1):
+        exponent[n] += Poly.const(s(n))
+    return egf_extract(series_exp(exponent))
+
+
 def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
     """The same family read off the exponential generating function
-    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i), one exp of the sum."""
-    exponent = ratio_power_exponent(params.alpha, params.beta, n_max)
-    return egf_extract(series_exp(exponent + Series.from_scalars(n_max, (0, *params.c)[:n_max + 1])))
+    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i)."""
+    return _by_gf(params.alpha, params.beta,
+                  lambda n: params.c[n - 1] if n < params.d else 0, n_max)
 
 
 def ml_q_sequence(polys: Sequence[Poly], w: RationalLike) -> list[Poly]:
@@ -338,16 +350,12 @@ def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
 
 def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     """The same family as exp(beta_exp log(1-at) + (xt+theta)/(1-at) + pi(t)),
-    pi(t) = sum b_i t**i / i!, with the exponent started at t**1: its t = 0
-    constant theta + b_0 is never formed, so P_0 = 1 exactly."""
-    a, theta = params.a, params.theta
-    coeffs = [Poly.zero()]
-    apow = Fraction(1)  # a**(n-1) running power
-    for n in range(1, n_max + 1):
-        coeffs.append(Poly((theta * apow * a + params.b_at(n) / factorial(n), apow)))
-        apow *= a
-    exponent = Series(n_max, coeffs) + series_log1p_scaled(a, n_max).scale(params.beta_exp)
-    return egf_extract(series_exp(exponent))
+    pi(t) = sum b_i t**i / i!: the confluent ratio-power exponent x t/(1-at)
+    plus s_n = a**n (theta - beta_exp/n) + b_n/n! at each t**n, n >= 1.  Its
+    t = 0 constant theta + b_0 is never formed, so P_0 = 1 exactly."""
+    a, beta, theta = params.a, params.beta_exp, params.theta
+    return _by_gf(a, a, lambda n: a ** n * (theta - beta / n) + params.b_at(n) / factorial(n),
+                  n_max)
 
 
 def laguerre_q_sequence(polys: Sequence[Poly]) -> list[Poly]:

@@ -75,7 +75,7 @@ from .polynomials import (
     lincomb,
     shift,
 )
-from .series import Series, egf_extract, gf_ratio_power, series_exp
+from .series import egf_extract, gf_ratio_power, series_exp
 
 __all__ = [
     "Witness",
@@ -633,6 +633,13 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
+def _de_correction(p, table: RecurrenceTable, n: int, i: int, top: int) -> Fraction:
+    """sum_{j<i} C(top-1-j, i-1-j) alpha**(i-1-j) gamma_{n-j}^{(d-1-j)} / perm(n, j+1),
+    the correction in the depth-i constant of de1 (top = k) and de2 (top = d)."""
+    return sum(binomial(top - 1 - j, i - 1 - j) * p.alpha ** (i - 1 - j)
+               * table.gamma_at(n - j, p.d - 1 - j) / math.perm(n, j + 1) for j in range(i))
+
+
 def _de1_sides(p, deltas, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
     """Both sides at (n, k); deltas[m][j] is delta_w**j P_m."""
     alpha, w, d = p.alpha, p.w, p.d
@@ -641,10 +648,9 @@ def _de1_sides(p, deltas, table: RecurrenceTable, n: int, k: int) -> tuple[Poly,
     terms = [(1, Poly((k * w - k * alpha * (n - k + 2) - beta_n, 1)), dw[0])]
     for i in range(1, k + 1):
         slope = alpha ** i * binomial(k, i)
-        corr = sum(binomial(k - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
-                   * table.gamma_at(n - j, d - 1 - j) / math.perm(n, j + 1) for j in range(i))
         const = (slope * (k * w + alpha - beta_n)
-                 - alpha ** (i + 1) * binomial(k + 1, i + 1) * (n - k + i + 2) - corr)
+                 - alpha ** (i + 1) * binomial(k + 1, i + 1) * (n - k + i + 2)
+                 - _de_correction(p, table, n, i, k))
         terms.append((1, Poly((const, slope)), dw[i]))
     for i in range(k, d):
         coef = table.gamma_at(n - i, d - 1 - i) / math.perm(n, k)
@@ -660,31 +666,26 @@ def _de2_sides(p, deltas, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
     terms = [(1, Poly(((d + 1) * w - (d + 1) * alpha * (n - d + 1) - beta_n, 1)), dw[1])]
     for i in range(1, d + 1):
         slope = alpha ** i * binomial(d, i)
-        corr = sum(binomial(d - 1 - j, i - 1 - j) * alpha ** (i - 1 - j)
-                   * table.gamma_at(n - j, d - 1 - j) / math.perm(n, j + 1) for j in range(i))
         const = (slope * ((d + 1) * w - beta_n)
-                 - alpha ** (i + 1) * binomial(d + 1, i + 1) * (n - d + i + 1) - corr)
+                 - alpha ** (i + 1) * binomial(d + 1, i + 1) * (n - d + i + 1)
+                 - _de_correction(p, table, n, i, d))
         terms.append((1, Poly((const, slope)), dw[i + 1]))
     return dw[0] * (n - d), lincomb(terms)
 
 
-def verify_de(setup: FamilySetup, which) -> VerificationReport:
+def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport:
     """Difference equations assembled from the fitted recurrence table.
 
-    ``which`` is "de2" for the order-(d+1) equation in a single polynomial,
-    or ("de1", k) for the mixed equation at difference depth k.  Admissible
-    depths are 0 <= k <= d (k = 0 is the band recurrence itself; beyond d the
-    superscript indices leave the table).  Admissible indices start at n = d;
-    below that the falling-factorial denominators vanish and the indices are
-    reported out-of-range.
+    ``k=None`` checks de2, the order-(d+1) equation in a single polynomial;
+    an int k checks de1, the mixed equation at difference depth k.
+    Admissible depths are 0 <= k <= d (k = 0 is the band recurrence itself;
+    beyond d the superscript indices leave the table).  Admissible indices
+    start at n = d; below that the falling-factorial denominators vanish and
+    the indices are reported out-of-range.
     """
     p = setup.params
     params = setup.public_params(tagged=True)
-    if which == "de2":
-        identity, k = "de2", None
-    else:
-        identity = f"de1:k={which[1]}"
-        k = int(which[1])
+    identity = "de2" if k is None else f"de1:k={k}"
     lo, hi = p.d, setup.order - 1
     if k is not None and not 0 <= k <= p.d:
         return _not_applicable(identity, params, lo, hi,
@@ -710,11 +711,11 @@ def verify_de(setup: FamilySetup, which) -> VerificationReport:
 
 def verify_de1(setup: FamilySetup) -> list[VerificationReport]:
     """The mixed difference equation at every depth k = 1..d."""
-    return [verify_de(setup, ("de1", k)) for k in range(1, setup.d + 1)]
+    return [verify_de(setup, k) for k in range(1, setup.d + 1)]
 
 
 def verify_de2(setup: FamilySetup) -> list[VerificationReport]:
-    return [verify_de(setup, "de2")]
+    return [verify_de(setup)]
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +798,8 @@ def _exp_coefficients(values: Sequence[Fraction], n_max: int) -> list[Fraction]:
     is the multinomial sum of prod values[i-1]**k_i / k_i! over the tuples
     with sum i k_i = m, the composition sum of the sz4 and moment-recursion
     stated forms."""
-    exponent = Series.from_scalars(n_max, [0, *values[:n_max]])
-    return [c.coefficient(0) for c in series_exp(exponent).coeffs]
+    exponent = [Poly.const(values[n - 1] if 0 < n <= len(values) else 0) for n in range(n_max + 1)]
+    return [c.coefficient(0) for c in series_exp(exponent)]
 
 
 def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:

@@ -13,7 +13,7 @@ from dops.families import FamilyParamError
 from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
 from dops.polynomials import (Poly, RationalLike, as_rational, binomial, delta_w, factorial, lincomb,
                               shift)
-from dops.series import Series
+from dops.series import egf_extract, series_exp
 
 
 def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -203,32 +203,60 @@ def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
     return Poly(coeffs)
 
 
-def series_log(f: Series) -> Series:
+def series_log(f: list[Poly]) -> list[Poly]:
     """log(f) for a series with constant term 1 (inverse of series_exp)."""
-    if f.coeffs[0] != Poly.one():
+    if f[0] != Poly.one():
         raise ValueError("series_log requires constant term exactly 1")
     out = [Poly.zero()]
-    for n in range(1, f.order + 1):
-        acc = f.coeffs[n] * n
+    for n in range(1, len(f)):
+        acc = f[n] * n
         for k in range(1, n):
             hk = out[k]
             if hk.is_zero():
                 continue
-            acc = acc - (hk * f.coeffs[n - k]) * k
+            acc = acc - (hk * f[n - k]) * k
         out.append(acc / n)
-    return Series(f.order, tuple(out))
+    return out
 
 
-def series_mul(f: Series, g: Series) -> Series:
-    """Cauchy product truncated at min(order f, order g), each coefficient
-    one ``lincomb`` of its products: the product of two generating functions
+def series_mul(f: list[Poly], g: list[Poly]) -> list[Poly]:
+    """Cauchy product truncated at the shorter operand, each coefficient one
+    ``lincomb`` of its products: the product of two generating functions
     that the library builds as one exponential of their summed exponents."""
-    n = min(f.order, g.order)
-    return Series(n, tuple(lincomb((1, f.coeffs[i], g.coeffs[m - i]) for i in range(m + 1))
-                           for m in range(n + 1)))
+    return [lincomb((1, f[i], g[m - i]) for i in range(m + 1))
+            for m in range(min(len(f), len(g)))]
 
 
-def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> Series:
+def series_log1p_scaled(c: RationalLike, order: int) -> list[Poly]:
+    """The series of log(1 - c t): sum_{n>=1} -(c**n / n) t**n, the
+    two-logarithm reference for ``dops.series.ratio_power_exponent``."""
+    c = as_rational(c)
+    coeffs = [Poly.zero()]
+    power = Fraction(1)
+    for n in range(1, order + 1):
+        power *= c
+        coeffs.append(Poly.const(-power / n))
+    return coeffs
+
+
+def laguerre_by_gf(params, n_max: int) -> list[Poly]:
+    """P_0..P_{n_max} of the Laguerre-type family read off its exponent
+    written out term by term: x a**(n-1) + theta a**n + b_n/n! at each t**n,
+    n >= 1, plus beta_exp log(1 - a t).  The reference for
+    ``dops.families.laguerre_type_by_gf``, which reads the same family off
+    the confluent ratio-power exponent."""
+    a, theta = params.a, params.theta
+    logs = series_log1p_scaled(a, n_max)
+    exponent = [Poly.zero()]
+    apow = Fraction(1)  # a**(n-1) running power
+    for n in range(1, n_max + 1):
+        exponent.append(Poly((theta * apow * a + params.b_at(n) / factorial(n), apow))
+                        + logs[n] * params.beta_exp)
+        apow *= a
+    return egf_extract(series_exp(exponent))
+
+
+def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> list[Poly]:
     """Closed-form series of (1 + w * sign_scale * t) ** (x/w) for w != 0.
 
     The coefficient of t**n is the step-w falling factorial polynomial of
@@ -244,7 +272,7 @@ def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> Ser
     for n in range(order + 1):
         coeffs.append(falling_factorial(w, n) * (power / factorial(n)))
         power *= s
-    return Series(order, tuple(coeffs))
+    return coeffs
 
 
 def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:

@@ -279,6 +279,15 @@ class TestLaguerreDifferential:
         assert laguerre_type_by_recurrence(p, 14) == expected
         assert laguerre_type_by_gf(p, 14) == expected
 
+    @settings(max_examples=30, deadline=None)
+    @given(lag_params())
+    @example(LagParams(4, F(-2, 3), F(5, 4), F(1, 3), [1, F(1, 2), F(-2, 5), 3]))
+    def test_gf_route_matches_the_explicit_exponent(self, p):
+        # The generating function route reads the family off the confluent
+        # ratio-power exponent; the oracle writes the Laguerre exponent out
+        # with its own x term and log(1 - a t) series.
+        assert laguerre_type_by_gf(p, 14) == oracles.laguerre_by_gf(p, 14)
+
 
 class TestHypFamilies:
     def test_base_cases(self):

@@ -261,23 +261,23 @@ class TestSr2:
 class TestDifferenceEquations:
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_de2_grid(self, p):
-        assert verify_de(ml(p, 13), "de2").status == "pass"
+        assert verify_de(ml(p, 13)).status == "pass"
 
     @pytest.mark.parametrize("p", [p for p in ML_GRID if p.d >= 2], ids=str)
     def test_de1_all_depths(self, p):
         for k in range(0, p.d + 1):
-            rep = verify_de(ml(p, 12), ("de1", k))
+            rep = verify_de(ml(p, 12), k)
             assert rep.status == "pass", (k, rep.witness)
 
     def test_de1_depth_one_exists_for_d1(self):
-        assert verify_de(ml(CLASSICAL, 10), ("de1", 1)).status == "pass"
+        assert verify_de(ml(CLASSICAL, 10), 1).status == "pass"
 
     def test_inadmissible_depth(self):
-        rep = verify_de(ml(CLASSICAL, 10), ("de1", 2))
+        rep = verify_de(ml(CLASSICAL, 10), 2)
         assert rep.status == "not-applicable"
 
     def test_out_of_range_note(self):
-        rep = verify_de(ml(MLParams(3, 1, -1, [1, F(1, 2)]), 12), "de2")
+        rep = verify_de(ml(MLParams(3, 1, -1, [1, F(1, 2)]), 12))
         assert any("out-of-range" in note for note in rep.notes)
 
 
