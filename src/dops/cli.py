@@ -25,7 +25,7 @@ import tempfile
 from typing import Optional, Sequence
 
 from .families import FAMILY_PARAMS, FamilyParamError, as_int, comma_list, read_params
-from .identities import SUITES, WARNING_PREFIX, FamilySetup, VerificationReport
+from .identities import WARNING_PREFIX, FamilySetup, VerificationReport, family_suites
 from .polynomials import Poly, as_rational, format_rational
 
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
@@ -239,7 +239,7 @@ def _write_output(text: str, out: Optional[str]):
 def run_suites(setup: FamilySetup, suites: Sequence[str]) -> list[VerificationReport]:
     """The reports of the named suites, in order, all on the one setup; an
     unknown id is a usage error before any suite runs."""
-    registry = SUITES[setup.kind]
+    registry = family_suites(setup.kind)
     for suite in suites:
         if suite not in registry:
             raise CliError(f"unknown suite {suite!r} for family {setup.kind!r}; "
@@ -362,23 +362,26 @@ def run_command(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_options(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON run configuration; flags override its entries")
-    sub.add_argument("--family", choices=FAMILIES)
-    sub.add_argument("--d", type=int, help="number of orthogonality functionals")
-    sub.add_argument("--alpha", help="ml ratio parameter (rational p/q)")
-    sub.add_argument("--beta", help="ml ratio parameter / hyp quasi parameter")
-    sub.add_argument("--c", help="comma-separated exponent coefficients c_1..c_{d-1} (ml)")
-    sub.add_argument("--a", help="laguerre scale parameter")
-    sub.add_argument("--theta", help="laguerre shift parameter")
-    sub.add_argument("--beta-exp", dest="beta_exp", help="laguerre binomial exponent")
-    sub.add_argument("--b", help="comma-separated exponent coefficients b_0..b_{d-1} (laguerre)")
-    sub.add_argument("--alphavec", help="comma-separated parameters alpha_1..alpha_d (hyp-laguerre)")
-    sub.add_argument("--l", type=int, help="quasi-orthogonality order (hyp-laguerre)")
-    sub.add_argument("--order", type=int,
-                     help=f"truncation order N (default 16; env {DEFAULT_ORDER_ENV} overrides)")
-    sub.add_argument("--format", choices=FORMATS)
-    sub.add_argument("--out", help="output path (written atomically); stdout when omitted")
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON run configuration; flags override its entries")
+    common.add_argument("--family", choices=FAMILIES)
+    common.add_argument("--d", type=int, help="number of orthogonality functionals")
+    common.add_argument("--alpha", help="ml ratio parameter (rational p/q)")
+    common.add_argument("--beta", help="ml ratio parameter / hyp quasi parameter")
+    common.add_argument("--c", help="comma-separated exponent coefficients c_1..c_{d-1} (ml)")
+    common.add_argument("--a", help="laguerre scale parameter")
+    common.add_argument("--theta", help="laguerre shift parameter")
+    common.add_argument("--beta-exp", dest="beta_exp", help="laguerre binomial exponent")
+    common.add_argument("--b", help="comma-separated exponent coefficients b_0..b_{d-1} (laguerre)")
+    common.add_argument("--alphavec", help="comma-separated parameters alpha_1..alpha_d (hyp-laguerre)")
+    common.add_argument("--l", type=int, help="quasi-orthogonality order (hyp-laguerre)")
+    common.add_argument("--order", type=int,
+                        help=f"truncation order N (default 16; env {DEFAULT_ORDER_ENV} overrides)")
+    common.add_argument("--format", choices=FORMATS)
+    common.add_argument("--out", help="output path (written atomically); stdout when omitted")
+    return common
 
 
 # Lets argparse accept negative rationals like -3/2 or -1/3,-2 as option
@@ -393,24 +396,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "arithmetic and machine-verify their identity catalog.")
     parser._negative_number_matcher = _NEGATIVE_RATIONAL
     subs = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
 
-    gen = subs.add_parser("gen", help="generate a polynomial table")
-    _add_common_options(gen)
+    gen = subs.add_parser("gen", parents=common, help="generate a polynomial table")
     gen.add_argument("--with-q", action="store_true", dest="with_q",
                      help="also emit the companion sequence Q_0..Q_{N-1}")
 
-    verify = subs.add_parser("verify", help="run identity suites")
-    _add_common_options(verify)
+    verify = subs.add_parser("verify", parents=common, help="run identity suites")
     verify.add_argument("--suites", help="comma-separated suite ids (default: all for the family)")
     verify.add_argument("--from-table", dest="from_table",
                         help="verify against a gen artifact instead of regenerating; "
                              "the family and parameters then come from the table")
 
-    moments = subs.add_parser("moments", help="dual-functional moments and pattern")
-    _add_common_options(moments)
+    moments = subs.add_parser("moments", parents=common, help="dual-functional moments and pattern")
 
-    report = subs.add_parser("report", help="combined tables, moments, and suites")
-    _add_common_options(report)
+    report = subs.add_parser("report", parents=common, help="combined tables, moments, and suites")
     report.add_argument("--suites")
 
     for sub in (gen, verify, moments, report):

@@ -86,7 +86,7 @@ def compositions(weight: int, parts: int):
 def composition_sum(values: Sequence[Fraction], weight: int) -> Fraction:
     """The multinomial sum of prod values[i-1]**k_i / k_i! over the tuples
     with sum i*k_i = weight: the reference for entry ``weight`` of
-    ``dops.identities._exp_coefficients(values, ...)``."""
+    ``dops.ml_suites._exp_coefficients(values, ...)``."""
     total = Fraction(0)
     for comp in compositions(weight, len(values)):
         term = Fraction(1)

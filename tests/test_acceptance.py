@@ -21,10 +21,10 @@ from dops.families import (
     ml_by_recurrence,
     ml_q_sequence,
 )
-from dops.identities import (
-    FamilySetup,
+from dops.hyp_suites import verify_hyp_lincomb
+from dops.identities import FamilySetup
+from dops.ml_suites import (
     verify_de,
-    verify_hyp_lincomb,
     verify_moment_recursion,
     verify_nccd,
     verify_sr2,

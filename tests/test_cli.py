@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dops import cli
 from dops.cli import main, run_suites
 from dops.families import HypParams, LagParams, MLParams
-from dops.identities import FamilySetup
+from dops.identities import SUITE_MODULES, FamilySetup
 from dops.polynomials import Poly, format_rational
 
 
@@ -31,6 +31,31 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+    # A job compiles only the suites it runs: none for the import, gen and
+    # moments, and only its own family's module for verify.
+    assert loaded_suite_modules() == set()
+    for command in ("gen", "moments"):
+        assert loaded_suite_modules(command, *ML, "--order", "4") == set()
+    for family in (ML, CHARLIER, LAGUERRE, HYP):
+        kind = family[1]
+        assert loaded_suite_modules("verify", *family, "--order", "4") == {
+            f"dops.{SUITE_MODULES[kind]}"}
+
+
+def loaded_suite_modules(*argv) -> set:
+    """The suite modules a fresh interpreter holds after ``import dops.cli``
+    and, given an argv, one successful CLI run of it."""
+    code = ("import contextlib, io, sys\n"
+            "from dops import cli\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "print(*sorted(sys.modules))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split()) & {f"dops.{name}" for name in SUITE_MODULES.values()}
 
 
 def run_cli(args, capsys):

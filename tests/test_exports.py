@@ -1,8 +1,13 @@
 """Every public name a dops module declares resolves, so removing a
-definition cannot leave a stale entry in ``__all__`` behind."""
+definition cannot leave a stale entry in ``__all__`` behind; the package
+itself loads each name from its module only on first use."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -10,10 +15,27 @@ import dops
 
 MODULES = sorted(f"dops.{info.name}" for info in pkgutil.iter_modules(dops.__path__))
 
+# Every name the package exports, by the module that defines it.
+PACKAGE_EXPORTS = {
+    "families": ("FamilyParamError", "HypParams", "LagParams", "MLParams", "hyp_laguerre",
+                 "hyp_quasi", "laguerre_q_sequence", "laguerre_type_by_gf",
+                 "laguerre_type_by_recurrence", "ml_by_gf", "ml_by_recurrence", "ml_q_sequence",
+                 "terminating_pfq"),
+    "identities": ("SUITES", "FamilySetup", "VerificationReport", "Witness",
+                   "ratio_power_closed_form"),
+    "orthogonality": ("FitError", "MomentTable", "RecurrenceTable", "check_regularity",
+                      "expand_in_basis", "fit_recurrence", "moments_by_inversion",
+                      "quasi_orthogonality_order", "verify_d_orthogonality"),
+    "polynomials": ("Poly", "as_rational", "delta_w", "derivative", "format_rational",
+                    "parse_rational", "shift"),
+    "series": ("egf_extract", "gf_ratio_power", "series_exp"),
+}
+
 
 def test_every_module_is_listed():
     assert {"dops.cli", "dops.families", "dops.identities", "dops.orthogonality",
-            "dops.polynomials", "dops.series"} <= set(MODULES)
+            "dops.polynomials", "dops.series", "dops.ml_suites", "dops.laguerre_suites",
+            "dops.hyp_suites"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,3 +43,35 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_exports_resolve_from_their_modules():
+    wrong = []
+    for module, names in PACKAGE_EXPORTS.items():
+        for name in names:
+            namespace = {}
+            exec(f"from dops import {name}", namespace)
+            if namespace[name] != getattr(importlib.import_module(f"dops.{module}"), name):
+                wrong.append(name)
+    assert wrong == []
+    assert sorted(dops.__all__) == sorted(name for names in PACKAGE_EXPORTS.values()
+                                          for name in names)
+    with pytest.raises(ImportError):
+        exec("from dops import no_such_name", {})
+
+
+def test_readme_example_imports_from_the_package():
+    from dops import MLParams, fit_recurrence, ml_by_gf, ml_by_recurrence
+
+    p = MLParams(d=2, alpha=1, beta=-1, c=[F(1)])
+    polys = ml_by_recurrence(p, 10)
+    assert polys == ml_by_gf(p, 10)
+    assert fit_recurrence(polys, p.d).regenerate() == polys
+
+
+def test_package_import_loads_no_module():
+    code = "import sys, dops; print(*sorted(m for m in sys.modules if m.startswith('dops.')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == ""

@@ -2,6 +2,7 @@
 the parameter grid.  Reconciled identities must pass with the repair pinned
 in the notes, never silently."""
 
+import sys
 from fractions import Fraction as F
 from functools import cache
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dops import identities
+from dops import hyp_suites, identities, ml_suites
 from dops.families import (
     HypParams,
     LagParams,
@@ -20,17 +21,19 @@ from dops.families import (
     ml_q_sequence,
     ml_recurrence_table,
 )
+from dops.hyp_suites import verify_hyp_lincomb, _rising
 from dops.identities import (
     SUITES,
     FamilySetup,
     VerificationReport,
     Witness,
     ratio_power_closed_form,
+)
+from dops.laguerre_suites import verify_laguerre_structure
+from dops.ml_suites import (
     verify_de,
     verify_de1,
     verify_de2,
-    verify_hyp_lincomb,
-    verify_laguerre_structure,
     verify_moment_recursion,
     verify_nccd,
     verify_sr2,
@@ -38,7 +41,6 @@ from dops.identities import (
     verify_sz4,
     verify_sz5,
     _hahn_shift,
-    _rising,
 )
 from dops.orthogonality import fit_recurrence
 from dops.polynomials import Poly, Row, lincomb, shift
@@ -328,7 +330,8 @@ def stated_checks(suite, setup):
     """The stated form a reconciled suite hands to ``_reconciled``: its
     unconsumed checks, or the reason it cannot be evaluated."""
     seen = []
-    with mock.patch.object(identities, "_reconciled", lambda *args, **kw: seen.append(args[4])):
+    with mock.patch.object(sys.modules[suite.__module__], "_reconciled",
+                           lambda *args, **kw: seen.append(args[4])):
         suite(setup)
     (stated,) = seen
     return stated
@@ -391,9 +394,11 @@ class TestRatioWindows:
         setup = ml(p, n_max)
         calls = {name: [] for name in ("shift", "ratio_power_closed_form", "delta_w")}
         for name, seen in calls.items():
-            fn = getattr(identities, name)
-            monkeypatch.setattr(identities, name,
-                                lambda *args, _fn=fn, _seen=seen: _seen.append(args) or _fn(*args))
+            for module in (identities, ml_suites):  # every module that binds the name
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *args, _fn=fn, _seen=seen:
+                                        _seen.append(args) or _fn(*args))
         reports = [*verify_sz4(setup), *verify_sz5(setup), *verify_moment_recursion(setup)]
         assert len(calls["shift"]) == 0
         reports += [*verify_de1(setup), *verify_de2(setup)]
@@ -433,9 +438,11 @@ class TestHypLincomb:
         assert len(setup.polys) == 13  # the run's own family, built before counting
         calls = {"terminating_pfq": [], "hyp_laguerre": []}
         for name, seen in calls.items():
-            fn = getattr(identities, name)
-            monkeypatch.setattr(identities, name,
-                                lambda *args, _fn=fn, _seen=seen: _seen.append(args) or _fn(*args))
+            for module in (identities, hyp_suites):  # every module that binds the name
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *args, _fn=fn, _seen=seen:
+                                        _seen.append(args) or _fn(*args))
         results, made = [], []
         monkeypatch.setattr(identities, "lincomb",
                             lambda terms, _fn=identities.lincomb: results.append(_fn(terms)) or results[-1])
@@ -472,7 +479,7 @@ class TestHypLincomb:
         # holds both sides as reduced Polys.
         p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
         left = (p.beta + 4 + F(1, 3) + 1,)
-        build = identities.terminating_pfq
+        build = hyp_suites.terminating_pfq
         sides = {}
 
         def perturbed(n_max, extra_num, den):
@@ -484,7 +491,7 @@ class TestHypLincomb:
                 sides["actual"] = rows[5].poly()
             return rows
 
-        monkeypatch.setattr(identities, "terminating_pfq", perturbed)
+        monkeypatch.setattr(hyp_suites, "terminating_pfq", perturbed)
         rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p)))
         assert rep.status == "fail"
         assert (rep.witness.n, rep.witness.context) == (5, "index-shift lemma at k = 1")
@@ -568,7 +575,7 @@ class TestExpCoefficients:
         # d <= 4 carries at most three exponent coefficients; the sz4 form
         # reads c and the moment recursion -c.
         for values in (c, [-ci for ci in c]):
-            assert identities._exp_coefficients(values, n_max) == [
+            assert ml_suites._exp_coefficients(values, n_max) == [
                 oracles.composition_sum(values, m) for m in range(n_max + 1)]
 
 
