@@ -15,6 +15,7 @@ identity check failed, 2 for invalid parameters or usage.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -214,16 +215,24 @@ def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
 
 
 def _write_output(text: str, out: Optional[str]):
+    """Write text to stdout, or to out.  A regular file or a new path is
+    written atomically: a temp file beside the file out resolves to, through
+    any symlinks, then replaces it, so a symlink stays a symlink.  An existing
+    file that is not regular, such as a device or a FIFO, is written in place."""
     if out is None:
         sys.stdout.write(text)
         return
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
-                                        prefix=".dops-", suffix=".tmp")
+        if os.path.exists(out) and not os.path.isfile(out):
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(out)
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dops-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp_path, out)
+        os.replace(tmp_path, target)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
     finally:
@@ -380,7 +389,8 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int,
                         help=f"truncation order N (default 16; env {DEFAULT_ORDER_ENV} overrides)")
     common.add_argument("--format", choices=FORMATS)
-    common.add_argument("--out", help="output path (written atomically); stdout when omitted")
+    common.add_argument("--out", help="output path (a regular file is written atomically); "
+                                      "stdout when omitted")
     return common
 
 
@@ -430,7 +440,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # main() has written the artifact.  Freezing puts every object still
+        # alive out of reach of the cycle collection the interpreter runs at
+        # shutdown, which would otherwise walk all the module dicts,
+        # functions, classes and code objects just before the process ends.
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 config/env resolution, and the table-mode round trip."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -152,6 +154,36 @@ class TestGen:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["family"] == "ml"
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_out_through_a_symlink_replaces_its_target(self, tmp_path, capsys, existing):
+        target = tmp_path / "tables" / "table.json"
+        target.parent.mkdir()
+        if existing:
+            target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, out, _ = run_cli(["gen", *ML, "--order", "2", "--out", str(link)], capsys)
+        assert code == 0 and out == ""
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["family"] == "ml"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_out_to_a_fifo_writes_into_it(self, tmp_path, capsys):
+        argv = ["gen", *ML, "--order", "2"]
+        expected = run_cli(argv, capsys)[1]
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        # Daemon: if the run never opens the FIFO, the blocked reader must not
+        # keep the test process alive.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = run_cli([*argv, "--out", str(fifo)], capsys)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert (code, out, received) == (0, "", [expected])
+        assert fifo.is_fifo()
 
 
 class TestConfigResolution:
@@ -755,3 +787,53 @@ class TestReport:
                                 "--order", "6", "--format", "latex"], capsys)
         assert code == 0
         assert out.count("\\begin{tabular}") >= 2
+
+
+class TestEntryPoint:
+    """``python -m dops.cli`` runs ``entry()``, as the ``dops`` console script
+    does: the same stdout, stderr and exit code as ``main()`` in-process."""
+
+    @pytest.mark.parametrize("case, status", [("verify", 0), ("tampered-table", 1),
+                                              ("bad-input", 2), ("usage", 2)])
+    def test_entry_matches_main(self, tmp_path, capsys, monkeypatch, case, status):
+        # Fixed, so that argparse wraps its usage text the same in both runs.
+        monkeypatch.setenv("COLUMNS", "80")
+        table = tmp_path / "table.json"
+        argv = {
+            "verify": ["verify", *ML, "--order", "9"],
+            "tampered-table": ["verify", "--from-table", str(table), "--suites", "routes,nccd"],
+            "bad-input": ["gen", *ML, "--beta", "1", "--order", "4"],
+            "usage": ["verify", "--family", "nope"],
+        }[case]
+        if case == "tampered-table":
+            assert main(["gen", *ML, "--order", "9", "--out", str(table)]) == 0
+            artifact = json.loads(table.read_text())
+            artifact["polys"][3]["coeffs"][0] = "7"
+            table.write_text(json.dumps(artifact))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == status
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "dops.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, captured.out.encode(), captured.err.encode())
+
+    def test_only_entry_freezes_the_collector(self, tmp_path):
+        argv = ["gen", *ML, "--order", "2", "--out", str(tmp_path / "table.json")]
+        before = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+        code = ("import gc, sys\n"
+                "from dops import cli\n"
+                "try:\n"
+                "    cli.entry()\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0 True\n"
