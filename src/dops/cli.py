@@ -443,10 +443,10 @@ def entry():
     try:
         sys.exit(main())
     finally:
-        # main() has written the artifact.  Freezing puts every object still
-        # alive out of reach of the cycle collection the interpreter runs at
-        # shutdown, which would otherwise walk all the module dicts,
-        # functions, classes and code objects just before the process ends.
+        # The run is over here.  Freezing puts every object still alive out
+        # of reach of the cycle collection the interpreter runs at shutdown,
+        # which would otherwise walk all the module dicts, functions, classes
+        # and code objects just before the process ends.
         gc.freeze()
 
 
