@@ -15,9 +15,9 @@ from importlib import import_module
 
 # Exported name -> the module that defines it.
 _SUBMODULE = {name: module for module, names in (
-    ("families", "FamilyParamError HypParams LagParams MLParams hyp_laguerre hyp_quasi "
-                 "laguerre_q_sequence laguerre_type_by_gf laguerre_type_by_recurrence ml_by_gf "
-                 "ml_by_recurrence ml_q_sequence terminating_pfq"),
+    ("families", "Family FamilyParamError HypParams LagParams MLParams hyp_laguerre hyp_quasi "
+                 "laguerre_type_by_gf laguerre_type_by_recurrence ml_by_gf ml_by_recurrence "
+                 "q_sequence terminating_pfq"),
     ("identities", "SUITES FamilySetup VerificationReport Witness ratio_power_closed_form"),
     ("orthogonality", "FitError MomentTable RecurrenceTable check_regularity expand_in_basis "
                       "fit_recurrence moments_by_inversion quasi_orthogonality_order "

@@ -25,15 +25,15 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-from .families import FAMILY_PARAMS, FamilyParamError, as_int, comma_list, read_params
+from .families import Family, FamilyParamError, as_int, comma_list, read_params
 from .identities import WARNING_PREFIX, FamilySetup, VerificationReport, family_suites
 from .polynomials import Poly, as_rational, format_rational
 
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
-FAMILIES = tuple(FAMILY_PARAMS)
+FAMILIES = tuple(Family.table())
 # The family parameters a flag can set: every parameter field but d.
-PARAMETER_KEYS = tuple(dict.fromkeys(name for cls in FAMILY_PARAMS.values()
-                                     for name, _, _ in cls.FIELDS if name != "d"))
+PARAMETER_KEYS = tuple(dict.fromkeys(name for family in Family.table().values()
+                                     for name, _, _ in family.params.FIELDS if name != "d"))
 FORMATS = ("json", "csv", "latex")
 
 
@@ -114,17 +114,11 @@ def build_setup(cfg: dict) -> FamilySetup:
     family = cfg.get("family")
     if family not in FAMILIES:
         raise CliError(f"--family must be one of {', '.join(FAMILIES)}")
-    parameters = cfg.get("parameters", {})
     try:
         order = as_int(cfg["order"], "order")
         if order < 0:
             raise CliError("--order must be non-negative")
-        if family == "charlier":
-            alpha = parameters.get("alpha")
-            if alpha is not None and as_rational(alpha) != 0:
-                raise CliError("the charlier family fixes alpha = 0; use --family ml for alpha != 0")
-            parameters = {**parameters, "alpha": 0}
-        return FamilySetup(kind=family, order=order, params=read_params(family, cfg["d"], parameters))
+        return FamilySetup(family, order, read_params(family, cfg["d"], cfg.get("parameters", {})))
     except (FamilyParamError, TypeError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -217,8 +211,10 @@ def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
 def _write_output(text: str, out: Optional[str]):
     """Write text to stdout, or to out.  A regular file or a new path is
     written atomically: a temp file beside the file out resolves to, through
-    any symlinks, then replaces it, so a symlink stays a symlink.  An existing
-    file that is not regular, such as a device or a FIFO, is written in place."""
+    any symlinks, then replaces it, so a symlink stays a symlink.  The file
+    keeps the mode of the one it replaces, and a new one gets 0666 less the
+    umask, as open would give it.  An existing file that is not regular, such
+    as a device or a FIFO, is written in place."""
     if out is None:
         sys.stdout.write(text)
         return
@@ -229,8 +225,15 @@ def _write_output(text: str, out: Optional[str]):
                 fh.write(text)
             return
         target = os.path.realpath(out)
+        try:
+            mode = os.stat(target).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dops-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp_path, target)
     except OSError as exc:
@@ -245,10 +248,12 @@ def _write_output(text: str, out: Optional[str]):
 # ---------------------------------------------------------------------------
 
 
-def run_suites(setup: FamilySetup, suites: Sequence[str]) -> list[VerificationReport]:
-    """The reports of the named suites, in order, all on the one setup; an
-    unknown id is a usage error before any suite runs."""
+def run_suites(setup: FamilySetup, suites: Sequence[str] = ()) -> list[VerificationReport]:
+    """The reports of the named suites, or of all the family's suites if none
+    are named, in order and on the one setup; an unknown id is a usage error
+    before any suite runs."""
     registry = family_suites(setup.kind)
+    suites = suites or list(registry)
     for suite in suites:
         if suite not in registry:
             raise CliError(f"unknown suite {suite!r} for family {setup.kind!r}; "
@@ -262,11 +267,8 @@ def run_suites(setup: FamilySetup, suites: Sequence[str]) -> list[VerificationRe
 
 
 def _gen_artifact(setup: FamilySetup, with_q: bool) -> dict:
-    artifact = {
-        "family": setup.kind,
-        "params": setup.public_params(),
-        "polys": [_poly_row(p, n) for n, p in enumerate(setup.polys)],
-    }
+    artifact = {"family": setup.kind, "params": setup.public_params(),
+                "polys": [_poly_row(p, n) for n, p in enumerate(setup.polys)]}
     if with_q:
         artifact["q_polys"] = [_poly_row(p, n) for n, p in enumerate(setup.q)]
     return artifact
@@ -285,13 +287,10 @@ def _parse_table(path: str) -> FamilySetup:
         table = [Poly([as_rational(c) for c in row["coeffs"]]) for row in artifact["polys"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"table artifact {path} is malformed: {exc!r}") from exc
-    cfg = {
-        "family": family,
-        "d": params.pop("d", 1),
-        "order": len(table) - 1,
-        "parameters": params,
-    }
-    setup = build_setup(cfg)
+    if not table:
+        raise CliError(f"table artifact {path} holds no rows")
+    setup = build_setup({"family": family, "d": params.pop("d", 1), "order": len(table) - 1,
+                         "parameters": params})
     return FamilySetup(setup.kind, setup.order, setup.params, table)
 
 
@@ -339,7 +338,7 @@ def run_command(args: argparse.Namespace) -> int:
             notices.append(WARNING_PREFIX + "some regularity conditions in the pattern are zero")
         status = 1 if pattern["zero_failures"] else 0
     else:
-        reports = run_suites(setup, cfg["suites"] or setup.default_suites())
+        reports = run_suites(setup, cfg["suites"])
         statuses = [r.status for r in reports]
         artifact = {"family": setup.kind, "params": setup.public_params(), "order": setup.order,
                     "reports": [r.to_dict() for r in reports],
@@ -355,10 +354,11 @@ def run_command(args: argparse.Namespace) -> int:
             notices = [f"{r.status.upper():15s} {r.identity}"
                        + ("  [" + "; ".join(r.notes) + "]" if r.notes else "") for r in reports]
         else:
-            artifact["generated"] = _gen_artifact(setup, setup.kind != "hyp-laguerre")
-            # The moments need N >= d; below that the section is left out, and
-            # the suites that read them are not-applicable.
-            if setup.kind != "hyp-laguerre" and setup.order >= setup.d:
+            # Only a family with a lowering operator reports Q rows and moments.
+            # The moments need N >= d; below that their suites are not-applicable.
+            lowered = setup.family.lower is not None
+            artifact["generated"] = _gen_artifact(setup, lowered)
+            if lowered and setup.order >= setup.d:
                 artifact["moments"] = _moments_artifact(setup)
     _write_output(_render(command, cfg["format"], artifact, setup.order), cfg["out"])
     for line in notices:

@@ -10,8 +10,8 @@ constructed recurrences are run by the same code.  Parameter conventions:
   times exp(sum c_i t**i), with w = alpha - beta.  The exponent coefficients
   c_1..c_{d-1} are the source of truth; the recurrence parameters are derived
   from them as b_k = (k+1)! c_{k+1} (so b_0 = c_1), with b_k = 0 for
-  k >= d-1.  The associated lowering operator is the forward difference with
-  step w, and the companion sequence is Q_n = delta_w(P_{n+1}) / (n+1).
+  k >= d-1.  The lowering operator is the forward difference delta_w with
+  step w.
 
 * Laguerre type: generating function (1-at)**beta_exp times
   exp((xt+theta)/(1-at) + sum b_i t**i / i!).  Both routes are the
@@ -23,7 +23,8 @@ constructed recurrences are run by the same code.  Parameter conventions:
   for rational nonzero arguments) is never formed: P_0 = 1 and all
   coefficients stay rational, and b_0 drops out.  Theta then acts only
   through the t-dependent part of its expansion, which is an x-shift by
-  a*theta.  The lowering operator is d/dx.
+  a*theta.  The lowering operator is d/dx.  Under either operator L the
+  companion sequence is Q_n = L(P_{n+1}) / (n+1).
 
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
@@ -57,16 +58,15 @@ __all__ = [
     "MLParams",
     "LagParams",
     "HypParams",
-    "FAMILY_PARAMS",
+    "Family",
     "read_params",
     "write_params",
     "ml_recurrence_table",
     "ml_by_recurrence",
     "ml_by_gf",
-    "ml_q_sequence",
     "laguerre_type_by_recurrence",
     "laguerre_type_by_gf",
-    "laguerre_q_sequence",
+    "q_sequence",
     "hyp_laguerre",
     "hyp_quasi",
     "terminating_pfq",
@@ -226,18 +226,45 @@ class HypParams(_Params):
             raise FamilyParamError("--l must be a positive integer")
 
 
-# Family kind -> its parameter class; charlier is the ml family at alpha = 0.
-FAMILY_PARAMS = {"ml": MLParams, "laguerre": LagParams, "hyp-laguerre": HypParams,
-                 "charlier": MLParams}
+class Family(Record):
+    """Every fact about one family kind: its parameter class, its routes
+    (params, n_max) -> P_0..P_{n_max}, its lowering operator (params, p) -> L p,
+    its suite module, the family name its reports carry and the parameters it
+    pins.  A family without a generating function or lowering operator has None."""
+
+    _fields = ("params", "recurrence", "gf", "lower", "suites", "reports_as", "pinned")
+
+    def __init__(self, params, recurrence, gf, lower, suites, reports_as, pinned=None):
+        self.params, self.recurrence, self.gf, self.lower = params, recurrence, gf, lower
+        self.suites, self.reports_as, self.pinned = suites, reports_as, pinned or {}
+
+    @staticmethod
+    def table() -> dict:
+        """Family kind -> Family, in ``--family`` order; charlier is ml at
+        alpha = 0.  It is built from the module's globals at each call, so a
+        route rebound on the module, as a tracer does, is the one a run calls."""
+        ml = (MLParams, ml_by_recurrence, ml_by_gf, lambda params, p: delta_w(p, params.w),
+              "ml_suites", "ml")
+        return {"ml": Family(*ml),
+                "laguerre": Family(LagParams, laguerre_type_by_recurrence, laguerre_type_by_gf,
+                                   lambda params, p: derivative(p), "laguerre_suites", "laguerre"),
+                "hyp-laguerre": Family(HypParams, hyp_laguerre, None, None, "hyp_suites",
+                                       "hyp-laguerre"),
+                "charlier": Family(*ml, pinned={"alpha": 0})}
 
 
 def read_params(kind: str, d, values: dict):
     """The parameters of family ``kind`` at dimension d, read from the other
-    fields as flags, a config file or an artifact give them: a missing or
-    null entry takes the field's default, a tuple field may be a
-    comma-separated string (empty means missing), and a key no field names
-    is refused.  ``write_params`` writes what this reads."""
-    cls = FAMILY_PARAMS[kind]
+    fields as flags, a config file or an artifact give them: a missing or null
+    entry takes the field's default, a tuple field may be a comma-separated
+    string (empty means missing), and a key no field names or a value other
+    than the one the family pins is refused.  ``write_params`` is the inverse."""
+    family = Family.table()[kind]
+    for name, pinned in family.pinned.items():
+        if values.get(name) is not None and as_rational(values[name]) != pinned:
+            raise FamilyParamError(f"the {kind} family fixes {name} = {pinned}; "
+                                   f"use --family {family.reports_as} for {name} != {pinned}")
+    values, cls = {**values, **family.pinned}, family.params
     named = [f for f in cls.FIELDS if f[0] != "d"]
     unknown = sorted(set(values) - {name for name, _, _ in named})
     if unknown:
@@ -322,10 +349,10 @@ def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
                   lambda n: params.c[n - 1] if n < params.d else 0, n_max)
 
 
-def ml_q_sequence(polys: Sequence[Poly], w: RationalLike) -> list[Poly]:
-    """Companion sequence Q_n = delta_w(P_{n+1}) / (n+1), monic of degree n."""
-    w = as_rational(w)
-    return [delta_w(polys[n + 1], w) / (n + 1) for n in range(len(polys) - 1)]
+def q_sequence(polys: Sequence[Poly], lower) -> list[Poly]:
+    """Companion sequence Q_n = lower(P_{n+1}) / (n+1) under a lowering
+    operator ``lower`` (delta_w or d/dx), monic of degree n when P is."""
+    return [lower(polys[n + 1]) / (n + 1) for n in range(len(polys) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +383,6 @@ def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     a, beta, theta = params.a, params.beta_exp, params.theta
     return _by_gf(a, a, lambda n: a ** n * (theta - beta / n) + params.b_at(n) / factorial(n),
                   n_max)
-
-
-def laguerre_q_sequence(polys: Sequence[Poly]) -> list[Poly]:
-    """Derivative companion sequence Q_n = P'_{n+1} / (n+1)."""
-    return [derivative(polys[n + 1]) / (n + 1) for n in range(len(polys) - 1)]
 
 
 # ---------------------------------------------------------------------------

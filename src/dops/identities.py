@@ -9,9 +9,9 @@ A run is one ``FamilySetup``: the family, its parameters, the truncation
 order and, optionally, a supplied table of P_0..P_N.  The objects the suites
 share (the family, its companion sequence, the fitted recurrence tables, the
 moments, the generating-function route, the ratio-power closed forms, the
-delta_w powers of the difference equations) are computed on first use and
-kept for the rest of the run, and every suite reads the family from the
-setup, so a supplied table is what gets checked.  Every ratio-power form,
+lowering-operator powers of the difference equations) are computed on first
+use and kept for the rest of the run, and every suite reads the family from
+the setup, so a supplied table is what gets checked.  Every ratio-power form,
 stated or repaired, is a weighted sum over the step-w windows of one
 stepper, ``_ratio_windows``, which grows each window by one linear factor
 per index, so no form shifts a falling factorial.
@@ -21,8 +21,8 @@ index range is empty reports not-applicable.  The suites several families
 run (routes, regularity, d-orthogonality) are here; each family's own
 catalog is in its suite module (``ml_suites`` for ml and charlier,
 ``laguerre_suites``, ``hyp_suites``), whose ``SUITES`` maps suite id to
-suite in run order.  ``SUITE_MODULES`` maps each family kind to its module,
-and ``family_suites`` imports only the module a run needs.
+suite in run order.  ``families.Family.table()`` names each family kind's
+module, and ``family_suites`` imports only the module a run needs.
 
 Seven identities are recorded in two variants.  The "stated" variant is the
 original transcription; where that transcription is internally inconsistent
@@ -39,21 +39,11 @@ note saying where the stated form failed.  Silent substitution never happens.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import import_module
 from typing import Iterable, Optional, Sequence
 
-from .families import (
-    hyp_laguerre,
-    hyp_quasi,
-    laguerre_q_sequence,
-    laguerre_type_by_gf,
-    laguerre_type_by_recurrence,
-    ml_by_gf,
-    ml_by_recurrence,
-    ml_q_sequence,
-    write_params,
-)
+from .families import Family, hyp_quasi, q_sequence, write_params
 from .orthogonality import (
     FitError,
     MomentTable,
@@ -70,7 +60,6 @@ from .polynomials import (
     Record,
     as_rational,
     binomial,
-    delta_w,
     format_rational,
     lincomb,
 )
@@ -80,7 +69,6 @@ __all__ = [
     "first_mismatch",
     "VerificationReport",
     "FamilySetup",
-    "SUITE_MODULES",
     "SUITES",
     "family_suites",
     "verify_routes",
@@ -234,9 +222,10 @@ class FamilySetup(Record):
     """One verification run.
 
     ``kind`` is one of ml, charlier, laguerre and hyp-laguerre, and
-    ``params`` its parameter set.  ``table`` is a supplied
-    P_0..P_order; when present it is the family every suite checks.  The
-    cached attributes below are computed at most once per run.
+    ``params`` its parameter set; ``family`` is the kind's row of
+    ``Family.table()``.  ``table`` is a supplied P_0..P_order; when present
+    it is the family every suite checks.  The cached attributes below are
+    computed at most once per run.
     """
 
     _fields = ("kind", "order", "params", "table")
@@ -244,6 +233,7 @@ class FamilySetup(Record):
 
     def __init__(self, kind: str, order: int, params, table: Optional[list[Poly]] = None):
         self.kind, self.order, self.params, self.table = kind, order, params, table
+        self.family = Family.table()[kind]
 
     @property
     def d(self) -> int:
@@ -252,42 +242,34 @@ class FamilySetup(Record):
     def public_params(self, tagged: bool = False) -> dict:
         """The parameters as an artifact writes them; ``tagged`` adds the
         family name identity reports carry (charlier is the ml family)."""
-        tag = {"family": "ml" if self.kind == "charlier" else self.kind} if tagged else {}
+        tag = {"family": self.family.reports_as} if tagged else {}
         return {**tag, **write_params(self.params)}
-
-    def default_suites(self) -> tuple[str, ...]:
-        return tuple(family_suites(self.kind))
-
-    def recurrence_route(self) -> list[Poly]:
-        """P_0..P_order from the band recurrence (hyp-laguerre: the
-        terminating sums, which have no second route)."""
-        if self.kind == "laguerre":
-            return laguerre_type_by_recurrence(self.params, self.order)
-        if self.kind == "hyp-laguerre":
-            return hyp_laguerre(self.params, self.order)
-        return ml_by_recurrence(self.params, self.order)
 
     @cached_property
     def polys(self) -> list[Poly]:
-        """The family under test: the supplied table, else the recurrence route."""
-        return self.table if self.table is not None else self.recurrence_route()
+        """The family under test: the supplied table, else the recurrence route
+        (hyp-laguerre: the terminating sums, which have no second route)."""
+        if self.table is not None:
+            return self.table
+        return self.family.recurrence(self.params, self.order)
 
     @cached_property
     def gf(self) -> list[Poly]:
         """P_0..P_order read off the generating function."""
-        if self.kind == "laguerre":
-            return laguerre_type_by_gf(self.params, self.order)
-        return ml_by_gf(self.params, self.order)
+        return self.family.gf(self.params, self.order)
+
+    @cached_property
+    def lower(self):
+        """The family's lowering operator, Poly -> Poly."""
+        if self.family.lower is None:
+            raise ValueError("companion sequence is only defined for the ml, charlier, "
+                             "and laguerre families")
+        return partial(self.family.lower, self.params)
 
     @cached_property
     def q(self) -> list[Poly]:
         """Companion sequence Q_0..Q_{order-1} under the lowering operator."""
-        if self.kind == "laguerre":
-            return laguerre_q_sequence(self.polys)
-        if self.kind == "hyp-laguerre":
-            raise ValueError("companion sequence is only defined for the ml, charlier, "
-                             "and laguerre families")
-        return ml_q_sequence(self.polys, self.params.w)
+        return q_sequence(self.polys, self.lower)
 
     @cached_property
     def p_table(self) -> RecurrenceTable:
@@ -317,14 +299,14 @@ class FamilySetup(Record):
 
     @cached_property
     def deltas(self) -> list[list[Poly]]:
-        """deltas[m][j] = delta_w**j P_m for j <= d+1, the powers the
-        difference equations read; delta_w P_m is m Q_{m-1}, and 0 for the
-        P_0 = 1 that their recurrence fit requires."""
+        """deltas[m][j] = L**j P_m for j <= d+1 under the lowering operator
+        L (delta_w for ml), the powers the difference equations read; L P_m
+        is m Q_{m-1}, and 0 for the P_0 = 1 that their recurrence fit requires."""
         out = []
         for m, p in enumerate(self.polys):
             row = [p, self.q[m - 1] * m if m else Poly.zero()]
             for _ in range(self.d):
-                row.append(delta_w(row[-1], self.params.w))
+                row.append(self.lower(row[-1]))
             out.append(row)
         return out
 
@@ -336,11 +318,12 @@ class FamilySetup(Record):
 def verify_routes(setup: FamilySetup) -> list[VerificationReport]:
     """The recurrence route equals the generating-function route, and a
     supplied table equals the recurrence route."""
-    rec = setup.recurrence_route() if setup.table is not None else setup.polys
+    table = setup.table
+    rec = setup.polys if table is None else setup.family.recurrence(setup.params, setup.order)
     checks = [(n, rec[n], setup.gf[n], "recurrence route vs generating-function route")
               for n in range(setup.order + 1)]
-    if setup.table is not None:
-        checks += [(n, setup.table[n], rec[n], "supplied table vs recurrence route")
+    if table is not None:
+        checks += [(n, table[n], rec[n], "supplied table vs recurrence route")
                    for n in range(setup.order + 1)]
     return [_report("routes", setup.public_params(), 0, setup.order, first_mismatch(checks))]
 
@@ -438,19 +421,14 @@ def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n_max: int)
 # The registry
 # ---------------------------------------------------------------------------
 
-# Family kind -> the module whose SUITES maps suite id -> suite, in the order
-# a full run reports them.  A run imports only its own family's module.
-SUITE_MODULES = {"ml": "ml_suites", "charlier": "ml_suites", "laguerre": "laguerre_suites",
-                 "hyp-laguerre": "hyp_suites"}
-
-
 def family_suites(kind: str) -> dict:
-    """Suite id -> suite for one family kind, in run order."""
-    return import_module(f"{__package__}.{SUITE_MODULES[kind]}").SUITES
+    """Suite id -> suite for one family kind, in the order a full run reports
+    them; only that kind's suite module is imported."""
+    return import_module(f"{__package__}.{Family.table()[kind].suites}").SUITES
 
 
 def __getattr__(name: str):
     # SUITES, family kind -> suites, loads every family's module, which no run needs.
     if name == "SUITES":
-        return {kind: family_suites(kind) for kind in SUITE_MODULES}
+        return {kind: family_suites(kind) for kind in Family.table()}
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ from dops.families import (
     laguerre_type_by_recurrence,
     ml_by_gf,
     ml_by_recurrence,
-    ml_q_sequence,
+    q_sequence,
 )
 from dops.hyp_suites import verify_hyp_lincomb
 from dops.identities import FamilySetup
@@ -39,7 +39,7 @@ from dops.orthogonality import (
     quasi_orthogonality_order,
     verify_d_orthogonality,
 )
-from dops.polynomials import Poly, binomial
+from dops.polynomials import Poly, binomial, delta_w
 from dops.series import egf_extract, series_exp
 
 from oracles import series_log1p_scaled
@@ -107,7 +107,7 @@ def test_criterion_3_hahn_property():
     for p in ML_ALL:
         n_max = 13
         polys = ml_by_recurrence(p, n_max)
-        q = ml_q_sequence(polys, p.w)
+        q = q_sequence(polys, lambda f: delta_w(f, p.w))
         alpha, beta = p.alpha, p.beta
         for n in range(12):
             nxt = (X + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from dops import cli
 from dops.cli import main, run_suites
-from dops.families import HypParams, LagParams, MLParams
-from dops.identities import SUITE_MODULES, FamilySetup
+from dops.families import Family, HypParams, LagParams, MLParams
+from dops.identities import FamilySetup
 from dops.polynomials import Poly, format_rational
 
 
@@ -41,7 +41,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     for family in (ML, CHARLIER, LAGUERRE, HYP):
         kind = family[1]
         assert loaded_suite_modules("verify", *family, "--order", "4") == {
-            f"dops.{SUITE_MODULES[kind]}"}
+            f"dops.{Family.table()[kind].suites}"}
 
 
 def loaded_suite_modules(*argv) -> set:
@@ -57,7 +57,7 @@ def loaded_suite_modules(*argv) -> set:
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    return set(done.stdout.split()) & {f"dops.{name}" for name in SUITE_MODULES.values()}
+    return set(done.stdout.split()) & {f"dops.{family.suites}" for family in Family.table().values()}
 
 
 def run_cli(args, capsys):
@@ -132,8 +132,8 @@ class TestGen:
     def test_charlier_rejects_nonzero_alpha(self, capsys):
         code, _, err = run_cli(["gen", "--family", "charlier", "--d", "1", "--alpha", "1",
                                 "--beta", "-1", "--order", "3"], capsys)
-        assert code == 2
-        assert "alpha = 0" in err
+        assert (code, err) == (
+            2, "error: the charlier family fixes alpha = 0; use --family ml for alpha != 0\n")
 
     def test_hyp_family(self, capsys):
         code, out, _ = run_cli(["gen", "--family", "hyp-laguerre", "--d", "2",
@@ -144,8 +144,16 @@ class TestGen:
     def test_hyp_family_has_no_companion(self, capsys):
         code, _, err = run_cli(["gen", "--family", "hyp-laguerre", "--d", "1",
                                 "--alphavec", "1/2", "--order", "2", "--with-q"], capsys)
-        assert code == 2
-        assert "companion" in err
+        assert (code, err) == (2, "error: companion sequence is only defined for the ml, "
+                                  "charlier, and laguerre families\n")
+
+    def test_family_choices_keep_their_order(self, tmp_path, capsys):
+        assert cli.FAMILIES == ("ml", "laguerre", "hyp-laguerre", "charlier")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": "bogus"}))
+        code, out, err = run_cli(["gen", "--config", str(path)], capsys)
+        assert (code, out, err) == (
+            2, "", "error: --family must be one of ml, laguerre, hyp-laguerre, charlier\n")
 
     def test_atomic_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "table.json"
@@ -168,6 +176,29 @@ class TestGen:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert json.loads(target.read_text())["family"] == "ml"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_new_out_file_takes_the_umask(self, tmp_path, capsys, umask):
+        out = tmp_path / "table.json"
+        previous = os.umask(umask)
+        try:
+            code = run_cli(["gen", *ML, "--order", "2", "--out", str(out)], capsys)[0]
+        finally:
+            os.umask(previous)
+        assert code == 0 and out.stat().st_mode & 0o7777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("mode", [0o644, 0o604], ids=oct)
+    def test_replaced_out_file_keeps_its_mode(self, tmp_path, capsys, mode):
+        out = tmp_path / "table.json"
+        out.write_text("old")
+        out.chmod(mode)
+        previous = os.umask(0o077)
+        try:
+            code = run_cli(["gen", *ML, "--order", "2", "--out", str(out)], capsys)[0]
+        finally:
+            os.umask(previous)
+        assert code == 0 and json.loads(out.read_text())["family"] == "ml"
+        assert out.stat().st_mode & 0o7777 == mode
 
     def test_out_to_a_fifo_writes_into_it(self, tmp_path, capsys):
         argv = ["gen", *ML, "--order", "2"]
@@ -492,6 +523,14 @@ class TestTableMode:
     def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
         self._assert_tampered_table_fails(tmp_path, capsys, family, suite, 3, 0, "7")
 
+    def test_table_without_rows_is_bad_input(self, tmp_path, capsys):
+        table = self._gen(tmp_path, capsys)
+        artifact = json.loads(table.read_text())
+        artifact["polys"] = []
+        table.write_text(json.dumps(artifact))
+        code, out, err = run_cli(["verify", "--from-table", str(table)], capsys)
+        assert (code, out, err) == (2, "", f"error: table artifact {table} holds no rows\n")
+
     def test_failing_status_line(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)
         self._tamper(table, 3, "7")
@@ -693,7 +732,7 @@ def small_setups(draw):
 @settings(max_examples=250, deadline=None)
 @given(small_setups())
 def test_small_order_sweep_fails_nothing(setup):
-    reports = run_suites(setup, setup.default_suites())
+    reports = run_suites(setup)
     assert [r.to_dict() for r in reports if r.status == "fail"] == []
 
 

@@ -17,9 +17,9 @@ MODULES = sorted(f"dops.{info.name}" for info in pkgutil.iter_modules(dops.__pat
 
 # Every name the package exports, by the module that defines it.
 PACKAGE_EXPORTS = {
-    "families": ("FamilyParamError", "HypParams", "LagParams", "MLParams", "hyp_laguerre",
-                 "hyp_quasi", "laguerre_q_sequence", "laguerre_type_by_gf",
-                 "laguerre_type_by_recurrence", "ml_by_gf", "ml_by_recurrence", "ml_q_sequence",
+    "families": ("Family", "FamilyParamError", "HypParams", "LagParams", "MLParams",
+                 "hyp_laguerre", "hyp_quasi", "laguerre_type_by_gf",
+                 "laguerre_type_by_recurrence", "ml_by_gf", "ml_by_recurrence", "q_sequence",
                  "terminating_pfq"),
     "identities": ("SUITES", "FamilySetup", "VerificationReport", "Witness",
                    "ratio_power_closed_form"),

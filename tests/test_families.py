@@ -18,17 +18,16 @@ from dops.families import (
     write_params,
     hyp_laguerre,
     hyp_quasi,
-    laguerre_q_sequence,
     laguerre_type_by_gf,
     laguerre_type_by_recurrence,
     ml_by_gf,
     ml_by_recurrence,
-    ml_q_sequence,
     ml_recurrence_table,
+    q_sequence,
     terminating_pfq,
 )
 from dops.orthogonality import fit_recurrence
-from dops.polynomials import Poly, binomial, delta_w
+from dops.polynomials import Poly, binomial, delta_w, derivative
 import oracles
 from oracles import terminating_pfq as fraction_pfq
 
@@ -154,7 +153,7 @@ class TestMLFamilies:
 class TestMLCompanions:
     def test_classical_companions(self):
         p = MLParams(1, 1, -1)
-        q = ml_q_sequence(ml_by_recurrence(p, 4), p.w)
+        q = q_sequence(ml_by_recurrence(p, 4), lambda f: delta_w(f, p.w))
         assert q[0] == Poly.one()
         assert q[1] == Poly([1, 1])
         assert q[2] == Poly([2, 2, 1])
@@ -162,7 +161,7 @@ class TestMLCompanions:
     def test_appell_companions_equal_family(self):
         p = MLParams(1, 0, -1)
         polys = ml_by_recurrence(p, 8)
-        assert ml_q_sequence(polys, p.w) == polys[:-1]
+        assert q_sequence(polys, lambda f: delta_w(f, p.w)) == polys[:-1]
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_companion_band_recurrence(self, p):
@@ -170,7 +169,7 @@ class TestMLCompanions:
         # constant term shifted by alpha and the two-back bracket advanced by
         # one step of alpha*beta.
         n_max = 13
-        q = ml_q_sequence(ml_by_recurrence(p, n_max), p.w)
+        q = q_sequence(ml_by_recurrence(p, n_max), lambda f: delta_w(f, p.w))
         alpha, beta = p.alpha, p.beta
         for n in range(len(q) - 1):
             nxt = (X + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]
@@ -184,7 +183,8 @@ class TestMLCompanions:
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_companions_monic(self, p):
-        for n, poly in enumerate(ml_q_sequence(ml_by_recurrence(p, 10), p.w)):
+        q = q_sequence(ml_by_recurrence(p, 10), lambda f: delta_w(f, p.w))
+        for n, poly in enumerate(q):
             assert poly.degree == n
             assert poly.is_monic()
 
@@ -229,7 +229,7 @@ class TestLaguerreFamilies:
         # Q_n = P'_{n+1}/(n+1) is the family with beta_exp lowered by one.
         p = LagParams(2, F(1, 2), F(-3, 2), 0, [1, F(1, 3)])
         lowered = LagParams(2, F(1, 2), F(-5, 2), 0, [1, F(1, 3)])
-        q = laguerre_q_sequence(laguerre_type_by_recurrence(p, 9))
+        q = q_sequence(laguerre_type_by_recurrence(p, 9), derivative)
         assert q == laguerre_type_by_recurrence(lowered, 8)
 
     def test_rejects_zero_scale(self):

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dops import hyp_suites, identities, ml_suites
+from dops import families, hyp_suites, identities, ml_suites
 from dops.families import (
     HypParams,
     LagParams,
     MLParams,
     hyp_laguerre,
     ml_by_recurrence,
-    ml_q_sequence,
     ml_recurrence_table,
+    q_sequence,
 )
 from dops.hyp_suites import verify_hyp_lincomb, _rising
 from dops.identities import (
@@ -43,7 +43,7 @@ from dops.ml_suites import (
     _hahn_shift,
 )
 from dops.orthogonality import fit_recurrence
-from dops.polynomials import Poly, Row, lincomb, shift
+from dops.polynomials import Poly, Row, delta_w, lincomb, shift
 import oracles
 from oracles import pochhammer
 
@@ -74,6 +74,50 @@ def ml(p, order):
 def single(reports):
     (report,) = reports
     return report
+
+
+# One parameter set per family kind, and the routes a setup of that kind calls.
+ROUTED_KINDS = {
+    "ml": (MLParams(2, 1, -1, [1]), ["ml_by_recurrence", "ml_by_gf", "q_sequence"]),
+    "charlier": (MLParams(1, 0, -1), ["ml_by_recurrence", "ml_by_gf", "q_sequence"]),
+    "laguerre": (LagParams(2, F(1, 2), F(-3, 2), F(1, 7)),
+                 ["laguerre_type_by_recurrence", "laguerre_type_by_gf", "q_sequence"]),
+    "hyp-laguerre": (HypParams(2, [F(1, 2), F(1, 3)]), ["hyp_laguerre"]),
+}
+
+
+@pytest.mark.parametrize("kind", ROUTED_KINDS)
+def test_setup_calls_the_routes_bound_on_the_modules(monkeypatch, kind):
+    """An argument-keyed tracer (bench/spans.py) wraps the package's functions
+    by rebinding each wrapper at every module attribute, and every value of a
+    module-level dict, that held the original.  A route kept anywhere else,
+    such as an attribute of a record built at import, would escape it."""
+    routes = [families.ml_by_recurrence, families.ml_by_gf, families.laguerre_type_by_recurrence,
+              families.laguerre_type_by_gf, families.hyp_laguerre, families.q_sequence]
+    calls, wrappers = [], {}
+    for route in routes:
+        def wrapper(*args, _route=route):
+            calls.append(_route.__name__)
+            return _route(*args)
+        wrappers[id(route)] = wrapper
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "dops" or module is None:
+            continue
+        for attr, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[id(value)])
+            elif isinstance(value, dict) and not attr.startswith("__"):
+                for key, item in list(value.items()):
+                    if id(item) in wrappers:
+                        monkeypatch.setitem(value, key, wrappers[id(item)])
+    params, expected = ROUTED_KINDS[kind]
+    setup = FamilySetup(kind, 4, params)
+    setup.polys
+    if setup.family.gf is not None:
+        setup.gf
+    if setup.family.lower is not None:
+        setup.q
+    assert calls == expected
 
 
 class TestReportInvariants:
@@ -167,7 +211,8 @@ class TestHahnShift:
     def test_family_table_shifts_to_companion_table(self, p):
         # The companions Q_0..Q_10 come from P_0..P_11; their fitted table is
         # the family's table over the same steps, shifted.
-        q_table = fit_recurrence(ml_q_sequence(ml_by_recurrence(p, 11), p.w), p.d)
+        q = q_sequence(ml_by_recurrence(p, 11), lambda f: delta_w(f, p.w))
+        q_table = fit_recurrence(q, p.d)
         shifted = _hahn_shift(ml_recurrence_table(p.alpha, p.beta, p.b, p.d, 10), p.alpha, p.beta)
         assert shifted.beta == q_table.beta
         assert shifted.gamma == q_table.gamma
@@ -179,7 +224,7 @@ class TestNccd:
     def test_classical_hand_case(self):
         # P_2 = x^2 equals (x^2+2x+2) - 2(x+1)
         polys = ml_by_recurrence(CLASSICAL, 3)
-        q = ml_q_sequence(polys, 2)
+        q = q_sequence(polys, lambda f: delta_w(f, 2))
         assert polys[2] == q[2] - q[1] * 2
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
@@ -195,7 +240,7 @@ class TestNccd:
 class TestSrBlock:
     def test_classical_hand_cases(self):
         polys = ml_by_recurrence(CLASSICAL, 3)
-        q = ml_q_sequence(polys, 2)
+        q = q_sequence(polys, lambda f: delta_w(f, 2))
         assert shift(polys[2], 2) == q[2] + q[1] * 2           # shift identity at n=2
         assert q[2] * 2 == shift(polys[2], 2) + polys[2]       # cross identity at n=2
 
@@ -394,7 +439,7 @@ class TestRatioWindows:
         setup = ml(p, n_max)
         calls = {name: [] for name in ("shift", "ratio_power_closed_form", "delta_w")}
         for name, seen in calls.items():
-            for module in (identities, ml_suites):  # every module that binds the name
+            for module in (families, identities, ml_suites):  # every module that binds the name
                 if hasattr(module, name):
                     fn = getattr(module, name)
                     monkeypatch.setattr(module, name, lambda *args, _fn=fn, _seen=seen:
@@ -402,7 +447,8 @@ class TestRatioWindows:
         reports = [*verify_sz4(setup), *verify_sz5(setup), *verify_moment_recursion(setup)]
         assert len(calls["shift"]) == 0
         reports += [*verify_de1(setup), *verify_de2(setup)]
-        assert 0 < len(calls["delta_w"]) <= p.d * (n_max + 1)
+        # d lowerings per P_m for the deltas, one per Q_n for the companions.
+        assert len(calls["delta_w"]) == p.d * (n_max + 1) + n_max
         for suite in identities.SUITES["ml"].values():
             reports += suite(setup)
         assert len(calls["ratio_power_closed_form"]) == 1
