@@ -18,7 +18,7 @@ _SUBMODULE = {name: module for module, names in (
     ("families", "Family FamilyParamError HypParams LagParams MLParams hyp_laguerre hyp_quasi "
                  "laguerre_type_by_gf laguerre_type_by_recurrence ml_by_gf ml_by_recurrence "
                  "q_sequence terminating_pfq"),
-    ("identities", "SUITES FamilySetup VerificationReport Witness ratio_power_closed_form"),
+    ("identities", "FamilySetup VerificationReport Witness ratio_power_closed_form"),
     ("orthogonality", "FitError MomentTable RecurrenceTable check_regularity expand_in_basis "
                       "fit_recurrence moments_by_inversion quasi_orthogonality_order "
                       "verify_d_orthogonality"),

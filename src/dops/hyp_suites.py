@@ -12,10 +12,9 @@ import math
 from fractions import Fraction
 
 from .families import _is_negative_integer, terminating_pfq
-from .identities import (FamilySetup, VerificationReport, _fit_witness, _not_applicable,
-                         _reconciled, _report, _scalar_witness, first_mismatch)
-from .orthogonality import FitError, quasi_orthogonality_order
-from .polynomials import binomial
+from .identities import FamilySetup, VerificationReport, _not_applicable, _reconciled, _report
+from .orthogonality import quasi_orthogonality_order
+from .polynomials import Poly, binomial
 
 __all__ = ["SUITES", "verify_hyp_lincomb", "verify_quasi_order"]
 
@@ -42,7 +41,6 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     params = setup.public_params(tagged=True)
     dl = p.d * l
     dens = tuple(ai + 1 for ai in p.alphavec) + (beta + 1,)
-    notes: list[str] = []
 
     # Component 1: the index-shift lemma at a generic second parameter
     # a2 = p2/q2, off the integers where its falling factorials vanish.  Term
@@ -66,14 +64,6 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
                     run *= (n - i + 1) * q2 + p2
                 yield n, [(1, sums[0][n])], terms, f"index-shift lemma at k = {k}"
 
-    if n_max < 2:
-        notes.append("index-shift lemma needs N >= 2")
-    else:
-        witness = first_mismatch(lemma_checks())
-        if witness is not None:
-            return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
-        notes.append("index-shift lemma verified at a generic non-integer parameter")
-
     # Component 2: the order-l combination.
     shifted_rise, beta_rise = _rising(beta + dl + 1, n_max), _rising(beta + 1, n_max)
 
@@ -84,16 +74,22 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
                    for k in range(min(n, dl) + 1)]
             yield n, lhs, setup.quasi[n], "order-l combination"
 
-    witness = first_mismatch(lincomb_checks())
-    if witness is not None:
-        return [_report("hyp-lincomb", params, 0, n_max, witness, notes)]
-    notes.append("order-l combination verified")
+    # Each component's note joins the report once it passes.
+    notes = ()
+    for checks, verified in (
+            (lemma_checks(), "index-shift lemma needs N >= 2" if n_max < 2
+             else "index-shift lemma verified at a generic non-integer parameter"),
+            (lincomb_checks(), "order-l combination verified")):
+        report = _report("hyp-lincomb", params, 0, n_max, checks, notes, (verified,))
+        if report.status == "fail":
+            return [report]
+        notes = report.notes
 
     # Component 3: the aligned reduction, alpha_1 replaced by beta2 = alpha_1 - d*l.
     beta2 = p.alphavec[0] - dl
     if _is_negative_integer(beta2):
-        notes.append("aligned reduction skipped: alpha_1 - d*l is a negative integer")
-        return [_report("hyp-lincomb", params, 0, n_max, None, notes)]
+        return [_report("hyp-lincomb", params, 0, n_max, notes=(
+            *notes, "aligned reduction skipped: alpha_1 - d*l is a negative integer"))]
     alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
     reduced_family = terminating_pfq(n_max, (), (beta2 + 1,) + dens[1:p.d])
 
@@ -121,20 +117,15 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
     if setup.order < d * l:
         return [_not_applicable("quasi-order", params, 0, setup.order,
                                 f"order l = {l} is detectable only from N >= d*l = {d * l}")]
-    try:
+
+    def checks():
         found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d)
-    except FitError as exc:
-        return [_report("quasi-order", params, 0, setup.order,
-                        _fit_witness(exc, 0, setup.order))]
-    witness = None
-    notes = []
-    if found != l:
-        witness = _scalar_witness(found, found, l, "detected quasi-orthogonality order")
-    elif not exact:
-        witness = _scalar_witness(found, 0, 1, "bottom expansion coefficient vanished somewhere")
-    else:
-        notes.append(f"quasi-orthogonality order is exactly {found}")
-    return [_report("quasi-order", params, 0, setup.order, witness, notes)]
+        yield found, Poly.const(found), Poly.const(l), "detected quasi-orthogonality order"
+        yield (found, Poly.const(int(exact)), Poly.one(),
+               "bottom expansion coefficient vanished somewhere")
+
+    return [_report("quasi-order", params, 0, setup.order, checks(),
+                    verified=(f"quasi-orthogonality order is exactly {l}",))]
 
 
 # Suite id -> suite, in the order a full run reports them.

@@ -16,8 +16,13 @@ stated or repaired, is a weighted sum over the step-w windows of one
 stepper, ``_ratio_windows``, which grows each window by one linear factor
 per index, so no form shifts a falling factorial.
 
-A suite is a function of the setup returning its reports; a suite whose
-index range is empty reports not-applicable.  The suites several families
+A suite is a function of the setup returning its reports.  It hands its
+checks, (n, actual, expected, context) with scalars as degree-0 Polys, to
+``_report``, the one evaluator: the first check whose sides differ is the
+witness, a fit that fails while the checks run is a failure at the step it
+names, and a pass over an empty index range is not-applicable.  The checks
+read fitted tables and moments lazily, so a fit fails where a suite first
+needs it.  The suites several families
 run (routes, regularity, d-orthogonality) are here; each family's own
 catalog is in its suite module (``ml_suites`` for ml and charlier,
 ``laguerre_suites``, ``hyp_suites``), whose ``SUITES`` maps suite id to
@@ -69,7 +74,6 @@ __all__ = [
     "first_mismatch",
     "VerificationReport",
     "FamilySetup",
-    "SUITES",
     "family_suites",
     "verify_routes",
     "verify_regularity",
@@ -144,20 +148,32 @@ def first_mismatch(checks: Iterable[tuple[int, Poly | list, Poly | list, str]]) 
     return None
 
 
-def _report(identity: str, params: dict, n_min: int, n_max: int,
-            witness: Optional[Witness], notes: Sequence[str] = ()) -> VerificationReport:
-    """A pass or fail report; a pass over an empty range is not-applicable."""
+def _report(identity: str, params: dict, n_min: int, n_max: int, checks: Iterable = (),
+            notes: Iterable[str] = (), verified: Sequence[str] = ()) -> VerificationReport:
+    """The one evaluator: runs the checks (n, actual, expected, context) through
+    ``first_mismatch`` and reports their first witness, or a pass.
+
+    A pass over an empty range is not-applicable.  A ``FitError`` raised while
+    the checks run is a failure at the step it names, moved into the range.
+    ``verified`` notes follow ``notes`` on a pass only; ``notes`` is read after
+    the checks run, so it may read what they computed."""
+    try:
+        witness = first_mismatch(checks)
+    except FitError as exc:
+        return _fit_failure(identity, params, n_min, n_max, exc)
     if witness is None and n_max < n_min:
         return _not_applicable(identity, params, n_min, n_max, "empty index range")
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        n_min=n_min,
-        n_max=n_max,
-        status="fail" if witness else "pass",
-        witness=witness,
-        notes=tuple(notes),
-    )
+    return VerificationReport(identity, params, n_min, n_max, "fail" if witness else "pass",
+                              witness, (*notes, *(() if witness else verified)))
+
+
+def _fit_failure(identity: str, params: dict, n_min: int, n_max: int,
+                 exc: FitError) -> VerificationReport:
+    """A sequence that left its band recurrence (or the graded basis a fit
+    needs) as a failure without notes: the step at fault, moved to the nearest
+    end of [n_min, n_max], with the error naming the row as context."""
+    n = min(max(exc.index, n_min), n_max)
+    return _report(identity, params, n_min, n_max, [(n, Poly.one(), Poly.zero(), str(exc))])
 
 
 def _not_applicable(identity: str, params: dict, n_min: int, n_max: int,
@@ -187,30 +203,24 @@ def _reconciled(identity: str, params: dict, n_min: int, n_max: int,
     ``repair`` note if there is one.  Every report starts with the ``leading``
     notes.  When both forms fail, the report carries the repaired witness,
     since the repaired form is the one the suite pins, and one note saying
-    where the stated form failed."""
+    where the stated form failed.  A ``FitError`` in either form is reported
+    as ``_report`` reports it."""
     if isinstance(stated, str):
         failed = failure = stated
     else:
-        witness = first_mismatch(stated)
+        try:
+            witness = first_mismatch(stated)
+        except FitError as exc:
+            return _fit_failure(identity, params, n_min, n_max, exc)
         if witness is None:
-            return _report(identity, params, n_min, n_max, None, (*leading, verified))
+            return _report(identity, params, n_min, n_max, notes=(*leading, verified))
         failed = failed.format(**vars(witness))
         failure = f"stated form fails too (first witness at n = {witness.n}, {witness.context})"
-    witness = first_mismatch(repaired)
-    if witness is None:
-        pinned = (failed,) if repair is None else (failed, repair)
-        return _report(identity, params, n_min, n_max, None, (*leading, *pinned))
-    return _report(identity, params, n_min, n_max, witness, (*leading, failure))
-
-
-def _scalar_witness(n: int, actual, expected, context: str) -> Witness:
-    return Witness(n=n, expected=Poly.const(expected), actual=Poly.const(actual), context=context)
-
-
-def _fit_witness(exc: FitError, lo: int, hi: int) -> Witness:
-    """The step at which a sequence left its band recurrence, moved to the
-    nearest end of the report's range [lo, hi]; the context names the row."""
-    return _scalar_witness(min(max(exc.index, lo), hi), 1, 0, str(exc))
+    report = _report(identity, params, n_min, n_max, repaired, (*leading, failure))
+    if report.status != "pass":
+        return report
+    pinned = (failed,) if repair is None else (failed, repair)
+    return _report(identity, params, n_min, n_max, notes=(*leading, *pinned))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,7 @@ def verify_routes(setup: FamilySetup) -> list[VerificationReport]:
     if table is not None:
         checks += [(n, table[n], rec[n], "supplied table vs recurrence route")
                    for n in range(setup.order + 1)]
-    return [_report("routes", setup.public_params(), 0, setup.order, first_mismatch(checks))]
+    return [_report("routes", setup.public_params(), 0, setup.order, checks)]
 
 
 def verify_regularity(setup: FamilySetup) -> list[VerificationReport]:
@@ -338,16 +348,15 @@ def verify_regularity(setup: FamilySetup) -> list[VerificationReport]:
                                 f"fitting the band recurrence needs order N >= d + 1 = {setup.d + 1}")]
     try:
         table = setup.p_table
-    except FitError as exc:
-        return [_report("regularity", params, 0, setup.order,
-                        _fit_witness(exc, 0, setup.order))]
+    except FitError as exc:  # the fit spans P_0..P_N, beyond the range of its flags
+        return [_fit_failure("regularity", params, 0, setup.order, exc)]
     flags = check_regularity(table, upto)
     if flags:
         note = (WARNING_PREFIX + "regularity fails at m = " + ", ".join(str(m) for m in flags)
                 + " (gamma^0 vanishing); sequence is not d-orthogonal there")
     else:
         note = f"all regularity conditions hold through m = {upto}"
-    return [_report("regularity", params, 0, upto, None, (note,))]
+    return [_report("regularity", params, 0, upto, notes=(note,))]
 
 
 def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
@@ -356,22 +365,18 @@ def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
     if setup.order < setup.d:
         return [_not_applicable("d-orthogonality", params, 0, setup.order,
                                 f"the moments need order N >= d = {setup.d}")]
-    try:
-        report = setup.pattern
-    except FitError as exc:
-        return [_report("d-orthogonality", params, 0, setup.order,
-                        _fit_witness(exc, 0, setup.order))]
-    witness = None
-    if report.zero_failures:
-        first = report.zero_failures[0]
-        witness = _scalar_witness(first.n, first.value, 0,
-                                  f"vanishing condition at (r={first.r}, m={first.m}, n={first.n})")
-    if report.regularity_failures:
-        cells = ", ".join(f"(r={c.r}, m={c.m})" for c in report.regularity_failures)
-        note = WARNING_PREFIX + f"regularity conditions fail at {cells}"
-    else:
-        note = "all regularity conditions in the pattern are nonzero"
-    return [_report("d-orthogonality", params, 0, setup.order, witness, (note,))]
+
+    def checks():
+        for c in setup.pattern.zero_failures:
+            yield (c.n, Poly.const(c.value), Poly.zero(),
+                   f"vanishing condition at (r={c.r}, m={c.m}, n={c.n})")
+
+    def notes():
+        cells = ", ".join(f"(r={c.r}, m={c.m})" for c in setup.pattern.regularity_failures)
+        yield (WARNING_PREFIX + f"regularity conditions fail at {cells}" if cells
+               else "all regularity conditions in the pattern are nonzero")
+
+    return [_report("d-orthogonality", params, 0, setup.order, checks(), notes())]
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +431,3 @@ def family_suites(kind: str) -> dict:
     them; only that kind's suite module is imported."""
     return import_module(f"{__package__}.{Family.table()[kind].suites}").SUITES
 
-
-def __getattr__(name: str):
-    # SUITES, family kind -> suites, loads every family's module, which no run needs.
-    if name == "SUITES":
-        return {kind: family_suites(kind) for kind in Family.table()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .families import ml_recurrence_table
-from .identities import (FamilySetup, VerificationReport, _fit_witness, _not_applicable,
-                         _ratio_windows, _reconciled, _report, _scalar_witness, first_mismatch,
-                         verify_orthogonality, verify_regularity, verify_routes)
-from .orthogonality import FitError, RecurrenceTable
+from .identities import (FamilySetup, VerificationReport, _not_applicable, _ratio_windows,
+                         _reconciled, _report, verify_orthogonality, verify_regularity,
+                         verify_routes)
+from .orthogonality import RecurrenceTable
 from .polynomials import Poly, binomial, delta_w, factorial, format_rational, lincomb, shift
 from .series import egf_extract, gf_ratio_power, series_exp
 
@@ -56,27 +56,22 @@ def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
                                 f"fitting the companion table needs order N >= d + 2 = {p.d + 2}")]
     q = setup.q
     shifted = _hahn_shift(ml_recurrence_table(p.alpha, p.beta, p.b, p.d, len(q) - 1), p.alpha, p.beta)
-    witness = first_mismatch((n + 1, q[n + 1], shifted.step(q, n), "companion band recurrence replay")
-                             for n in range(len(q) - 1))
-    notes = []
-    if witness is None:
-        try:
-            p_table, q_table = setup.p_table, setup.q_table
-        except FitError as exc:
-            return [_report("hahn", params, 0, len(q) - 1, _fit_witness(exc, 0, len(q) - 1))]
-        expected = _hahn_shift(p_table, p.alpha, p.beta)
-        checks = [(n, b, expected.beta[n], "companion beta shift by alpha")
-                  for n, b in enumerate(q_table.beta)]
-        checks += [(m, g, expected.gamma_at(m, k), "top gamma class shifted by n*alpha*beta"
-                    if k == p.d - 1 else "lower gamma classes unchanged")
-                   for (m, k), g in sorted(q_table.gamma.items())]
-        bad = next(((n, a, e, ctx) for n, a, e, ctx in checks if a != e), None)
-        if bad is not None:
-            witness = _scalar_witness(*bad)
-        else:
-            notes.append("fitted companion table shows the predicted shift: beta gains alpha, "
-                         "the top gamma class gains n*alpha*beta, lower classes are unchanged")
-    return [_report("hahn", params, 0, len(q) - 1, witness, notes)]
+
+    def checks():
+        for n in range(len(q) - 1):
+            yield n + 1, q[n + 1], shifted.step(q, n), "companion band recurrence replay"
+        expected = _hahn_shift(setup.p_table, p.alpha, p.beta)
+        q_table = setup.q_table
+        for n, b in enumerate(q_table.beta):
+            yield n, Poly.const(b), Poly.const(expected.beta[n]), "companion beta shift by alpha"
+        for (m, k), g in sorted(q_table.gamma.items()):
+            yield (m, Poly.const(g), Poly.const(expected.gamma_at(m, k)),
+                   "top gamma class shifted by n*alpha*beta" if k == p.d - 1
+                   else "lower gamma classes unchanged")
+
+    return [_report("hahn", params, 0, len(q) - 1, checks(), verified=(
+        "fitted companion table shows the predicted shift: beta gains alpha, the top gamma "
+        "class gains n*alpha*beta, lower classes are unchanged",))]
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +84,20 @@ def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
     and its difference companions.  At alpha = 0 this degenerates to P = Q."""
     p, polys, n_max = setup.params, setup.polys, setup.order
     params = setup.public_params(tagged=True)
-    if n_max < 1:
-        return [_not_applicable("nccd", params, 0, n_max - 1, "empty index range")]
     q = setup.q
 
     def checks():
-        yield 0, polys[0], q[0], "P_0 = Q_0"
-        for n in range(1, n_max):
-            yield (n, polys[n], lincomb(((1, q[n]), (-p.lam(n), q[n - 1]))),
-                   f"P_{n} vs Q_{n} - {n}*alpha*Q_{n - 1}")
+        for n in range(n_max):
+            if n == 0:
+                yield 0, polys[0], q[0], "P_0 = Q_0"
+            else:
+                yield (n, polys[n], lincomb(((1, q[n]), (-p.lam(n), q[n - 1]))),
+                       f"P_{n} vs Q_{n} - {n}*alpha*Q_{n - 1}")
 
     notes = []
     if p.alpha == 0:
         notes.append("alpha = 0: connection degenerates to P_n = Q_n (difference-Appell case)")
-    return [_report("nccd", params, 0, n_max - 1, first_mismatch(checks()), notes)]
+    return [_report("nccd", params, 0, n_max - 1, checks(), notes)]
 
 
 def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
@@ -123,7 +118,7 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
             rhs = lincomb(((1, q[n]), (-n * beta, q[n - 1]))) if n >= 1 else q[n]
             yield n, shifted[n], rhs, "P_n(x+w) vs Q_n - n*beta*Q_{n-1}"
 
-    reports.append(_report("sr5", params, 0, hi, first_mismatch(sr5())))
+    reports.append(_report("sr5", params, 0, hi, sr5()))
 
     def sr7():
         for n in range(1, n_max):
@@ -131,14 +126,14 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
             rhs = lincomb(((1, shifted[n]), (-alpha * n, shifted[n - 1])))
             yield n, lhs, rhs, "P_n - beta*n*P_{n-1} vs shifted"
 
-    reports.append(_report("sr7", params, 1, hi, first_mismatch(sr7())))
+    reports.append(_report("sr7", params, 1, hi, sr7()))
 
     def sr3():
         for n in range(n_max):
             yield (n, q[n] * w, lincomb(((alpha, shifted[n]), (-beta, polys[n]))),
                    "w*Q_n vs alpha*P_n(x+w) - beta*P_n")
 
-    reports.append(_report("sr3", params, 0, hi, first_mismatch(sr3())))
+    reports.append(_report("sr3", params, 0, hi, sr3()))
 
     def sr4():
         for n in range(n_max):
@@ -147,7 +142,7 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
                 terms.append((n, polys[n + 1], q[n - 1]))
             yield n, product_delta[n], lincomb(terms), "delta_w(P_{n+1} P_n) vs product form"
 
-    reports.append(_report("sr4", params, 0, hi, first_mismatch(sr4())))
+    reports.append(_report("sr4", params, 0, hi, sr4()))
 
     def sr4_alt():
         for n in range(n_max):
@@ -156,7 +151,7 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
                 terms += [(n, polys[n + 1], q[n - 1]), (-n * (n + 1) * beta, q[n], q[n - 1])]
             yield n, product_delta[n], lincomb(terms), "delta_w(P_{n+1} P_n) vs squared form"
 
-    reports.append(_report("sr4-alt", params, 0, hi, first_mismatch(sr4_alt())))
+    reports.append(_report("sr4-alt", params, 0, hi, sr4_alt()))
 
     def sr6(variant):
         for n in range(n_max):
@@ -209,15 +204,9 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
     if p.alpha == 0:
         return [_not_applicable("sr2", params, lo, hi,
                                 "lambda_n = n*alpha vanishes identically at alpha = 0")]
-    if hi < lo:
-        return [_not_applicable("sr2", params, lo, hi, "empty index range")]
     q = setup.q
-    try:
-        q_table = setup.q_table
-    except FitError as exc:
-        return [_report("sr2", params, lo, hi, _fit_witness(exc, lo, hi))]
 
-    def correction_sum(n: int) -> Poly:
+    def correction_sum(q_table: RecurrenceTable, n: int) -> Poly:
         terms = []
         for i in range(2, p.d + 1):
             for j in range(i, p.d + 1):
@@ -229,7 +218,8 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
 
     def checks(variant):
         for n in range(lo, hi + 1):
-            s = correction_sum(n)
+            q_table = setup.q_table  # fitted only when the range holds an index
+            s = correction_sum(q_table, n)
             xi = q_table.beta[n - 1]
             lam = p.lam(n)
             for c in FREE_CONSTANT_SAMPLES:
@@ -319,12 +309,9 @@ def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport
                                f"difference depth k = {k} outside the admissible range 0..{p.d}")
     if hi < lo:
         return _not_applicable(identity, params, lo, hi, "no admissible indices below n = d")
-    try:
-        table = setup.p_table
-    except FitError as exc:
-        return _report(identity, params, lo, hi, _fit_witness(exc, lo, hi))
 
     def checks():
+        table = setup.p_table
         for n in range(lo, hi + 1):
             if k is None:
                 lhs, rhs = _de2_sides(p, setup.deltas, table, n)
@@ -333,7 +320,7 @@ def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport
             yield n, lhs, rhs, identity
 
     notes = (f"indices n < {p.d} skipped as out-of-range",)
-    return _report(identity, params, lo, hi, first_mismatch(checks()), notes)
+    return _report(identity, params, lo, hi, checks(), notes)
 
 
 def verify_de1(setup: FamilySetup) -> list[VerificationReport]:
@@ -464,14 +451,11 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     if n_max < p.d:
         return [_not_applicable("moment-recursion", params, 0, n_max,
                                 f"the moments need order N >= d = {p.d}")]
-    try:
-        table = setup.moments
-    except FitError as exc:
-        return [_report("moment-recursion", params, 0, n_max, _fit_witness(exc, 0, n_max))]
     alpha, beta = p.alpha, p.beta
     ainv = _exp_coefficients([-ci for ci in p.c], n_max)
 
     def repaired_checks():
+        table = setup.moments
         for r in range(p.d):
             for n in range(n_max + 1):
                 lhs = Fraction(factorial(n), factorial(r)) * (ainv[n - r] if n >= r else Fraction(0))
@@ -479,6 +463,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
                 yield n, Poly.const(lhs), Poly.const(rhs), f"biorthogonal recursion, r = {r}"
 
     def stated_checks():
+        table = setup.moments
         for r in range(p.d):
             for n in range(r, n_max + 1):
                 lhs = Fraction(factorial(n - r), factorial(r)) * ainv[n - r]
@@ -487,12 +472,11 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
                     rhs += binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
                 yield n, Poly.const(lhs), Poly.const(rhs), f"stated recursion, r = {r}"
 
-    zero_witness = first_mismatch(
-        (k, Poly.const(table.moment(r, k)), Poly.zero(), f"vanishing moments below r = {r}")
-        for r in range(p.d) for k in range(r))
-    if zero_witness is not None:
-        return [_report("moment-recursion", params, 0, n_max, zero_witness)]
-
+    zero = _report("moment-recursion", params, 0, n_max, (
+        (k, Poly.const(setup.moments.moment(r, k)), Poly.zero(), f"vanishing moments below r = {r}")
+        for r in range(p.d) for k in range(r)))
+    if zero.status == "fail":
+        return [zero]
     return [_reconciled(
         "moment-recursion", params, 0, n_max,
         "stated form not evaluable at alpha = 0" if alpha == 0 else stated_checks(),

@@ -628,6 +628,19 @@ class TestTableMode:
         assert code == 2
         assert err.startswith("error: ") and "malformed" in err
 
+    @pytest.mark.parametrize("coeffs", ["11", [True, True]], ids=["string", "bools"])
+    def test_coefficient_row_that_only_reads_as_one_is_bad_input(self, tmp_path, capsys, coeffs):
+        """P_1 is x + 1 here, so a string read one character at a time, or
+        JSON true read as 1, would give back the real row."""
+        table = self._gen(tmp_path, capsys, order="6")
+        artifact = json.loads(table.read_text())
+        assert artifact["polys"][1]["coeffs"] == ["1", "1"]
+        artifact["polys"][1]["coeffs"] = coeffs
+        table.write_text(json.dumps(artifact))
+        code, out, err = run_cli(["verify", "--from-table", str(table)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "malformed" in err
+
 
 SMALL_ORDER_RUNS = [
     (ML, 2),

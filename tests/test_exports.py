@@ -2,6 +2,8 @@
 definition cannot leave a stale entry in ``__all__`` behind; the package
 itself loads each name from its module only on first use."""
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -21,8 +23,7 @@ PACKAGE_EXPORTS = {
                  "hyp_laguerre", "hyp_quasi", "laguerre_type_by_gf",
                  "laguerre_type_by_recurrence", "ml_by_gf", "ml_by_recurrence", "q_sequence",
                  "terminating_pfq"),
-    "identities": ("SUITES", "FamilySetup", "VerificationReport", "Witness",
-                   "ratio_power_closed_form"),
+    "identities": ("FamilySetup", "VerificationReport", "Witness", "ratio_power_closed_form"),
     "orthogonality": ("FitError", "MomentTable", "RecurrenceTable", "check_regularity",
                       "expand_in_basis", "fit_recurrence", "moments_by_inversion",
                       "quasi_orthogonality_order", "verify_d_orthogonality"),
@@ -75,3 +76,18 @@ def test_package_import_loads_no_module():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == ""
+
+
+SUITE_SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(dops.__file__), "*_suites.py")))
+
+
+@pytest.mark.parametrize("path", SUITE_SOURCES, ids=os.path.basename)
+def test_suite_modules_hand_their_checks_to_the_one_evaluator(path):
+    """identities._report runs every check and turns a failed fit into a
+    report, so a suite module imports neither the evaluator's parts nor
+    the fit error; the module is parsed, not imported."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported & {"first_mismatch", "FitError", "Witness"} == set()

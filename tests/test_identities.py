@@ -23,10 +23,10 @@ from dops.families import (
 )
 from dops.hyp_suites import verify_hyp_lincomb, _rising
 from dops.identities import (
-    SUITES,
     FamilySetup,
     VerificationReport,
     Witness,
+    family_suites,
     ratio_power_closed_form,
 )
 from dops.laguerre_suites import verify_laguerre_structure
@@ -42,7 +42,8 @@ from dops.ml_suites import (
     verify_sz5,
     _hahn_shift,
 )
-from dops.orthogonality import fit_recurrence
+from dops.orthogonality import (FitError, fit_recurrence, moments_by_inversion,
+                                quasi_orthogonality_order)
 from dops.polynomials import Poly, Row, delta_w, lincomb, shift
 import oracles
 from oracles import pochhammer
@@ -449,7 +450,7 @@ class TestRatioWindows:
         reports += [*verify_de1(setup), *verify_de2(setup)]
         # d lowerings per P_m for the deltas, one per Q_n for the companions.
         assert len(calls["delta_w"]) == p.d * (n_max + 1) + n_max
-        for suite in identities.SUITES["ml"].values():
+        for suite in family_suites("ml").values():
             reports += suite(setup)
         assert len(calls["ratio_power_closed_form"]) == 1
         assert all(r.status == "pass" for r in reports)
@@ -681,7 +682,7 @@ def sweep_reports(family, k=None, m=None):
     if k is not None:
         table[m] = table[m] + Poly.monomial(k, F(1, 7))
     setup = FamilySetup(kind, SWEEP_ORDER, params, table)
-    return [report for suite in SUITES[kind].values() for report in suite(setup)]
+    return [report for suite in family_suites(kind).values() for report in suite(setup)]
 
 
 class TestRowSensitivity:
@@ -709,3 +710,55 @@ class TestRowSensitivity:
     def test_one_short_ranges(self, family, identity, k, m):
         statuses = {r.identity: r.status for r in sweep_reports(family, k, m)}
         assert statuses[identity] == "fail"
+
+
+# A table that fails the fit a suite reads: suite id -> (kind, params, row m,
+# power k, the fit that the change breaks).  Moving the constant of P_5 keeps
+# every Q_n, so the companion replay still passes and the family's own band
+# fit fails; moving its x coefficient changes Q_4, which breaks the companion
+# fit; an x**4 term in P_3 leaves the basis the moments and the quasi-order
+# expansion need.
+FIT_ML, FIT_HYP = MLParams(2, 1, -1, [1]), HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
+FIT_FAILURES = {
+    "hahn": ("ml", FIT_ML, 5, 0, lambda s: fit_recurrence(s.polys, s.d)),
+    "sr2": ("ml", FIT_ML, 5, 1, lambda s: fit_recurrence(s.q, s.d)),
+    "de1": ("ml", FIT_ML, 5, 0, lambda s: fit_recurrence(s.polys, s.d)),
+    "de2": ("ml", FIT_ML, 5, 0, lambda s: fit_recurrence(s.polys, s.d)),
+    "regularity": ("ml", FIT_ML, 5, 0, lambda s: fit_recurrence(s.polys, s.d)),
+    "d-orthogonality": ("ml", FIT_ML, 3, 4, lambda s: moments_by_inversion(s.polys, s.d)),
+    "moment-recursion": ("ml", FIT_ML, 3, 4, lambda s: moments_by_inversion(s.polys, s.d)),
+    "quasi-order": ("hyp-laguerre", FIT_HYP, 3, 4,
+                    lambda s: quasi_orthogonality_order(s.quasi, s.polys, s.d)),
+}
+# Notes a suite writes only when its fitted checks pass.
+PASS_NOTES = {"hahn": "fitted companion table shows the predicted shift",
+              "quasi-order": "quasi-orthogonality order is exactly 2"}
+
+
+class TestFitFailureReports:
+    """A suite whose fit fails reports a failure at the step the fit names,
+    moved into its range, with the fit's error as context and no notes."""
+
+    @pytest.mark.parametrize("suite", FIT_FAILURES)
+    def test_failed_fit_report_shape(self, suite):
+        kind, params, m, k, fit = FIT_FAILURES[suite]
+        table = FamilySetup(kind, SWEEP_ORDER, params).polys
+        table[m] = table[m] + Poly.monomial(k, 12345)
+        setup = FamilySetup(kind, SWEEP_ORDER, params, table)
+        with pytest.raises(FitError) as exc:
+            fit(setup)
+        reports = family_suites(kind)[suite](setup)
+        assert reports
+        for report in reports:
+            assert report.status == "fail"
+            assert report.n_min <= report.witness.n <= report.n_max
+            assert report.witness.n == min(max(exc.value.index, report.n_min), report.n_max)
+            assert report.witness.context == str(exc.value)
+            assert report.notes == ()
+
+    @pytest.mark.parametrize("suite", PASS_NOTES)
+    def test_verified_note_only_on_a_pass(self, suite):
+        kind, params, *_ = FIT_FAILURES[suite]
+        [report] = family_suites(kind)[suite](FamilySetup(kind, SWEEP_ORDER, params))
+        assert report.status == "pass"
+        assert any(note.startswith(PASS_NOTES[suite]) for note in report.notes)
