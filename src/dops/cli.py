@@ -35,6 +35,8 @@ FAMILIES = tuple(Family.table())
 PARAMETER_KEYS = tuple(dict.fromkeys(name for family in Family.table().values()
                                      for name, _, _ in family.params.FIELDS if name != "d"))
 FORMATS = ("json", "csv", "latex")
+# The entries a config file may hold besides its ``parameters`` object.
+RUN_KEYS = ("family", "d", "order", "format", "out", "suites")
 
 
 class CliError(Exception):
@@ -64,12 +66,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     overrides defaults (order also honors the environment override).  A
     null entry is absent; an empty one is bad input."""
     cfg = _load_config(getattr(args, "config", None))
+    for key in cfg:
+        if key not in (*RUN_KEYS, "parameters"):
+            raise CliError(f"unknown config entry {key!r}; a config file holds "
+                           f"{', '.join(RUN_KEYS)} and parameters")
     if not isinstance(cfg.get("parameters", {}), dict):
         raise CliError("config entry parameters must be a JSON object")
     if not hasattr(args, "suites") and cfg.get("suites") is not None:
         raise CliError(f"{args.command} runs no suites; remove the suites entry from the config")
     merged = {key: getattr(args, key, None) if getattr(args, key, None) is not None else cfg.get(key)
-              for key in ("family", "d", "order", "format", "out", "suites")}
+              for key in RUN_KEYS}
     parameters = merged["parameters"] = dict(cfg.get("parameters", {}))
     for key in PARAMETER_KEYS:
         if getattr(args, key, None) is not None:

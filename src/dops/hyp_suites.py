@@ -50,7 +50,9 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     p2, q2 = a2.numerator, a2.denominator
     a2_falling = [math.prod(p2 - j * q2 for j in range(k)) for k in range(dl + 1)]
 
-    def lemma_checks():
+    # One stream for the three components; each one's note joins the report
+    # once its checks pass.
+    def checks():
         # k runs over 1..min(n-1, d*l), empty for n < 2; sums[k] is the table
         # at first parameter a2 + 1 - k, and sums[0] gives the left side.
         sums = [terminating_pfq(n_max, (a2 + 1 - k,), dens)
@@ -63,50 +65,42 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
                                            * run, a2_falling[k]), sums[k][n - i]))
                     run *= (n - i + 1) * q2 + p2
                 yield n, [(1, sums[0][n])], terms, f"index-shift lemma at k = {k}"
+        yield ("index-shift lemma needs N >= 2" if n_max < 2
+               else "index-shift lemma verified at a generic non-integer parameter")
 
-    # Component 2: the order-l combination.
-    shifted_rise, beta_rise = _rising(beta + dl + 1, n_max), _rising(beta + 1, n_max)
-
-    def lincomb_checks():
+        # Component 2: the order-l combination.
+        shifted_rise, beta_rise = _rising(beta + dl + 1, n_max), _rising(beta + 1, n_max)
         for n in range(n_max + 1):
             lhs = [((-1) ** k * binomial(dl, k) * math.perm(n, k)
                     * shifted_rise[n - k] / beta_rise[n], basis[n - k])
                    for k in range(min(n, dl) + 1)]
             yield n, lhs, setup.quasi[n], "order-l combination"
+        yield "order-l combination verified"
 
-    # Each component's note joins the report once it passes.
-    notes = ()
-    for checks, verified in (
-            (lemma_checks(), "index-shift lemma needs N >= 2" if n_max < 2
-             else "index-shift lemma verified at a generic non-integer parameter"),
-            (lincomb_checks(), "order-l combination verified")):
-        report = _report("hyp-lincomb", params, 0, n_max, checks, notes, (verified,))
-        if report.status == "fail":
-            return [report]
-        notes = report.notes
+        # Component 3: the aligned reduction, alpha_1 replaced by beta2 = alpha_1 - d*l.
+        beta2 = p.alphavec[0] - dl
+        if _is_negative_integer(beta2):
+            yield "aligned reduction skipped: alpha_1 - d*l is a negative integer"
+            return
+        alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
+        reduced_family = terminating_pfq(n_max, (), (beta2 + 1,) + dens[1:p.d])
 
-    # Component 3: the aligned reduction, alpha_1 replaced by beta2 = alpha_1 - d*l.
-    beta2 = p.alphavec[0] - dl
-    if _is_negative_integer(beta2):
-        return [_report("hyp-lincomb", params, 0, n_max, notes=(
-            *notes, "aligned reduction skipped: alpha_1 - d*l is a negative integer"))]
-    alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
-    reduced_family = terminating_pfq(n_max, (), (beta2 + 1,) + dens[1:p.d])
+        def reduction_checks(window: int):
+            for n in range(n_max + 1):
+                lhs = [((-1) ** k * binomial(window, k) * math.perm(n, k)
+                        * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
+                       for k in range(min(n, window) + 1)]
+                yield n, lhs, [(1, reduced_family[n])], f"aligned reduction, window {window}"
 
-    def reduction_checks(window: int):
-        for n in range(n_max + 1):
-            lhs = [((-1) ** k * binomial(window, k) * math.perm(n, k)
-                    * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
-                   for k in range(min(n, window) + 1)]
-            yield n, lhs, [(1, reduced_family[n])], f"aligned reduction, window {window}"
+        # At n = 0 both windows hold the one term k = 0 and cannot differ.
+        verified = "verified in the stated l-term window" if n_max >= 1 else "window needs N >= 1"
+        yield from _reconciled(
+            reduction_checks(l), reduction_checks(dl),
+            "stated l-term reduction window fails (first witness at n = {n}); repaired form "
+            "pinned: the window is d*l terms with binomial(d*l, k) weights",
+            verified="aligned reduction " + verified)
 
-    # At n = 0 both windows hold the one term k = 0 and cannot differ.
-    verified = "verified in the stated l-term window" if n_max >= 1 else "window needs N >= 1"
-    return [_reconciled(
-        "hyp-lincomb", params, 0, n_max, reduction_checks(l), reduction_checks(dl),
-        "stated l-term reduction window fails (first witness at n = {n}); repaired form "
-        "pinned: the window is d*l terms with binomial(d*l, k) weights",
-        leading=notes, verified="aligned reduction " + verified)]
+    return [_report("hyp-lincomb", params, 0, n_max, checks())]
 
 
 def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
@@ -123,9 +117,9 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
         yield found, Poly.const(found), Poly.const(l), "detected quasi-orthogonality order"
         yield (found, Poly.const(int(exact)), Poly.one(),
                "bottom expansion coefficient vanished somewhere")
+        yield f"quasi-orthogonality order is exactly {l}"
 
-    return [_report("quasi-order", params, 0, setup.order, checks(),
-                    verified=(f"quasi-orthogonality order is exactly {l}",))]
+    return [_report("quasi-order", params, 0, setup.order, checks())]
 
 
 # Suite id -> suite, in the order a full run reports them.

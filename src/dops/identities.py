@@ -16,13 +16,15 @@ stated or repaired, is a weighted sum over the step-w windows of one
 stepper, ``_ratio_windows``, which grows each window by one linear factor
 per index, so no form shifts a falling factorial.
 
-A suite is a function of the setup returning its reports.  It hands its
-checks, (n, actual, expected, context) with scalars as degree-0 Polys, to
-``_report``, the one evaluator: the first check whose sides differ is the
-witness, a fit that fails while the checks run is a failure at the step it
-names, and a pass over an empty index range is not-applicable.  The checks
-read fitted tables and moments lazily, so a fit fails where a suite first
-needs it.  The suites several families
+A suite is a function of the setup returning its reports.  It hands each
+report's checks, (n, actual, expected, context) with scalars as degree-0
+Polys, to ``_report``, the one evaluator, as one stream, and ``_report``
+builds the report once: the first check whose sides differ is the witness, a
+string in the stream is a note the report carries once every check before it
+has passed, a fit that fails while the checks run is a failure at the step it
+names with no notes, and a pass over an empty index range is not-applicable.
+The checks read fitted tables and moments lazily, so a fit fails where a
+suite first needs it.  The suites several families
 run (routes, regularity, d-orthogonality) are here; each family's own
 catalog is in its suite module (``ml_suites`` for ml and charlier,
 ``laguerre_suites``, ``hyp_suites``), whose ``SUITES`` maps suite id to
@@ -33,12 +35,13 @@ Seven identities are recorded in two variants.  The "stated" variant is the
 original transcription; where that transcription is internally inconsistent
 (a misplaced free constant, a flipped summation sign, a missing scale
 factor), a "repaired" variant derived from the generating functions is kept
-alongside it.  All seven run in reconciliation mode through ``_reconciled``:
-the stated form is tried first, the repaired form second.  A stated pass
-passes; a repaired pass after a stated failure (or a stated form that cannot
-be evaluated) passes with the repair and the stated failure pinned in the
-notes; when both fail, the report carries the repaired witness plus one
-note saying where the stated form failed.  Silent substitution never happens.
+alongside it.  All seven run in reconciliation mode through ``_reconciled``,
+a check stream for ``_report``: the stated form is tried first, the repaired
+form second.  A stated pass passes; a repaired pass after a stated failure
+(or a stated form that cannot be evaluated) passes with the repair and the
+stated failure pinned in the notes; when both fail, the report carries the
+repaired witness plus one note saying where the stated form failed.  Silent
+substitution never happens.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from importlib import import_module
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .families import Family, hyp_quasi, q_sequence, write_params
 from .orthogonality import (
@@ -131,11 +134,17 @@ class VerificationReport(Record):
         }
 
 
-def first_mismatch(checks: Iterable[tuple[int, Poly | list, Poly | list, str]]) -> Optional[Witness]:
+def first_mismatch(checks: Iterable, notes: Optional[list] = None) -> Optional[Witness]:
     """The first check (n, actual, expected, context) whose sides differ, as a Witness
     of both sides reduced.  A side is a Poly or a list of ``lincomb`` terms: two Polys
-    compare as pairs, other sides pass iff lincomb(actual - expected terms) is zero."""
-    for n, actual, expected, context in checks:
+    compare as pairs, other sides pass iff lincomb(actual - expected terms) is zero.
+    A string among the checks is a note, appended to ``notes`` when given."""
+    for check in checks:
+        if isinstance(check, str):
+            if notes is not None:
+                notes.append(check)
+            continue
+        n, actual, expected, context = check
         if isinstance(actual, Poly) and isinstance(expected, Poly):
             if actual == expected:
                 continue
@@ -148,23 +157,24 @@ def first_mismatch(checks: Iterable[tuple[int, Poly | list, Poly | list, str]]) 
     return None
 
 
-def _report(identity: str, params: dict, n_min: int, n_max: int, checks: Iterable = (),
-            notes: Iterable[str] = (), verified: Sequence[str] = ()) -> VerificationReport:
+def _report(identity: str, params: dict, n_min: int, n_max: int,
+            checks: Iterable) -> VerificationReport:
     """The one evaluator: runs the checks (n, actual, expected, context) through
     ``first_mismatch`` and reports their first witness, or a pass.
 
-    A pass over an empty range is not-applicable.  A ``FitError`` raised while
-    the checks run is a failure at the step it names, moved into the range.
-    ``verified`` notes follow ``notes`` on a pass only; ``notes`` is read after
-    the checks run, so it may read what they computed."""
+    A string among the checks is a note, and the report carries it once every
+    check before it has passed.  A pass over an empty range is not-applicable.
+    A ``FitError`` raised while the checks run is a failure at the step it
+    names, moved into the range."""
+    notes: list[str] = []
     try:
-        witness = first_mismatch(checks)
+        witness = first_mismatch(checks, notes)
     except FitError as exc:
         return _fit_failure(identity, params, n_min, n_max, exc)
     if witness is None and n_max < n_min:
         return _not_applicable(identity, params, n_min, n_max, "empty index range")
     return VerificationReport(identity, params, n_min, n_max, "fail" if witness else "pass",
-                              witness, (*notes, *(() if witness else verified)))
+                              witness, tuple(notes))
 
 
 def _fit_failure(identity: str, params: dict, n_min: int, n_max: int,
@@ -172,55 +182,47 @@ def _fit_failure(identity: str, params: dict, n_min: int, n_max: int,
     """A sequence that left its band recurrence (or the graded basis a fit
     needs) as a failure without notes: the step at fault, moved to the nearest
     end of [n_min, n_max], with the error naming the row as context."""
-    n = min(max(exc.index, n_min), n_max)
-    return _report(identity, params, n_min, n_max, [(n, Poly.one(), Poly.zero(), str(exc))])
+    witness = Witness(min(max(exc.index, n_min), n_max), Poly.zero(), Poly.one(), str(exc))
+    return VerificationReport(identity, params, n_min, n_max, "fail", witness)
 
 
 def _not_applicable(identity: str, params: dict, n_min: int, n_max: int,
                     reason: str) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        n_min=n_min,
-        n_max=n_max,
-        status="not-applicable",
-        notes=(reason,),
-    )
+    return VerificationReport(identity, params, n_min, n_max, "not-applicable", notes=(reason,))
 
 
-def _reconciled(identity: str, params: dict, n_min: int, n_max: int,
-                stated: Iterable | str, repaired: Iterable, failed: str,
-                repair: str | None = None, leading: Sequence[str] = (),
-                verified: str = "stated form verified") -> VerificationReport:
+def _reconciled(stated: Iterable | str, repaired: Iterable, failed: str,
+                repair: str | None = None, verified: str = "stated form verified"):
     """Reconciliation mode, the one policy for every identity whose stated
-    transcription is inconsistent.
+    transcription is inconsistent, as a check stream for ``_report``.
 
     ``stated`` is the stated form's checks, or the reason it cannot be
     evaluated; ``repaired`` is the repaired form's checks, tried only when the
-    stated form does not pass.  A repaired pass carries ``failed``, a template
-    over the stated form's first witness (``{n}``, ``{context}``, ``{actual}``,
-    ``{expected}``), or the not-evaluable reason in its place, then the plain
-    ``repair`` note if there is one.  Every report starts with the ``leading``
-    notes.  When both forms fail, the report carries the repaired witness,
-    since the repaired form is the one the suite pins, and one note saying
-    where the stated form failed.  A ``FitError`` in either form is reported
-    as ``_report`` reports it."""
+    stated form does not pass.  A stated pass yields the ``verified`` note.  A
+    repaired pass yields ``failed``, a template over the stated form's first
+    witness (``{n}``, ``{context}``, ``{actual}``, ``{expected}``), or the
+    not-evaluable reason in its place, then the plain ``repair`` note if there
+    is one.  When both forms fail, the stream yields one note saying where the
+    stated form failed, then the repaired witness as its one failing check,
+    since the repaired form is the one the suite pins.  A ``FitError`` in
+    either form reaches ``_report``."""
     if isinstance(stated, str):
         failed = failure = stated
     else:
-        try:
-            witness = first_mismatch(stated)
-        except FitError as exc:
-            return _fit_failure(identity, params, n_min, n_max, exc)
+        witness = first_mismatch(stated)
         if witness is None:
-            return _report(identity, params, n_min, n_max, notes=(*leading, verified))
+            yield verified
+            return
         failed = failed.format(**vars(witness))
         failure = f"stated form fails too (first witness at n = {witness.n}, {witness.context})"
-    report = _report(identity, params, n_min, n_max, repaired, (*leading, failure))
-    if report.status != "pass":
-        return report
-    pinned = (failed,) if repair is None else (failed, repair)
-    return _report(identity, params, n_min, n_max, notes=(*leading, *pinned))
+    witness = first_mismatch(repaired)
+    if witness is not None:
+        yield failure
+        yield witness.n, witness.actual, witness.expected, witness.context
+        return
+    yield failed
+    if repair is not None:
+        yield repair
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,7 @@ def verify_regularity(setup: FamilySetup) -> list[VerificationReport]:
                 + " (gamma^0 vanishing); sequence is not d-orthogonal there")
     else:
         note = f"all regularity conditions hold through m = {upto}"
-    return [_report("regularity", params, 0, upto, notes=(note,))]
+    return [_report("regularity", params, 0, upto, (note,))]
 
 
 def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
@@ -367,16 +369,15 @@ def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
                                 f"the moments need order N >= d = {setup.d}")]
 
     def checks():
-        for c in setup.pattern.zero_failures:
+        pattern = setup.pattern  # a failed moment fit leaves the report without notes
+        cells = ", ".join(f"(r={c.r}, m={c.m})" for c in pattern.regularity_failures)
+        yield (WARNING_PREFIX + f"regularity conditions fail at {cells}" if cells
+               else "all regularity conditions in the pattern are nonzero")
+        for c in pattern.zero_failures:
             yield (c.n, Poly.const(c.value), Poly.zero(),
                    f"vanishing condition at (r={c.r}, m={c.m}, n={c.n})")
 
-    def notes():
-        cells = ", ".join(f"(r={c.r}, m={c.m})" for c in setup.pattern.regularity_failures)
-        yield (WARNING_PREFIX + f"regularity conditions fail at {cells}" if cells
-               else "all regularity conditions in the pattern are nonzero")
-
-    return [_report("d-orthogonality", params, 0, setup.order, checks(), notes())]
+    return [_report("d-orthogonality", params, 0, setup.order, checks())]
 
 
 # ---------------------------------------------------------------------------

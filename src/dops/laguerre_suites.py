@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .identities import (FamilySetup, VerificationReport, _reconciled, verify_orthogonality,
-                         verify_regularity, verify_routes)
+from .identities import (FamilySetup, VerificationReport, _reconciled, _report,
+                         verify_orthogonality, verify_regularity, verify_routes)
 from .polynomials import Poly, derivative, factorial, lincomb
 
 __all__ = ["SUITES", "verify_laguerre_structure"]
@@ -43,10 +43,10 @@ def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
         for n in range(hi + 1):
             yield n, lhs_poly * derivative(polys[n]), rhs_at(n), "structure relation"
 
-    return [_reconciled(
-        "laguerre-structure", params, 0, hi, checks("stated"), checks("repaired"),
+    return [_report("laguerre-structure", params, 0, hi, _reconciled(
+        checks("stated"), checks("repaired"),
         "stated form fails for theta != 0 (the family is the theta = 0 family shifted by "
-        "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta")]
+        "a*theta in x); repaired form pinned: the derivative multiplier is x + a*theta"))]
 
 
 # Suite id -> suite, in the order a full run reports them.

@@ -68,10 +68,10 @@ def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
             yield (m, Poly.const(g), Poly.const(expected.gamma_at(m, k)),
                    "top gamma class shifted by n*alpha*beta" if k == p.d - 1
                    else "lower gamma classes unchanged")
+        yield ("fitted companion table shows the predicted shift: beta gains alpha, the top "
+               "gamma class gains n*alpha*beta, lower classes are unchanged")
 
-    return [_report("hahn", params, 0, len(q) - 1, checks(), verified=(
-        "fitted companion table shows the predicted shift: beta gains alpha, the top gamma "
-        "class gains n*alpha*beta, lower classes are unchanged",))]
+    return [_report("hahn", params, 0, len(q) - 1, checks())]
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,8 @@ def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
     q = setup.q
 
     def checks():
+        if p.alpha == 0:
+            yield "alpha = 0: connection degenerates to P_n = Q_n (difference-Appell case)"
         for n in range(n_max):
             if n == 0:
                 yield 0, polys[0], q[0], "P_0 = Q_0"
@@ -94,10 +96,7 @@ def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
                 yield (n, polys[n], lincomb(((1, q[n]), (-p.lam(n), q[n - 1]))),
                        f"P_{n} vs Q_{n} - {n}*alpha*Q_{n - 1}")
 
-    notes = []
-    if p.alpha == 0:
-        notes.append("alpha = 0: connection degenerates to P_n = Q_n (difference-Appell case)")
-    return [_report("nccd", params, 0, n_max - 1, checks(), notes)]
+    return [_report("nccd", params, 0, n_max - 1, checks())]
 
 
 def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
@@ -159,11 +158,11 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
                 lhs, rhs = _sr6_sides(p, polys, q, n, c, variant)
                 yield n, lhs, rhs, f"(x - {format_rational(c)})Q_n, variant {variant}"
 
-    reports.append(_reconciled(
-        "sr6", params, 0, hi, sr6("stated"), sr6("repaired"),
+    reports.append(_report("sr6", params, 0, hi, _reconciled(
+        sr6("stated"), sr6("repaired"),
         "stated form fails (first witness at n = {n}); repaired form pinned: the free "
         "constant multiplies Q_n rather than P_n, and the binomial correction sum "
-        "enters with the opposite sign"))
+        "enters with the opposite sign")))
     return reports
 
 
@@ -238,11 +237,11 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
                                     (lam * (lam + xi), polys[n - 1]), (-lam, s)))
                 yield n, lhs2, rhs2, f"remark form, c = {format_rational(c)}, variant {variant}"
 
-    return [_reconciled(
-        "sr2", params, lo, hi, checks("stated"), checks("repaired"),
+    return [_report("sr2", params, lo, hi, _reconciled(
+        checks("stated"), checks("repaired"),
         "stated form fails (first witness at n = {n}, {context}); repaired form pinned: the "
         "free constant multiplies the companion polynomial on the right, matching the "
-        "left-hand side")]
+        "left-hand side"))]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +310,7 @@ def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport
         return _not_applicable(identity, params, lo, hi, "no admissible indices below n = d")
 
     def checks():
+        yield f"indices n < {p.d} skipped as out-of-range"
         table = setup.p_table
         for n in range(lo, hi + 1):
             if k is None:
@@ -319,8 +319,7 @@ def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport
                 lhs, rhs = _de1_sides(p, setup.deltas, table, n, k)
             yield n, lhs, rhs, identity
 
-    notes = (f"indices n < {p.d} skipped as out-of-range",)
-    return _report(identity, params, lo, hi, checks(), notes)
+    return _report(identity, params, lo, hi, checks())
 
 
 def verify_de1(setup: FamilySetup) -> list[VerificationReport]:
@@ -359,13 +358,12 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
                            for k, window in enumerate(row))
             yield n, form, truth[n], "stated closed form"
 
-    return [_reconciled(
-        "sz5", params, 0, n_max,
+    return [_report("sz5", params, 0, n_max, _reconciled(
         "stated form not evaluable at alpha = 0 (weights divide by alpha)" if alpha == 0
         else stated(),
         ((n, form, truth[n], "repaired closed form") for n, form in enumerate(setup.closed_forms)),
         "stated form fails (first witness at n = {n}); repaired form pinned: weights "
-        "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n")]
+        "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n"))]
 
 
 def _exp_coefficients(values: Sequence[Fraction], n_max: int) -> list[Fraction]:
@@ -418,13 +416,13 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
                          "alpha**(n-k) simply kills every term but k = n")
     else:
         stated_checks = stated()
-    return [_reconciled(
-        "sz4", params, 0, n_max, stated_checks,
+    return [_report("sz4", params, 0, n_max, _reconciled(
+        stated_checks,
         ((n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1)),
         "stated multinomial form fails (first witness at n = {n})",
         "repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{n-m} with A the "
         "exponential-factor coefficients and P0 the repaired ratio-power closed form; "
-        "exponent coefficients enter as a_i = c_i = b_{i-1}/i!")]
+        "exponent coefficients enter as a_i = c_i = b_{i-1}/i!"))]
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +470,22 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
                     rhs += binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
                 yield n, Poly.const(lhs), Poly.const(rhs), f"stated recursion, r = {r}"
 
-    zero = _report("moment-recursion", params, 0, n_max, (
-        (k, Poly.const(setup.moments.moment(r, k)), Poly.zero(), f"vanishing moments below r = {r}")
-        for r in range(p.d) for k in range(r)))
-    if zero.status == "fail":
-        return [zero]
-    return [_reconciled(
-        "moment-recursion", params, 0, n_max,
-        "stated form not evaluable at alpha = 0" if alpha == 0 else stated_checks(),
-        repaired_checks(),
-        "stated recursion disagrees first at n = {n} ({context}): left {actual} vs right "
-        "{expected}",
-        "repaired form pinned: n!/r! Ainv_{n-r} = <u_r, P0_n> with Ainv the coefficients of "
-        "the inverse exponential factor (weight-(n-r) composition sums in -c_i) and P0 the "
-        "repaired ratio-power closed form",
-        leading=("vanishing pattern of low moments verified",))]
+    def checks():
+        for r in range(p.d):
+            for k in range(r):
+                yield (k, Poly.const(setup.moments.moment(r, k)), Poly.zero(),
+                       f"vanishing moments below r = {r}")
+        yield "vanishing pattern of low moments verified"
+        yield from _reconciled(
+            "stated form not evaluable at alpha = 0" if alpha == 0 else stated_checks(),
+            repaired_checks(),
+            "stated recursion disagrees first at n = {n} ({context}): left {actual} vs right "
+            "{expected}",
+            "repaired form pinned: n!/r! Ainv_{n-r} = <u_r, P0_n> with Ainv the coefficients "
+            "of the inverse exponential factor (weight-(n-r) composition sums in -c_i) and P0 "
+            "the repaired ratio-power closed form")
+
+    return [_report("moment-recursion", params, 0, n_max, checks())]
 
 
 # Suite id -> suite, in the order a full run reports them.

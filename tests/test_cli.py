@@ -303,6 +303,10 @@ class TestConfigResolution:
         # gen and moments run no suites, so a suites entry would be dropped.
         "suites-in-gen": ("gen", {"suites": ["quasi-order"]}, "suites"),
         "suites-in-moments": ("moments", {"suites": "quasi-order"}, "suites"),
+        # Every top-level entry is a run key or parameters; any other would be dropped.
+        "top-level-parameter": ("gen", {"family": "laguerre", "d": 1, "parameters": {"a": 1},
+                                        "theta": "1/2"}, "'theta'"),
+        "misspelt-key": ("gen", {"oder": 3}, "'oder'"),
     }
 
     @pytest.mark.parametrize("command, override, named", MALFORMED.values(), ids=MALFORMED.keys())

@@ -83,11 +83,14 @@ SUITE_SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(dops.__file__), "*
 
 @pytest.mark.parametrize("path", SUITE_SOURCES, ids=os.path.basename)
 def test_suite_modules_hand_their_checks_to_the_one_evaluator(path):
-    """identities._report runs every check and turns a failed fit into a
-    report, so a suite module imports neither the evaluator's parts nor
-    the fit error; the module is parsed, not imported."""
+    """identities._report runs every check, turns a failed fit into a report
+    and decides which notes a report carries, so a suite module imports
+    neither the evaluator's parts nor the fit error, and reads no report's
+    status or notes; the module is parsed, not imported."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert imported & {"first_mismatch", "FitError", "Witness"} == set()
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {"status", "notes"} == set()

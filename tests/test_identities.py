@@ -374,10 +374,11 @@ def ml_params(draw, max_order=20):
 
 def stated_checks(suite, setup):
     """The stated form a reconciled suite hands to ``_reconciled``: its
-    unconsumed checks, or the reason it cannot be evaluated."""
+    unconsumed checks, or the reason it cannot be evaluated.  The patched
+    ``_reconciled`` is an empty check stream."""
     seen = []
     with mock.patch.object(sys.modules[suite.__module__], "_reconciled",
-                           lambda *args, **kw: seen.append(args[4])):
+                           lambda *args, **kw: seen.append(args[0]) or ()):
         suite(setup)
     (stated,) = seen
     return stated
@@ -454,6 +455,10 @@ class TestRatioWindows:
             reports += suite(setup)
         assert len(calls["ratio_power_closed_form"]) == 1
         assert all(r.status == "pass" for r in reports)
+
+
+HYP_LEMMA_NOTE = "index-shift lemma verified at a generic non-integer parameter"
+HYP_ORDER_L_NOTE = "order-l combination verified"
 
 
 class TestHypLincomb:
@@ -545,6 +550,45 @@ class TestHypLincomb:
         expected = Witness(5, sides["expected"], sides["actual"], "index-shift lemma at k = 1")
         assert rep.witness.to_dict() == expected.to_dict()
         assert sides["actual"] != sides["expected"]
+        assert rep.notes == ()
+
+    @pytest.mark.parametrize("p, reduction", [
+        (HypParams(1, [1], 0, 2), "aligned reduction skipped: alpha_1 - d*l is a negative integer"),
+        (HypParams(1, [F(1, 2)], F(1, 5), 2),
+         "aligned reduction verified in the stated l-term window"),
+    ], ids=["skipped", "stated-window"])
+    def test_pass_notes(self, p, reduction):
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p)))
+        assert (rep.status, rep.notes) == ("pass", (HYP_LEMMA_NOTE, HYP_ORDER_L_NOTE, reduction))
+
+    def test_order_l_failure_carries_the_lemma_note(self):
+        # The lemma reads only its own terminating sums, so a moved row of the
+        # family first fails the order-l combination.
+        p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
+        table = FamilySetup("hyp-laguerre", 8, p).polys
+        table[3] = table[3] + Poly.const(F(1, 7))
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p, table)))
+        assert (rep.status, rep.witness.n, rep.witness.context) == ("fail", 3, "order-l combination")
+        assert rep.notes == (HYP_LEMMA_NOTE,)
+
+    def test_reduction_failure_carries_every_earlier_note(self, monkeypatch):
+        # A moved row of the reduced family fails both reduction windows, and
+        # the report holds the repaired window's witness.
+        p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
+        build = hyp_suites.terminating_pfq
+
+        def perturbed(n_max, extra_num, den):
+            rows = build(n_max, extra_num, den)
+            if extra_num == ():
+                rows[3] = Row([rows[3].nums[0] + rows[3].den, *rows[3].nums[1:]], rows[3].den)
+            return rows
+
+        monkeypatch.setattr(hyp_suites, "terminating_pfq", perturbed)
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p)))
+        assert (rep.status, rep.witness.n, rep.witness.context) == (
+            "fail", 3, "aligned reduction, window 4")
+        assert rep.notes == (HYP_LEMMA_NOTE, HYP_ORDER_L_NOTE, "stated form fails too (first "
+                             "witness at n = 1, aligned reduction, window 2)")
 
     def test_pochhammer_oracle(self):
         assert pochhammer(3, 4) == 360
@@ -710,6 +754,29 @@ class TestRowSensitivity:
     def test_one_short_ranges(self, family, identity, k, m):
         statuses = {r.identity: r.status for r in sweep_reports(family, k, m)}
         assert statuses[identity] == "fail"
+
+
+# The sweep's families and the hyp family whose aligned reduction is skipped.
+COUNTED_FAMILIES = {**SWEEP_FAMILIES, "hyp-d1-skip": ("hyp-laguerre", HypParams(1, [1], 0, 2))}
+
+
+@pytest.mark.parametrize("family", COUNTED_FAMILIES)
+@pytest.mark.parametrize("row", [None, 5], ids=["exact", "row5-moved"])
+def test_one_report_per_evaluation(monkeypatch, family, row):
+    """Every report a suite returns is built once, so nothing evaluates a
+    report's checks and throws the report away."""
+    kind, params = COUNTED_FAMILIES[family]
+    table = FamilySetup(kind, SWEEP_ORDER, params).polys
+    if row is not None:
+        table[row] = table[row] + Poly.const(F(1, 7))
+    built = []
+    init = VerificationReport.__init__
+    monkeypatch.setattr(VerificationReport, "__init__",
+                        lambda *args, **kw: built.append(args) or init(*args, **kw))
+    for suite_id, suite in family_suites(kind).items():
+        built.clear()
+        reports = suite(FamilySetup(kind, SWEEP_ORDER, params, table))
+        assert len(built) == len(reports), suite_id
 
 
 # A table that fails the fit a suite reads: suite id -> (kind, params, row m,
