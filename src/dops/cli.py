@@ -91,7 +91,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             or isinstance(suites, list) and all(isinstance(s, str) for s in suites)):
         raise CliError(f"--suites must be a string or a list of strings, got {suites!r}")
     if isinstance(suites, str):
-        merged["suites"] = comma_list(suites)
+        merged["suites"] = comma_list(suites, "suites")
     if merged["suites"] == []:
         raise CliError(f"--suites must name at least one suite, got {suites!r}")
     if getattr(args, "from_table", None):

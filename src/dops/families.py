@@ -4,7 +4,10 @@ Every family comes with a recurrence construction and a generating-function
 construction, and the two must agree coefficientwise; that equality is the
 backbone test of the whole package.  A recurrence construction writes its
 coefficients down as a ``RecurrenceTable`` and regenerates it, so fitted and
-constructed recurrences are run by the same code.  Parameter conventions:
+constructed recurrences are run by the same code; the table reads each
+parameter b_k once and forms each n-free coefficient once.  A
+generating-function construction reads P_n straight off ``series.egf_exp``,
+the exponential in EGF form.  Parameter conventions:
 
 * Mittag-Leffler type: generating function ((1-beta t)/(1-alpha t))**(x/w)
   times exp(sum c_i t**i), with w = alpha - beta.  The exponent coefficients
@@ -51,7 +54,7 @@ from .polynomials import (
     format_rational,
 )
 from .orthogonality import RecurrenceTable
-from .series import egf_extract, ratio_power_exponent, series_exp
+from .series import egf_exp, ratio_power_exponent
 
 __all__ = [
     "FamilyParamError",
@@ -89,9 +92,16 @@ def as_int(value, name: str) -> int:
     return value
 
 
-def comma_list(text: str) -> list[str]:
-    """The non-empty parts of a comma-separated string, stripped."""
-    return [part.strip() for part in text.split(",") if part.strip()]
+def comma_list(text: str, name: str) -> list[str]:
+    """The parts of the comma-separated value of flag ``name``, stripped; a
+    value that is empty as a whole has none.  An empty part between, before
+    or after commas is refused, so no later value moves into its slot."""
+    if not text.strip():
+        return []
+    parts = [part.strip() for part in text.split(",")]
+    if not all(parts):
+        raise FamilyParamError(f"--{name} has an empty entry in {text!r}")
+    return parts
 
 
 def _rational(value) -> Fraction:
@@ -275,7 +285,7 @@ def read_params(kind: str, d, values: dict):
         value = values.get(name)
         is_tuple = field_kind == RATIONALS
         if is_tuple and isinstance(value, str):
-            value = comma_list(value)
+            value = comma_list(value, name)
         if value is not None and not (is_tuple and value == []):
             given[name] = value
         elif default is REQUIRED:
@@ -311,20 +321,27 @@ def ml_recurrence_table(alpha: RationalLike, beta: RationalLike, b, d: int,
                   + sum_{k=2..d} C(n,k) [b_k - (alpha+beta) k b_{k-1}
                                          + alpha beta k (k-1) b_{k-2}] P_{n-k},
 
-    as the table of steps 0..n_max-1; ``b`` is a callable k -> b_k.  alpha =
-    beta is accepted: the coefficients are polynomial in (alpha, beta), so at
-    alpha = beta = a the table is the exact confluent (derivative-operator)
-    limit, and ``laguerre_type_by_recurrence`` is built from it.
+    as the table of steps 0..n_max-1; ``b`` is a callable k -> b_k, called
+    once for each of b_0..b_d.  The n-free part of every coefficient, such as
+    each bracket, is formed once, so an entry costs one integer times it.
+    alpha = beta is accepted: the coefficients are polynomial in (alpha,
+    beta), so at alpha = beta = a the table is the exact confluent
+    (derivative-operator) limit, and ``laguerre_type_by_recurrence`` is
+    built from it.
     """
     alpha, beta = as_rational(alpha), as_rational(beta)
     s, p = alpha + beta, alpha * beta
+    bs = [b(k) for k in range(d + 1)]
+    top = s * bs[0] - bs[1]
+    # The bracket of class d-k, negated.
+    brackets = {k: s * k * bs[k - 1] - bs[k] - p * k * (k - 1) * bs[k - 2]
+                for k in range(2, d + 1)}
     gamma = {}
     for n in range(1, n_max):
-        gamma[(n, d - 1)] = n * ((n - 1) * p + s * b(0) - b(1))
+        gamma[(n, d - 1)] = n * ((n - 1) * p + top)
         for k in range(2, min(n, d) + 1):
-            bracket = b(k) - s * k * b(k - 1) + p * k * (k - 1) * b(k - 2)
-            gamma[(n - k + 1, d - k)] = -binomial(n, k) * bracket
-    return RecurrenceTable(d, n_max, tuple(-(s * n + b(0)) for n in range(n_max)), gamma)
+            gamma[(n - k + 1, d - k)] = binomial(n, k) * brackets[k]
+    return RecurrenceTable(d, n_max, tuple(-(s * n + bs[0]) for n in range(n_max)), gamma)
 
 
 def ml_by_recurrence(params: MLParams, n_max: int) -> list[Poly]:
@@ -339,7 +356,7 @@ def _by_gf(alpha: RationalLike, beta: RationalLike, s, n_max: int) -> list[Poly]
     exponent = ratio_power_exponent(alpha, beta, n_max)
     for n in range(1, n_max + 1):
         exponent[n] += Poly.const(s(n))
-    return egf_extract(series_exp(exponent))
+    return egf_exp(exponent)
 
 
 def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:

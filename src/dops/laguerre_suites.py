@@ -29,13 +29,15 @@ def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
     alpha = -(p.beta_exp + 1)
     a = p.a
     hi = setup.order - 1
+    # The n-free factor of the P_{n-i} term, i = 2..d.
+    tail = {i: a * p.b_at(i - 1) / factorial(i - 2) - p.b_at(i) / factorial(i - 1)
+            for i in range(2, p.d + 1)}
 
     def rhs_at(n: int) -> Poly:
         terms = [(n, polys[n])]
         if n >= 1:
             terms.append((-n * (p.b_at(1) + a * (n + alpha)), polys[n - 1]))
-        terms += [((a * p.b_at(i - 1) / factorial(i - 2) - p.b_at(i) / factorial(i - 1))
-                   * math.perm(n, i), polys[n - i]) for i in range(2, min(n, p.d) + 1)]
+        terms += [(tail[i] * math.perm(n, i), polys[n - i]) for i in range(2, min(n, p.d) + 1)]
         return lincomb(terms)
 
     def checks(variant):

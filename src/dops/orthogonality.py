@@ -35,6 +35,8 @@ __all__ = [
     "quasi_orthogonality_order",
 ]
 
+_ZERO = Fraction(0)
+
 
 class FitError(ValueError):
     """The input sequence does not have the shape a fit needs (element i of
@@ -186,11 +188,13 @@ class MomentTable(Record):
 
     def apply(self, r: int, q: Poly, shift: int = 0) -> Fraction:
         """<u_r, x**shift q> inside the degree budget: one integer dot product
-        of q's numerators with the moment numerators from ``shift`` on."""
+        of q's numerators with the moment numerators from ``shift`` on.  A
+        zero pairing, the common case, is one shared ``Fraction(0)``."""
         if q.degree + shift > self.n_max:
             raise ValueError(f"degree {q.degree + shift} exceeds the moment budget {self.n_max}")
         nums, den = self.rows[r]
-        return Fraction(sum(map(mul, q.nums, nums[shift:])), q.den * den)
+        num = sum(map(mul, q.nums, nums[shift:]))
+        return Fraction(num, q.den * den) if num else _ZERO
 
 
 def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:

@@ -310,6 +310,7 @@ class Row:
 def lincomb(terms: Iterable[tuple]) -> Poly:
     """The linear combination sum c*p, or sum c*p*q, over ``terms``: each term
     is (c, p) or (c, p, q) with c rational and p, q a ``Poly`` or a ``Row``.
+    An int c is taken as it is, with no ``Fraction`` built for it.
 
     Works as FLINT's ``fmpq_poly`` does, on unreduced numerators: zero terms
     are dropped, L is the lcm of the term denominators c.den*p.den(*q.den),
@@ -320,13 +321,17 @@ def lincomb(terms: Iterable[tuple]) -> Poly:
     """
     kept = []
     for c, p, *q in terms:
-        c = as_rational(c)
+        if isinstance(c, int):
+            num, den = c, p.den
+        else:
+            c = as_rational(c)
+            num, den = c.numerator, c.denominator * p.den
         b, db = (q[0].nums, q[0].den) if q else ((1,), 1)
-        if c and p.nums and b:
+        if num and p.nums and b:
             a = p.nums
             if len(a) > len(b):
                 a, b = b, a
-            kept.append((c.numerator, c.denominator * p.den * db, a, b))
+            kept.append((num, den * db, a, b))
     common = math.lcm(*(den for _, den, _, _ in kept))
     out = [0] * max((len(a) + len(b) - 1 for _, _, a, b in kept), default=0)
     for num, den, a, b in kept:

@@ -8,32 +8,47 @@ agree coefficientwise with the band recurrence.  Both families share one
 exponent, ``ratio_power_exponent``, which is the Mittag-Leffler exponent for
 alpha != beta and the confluent Laguerre exponent x t/(1 - a t) at alpha =
 beta = a.  A product of exponentials is built as one exp of the summed
-exponents, never as a series product.  The closed-form binomial expansions
-that cross-check the exponent route are test oracles.
+exponents, never as a series product.
+
+The exponential is computed once, in EGF form: ``egf_exp`` gives P_n = n!
+times the t**n coefficient of exp(f), which is the polynomial sequence a
+family reads off its exponential generating function.  Each P_n is one
+``lincomb`` with integer binomial weights, so no n! enters a denominator;
+``series_exp`` is the ordinary-coefficient view of it.  The closed-form
+binomial expansions that cross-check the exponent route are test oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Poly, RationalLike, as_rational, factorial, lincomb
+from .polynomials import Poly, RationalLike, as_rational, binomial, factorial, lincomb
 
-__all__ = ["series_exp", "ratio_power_exponent", "gf_ratio_power", "egf_extract"]
+__all__ = ["egf_exp", "series_exp", "ratio_power_exponent", "gf_ratio_power"]
+
+
+def egf_exp(f: list[Poly]) -> list[Poly]:
+    """n! times the t**n coefficient of exp(f), for a series f with zero
+    constant term, at the order of f.
+
+    Solved from g' = f'.g in EGF form: with F_k = k! f_k and P_n = n! g_n,
+    P_n = sum_{k=1..n} C(n-1, k-1) F_k P_{n-k}, one ``lincomb`` with integer
+    weights per coefficient, reduced once.
+    """
+    if not f[0].is_zero():
+        raise ValueError("egf_exp requires a zero constant term")
+    scaled = [p * factorial(k) for k, p in enumerate(f)]
+    out = [Poly.one()]
+    for n in range(1, len(f)):
+        out.append(lincomb((binomial(n - 1, k - 1), scaled[k], out[n - k])
+                           for k in range(1, n + 1)))
+    return out
 
 
 def series_exp(f: list[Poly]) -> list[Poly]:
-    """exp(f) for a series with zero constant term, at the order of f.
-
-    Solved coefficientwise from g' = f'.g, which keeps every intermediate a
-    plain convolution: g_n = sum_{k=1..n} (k/n) f_k g_{n-k}, one ``lincomb``
-    of products per coefficient, reduced once.
-    """
-    if not f[0].is_zero():
-        raise ValueError("series_exp requires a zero constant term")
-    out = [Poly.one()]
-    for n in range(1, len(f)):
-        out.append(lincomb((Fraction(k, n), f[k], out[n - k]) for k in range(1, n + 1)))
-    return out
+    """exp(f) for a series with zero constant term, at the order of f: the
+    ordinary coefficients P_n / n! of ``egf_exp``."""
+    return [p / factorial(n) for n, p in enumerate(egf_exp(f))]
 
 
 def ratio_power_exponent(alpha: RationalLike, beta: RationalLike, order: int) -> list[Poly]:
@@ -52,14 +67,9 @@ def ratio_power_exponent(alpha: RationalLike, beta: RationalLike, order: int) ->
 
 
 def gf_ratio_power(alpha: RationalLike, beta: RationalLike, order: int) -> list[Poly]:
-    """exp of ``ratio_power_exponent``: its t**n coefficient is a degree-n
-    polynomial in x whose x**n coefficient is 1/n!."""
+    """The sequence read off the ratio power ((1 - beta t)/(1 - alpha t))
+    ** (x/w), w = alpha - beta != 0, through t**order: ``egf_exp`` of
+    ``ratio_power_exponent``, whose n-th entry is monic of degree n."""
     if as_rational(alpha) == as_rational(beta):
         raise ValueError("gf_ratio_power requires alpha != beta")
-    return series_exp(ratio_power_exponent(alpha, beta, order))
-
-
-def egf_extract(f: list[Poly]) -> list[Poly]:
-    """Read a polynomial sequence out of an exponential generating function:
-    the n-th entry is n! times the coefficient of t**n."""
-    return [c * factorial(n) for n, c in enumerate(f)]
+    return egf_exp(ratio_power_exponent(alpha, beta, order))

@@ -13,7 +13,6 @@ from dops.families import FamilyParamError
 from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
 from dops.polynomials import (Poly, RationalLike, as_rational, binomial, delta_w, factorial, lincomb,
                               shift)
-from dops.series import egf_extract, series_exp
 
 
 def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -203,8 +202,27 @@ def terminating_pfq(n: int, extra_num: Sequence[RationalLike],
     return Poly(coeffs)
 
 
+def exp_by_convolution(f: list[Poly]) -> list[Poly]:
+    """exp(f) in ordinary coefficients for a series with zero constant term,
+    solved from g' = f'.g as g_n = sum_{k=1..n} (k/n) f_k g_{n-k}: the
+    reference for ``dops.series.egf_exp``, which solves the same equation in
+    EGF form with integer weights."""
+    if not f[0].is_zero():
+        raise ValueError("exp_by_convolution requires a zero constant term")
+    out = [Poly.one()]
+    for n in range(1, len(f)):
+        out.append(lincomb((Fraction(k, n), f[k], out[n - k]) for k in range(1, n + 1)))
+    return out
+
+
+def egf_extract(f: list[Poly]) -> list[Poly]:
+    """Read a polynomial sequence out of an exponential generating function:
+    the n-th entry is n! times the coefficient of t**n."""
+    return [c * factorial(n) for n, c in enumerate(f)]
+
+
 def series_log(f: list[Poly]) -> list[Poly]:
-    """log(f) for a series with constant term 1 (inverse of series_exp)."""
+    """log(f) for a series with constant term 1 (inverse of exp)."""
     if f[0] != Poly.one():
         raise ValueError("series_log requires constant term exactly 1")
     out = [Poly.zero()]
@@ -253,7 +271,7 @@ def laguerre_by_gf(params, n_max: int) -> list[Poly]:
         exponent.append(Poly((theta * apow * a + params.b_at(n) / factorial(n), apow))
                         + logs[n] * params.beta_exp)
         apow *= a
-    return egf_extract(series_exp(exponent))
+    return egf_extract(exp_by_convolution(exponent))
 
 
 def gf_binomial_xw(w: RationalLike, sign_scale: RationalLike, order: int) -> list[Poly]:

@@ -329,6 +329,15 @@ class TestConfigResolution:
         "ml-l": (["gen", "--family", "ml", "--alpha", "1", "--beta", "-1", "--l", "3"], "'l'"),
         "zero-denominator": (["gen", "--family", "ml", "--d", "2", "--alpha", "1", "--beta", "-1",
                               "--c", "1/0"], "--c: invalid rational literal '1/0'"),
+        # An empty entry in a comma-separated list would move later values up.
+        "empty-c-entry": (["gen", "--family", "ml", "--d", "3", "--alpha", "1", "--beta", "-1",
+                           "--c", "1,,2"], "--c has an empty entry in '1,,2'"),
+        "trailing-c-entry": (["gen", "--family", "ml", "--d", "3", "--alpha", "1", "--beta", "-1",
+                              "--c", "1,2,"], "--c has an empty entry"),
+        "empty-alphavec-entry": (["gen", "--family", "hyp-laguerre", "--d", "2",
+                                  "--alphavec", "1/2,,1/3"], "--alphavec has an empty entry"),
+        "empty-suites-entry": (["verify", "--family", "ml", "--alpha", "1", "--beta", "-1",
+                                "--suites", "routes,,nccd"], "--suites has an empty entry"),
         **{f"hyp-beta-{command}": ([command, "--family", "hyp-laguerre", "--d", "2",
                                     "--alphavec", "1/2,1/3", "--beta", "-2"], "beta = -2")
            for command in ("gen", "moments", "verify")},

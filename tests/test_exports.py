@@ -29,7 +29,7 @@ PACKAGE_EXPORTS = {
                       "quasi_orthogonality_order", "verify_d_orthogonality"),
     "polynomials": ("Poly", "as_rational", "delta_w", "derivative", "format_rational",
                     "parse_rational", "shift"),
-    "series": ("egf_extract", "gf_ratio_power", "series_exp"),
+    "series": ("egf_exp", "gf_ratio_power", "series_exp"),
 }
 
 

@@ -289,6 +289,61 @@ class TestLaguerreDifferential:
         assert laguerre_type_by_gf(p, 14) == oracles.laguerre_by_gf(p, 14)
 
 
+class TestRecurrenceTableHoist:
+    """ml_recurrence_table reads each of b_0..b_d once, whatever n_max is."""
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_b_is_called_at_most_d_plus_one_times(self, d):
+        calls = []
+
+        def b(k):
+            calls.append(k)
+            return F(k + 1, 3)
+
+        ml_recurrence_table(F(1, 2), F(-1, 3), b, d, 40)
+        assert len(calls) <= d + 1
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_laguerre_reads_b_at_most_d_plus_one_times(self, monkeypatch, d):
+        calls = []
+        b_at = LagParams.b_at
+
+        def counting(params, i):
+            calls.append(i)
+            return b_at(params, i)
+
+        p = LagParams(d, F(1, 2), F(-3, 2), F(1, 7), [F(1, k + 2) for k in range(d)])
+        expected = oracles.laguerre_by_recurrence(p, 40)
+        monkeypatch.setattr(LagParams, "b_at", counting)
+        assert laguerre_type_by_recurrence(p, 40) == expected
+        assert len(calls) <= d + 1
+
+
+# The pool entries of the benchmark's laguerre-report (d = 3) and ml-verify
+# (d = 2) workloads, as their command lines give them.
+LAGUERRE_REPORT_POOL = [
+    LagParams(3, a, beta_exp, F(1, 7), b) for a, beta_exp, b in (
+        (F(1, 2), F(-3, 2), [1, F(1, 3), F(1, 5)]),
+        (F(-1, 2), F(-3, 2), [1, F(-1, 3), F(1, 5)]),
+        (F(1, 2), F(3, 2), [-1, F(1, 3), F(-1, 5)]),
+        (F(-1, 2), F(3, 2), [-1, F(-1, 3), F(-1, 5)]),
+    )
+]
+ML_VERIFY_POOL = [MLParams(2, 1, -1, [1]), MLParams(2, -1, 1, [-1]),
+                  MLParams(2, 1, -1, [-1]), MLParams(2, -1, 1, [1])]
+
+
+class TestBenchmarkConfigurations:
+    @pytest.mark.parametrize("n_max", [48, 64])
+    @pytest.mark.parametrize("p", LAGUERRE_REPORT_POOL)
+    def test_laguerre_report_routes_agree(self, p, n_max):
+        assert laguerre_type_by_gf(p, n_max) == laguerre_type_by_recurrence(p, n_max)
+
+    @pytest.mark.parametrize("p", ML_VERIFY_POOL)
+    def test_ml_verify_routes_agree(self, p):
+        assert ml_by_gf(p, 32) == ml_by_recurrence(p, 32)
+
+
 class TestHypFamilies:
     def test_base_cases(self):
         assert hyp_laguerre(HypParams(2, [0, 0]), 2) == [

@@ -1,5 +1,6 @@
-"""Truncated power series: arithmetic, exp/log, and the generating-function
-oracle triangle (exponent route vs closed-form binomial routes)."""
+"""Truncated power series: arithmetic, exp/log, the EGF exponential against
+the ordinary-form convolution, and the generating-function oracle triangle
+(exponent route vs closed-form binomial routes)."""
 
 from fractions import Fraction as F
 
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from dops.identities import ratio_power_closed_form
 from dops.polynomials import Poly, factorial
-from dops.series import egf_extract, gf_ratio_power, ratio_power_exponent, series_exp
+from dops import families
+from dops.families import LagParams, MLParams, laguerre_type_by_gf, ml_by_gf
+from dops.series import egf_exp, gf_ratio_power, ratio_power_exponent, series_exp
 
-from oracles import gf_binomial_xw, series_log, series_log1p_scaled, series_mul
+from oracles import (egf_extract, exp_by_convolution, gf_binomial_xw, series_log,
+                     series_log1p_scaled, series_mul)
 
 X = Poly.x()
 
@@ -78,13 +82,14 @@ class TestExpLog:
 
 class TestRatioPower:
     def test_symmetric_case(self):
+        # n! times 1, x t, x^2 t^2/2, (x^3/6 + x/3) t^3
         got = gf_ratio_power(1, -1, 3)
-        assert got == [Poly.one(), X, X * X / 2, Poly([0, F(1, 3), 0, F(1, 6)])]
+        assert got == [Poly.one(), X, X * X, Poly([0, 2, 0, 1])]
 
     def test_beta_zero_reduces_to_binomial(self):
         # (1 - 2t)^(-x/2) is the step-(-2) factorial generating function
         got = gf_ratio_power(2, 0, 4)
-        assert got == gf_binomial_xw(-2, 1, 4)
+        assert got == egf_extract(gf_binomial_xw(-2, 1, 4))
         assert got[1] == X
 
     def test_constant_coefficient_is_one(self):
@@ -105,10 +110,8 @@ class TestRatioPower:
         ratio = gf_ratio_power(alpha, beta, order)
         product = series_mul(gf_binomial_xw(w, -beta / w, order),
                              gf_binomial_xw(-w, alpha / w, order))
-        assert ratio == product
-        closed = ratio_power_closed_form(alpha, beta, order)
-        for n in range(order + 1):
-            assert ratio[n] * factorial(n) == closed[n]
+        assert ratio == egf_extract(product)
+        assert ratio == ratio_power_closed_form(alpha, beta, order)
 
 
 class TestRatioPowerExponent:
@@ -172,20 +175,62 @@ class TestBinomialXw:
 
 class TestEgfExtract:
     def test_classical_sequence(self):
-        got = egf_extract(gf_ratio_power(1, -1, 4))
+        got = gf_ratio_power(1, -1, 4)
         assert got == [Poly.one(), X, Poly([0, 0, 1]), Poly([0, 2, 0, 1]), Poly([0, 0, 8, 0, 1])]
 
     def test_constant_series(self):
-        assert egf_extract(scalars([1, 0, 0, 0])) == [Poly.one(), Poly.zero(), Poly.zero(), Poly.zero()]
+        assert egf_exp(scalars([0, 0, 0, 0])) == [Poly.one(), Poly.zero(), Poly.zero(), Poly.zero()]
 
     def test_exponential(self):
-        assert egf_extract(exp_xt(4)) == [Poly.monomial(n) for n in range(5)]
+        assert egf_exp([Poly.zero(), X, Poly.zero(), Poly.zero(), Poly.zero()]) == \
+            [Poly.monomial(n) for n in range(5)]
+
+    def test_rejects_constant_term(self):
+        with pytest.raises(ValueError):
+            egf_exp(scalars([1, 0, 0]))
 
     @settings(max_examples=20, deadline=None)
     @given(rationals, rationals, st.integers(min_value=0, max_value=6))
     def test_monic_extraction(self, alpha, beta, order):
         if alpha == beta:
             return
-        for n, p in enumerate(egf_extract(gf_ratio_power(alpha, beta, order))):
+        for n, p in enumerate(gf_ratio_power(alpha, beta, order)):
             assert p.degree == n
             assert p.is_monic()
+
+
+def route_exponent(monkeypatch, route, params, order):
+    """The exponent a generating-function route hands to ``egf_exp``."""
+    seen = []
+    monkeypatch.setattr(families, "egf_exp", lambda f: seen.append(f) or egf_exp(f))
+    route(params, order)
+    monkeypatch.undo()
+    (exponent,) = seen
+    return exponent
+
+
+class TestEgfExpDifferential:
+    """The EGF exponential, P_n = sum C(n-1, k-1) k! f_k P_{n-k}, against the
+    ordinary-form convolution g_n = sum (k/n) f_k g_{n-k} read out as n! g_n,
+    exactly, on the exponents the generating-function routes build."""
+
+    ROUTES = {
+        "ml": (ml_by_gf, MLParams(3, F(2, 3), F(-1, 2), [F(1, 2), F(-3, 4)])),
+        "charlier": (ml_by_gf, MLParams(2, 0, F(-3, 2), [F(2, 5)])),
+        "laguerre": (laguerre_type_by_gf,
+                     LagParams(3, F(-1, 2), F(5, 4), F(1, 7), [F(2, 3), F(-1, 3), F(1, 5)])),
+    }
+
+    @pytest.mark.parametrize("order", range(21))
+    @pytest.mark.parametrize("route, params", ROUTES.values(), ids=ROUTES.keys())
+    def test_route_exponent(self, monkeypatch, route, params, order):
+        exponent = route_exponent(monkeypatch, route, params, order)
+        assert len(exponent) == order + 1
+        assert egf_exp(exponent) == egf_extract(exp_by_convolution(exponent)) == \
+            route(params, order)
+
+    @pytest.mark.parametrize("order", range(21))
+    def test_scalar_series(self, order):
+        f = scalars([0, F(1, 2), F(-2, 3), 3, F(5, 7), -1, F(1, 9)] * 3)[:order + 1]
+        assert egf_exp(f) == egf_extract(exp_by_convolution(f))
+        assert series_exp(f) == exp_by_convolution(f)
