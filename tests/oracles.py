@@ -222,7 +222,7 @@ def egf_extract(f: list[Poly]) -> list[Poly]:
 
 
 def series_log(f: list[Poly]) -> list[Poly]:
-    """log(f) for a series with constant term 1 (inverse of exp)."""
+    """log(f) for a series with constant term 1 (inverse of series_exp)."""
     if f[0] != Poly.one():
         raise ValueError("series_log requires constant term exactly 1")
     out = [Poly.zero()]
