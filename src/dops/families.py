@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .polynomials import (
@@ -175,7 +176,7 @@ class MLParams(_Params):
         if len(self.c) != self.d - 1:
             raise FamilyParamError(f"expected {self.d - 1} exponent coefficients c for d={self.d}, got {len(self.c)}")
 
-    @property
+    @cached_property
     def w(self) -> Fraction:
         return self.alpha - self.beta
 

@@ -13,8 +13,10 @@ lowering-operator powers of the difference equations) are computed on first
 use and kept for the rest of the run, and every suite reads the family from
 the setup, so a supplied table is what gets checked.  Every ratio-power form,
 stated or repaired, is a weighted sum over the step-w windows of one
-stepper, ``_ratio_windows``, which grows each window by one linear factor
-per index, so no form shifts a falling factorial.
+stepper, ``_ratio_windows``, which grows each window by one integer linear
+factor per index and yields the windows as integer rows over a power of w's
+denominator, so no form shifts a falling factorial or builds a Fraction per
+coefficient; the repaired closed form weighs them by integers too.
 
 A suite is a function of the setup returning its reports.  It hands each
 report's checks, (n, actual, expected, context) with scalars as degree-0
@@ -49,6 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from importlib import import_module
+from operator import mul
 from typing import Iterable, Optional
 
 from .families import Family, hyp_quasi, q_sequence, write_params
@@ -66,8 +69,8 @@ from .polynomials import (
     Poly,
     RationalLike,
     Record,
+    Row,
     as_rational,
-    binomial,
     format_rational,
     lincomb,
 )
@@ -385,19 +388,20 @@ def verify_orthogonality(setup: FamilySetup) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 def _ratio_windows(w: Fraction, n_max: int):
-    """The rows W(n, 0..n) for n = 1..n_max of the step-w windows
-
-        W(n, k) = prod_{i=1-k..n-k-1} (x + i w) = <x + (n-k-1) w | w>_{n-1},
-
-    each row from the one before with one linear factor per window:
-    W(n+1, k) = W(n, k) (x + (n-k) w) and W(n+1, n+1) = W(n, n) (x - n w).
-    Only the current row is kept."""
-    row = [Poly.one(), Poly.one()]
+    """The rows W(n, 0..n), n = 1..n_max, of the step-w windows
+    W(n, k) = prod_{i=1-k..n-k-1} (x + i w) = <x + (n-k-1) w | w>_{n-1} as
+    integer ``Row``s: with w = p/q in lowest terms, the integer window
+    V(n, k) = prod_{i=1-k..n-k-1} (q x + i p) over q**(n-1).  Row n+1 is row n
+    times one linear factor per window: V(n+1, k) = V(n, k) (q x + (n-k) p)
+    and V(n+1, n+1) = V(n, n) (q x - n p).  No yielded row changes afterwards."""
+    p, q = w.numerator, w.denominator
+    row, den = [[1], [1]], 1
     for n in range(1, n_max + 1):
-        yield row
+        yield [Row(window, den) for window in row]
         if n < n_max:
-            row = [*(window * Poly(((n - k) * w, 1)) for k, window in enumerate(row)),
-                   row[n] * Poly((-n * w, 1))]
+            row = [[c * a + q * b for a, b in zip([*v, 0], [0, *v])]  # v (q x + c)
+                   for c, v in zip([*range(n * p, -p, -p), -n * p], [*row, row[n]])]
+            den *= q
 
 
 def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n_max: int) -> list[Poly]:
@@ -409,17 +413,21 @@ def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n_max: int)
 
     This is the repaired convolution form; it is the independent cross-check
     for the exponent-route construction and stays valid at alpha = 0 or
-    beta = 0, where only one end of the sum survives."""
-    alpha = as_rational(alpha)
-    beta = as_rational(beta)
+    beta = 0, where only one end of the sum survives.  With alpha = a/A,
+    beta = b/B and w = p/q, it is x sum_k C(n,k) (-bA)**k (aB)**(n-k) V(n, k)
+    over (ABp)**n / q (q divides AB), in integers and reduced once per n."""
+    alpha, beta = as_rational(alpha), as_rational(beta)
     w = alpha - beta
     if w == 0:
         raise ValueError("requires alpha != beta")
-    x, forms = Poly.x(), [Poly.one()]
+    u, t = -beta.numerator * alpha.denominator, alpha.numerator * beta.denominator
+    scale = alpha.denominator * beta.denominator * w.numerator
+    forms, weights, den = [Poly.one()], [1], 1
     for n, row in enumerate(_ratio_windows(w, n_max), 1):
-        wn = w ** n
-        forms.append(lincomb((binomial(n, k) * (-beta) ** k * alpha ** (n - k) / wn, x, window)
-                             for k, window in enumerate(row)))
+        weights = [t * a + u * b for a, b in zip([*weights, 0], [0, *weights])]
+        den *= scale
+        total = [sum(map(mul, weights, column)) for column in zip(*(window.nums for window in row))]
+        forms.append(Poly._make([0, *total], den // w.denominator))
     return forms
 
 

@@ -31,6 +31,13 @@ __all__ = ["SUITES", "verify_hahn", "verify_nccd", "verify_sr_block", "verify_sr
 FREE_CONSTANT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-2, 3))
 
 
+def _linear(c: Fraction, slope: Fraction | int = 1) -> Poly:
+    """c + slope*x over the common denominator, with no coercion of either."""
+    den = math.lcm(c.denominator, slope.denominator)
+    return Poly._make([c.numerator * (den // c.denominator),
+                       slope.numerator * (den // slope.denominator)], den)
+
+
 # ---------------------------------------------------------------------------
 # Companions
 # ---------------------------------------------------------------------------
@@ -40,8 +47,8 @@ def _hahn_shift(table: RecurrenceTable, alpha: Fraction, beta: Fraction) -> Recu
     """The table the difference companions Q_n = delta_w P_{n+1}/(n+1) obey:
     beta gains alpha (the table's beta_n, which is subtracted, falls by
     alpha), the top gamma class gains n*alpha*beta, lower classes are unchanged."""
-    top = table.d - 1
-    gamma = {(m, k): g + m * alpha * beta if k == top else g for (m, k), g in table.gamma.items()}
+    top, product = table.d - 1, alpha * beta
+    gamma = {(m, k): g + m * product if k == top else g for (m, k), g in table.gamma.items()}
     return RecurrenceTable(table.d, table.n_max, tuple(b - alpha for b in table.beta), gamma)
 
 
@@ -84,7 +91,7 @@ def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
     and its difference companions.  At alpha = 0 this degenerates to P = Q."""
     p, polys, n_max = setup.params, setup.polys, setup.order
     params = setup.public_params(tagged=True)
-    q = setup.q
+    q, minus_alpha = setup.q, -p.alpha
 
     def checks():
         if p.alpha == 0:
@@ -93,7 +100,7 @@ def verify_nccd(setup: FamilySetup) -> list[VerificationReport]:
             if n == 0:
                 yield 0, polys[0], q[0], "P_0 = Q_0"
             else:
-                yield (n, polys[n], lincomb(((1, q[n]), (-p.lam(n), q[n - 1]))),
+                yield (n, polys[n], lincomb(((1, q[n]), (n * minus_alpha, q[n - 1]))),
                        f"P_{n} vs Q_{n} - {n}*alpha*Q_{n - 1}")
 
     return [_report("nccd", params, 0, n_max - 1, checks())]
@@ -107,32 +114,26 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
     p, polys, q, n_max = setup.params, setup.polys, setup.q, setup.order
     params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
+    minus_alpha, minus_beta = -alpha, -beta
     hi = n_max - 1
     shifted = [shift(polys[n], w) for n in range(n_max)]
     product_delta = [delta_w(polys[n + 1] * polys[n], w) for n in range(n_max)]
-    reports: list[VerificationReport] = []
 
     def sr5():
         for n in range(n_max):
             rhs = lincomb(((1, q[n]), (-n * beta, q[n - 1]))) if n >= 1 else q[n]
             yield n, shifted[n], rhs, "P_n(x+w) vs Q_n - n*beta*Q_{n-1}"
 
-    reports.append(_report("sr5", params, 0, hi, sr5()))
-
     def sr7():
         for n in range(1, n_max):
-            lhs = lincomb(((1, polys[n]), (-beta * n, polys[n - 1])))
-            rhs = lincomb(((1, shifted[n]), (-alpha * n, shifted[n - 1])))
+            lhs = lincomb(((1, polys[n]), (minus_beta * n, polys[n - 1])))
+            rhs = lincomb(((1, shifted[n]), (minus_alpha * n, shifted[n - 1])))
             yield n, lhs, rhs, "P_n - beta*n*P_{n-1} vs shifted"
-
-    reports.append(_report("sr7", params, 1, hi, sr7()))
 
     def sr3():
         for n in range(n_max):
-            yield (n, q[n] * w, lincomb(((alpha, shifted[n]), (-beta, polys[n]))),
+            yield (n, q[n] * w, lincomb(((alpha, shifted[n]), (minus_beta, polys[n]))),
                    "w*Q_n vs alpha*P_n(x+w) - beta*P_n")
-
-    reports.append(_report("sr3", params, 0, hi, sr3()))
 
     def sr4():
         for n in range(n_max):
@@ -141,8 +142,6 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
                 terms.append((n, polys[n + 1], q[n - 1]))
             yield n, product_delta[n], lincomb(terms), "delta_w(P_{n+1} P_n) vs product form"
 
-    reports.append(_report("sr4", params, 0, hi, sr4()))
-
     def sr4_alt():
         for n in range(n_max):
             terms = [(n + 1, q[n], q[n])]
@@ -150,41 +149,38 @@ def verify_sr_block(setup: FamilySetup) -> list[VerificationReport]:
                 terms += [(n, polys[n + 1], q[n - 1]), (-n * (n + 1) * beta, q[n], q[n - 1])]
             yield n, product_delta[n], lincomb(terms), "delta_w(P_{n+1} P_n) vs squared form"
 
-    reports.append(_report("sr4-alt", params, 0, hi, sr4_alt()))
-
-    def sr6(variant):
-        for n in range(n_max):
-            for c in FREE_CONSTANT_SAMPLES:
-                lhs, rhs = _sr6_sides(p, polys, q, n, c, variant)
-                yield n, lhs, rhs, f"(x - {format_rational(c)})Q_n, variant {variant}"
-
-    reports.append(_report("sr6", params, 0, hi, _reconciled(
-        sr6("stated"), sr6("repaired"),
-        "stated form fails (first witness at n = {n}); repaired form pinned: the free "
-        "constant multiplies Q_n rather than P_n, and the binomial correction sum "
-        "enters with the opposite sign")))
-    return reports
+    return [_report("sr5", params, 0, hi, sr5()), _report("sr7", params, 1, hi, sr7()),
+            _report("sr3", params, 0, hi, sr3()), _report("sr4", params, 0, hi, sr4()),
+            _report("sr4-alt", params, 0, hi, sr4_alt()), _report("sr6", params, 0, hi, _reconciled(
+                _sr6_checks(p, polys, q, n_max, "stated"), _sr6_checks(p, polys, q, n_max, "repaired"),
+                "stated form fails (first witness at n = {n}); repaired form pinned: the free "
+                "constant multiplies Q_n rather than P_n, and the binomial correction sum "
+                "enters with the opposite sign"))]
 
 
-def _sr6_sides(p, polys, q, n: int, c: Fraction, variant: str) -> tuple[Poly, Poly]:
-    """Both sides of the multiplication relation (x - c) Q_n = ... at one n.
+def _sr6_checks(p, polys, q, n_max: int, variant: str):
+    """The checks of the multiplication relation (x - c) Q_n = ... for n < n_max.
 
     stated: the free constant multiplies P_n on the right and the correction
     sum enters subtracted.  repaired: the free constant multiplies Q_n (so it
     cancels the same term on the left) and the correction sum enters added;
     the repaired variant is the one consistent with the band recurrences.
-    """
-    beta = p.beta
-    lhs = Poly((-c, 1)) * q[n]
-    correction = [(binomial(n, i) * (beta * i * p.b(i - 1) - p.b(i)), polys[n - i])
-                  for i in range(1, min(p.d, n + 1))]
-    if variant == "stated":
-        rhs = lincomb([(1, polys[n + 1]), (-(c + p.b(0) + beta * n), polys[n]),
-                       *((-coef, poly) for coef, poly in correction)])
-    else:
-        rhs = lincomb([(1, polys[n + 1]), (-(p.b(0) + beta * n), polys[n]), (-c, q[n]),
-                       *correction])
-    return lhs, rhs
+    The brackets beta i b_{i-1} - b_i and the factors x - c are formed once."""
+    beta, b0 = p.beta, p.b(0)
+    brackets = [Poly.const(beta * i * p.b(i - 1) - p.b(i)) for i in range(1, p.d)]
+    samples = [(c, -c, _linear(-c), f"(x - {format_rational(c)})Q_n, variant {variant}")
+               for c in FREE_CONSTANT_SAMPLES]
+    sign = -1 if variant == "stated" else 1
+    for n in range(n_max):
+        lead = b0 + beta * n
+        correction = [(sign * binomial(n, i), polys[n - i], bracket)
+                      for i, bracket in enumerate(brackets[:n], 1)]
+        for c, minus_c, x_minus_c, context in samples:
+            if variant == "stated":
+                rhs = lincomb([(1, polys[n + 1]), (-(c + lead), polys[n]), *correction])
+            else:
+                rhs = lincomb([(1, polys[n + 1]), (-lead, polys[n]), (minus_c, q[n]), *correction])
+            yield n, x_minus_c * q[n], rhs, context
 
 
 def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
@@ -203,39 +199,37 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
     if p.alpha == 0:
         return [_not_applicable("sr2", params, lo, hi,
                                 "lambda_n = n*alpha vanishes identically at alpha = 0")]
-    q = setup.q
+    q, alpha, d = setup.q, p.alpha, p.d
+    inverse_powers = [alpha ** -e for e in range(d)]  # 1/alpha**(j-i+1), j-i+1 < d
 
     def correction_sum(q_table: RecurrenceTable, n: int) -> Poly:
-        terms = []
-        for i in range(2, p.d + 1):
-            for j in range(i, p.d + 1):
-                denom = Fraction(1)
-                for s in range(i, j + 1):
-                    denom *= p.lam(n - s)
-                terms.append((q_table.gamma_at(n - j, p.d - j) / denom, polys[n - i]))
-        return lincomb(terms)
+        # lambda_{n-i} ... lambda_{n-j} = alpha**(j-i+1) (n-i)!/(n-j-1)!
+        return lincomb((q_table.gamma_at(n - j, d - j) * inverse_powers[j - i + 1]
+                        / math.perm(n - i, j - i + 1), polys[n - i])
+                       for i in range(2, d + 1) for j in range(i, d + 1))
 
     def checks(variant):
+        samples = [(c, -c, _linear(-c), f"c = {format_rational(c)}, variant {variant}")
+                   for c in FREE_CONSTANT_SAMPLES]
         for n in range(lo, hi + 1):
             q_table = setup.q_table  # fitted only when the range holds an index
             s = correction_sum(q_table, n)
-            xi = q_table.beta[n - 1]
             lam = p.lam(n)
-            for c in FREE_CONSTANT_SAMPLES:
-                lhs = Poly((-c, 1)) * q[n - 1]
+            lam_xi = lam + q_table.beta[n - 1]
+            x_lam, lam_lam_xi = _linear(lam), lam * lam_xi
+            for c, minus_c, x_minus_c, label in samples:
                 if variant == "stated":
-                    rhs = lincomb(((1, polys[n]), (lam + xi - c, polys[n - 1]), (-1, s)))
+                    rhs = lincomb(((1, polys[n]), (lam_xi - c, polys[n - 1]), (-1, s)))
                 else:
-                    rhs = lincomb(((1, polys[n]), (lam + xi, polys[n - 1]), (-c, q[n - 1]), (-1, s)))
-                yield n, lhs, rhs, f"plain form, c = {format_rational(c)}, variant {variant}"
-                lhs2 = Poly((-c, 1)) * q[n]
+                    rhs = lincomb(((1, polys[n]), (lam_xi, polys[n - 1]), (minus_c, q[n - 1]), (-1, s)))
+                yield n, x_minus_c * q[n - 1], rhs, "plain form, " + label
                 if variant == "stated":
-                    rhs2 = lincomb(((1, Poly((lam - c, 1)), polys[n]),
-                                    (lam * (lam + xi - c), polys[n - 1]), (-lam, s)))
+                    rhs2 = lincomb(((1, _linear(lam - c), polys[n]),
+                                    (lam * (lam_xi - c), polys[n - 1]), (-lam, s)))
                 else:
-                    rhs2 = lincomb(((1, Poly((lam, 1)), polys[n]), (-c, q[n]),
-                                    (lam * (lam + xi), polys[n - 1]), (-lam, s)))
-                yield n, lhs2, rhs2, f"remark form, c = {format_rational(c)}, variant {variant}"
+                    rhs2 = lincomb(((1, x_lam, polys[n]), (minus_c, q[n]),
+                                    (lam_lam_xi, polys[n - 1]), (-lam, s)))
+                yield n, x_minus_c * q[n], rhs2, "remark form, " + label
 
     return [_report("sr2", params, lo, hi, _reconciled(
         checks("stated"), checks("repaired"),
@@ -249,44 +243,24 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _de_correction(p, table: RecurrenceTable, n: int, i: int, top: int) -> Fraction:
-    """sum_{j<i} C(top-1-j, i-1-j) alpha**(i-1-j) gamma_{n-j}^{(d-1-j)} / perm(n, j+1),
-    the correction in the depth-i constant of de1 (top = k) and de2 (top = d)."""
-    return sum(binomial(top - 1 - j, i - 1 - j) * p.alpha ** (i - 1 - j)
-               * table.gamma_at(n - j, p.d - 1 - j) / math.perm(n, j + 1) for j in range(i))
+def _de_scalars(alpha: Fraction, w: Fraction, top: int, scale: int, e: Fraction,
+               offset: int) -> list[tuple]:
+    """The n-free scalars (slope, base, weight, correction weights) of the terms
+    (const_i + slope_i x) L**i, i = 0..top, of a difference equation, where
 
+        const_i = base_i - weight_i n - slope_i beta_n
+                  - sum_{j<i} C(top-1-j, i-1-j) alpha**(i-1-j) gamma_{n-j}^{(d-1-j)} / perm(n, j+1);
 
-def _de1_sides(p, deltas, table: RecurrenceTable, n: int, k: int) -> tuple[Poly, Poly]:
-    """Both sides at (n, k); deltas[m][j] is delta_w**j P_m."""
-    alpha, w, d = p.alpha, p.w, p.d
-    beta_n = table.beta[n]
-    dw = deltas[n - k]
-    terms = [(1, Poly((k * w - k * alpha * (n - k + 2) - beta_n, 1)), dw[0])]
-    for i in range(1, k + 1):
-        slope = alpha ** i * binomial(k, i)
-        const = (slope * (k * w + alpha - beta_n)
-                 - alpha ** (i + 1) * binomial(k + 1, i + 1) * (n - k + i + 2)
-                 - _de_correction(p, table, n, i, k))
-        terms.append((1, Poly((const, slope)), dw[i]))
-    for i in range(k, d):
-        coef = table.gamma_at(n - i, d - 1 - i) / math.perm(n, k)
-        if coef != 0:
-            terms.append((-coef, deltas[n - i - 1][k]))
-    return deltas[n - k + 1][0], lincomb(terms)
-
-
-def _de2_sides(p, deltas, table: RecurrenceTable, n: int) -> tuple[Poly, Poly]:
-    alpha, w, d = p.alpha, p.w, p.d
-    beta_n = table.beta[n]
-    dw = deltas[n - d]
-    terms = [(1, Poly(((d + 1) * w - (d + 1) * alpha * (n - d + 1) - beta_n, 1)), dw[1])]
-    for i in range(1, d + 1):
-        slope = alpha ** i * binomial(d, i)
-        const = (slope * ((d + 1) * w - beta_n)
-                 - alpha ** (i + 1) * binomial(d + 1, i + 1) * (n - d + i + 1)
-                 - _de_correction(p, table, n, i, d))
-        terms.append((1, Poly((const, slope)), dw[i + 1]))
-    return dw[0] * (n - d), lincomb(terms)
+    the head term has slope 1, weight scale alpha and base scale w - weight
+    offset, and term i >= 1 slope alpha**i C(top, i), weight
+    alpha**(i+1) C(top+1, i+1) and base slope e - weight (offset + i)."""
+    powers = [alpha ** m for m in range(top + 2)]
+    out = [(1, scale * w - scale * alpha * offset, scale * alpha, ())]
+    for i in range(1, top + 1):
+        slope, weight = powers[i] * binomial(top, i), powers[i + 1] * binomial(top + 1, i + 1)
+        out.append((slope, slope * e - weight * (offset + i), weight,
+                    [binomial(top - 1 - j, i - 1 - j) * powers[i - 1 - j] for j in range(i)]))
+    return out
 
 
 def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport:
@@ -311,13 +285,30 @@ def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport
 
     def checks():
         yield f"indices n < {p.d} skipped as out-of-range"
-        table = setup.p_table
+        table, deltas, w, d = setup.p_table, setup.deltas, p.w, p.d
+        # de2: (n-d) P_{n-d} against delta_w**(i+1) P_{n-d}, i = 0..d; de1:
+        # P_{n-k+1} against delta_w**i P_{n-k}, i = 0..k, and the tail.
+        top, first, scale, e, offset = ((d, 1, d + 1, (d + 1) * w, 1 - d) if k is None
+                                        else (k, 0, k, k * w + p.alpha, 2 - k))
+        scalars = _de_scalars(p.alpha, w, top, scale, e, offset)
         for n in range(lo, hi + 1):
+            beta_n, dw = table.beta[n], deltas[n - top][first:]
+            gammas = [table.gamma_at(n - j, d - 1 - j) / math.perm(n, j + 1) for j in range(top)]
+            terms = []
+            for i, (slope, base, weight, corrections) in enumerate(scalars):
+                const = base - weight * n - slope * beta_n
+                if corrections:
+                    const -= sum(c * g for c, g in zip(corrections, gammas))
+                terms.append((1, _linear(const, slope), dw[i]))
             if k is None:
-                lhs, rhs = _de2_sides(p, setup.deltas, table, n)
+                lhs = deltas[n - d][0] * (n - d)
             else:
-                lhs, rhs = _de1_sides(p, setup.deltas, table, n, k)
-            yield n, lhs, rhs, identity
+                lhs, perm = deltas[n - k + 1][0], math.perm(n, k)
+                for i in range(k, d):
+                    coef = table.gamma_at(n - i, d - 1 - i)
+                    if coef != 0:
+                        terms.append((-coef / perm, deltas[n - i - 1][k]))
+            yield n, lhs, lincomb(terms), identity
 
     return _report(identity, params, lo, hi, checks())
 
@@ -392,10 +383,12 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
     a_coeffs = _exp_coefficients(list(p.c), n_max)
+    # n!/(n-m)! A_m = C(n, m) m! A_m, with the n-free m! A_m formed once
+    scaled = [(m, Poly.const(factorial(m) * a)) for m, a in enumerate(a_coeffs) if a]
 
     def repaired(n: int) -> Poly:
-        return lincomb((math.perm(n, m) * a_coeffs[m], setup.closed_forms[n - m])
-                       for m in range(n + 1) if a_coeffs[m])
+        return lincomb((binomial(n, m), setup.closed_forms[n - m], a)
+                       for m, a in scaled if m <= n)
 
     def stated():
         yield 0, Poly.one(), truth[0], "stated multinomial form"
@@ -411,13 +404,9 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
                         terms.append((coef, Poly.x(), rows[n - m][s - m]))
             yield n, lincomb(terms), truth[n], "stated multinomial form"
 
-    if alpha == 0:
-        stated_checks = ("stated form not evaluable at alpha = 0; in the repaired form the weight "
-                         "alpha**(n-k) simply kills every term but k = n")
-    else:
-        stated_checks = stated()
     return [_report("sz4", params, 0, n_max, _reconciled(
-        stated_checks,
+        "stated form not evaluable at alpha = 0; in the repaired form the weight alpha**(n-k) "
+        "simply kills every term but k = n" if alpha == 0 else stated(),
         ((n, repaired(n), truth[n], "repaired composition form") for n in range(n_max + 1)),
         "stated multinomial form fails (first witness at n = {n})",
         "repaired form pinned: P_n = sum_m n!/(n-m)! A_m P0_{n-m} with A the "
@@ -455,19 +444,18 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     def repaired_checks():
         table = setup.moments
         for r in range(p.d):
-            for n in range(n_max + 1):
-                lhs = Fraction(factorial(n), factorial(r)) * (ainv[n - r] if n >= r else Fraction(0))
-                rhs = table.apply(r, setup.closed_forms[n])
-                yield n, Poly.const(lhs), Poly.const(rhs), f"biorthogonal recursion, r = {r}"
+            context = f"biorthogonal recursion, r = {r}"
+            for n in range(n_max + 1):  # n!/r! = perm(n, n - r)
+                lhs = Poly.const(math.perm(n, n - r) * ainv[n - r]) if n >= r else Poly.zero()
+                yield n, lhs, Poly.const(table.apply(r, setup.closed_forms[n])), context
 
     def stated_checks():
         table = setup.moments
         for r in range(p.d):
             for n in range(r, n_max + 1):
                 lhs = Fraction(factorial(n - r), factorial(r)) * ainv[n - r]
-                rhs = Fraction(0)
-                for k in range(r, n + 1):
-                    rhs += binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
+                rhs = sum(binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
+                          for k in range(r, n + 1))
                 yield n, Poly.const(lhs), Poly.const(rhs), f"stated recursion, r = {r}"
 
     def checks():

@@ -58,17 +58,15 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-free rational string: "3", "-5", or "p/q"."""
+    """Parse a decimal-free rational string: "3", "-5", or "p/q", q unsigned, in ASCII digits."""
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"rational literals must be decimal-free p/q strings, got {text!r}")
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {text!r}") from exc
+    num, slash, den = s.partition("/")
+    parts = (num[1:] if num[:1] in ("+", "-") else num, den if slash else "1")
+    if not all(part.isascii() and part.isdigit() for part in parts) or not int(parts[1]):
+        raise ValueError(f"invalid rational literal {text!r}")
+    return Fraction(int(num), int(parts[1]))
 
 
 def format_rational(value: RationalLike) -> str:
@@ -369,7 +367,7 @@ def shift(p: Poly, h: RationalLike) -> Poly:
 
 
 def delta_w(p: Poly, w: RationalLike) -> Poly:
-    """Forward divided difference (p(x+w) - p(x)) / w.
+    """Forward divided difference (p(x+w) - p(x)) / w: shift(p, w) - p over w in one _make.
 
     Lowers the degree by exactly one and annihilates constants.  w = 0 is
     rejected; the w -> 0 limit is the formal derivative.
@@ -377,7 +375,8 @@ def delta_w(p: Poly, w: RationalLike) -> Poly:
     w = as_rational(w)
     if w == 0:
         raise ValueError("delta_w requires w != 0; use derivative() for the w -> 0 limit")
-    return lincomb(((1 / w, shift(p, w)), (-1 / w, p)))
+    diff = shift(p, w) - p
+    return Poly._make([c * w.denominator for c in diff.nums], diff.den * w.numerator)
 
 
 def derivative(p: Poly) -> Poly:

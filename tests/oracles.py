@@ -28,6 +28,15 @@ def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Frac
     return tuple(out)
 
 
+def fraction_delta_w(coeffs: tuple[Fraction, ...], w: Fraction) -> tuple[Fraction, ...]:
+    """(p(x+w) - p(x)) / w coefficientwise in Fractions, trailing zeros
+    stripped, with p(x+w) expanded by the binomial theorem: the reference for
+    ``dops.polynomials.delta_w``."""
+    shifted = [sum(c * binomial(k, j) * w ** (k - j) for k, c in enumerate(coeffs) if k >= j)
+               for j in range(len(coeffs))]
+    return fraction_add(tuple((s - c) / w for s, c in zip(shifted, coeffs)), ())
+
+
 def falling_factorial(w: RationalLike, n: int) -> Poly:
     """Step-w falling factorial polynomial x(x-w)(x-2w)...(x-(n-1)w); 1 for
     n=0: the reference the ratio-power windows are shifts of."""

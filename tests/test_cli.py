@@ -384,6 +384,62 @@ class TestConfigResolution:
         assert polys == []
 
 
+class TestRationalLiterals:
+    """A rational is "3", "-5" or "p/q" in ASCII digits with an unsigned
+    denominator.  Underscores, other digits, inner whitespace and a signed
+    denominator, which int() and Fraction() would take, are bad input however
+    the value arrives."""
+
+    OFF_GRAMMAR = {"underscore": "1_0", "arabic-indic-digit": "\u0663",
+                   "fullwidth-digit": "\uff12", "inner-space": "1 /2",
+                   "signed-denominator": "1/-2"}
+
+    def test_the_mixed_spelling_run_is_refused(self, capsys):
+        code, out, err = run_cli(["gen", "--family", "ml", "--d", "2", "--alpha", "1_0",
+                                  "--beta", "\u0663", "--c", "1/-2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "invalid rational literal" in err
+
+    @pytest.mark.parametrize("flag", ["alpha", "beta", "c"])
+    @pytest.mark.parametrize("text", OFF_GRAMMAR.values(), ids=OFF_GRAMMAR.keys())
+    def test_flag(self, capsys, flag, text):
+        values = {"alpha": "1", "beta": "-1", "c": "1", flag: text}
+        argv = ["gen", "--family", "ml", "--d", "2", "--order", "3"]
+        for name, value in values.items():
+            argv += [f"--{name}", value]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"--{flag}: invalid rational literal" in err
+
+    @pytest.mark.parametrize("text", OFF_GRAMMAR.values(), ids=OFF_GRAMMAR.keys())
+    def test_config_file(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": "ml", "d": 2, "order": 3,
+                                    "parameters": {"alpha": "1", "beta": "-1", "c": [text]}}))
+        code, out, err = run_cli(["gen", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--c: invalid rational literal" in err
+
+    @pytest.mark.parametrize("text", OFF_GRAMMAR.values(), ids=OFF_GRAMMAR.keys())
+    def test_table_row(self, tmp_path, capsys, text):
+        table = tmp_path / "table.json"
+        assert main(["gen", *ML, "--order", "4", "--out", str(table)]) == 0
+        artifact = json.loads(table.read_text())
+        artifact["polys"][2]["coeffs"][0] = text
+        table.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        code, out, err = run_cli(["verify", "--from-table", str(table)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "invalid rational literal" in err
+
+    def test_benchmark_parameters_run(self, capsys):
+        argv = ["gen", "--family", "laguerre", "--d", "3", "--a", "-1/2", "--beta-exp", "-3/2",
+                "--theta", "1/7", "--b", "1, -1/3,1/5", "--order", "3"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["b"] == ["1", "-1/3", "1/5"]
+
+
 class TestVerify:
     def test_full_suite_passes(self, capsys):
         code, out, err = run_cli(["verify", "--family", "ml", "--d", "2", "--alpha", "1",

@@ -392,15 +392,38 @@ class TestRatioWindows:
     @given(ratio_pairs, st.integers(0, 20))
     @example((F(0), F(1, 2)), 20)
     @example((F(-2, 3), F(0)), 20)
+    @example((F(1, 2), F(-3, 5)), 20)  # w = 11/10: integer windows over 10**(n-1)
+    @example((F(1), F(-1)), 32)  # the benchmark's reference pair at its traced order
     def test_windows_and_closed_forms(self, ab, n_max):
         alpha, beta = ab
         w = alpha - beta
         rows = list(identities._ratio_windows(w, n_max))
         assert len(rows) == n_max
         for n, row in enumerate(rows, 1):
-            assert row == [oracles.ratio_window(w, n, k) for k in range(n + 1)]
+            assert [window.poly() for window in row] == [
+                oracles.ratio_window(w, n, k) for k in range(n + 1)]
         assert ratio_power_closed_form(alpha, beta, n_max) == [
             oracles.ratio_power_closed_form(alpha, beta, n) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("alpha, beta", [(F(1), F(-1)), (F(1, 2), F(-3, 5)), (F(0), F(2, 3))])
+    def test_closed_form_loop_builds_no_fraction(self, monkeypatch, alpha, beta):
+        """The closed forms' per-n work is in integers: the Fractions built
+        for a whole call do not grow with the order."""
+        new = F.__new__
+        built = []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        counts = []
+        for n_max in (8, 24):
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "__new__", staticmethod(counting_new))
+                ratio_power_closed_form(alpha, beta, n_max)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     @settings(max_examples=15, deadline=None)
     @given(ratio_pairs, st.integers(0, 20))

@@ -19,7 +19,7 @@ from dops.polynomials import (
     parse_rational,
     shift,
 )
-from oracles import falling_factorial, fraction_add
+from oracles import falling_factorial, fraction_add, fraction_delta_w
 
 X = Poly.x()
 
@@ -44,6 +44,21 @@ class TestRationalStrings:
             parse_rational("1e3")
         with pytest.raises(ValueError):
             parse_rational("1/0")
+
+    # Spellings outside "3", "-5", "p/q"; int() takes each part of the first nine.
+    OFF_GRAMMAR = ["1_0", "1/1_0", "\u0663", "1/\u0663", "\uff11", "1 /2", "1/ 2", "3/-7", "3/+7",
+                   "- 3", "1//2", "/2", "1/", "--1", "0x10", ""]
+
+    @pytest.mark.parametrize("text", OFF_GRAMMAR)
+    def test_rejects_spellings_outside_the_grammar(self, text):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(text)
+
+    def test_benchmark_parameters_stay_valid(self):
+        values = ["1", "-1", "1/2", "-1/2", "3/2", "-3/2", "1/7", "1/3", "-1/3", "1/5", "-1/5",
+                  "1/4", "-1/4", "2"]
+        assert [parse_rational(text) for text in values] == [F(text) for text in values]
+        assert parse_rational(" -3/2 ") == F(-3, 2)
 
 
 class TestPolyBasics:
@@ -259,10 +274,9 @@ def left_fold(terms):
 
 big_rationals = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
 # int, Fraction (narrow and wide denominators) and "p/q" coefficients, the
-# strings with either sign of denominator.
+# strings with a signed numerator and the unsigned denominator of the grammar.
 coefficients = (st.integers(-20, 20) | kernel_rationals | big_rationals
-                | st.builds("{}/{}".format, st.integers(-99, 99),
-                            st.integers(1, 99) | st.integers(-99, -1)))
+                | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 99)))
 term_polys = kernel_polys | st.lists(big_rationals, max_size=5).map(Poly)
 terms_lists = st.lists(st.tuples(coefficients, term_polys)
                        | st.tuples(coefficients, term_polys, term_polys), max_size=6)
@@ -276,7 +290,7 @@ class TestLincomb:
     @given(terms_lists)
     @example([])
     @example([(0, COPRIME), (F(1, 3), Poly.zero()), (2, COPRIME, Poly.zero()), ("0/5", COPRIME)])
-    @example([("3/-7", COPRIME), (F(5, 6), COPRIME, Poly([F(1, 13), F(-1, 17)])),
+    @example([("-3/7", COPRIME), (F(5, 6), COPRIME, Poly([F(1, 13), F(-1, 17)])),
               (-1, Poly.const(F(2, 9)))])
     @example([(F(1, 10**30 + 1), COPRIME), (F(-1, 10**30 + 1), COPRIME, Poly.one())])
     @example([(F(1, 6), Poly([F(1, 2), 1])), (F(-1, 10), Poly([0, F(1, 3)]), COPRIME)])
@@ -299,6 +313,17 @@ class TestDeltaW:
     def test_rejects_zero_step(self):
         with pytest.raises(ValueError):
             delta_w(X, 0)
+
+    @given(polys, nonzero_rationals)
+    @example(Poly.zero(), F(-3, 7))
+    @example(Poly.const(F(5, 2)), F(-1, 2))
+    @example(Poly([F(1, 3), F(-2, 5), 0, F(7, 4)]), F(-11, 10))
+    def test_matches_fraction_oracle(self, p, w):
+        result = delta_w(p, w)
+        assert result.coeffs == fraction_delta_w(p.coeffs, w)
+        assert_normal(result)
+        if p.degree <= 0:
+            assert result == Poly.zero()
 
     @given(polys.filter(lambda p: p.degree >= 1), nonzero_rationals)
     def test_degree_drop_and_leading(self, p, w):
