@@ -23,7 +23,7 @@ _SUBMODULE = {name: module for module, names in (
                       "fit_recurrence moments_by_inversion quasi_orthogonality_order "
                       "verify_d_orthogonality"),
     ("polynomials", "Poly as_rational delta_w derivative format_rational parse_rational shift"),
-    ("series", "egf_exp gf_ratio_power series_exp"),
+    ("series", "egf_exp"),
 ) for name in names.split()}
 
 __all__ = list(_SUBMODULE)

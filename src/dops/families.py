@@ -6,8 +6,8 @@ backbone test of the whole package.  A recurrence construction writes its
 coefficients down as a ``RecurrenceTable`` and regenerates it, so fitted and
 constructed recurrences are run by the same code; the table reads each
 parameter b_k once and forms each n-free coefficient once.  A
-generating-function construction reads P_n straight off ``series.egf_exp``,
-the exponential in EGF form.  Parameter conventions:
+generating-function construction writes its exponent in EGF form and reads
+P_n off ``series.egf_exp``, the one exponential.  Parameter conventions:
 
 * Mittag-Leffler type: generating function ((1-beta t)/(1-alpha t))**(x/w)
   times exp(sum c_i t**i), with w = alpha - beta.  The exponent coefficients
@@ -352,8 +352,8 @@ def ml_by_recurrence(params: MLParams, n_max: int) -> list[Poly]:
 
 def _by_gf(alpha: RationalLike, beta: RationalLike, s, n_max: int) -> list[Poly]:
     """P_0..P_{n_max} read off the exponential generating function
-    exp(ratio_power_exponent(alpha, beta) + sum_{n>=1} s(n) t**n), one exp of
-    the sum; ``s`` is a callable n -> s_n.  The exponent starts at t**1."""
+    exp(ratio_power_exponent(alpha, beta) + sum_{n>=1} s(n) t**n / n!), one
+    exp of the sum: ``s`` is a callable n -> s(n), in EGF form from t**1 on."""
     exponent = ratio_power_exponent(alpha, beta, n_max)
     for n in range(1, n_max + 1):
         exponent[n] += Poly.const(s(n))
@@ -362,9 +362,8 @@ def _by_gf(alpha: RationalLike, beta: RationalLike, s, n_max: int) -> list[Poly]
 
 def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
     """The same family read off the exponential generating function
-    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i)."""
-    return _by_gf(params.alpha, params.beta,
-                  lambda n: params.c[n - 1] if n < params.d else 0, n_max)
+    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i), with n! c_n = b_{n-1}."""
+    return _by_gf(params.alpha, params.beta, lambda n: params.b(n - 1), n_max)
 
 
 def q_sequence(polys: Sequence[Poly], lower) -> list[Poly]:
@@ -396,11 +395,12 @@ def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
 def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     """The same family as exp(beta_exp log(1-at) + (xt+theta)/(1-at) + pi(t)),
     pi(t) = sum b_i t**i / i!: the confluent ratio-power exponent x t/(1-at)
-    plus s_n = a**n (theta - beta_exp/n) + b_n/n! at each t**n, n >= 1.  Its
-    t = 0 constant theta + b_0 is never formed, so P_0 = 1 exactly."""
+    plus a**n (theta - beta_exp/n) + b_n/n! at each t**n, n >= 1, in EGF form
+    a**n (n! theta - (n-1)! beta_exp) + b_n.  Its t = 0 constant theta + b_0
+    is never formed, so P_0 = 1 exactly."""
     a, beta, theta = params.a, params.beta_exp, params.theta
-    return _by_gf(a, a, lambda n: a ** n * (theta - beta / n) + params.b_at(n) / factorial(n),
-                  n_max)
+    return _by_gf(a, a, lambda n: a ** n * (factorial(n) * theta - factorial(n - 1) * beta)
+                  + params.b_at(n), n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .families import ml_recurrence_table
 from .identities import (FamilySetup, VerificationReport, _not_applicable, _ratio_windows,
@@ -21,7 +21,7 @@ from .identities import (FamilySetup, VerificationReport, _not_applicable, _rati
                          verify_routes)
 from .orthogonality import RecurrenceTable
 from .polynomials import Poly, binomial, delta_w, factorial, format_rational, lincomb, shift
-from .series import gf_ratio_power, series_exp
+from .series import egf_exp, ratio_power_exponent
 
 __all__ = ["SUITES", "verify_hahn", "verify_nccd", "verify_sr_block", "verify_sr2", "verify_de",
            "verify_de1", "verify_de2", "verify_sz4", "verify_sz5", "verify_moment_recursion"]
@@ -338,7 +338,7 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         "alpha": format_rational(alpha),
         "beta": format_rational(beta),
     }
-    truth = gf_ratio_power(alpha, beta, n_max)
+    truth = egf_exp(ratio_power_exponent(alpha, beta, n_max))
 
     def stated():
         yield 0, Poly.one(), truth[0], "stated closed form"
@@ -357,13 +357,13 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n"))]
 
 
-def _exp_coefficients(values: Sequence[Fraction], n_max: int) -> list[Fraction]:
-    """Coefficients of exp(sum values[i-1] t**i) through t**n_max.  Entry m
-    is the multinomial sum of prod values[i-1]**k_i / k_i! over the tuples
-    with sum i k_i = m, the composition sum of the sz4 and moment-recursion
-    stated forms."""
-    exponent = [Poly.const(values[n - 1] if 0 < n <= len(values) else 0) for n in range(n_max + 1)]
-    return [c.coefficient(0) for c in series_exp(exponent)]
+def _exp_coefficients(b, n_max: int) -> list[Fraction]:
+    """E_0..E_{n_max} of exp(sum c_i t**i), read from its exponent in EGF
+    form, b(i-1) = i! c_i at t**i: E_m = m! A_m, where A_m is the multinomial
+    sum of prod c_i**k_i / k_i! over the tuples with sum i k_i = m, the
+    composition sum of the sz4 and moment-recursion stated forms."""
+    exponent = [Poly.zero()] + [Poly.const(b(n - 1)) for n in range(1, n_max + 1)]
+    return [e.coefficient(0) for e in egf_exp(exponent)]
 
 
 def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
@@ -372,8 +372,8 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     The repaired interpretation composes the closed-form ratio-power
     coefficients with the exponential factor exactly:
 
-        P_n = sum_{m=0..n} n!/(n-m)! A_m P0_{n-m},
-        A_m = [t**m] exp(sum c_i t**i)
+        P_n = sum_{m=0..n} n!/(n-m)! A_m P0_{n-m} = sum_m C(n, m) E_m P0_{n-m},
+        A_m = E_m / m! = [t**m] exp(sum c_i t**i)
             = sum over weight-m composition tuples of prod c_i**k_i / k_i!,
 
     with P0 the repaired closed form.  The stated transcription (multinomial
@@ -382,13 +382,13 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     p, truth, n_max = setup.params, setup.polys, setup.order
     params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
-    a_coeffs = _exp_coefficients(list(p.c), n_max)
-    # n!/(n-m)! A_m = C(n, m) m! A_m, with the n-free m! A_m formed once
-    scaled = [(m, Poly.const(factorial(m) * a)) for m, a in enumerate(a_coeffs) if a]
+    e_coeffs = _exp_coefficients(p.b, n_max)
+    # n!/(n-m)! A_m = C(n, m) E_m, with the n-free E_m = m! A_m formed once
+    scaled = [(m, Poly.const(e)) for m, e in enumerate(e_coeffs) if e]
 
     def repaired(n: int) -> Poly:
-        return lincomb((binomial(n, m), setup.closed_forms[n - m], a)
-                       for m, a in scaled if m <= n)
+        return lincomb((binomial(n, m), setup.closed_forms[n - m], e)
+                       for m, e in scaled if m <= n)
 
     def stated():
         yield 0, Poly.one(), truth[0], "stated multinomial form"
@@ -398,8 +398,9 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
             terms = []
             for s in range(n + 1):
                 for m in range(min(s, n - 1) + 1):  # m = n: window of negative length
-                    coef = (Fraction(factorial(n), factorial(n - s) * factorial(s - m) * factorial(m))
-                            * a_coeffs[m] * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m)
+                    # n!/((n-s)! (s-m)! m!) A_m = C(n, s) C(s, m) E_m / m!
+                    coef = (Fraction(binomial(n, s) * binomial(s, m), factorial(m)) * e_coeffs[m]
+                            * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m)
                     if coef != 0:
                         terms.append((coef, Poly.x(), rows[n - m][s - m]))
             yield n, lincomb(terms), truth[n], "stated multinomial form"
@@ -425,35 +426,35 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
     The repaired interpretation applies biorthogonality to the exponential
     factorization: for each r < d and n,
 
-        n!/r! * Ainv_{n-r} = <u_r, P0_n>,
+        n!/r! * Ainv_{n-r} = C(n, r) Einv_{n-r} = <u_r, P0_n>,
 
-    where Ainv are the coefficients of exp(-sum c_i t**i), P0_n is the
-    repaired ratio-power closed form, and the right side is evaluated through
-    the inversion moments.  The stated transcription (multinomial weights and
-    powers (beta/alpha)**k (-alpha)**n against raw monomial moments) is tried
-    first where evaluable; disagreement there is recorded as a finding, not a
-    failure of the moments themselves."""
+    where Ainv_m = Einv_m / m! are the coefficients of exp(-sum c_i t**i), P0_n
+    is the repaired ratio-power closed form, and the right side is evaluated
+    through the inversion moments.  The stated transcription (multinomial
+    weights and powers (beta/alpha)**k (-alpha)**n against raw monomial
+    moments) is tried first where evaluable; disagreement there is recorded
+    as a finding, not a failure of the moments themselves."""
     p, n_max = setup.params, setup.order
     params = setup.public_params(tagged=True)
     if n_max < p.d:
         return [_not_applicable("moment-recursion", params, 0, n_max,
                                 f"the moments need order N >= d = {p.d}")]
     alpha, beta = p.alpha, p.beta
-    ainv = _exp_coefficients([-ci for ci in p.c], n_max)
+    einv = _exp_coefficients(lambda k: -p.b(k), n_max)
 
     def repaired_checks():
         table = setup.moments
         for r in range(p.d):
             context = f"biorthogonal recursion, r = {r}"
-            for n in range(n_max + 1):  # n!/r! = perm(n, n - r)
-                lhs = Poly.const(math.perm(n, n - r) * ainv[n - r]) if n >= r else Poly.zero()
+            for n in range(n_max + 1):  # n!/r! Ainv_{n-r} = C(n, r) Einv_{n-r}
+                lhs = Poly.const(binomial(n, r) * einv[n - r]) if n >= r else Poly.zero()
                 yield n, lhs, Poly.const(table.apply(r, setup.closed_forms[n])), context
 
     def stated_checks():
         table = setup.moments
         for r in range(p.d):
             for n in range(r, n_max + 1):
-                lhs = Fraction(factorial(n - r), factorial(r)) * ainv[n - r]
+                lhs = einv[n - r] / factorial(r)
                 rhs = sum(binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
                           for k in range(r, n + 1))
                 yield n, Poly.const(lhs), Poly.const(rhs), f"stated recursion, r = {r}"

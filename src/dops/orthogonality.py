@@ -92,14 +92,17 @@ class RecurrenceTable(Record):
     (subscript m, superscript k) to the stored value; each pair enters
     exactly one step.  The superscript-0 class carries the regularity
     conditions gamma_{m+1}^0 != 0.  ``step`` is the one place a band
-    recurrence is run.  Equality and hashing leave ``gamma`` out.
+    recurrence is run.  The hash leaves the unhashable ``gamma`` dict out.
     """
 
     __slots__ = ("d", "n_max", "beta", "gamma")
-    _fields = ("d", "n_max", "beta")
+    _fields = __slots__
 
     def __init__(self, d: int, n_max: int, beta: tuple[Fraction, ...], gamma: dict[tuple[int, int], Fraction]):
         self.d, self.n_max, self.beta, self.gamma = d, n_max, beta, gamma
+
+    def __hash__(self):
+        return hash((self.d, self.n_max, self.beta))
 
     def gamma_at(self, m: int, k: int) -> Fraction:
         try:

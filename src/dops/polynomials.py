@@ -223,15 +223,15 @@ class Poly:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
             return Poly._make(out, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            f = as_rational(other)
-            return Poly._make([c * f.numerator for c in self.nums], self.den * f.denominator)
+        if isinstance(other, (int, Fraction)):  # both carry numerator and denominator
+            return Poly._make([c * other.numerator for c in self.nums],
+                              self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "Poly":
-        f = as_rational(other)
+        f = other if isinstance(other, (int, Fraction)) else as_rational(other)
         if f == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
         return Poly._make([c * f.denominator for c in self.nums], self.den * f.numerator)

@@ -93,8 +93,10 @@ def compositions(weight: int, parts: int):
 
 def composition_sum(values: Sequence[Fraction], weight: int) -> Fraction:
     """The multinomial sum of prod values[i-1]**k_i / k_i! over the tuples
-    with sum i*k_i = weight: the reference for entry ``weight`` of
-    ``dops.ml_suites._exp_coefficients(values, ...)``."""
+    with sum i*k_i = weight, the t**weight coefficient of exp(sum values[i-1]
+    t**i): times weight!, the reference for entry ``weight`` of
+    ``dops.ml_suites._exp_coefficients``, which reads the exponent in EGF
+    form, i! values[i-1] at t**i."""
     total = Fraction(0)
     for comp in compositions(weight, len(values)):
         term = Fraction(1)
@@ -231,7 +233,9 @@ def egf_extract(f: list[Poly]) -> list[Poly]:
 
 
 def series_log(f: list[Poly]) -> list[Poly]:
-    """log(f) for a series with constant term 1 (inverse of series_exp)."""
+    """log(f) in ordinary coefficients for a series with constant term 1:
+    the inverse of ``dops.series.egf_exp`` once both sides are read in EGF
+    form, egf_exp(egf_extract(series_log(f))) == egf_extract(f)."""
     if f[0] != Poly.one():
         raise ValueError("series_log requires constant term exactly 1")
     out = [Poly.zero()]

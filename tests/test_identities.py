@@ -2,6 +2,7 @@
 the parameter grid.  Reconciled identities must pass with the repair pinned
 in the notes, never silently."""
 
+import math
 import sys
 from fractions import Fraction as F
 from functools import cache
@@ -687,10 +688,11 @@ class TestExpCoefficients:
     @example([F(1, 2), F(-1, 3), F(2, 5)], 10)
     def test_entries_are_composition_sums(self, c, n_max):
         # d <= 4 carries at most three exponent coefficients; the sz4 form
-        # reads c and the moment recursion -c.
+        # reads c and the moment recursion -c, each in EGF form k! c_k = b_{k-1}.
         for values in (c, [-ci for ci in c]):
-            assert ml_suites._exp_coefficients(values, n_max) == [
-                oracles.composition_sum(values, m) for m in range(n_max + 1)]
+            egf = [math.factorial(k + 1) * v for k, v in enumerate(values)]
+            assert ml_suites._exp_coefficients(lambda k: egf[k] if k < len(egf) else 0, n_max) == [
+                math.factorial(m) * oracles.composition_sum(values, m) for m in range(n_max + 1)]
 
 
 # The row-sensitivity sweep: an N = 9 table with the x**0 coefficient of one

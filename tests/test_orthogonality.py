@@ -28,6 +28,7 @@ from dops.families import (
 from dops.orthogonality import (
     FitError,
     MomentTable,
+    RecurrenceTable,
     check_regularity,
     expand_in_basis,
     fit_recurrence,
@@ -108,6 +109,16 @@ class TestFitRecurrence:
                        + alpha * beta * k * (k - 1) * p.b(k - 2))
             for n in range(k, n_max):
                 assert table.gamma_at(n - k + 1, p.d - k) == -binomial(n, k) * bracket
+
+    def test_table_equality_reads_gamma(self):
+        # Two tables that differ only in gamma run different recurrences, so
+        # they are unequal; equal tables hash equal, gamma being a dict.
+        table = RecurrenceTable(1, 2, (0, 0), {(1, 0): 1})
+        assert table != RecurrenceTable(1, 2, (0, 0), {(1, 0): 2})
+        assert table.regenerate() != RecurrenceTable(1, 2, (0, 0), {(1, 0): 2}).regenerate()
+        same = RecurrenceTable(1, 2, (0, 0), {(1, 0): F(1)})
+        assert table == same and hash(table) == hash(same)
+        assert table != RecurrenceTable(1, 2, (0, 1), {(1, 0): 1})
 
     def test_round_trip(self):
         polys = ml_by_recurrence(MLParams(3, 1, -1, [1, F(1, 2)]), 9)

@@ -76,6 +76,17 @@ class TestPolyBasics:
         assert Poly([1, 1]) * Poly([-1, 1]) == Poly([-1, 0, 1])
         assert Poly.monomial(2) * Poly.monomial(3) == Poly.monomial(5)
 
+    @given(polys, st.integers(min_value=-50, max_value=50))
+    @example(Poly([F(1, 2), F(-3, 4)]), -6)
+    @example(Poly.zero(), -1)
+    def test_int_scalars_act_as_their_fraction(self, p, m):
+        assert p * m == p * F(m) == m * p == Poly([c * m for c in p.coeffs])
+        if m:
+            assert p / m == p / F(m) == Poly([c / m for c in p.coeffs])
+        for zero in (0, F(0)):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+
     def test_str(self):
         assert str(Poly([0, 2, 0, 1])) == "x^3 + 2*x"
         assert str(Poly([F(-1, 2), -1])) == "-x - 1/2"
