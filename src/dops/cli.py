@@ -18,7 +18,6 @@ import argparse
 import gc
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 
 from .families import Family, FamilyParamError, _rational, as_int, comma_list, read_params
 from .identities import WARNING_PREFIX, FamilySetup, VerificationReport, family_suites
-from .polynomials import Poly, as_rational, format_rational
+from .polynomials import Poly, as_rational, format_coeffs, format_rational
 
 DEFAULT_ORDER_ENV = "DOPS_DEFAULT_ORDER"
 FAMILIES = tuple(Family.table())
@@ -135,11 +134,8 @@ def build_setup(cfg: dict) -> FamilySetup:
 
 
 def _poly_row(p: Poly, n: int) -> dict:
-    """Row n of a table: p's coefficients as p/q strings by one gcd each, padded with "0"."""
-    den, coeffs = p.den, []
-    for c in p.nums:
-        g = math.gcd(c, den)
-        coeffs.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    """Row n of a table: p's coefficients as p/q strings, padded with "0"."""
+    coeffs = format_coeffs(p)
     return {"n": n, "coeffs": coeffs + ["0"] * (n + 1 - len(coeffs))}
 
 

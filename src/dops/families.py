@@ -51,7 +51,6 @@ from .polynomials import (
     binomial,
     delta_w,
     derivative,
-    factorial,
     format_rational,
 )
 from .orthogonality import RecurrenceTable
@@ -183,7 +182,7 @@ class MLParams(_Params):
     def b(self, k: int) -> Fraction:
         """Recurrence parameter b_k = (k+1)! c_{k+1}; zero for k >= d-1."""
         if 0 <= k <= self.d - 2:
-            return factorial(k + 1) * self.c[k]
+            return math.factorial(k + 1) * self.c[k]
         return Fraction(0)
 
     def lam(self, n: int) -> Fraction:
@@ -385,7 +384,7 @@ def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
     a theta in x.  The beta_exp terms cancel in every gamma class below the
     top one, since -k! + 2k (k-1)! - k(k-1) (k-2)! = 0."""
     a, beta, b = params.a, params.beta_exp, params.b_at
-    table = ml_recurrence_table(a, a, lambda k: b(k + 1) - factorial(k) * a ** (k + 1) * beta,
+    table = ml_recurrence_table(a, a, lambda k: b(k + 1) - math.factorial(k) * a ** (k + 1) * beta,
                                 params.d, n_max)
     translation = a * params.theta
     return RecurrenceTable(table.d, n_max, tuple(beta_n - translation for beta_n in table.beta),
@@ -399,8 +398,8 @@ def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
     a**n (n! theta - (n-1)! beta_exp) + b_n.  Its t = 0 constant theta + b_0
     is never formed, so P_0 = 1 exactly."""
     a, beta, theta = params.a, params.beta_exp, params.theta
-    return _by_gf(a, a, lambda n: a ** n * (factorial(n) * theta - factorial(n - 1) * beta)
-                  + params.b_at(n), n_max)
+    return _by_gf(a, a, lambda n: a ** n * (math.factorial(n) * theta
+                                            - math.factorial(n - 1) * beta) + params.b_at(n), n_max)
 
 
 # ---------------------------------------------------------------------------

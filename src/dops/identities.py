@@ -71,7 +71,7 @@ from .polynomials import (
     Record,
     Row,
     as_rational,
-    format_rational,
+    format_coeffs,
     lincomb,
 )
 
@@ -104,8 +104,8 @@ class Witness(Record):
         return {
             "n": self.n,
             "context": self.context,
-            "expected": [format_rational(c) for c in self.expected.coeffs],
-            "actual": [format_rational(c) for c in self.actual.coeffs],
+            "expected": format_coeffs(self.expected),
+            "actual": format_coeffs(self.actual),
         }
 
 

@@ -12,7 +12,7 @@ import math
 
 from .identities import (FamilySetup, VerificationReport, _reconciled, _report,
                          verify_orthogonality, verify_regularity, verify_routes)
-from .polynomials import Poly, derivative, factorial, lincomb
+from .polynomials import Poly, derivative, lincomb
 
 __all__ = ["SUITES", "verify_laguerre_structure"]
 
@@ -30,7 +30,7 @@ def verify_laguerre_structure(setup: FamilySetup) -> list[VerificationReport]:
     a = p.a
     hi = setup.order - 1
     # The n-free factor of the P_{n-i} term, i = 2..d.
-    tail = {i: a * p.b_at(i - 1) / factorial(i - 2) - p.b_at(i) / factorial(i - 1)
+    tail = {i: a * p.b_at(i - 1) / math.factorial(i - 2) - p.b_at(i) / math.factorial(i - 1)
             for i in range(2, p.d + 1)}
 
     def rhs_at(n: int) -> Poly:

@@ -20,7 +20,7 @@ from .identities import (FamilySetup, VerificationReport, _not_applicable, _rati
                          _reconciled, _report, verify_orthogonality, verify_regularity,
                          verify_routes)
 from .orthogonality import RecurrenceTable
-from .polynomials import Poly, binomial, delta_w, factorial, format_rational, lincomb, shift
+from .polynomials import Poly, binomial, delta_w, format_rational, lincomb, shift
 from .series import egf_exp, ratio_power_exponent
 
 __all__ = ["SUITES", "verify_hahn", "verify_nccd", "verify_sr_block", "verify_sr2", "verify_de",
@@ -399,8 +399,8 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
             for s in range(n + 1):
                 for m in range(min(s, n - 1) + 1):  # m = n: window of negative length
                     # n!/((n-s)! (s-m)! m!) A_m = C(n, s) C(s, m) E_m / m!
-                    coef = (Fraction(binomial(n, s) * binomial(s, m), factorial(m)) * e_coeffs[m]
-                            * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m)
+                    coef = (Fraction(binomial(n, s) * binomial(s, m), math.factorial(m))
+                            * e_coeffs[m] * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m)
                     if coef != 0:
                         terms.append((coef, Poly.x(), rows[n - m][s - m]))
             yield n, lincomb(terms), truth[n], "stated multinomial form"
@@ -454,7 +454,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         table = setup.moments
         for r in range(p.d):
             for n in range(r, n_max + 1):
-                lhs = einv[n - r] / factorial(r)
+                lhs = einv[n - r] / math.factorial(r)
                 rhs = sum(binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
                           for k in range(r, n + 1))
                 yield n, Poly.const(lhs), Poly.const(rhs), f"stated recursion, r = {r}"

@@ -12,21 +12,23 @@ sequences being equal.  That coefficientwise equality is the single
 pass/fail criterion used by every identity check in the package; nothing is
 ever compared numerically.
 
-Every ``Poly`` operation (sums, scalar and ``Poly`` products, division by a
-scalar, ``shift`` and ``derivative``) works on the Python-int numerators and
-reduces once at the end, so no operation does ``Fraction`` arithmetic per
-coefficient.  ``lincomb`` extends that to a whole linear combination: a sum
-of scaled polynomials or scaled products is added up in integers over one
-common denominator and reduced once, not once per term.  The reduced
-``Fraction`` coefficients, ``Poly.coeffs``, are built only when something
-reads them, such as a serializer.
+Every ``Poly`` operation works on the Python-int numerators and reduces
+once at the end, so no operation does ``Fraction`` arithmetic per
+coefficient.  ``lincomb`` is the one kernel for sums and products: a whole
+linear combination of scaled polynomials or scaled products is added up in
+integers over one common denominator and reduced once, not once per term.
+``+``, ``-``, ``Poly`` products and ``delta_w`` are each one ``lincomb``
+call; a scalar product or quotient rescales the numerators and the
+denominator, and ``shift`` and ``derivative`` have their own integer loops.
+The reduced ``Fraction`` coefficients, ``Poly.coeffs``, are built only when
+something reads them; the serializer ``format_coeffs`` does not.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -38,11 +40,11 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "format_rational",
+    "format_coeffs",
     "shift",
     "delta_w",
     "derivative",
     "binomial",
-    "factorial",
 ]
 
 
@@ -77,14 +79,20 @@ def format_rational(value: RationalLike) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def format_coeffs(p: Poly) -> list[str]:
+    """p's coefficients as format_rational renders them, "0" for a zero one,
+    from the integer numerators by one gcd each."""
+    den, out = p.den, []
+    for c in p.nums:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
+
+
 def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 class Poly:
@@ -191,38 +199,16 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._plus(other.nums, other.den)
+        return lincomb(((1, self), (1, other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._plus([-c for c in other.nums], other.den)
-
-    def _plus(self, b: Sequence[int], db: int) -> "Poly":
-        """self + b/db, over the lcm of the two denominators."""
-        a, da = self.nums, self.den
-        if da != db:
-            g = math.gcd(da, db)
-            a = [c * (db // g) for c in a]
-            b = [c * (da // g) for c in b]
-            da *= db // g
-        if len(a) < len(b):
-            a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
-        out += a[len(b):]
-        return Poly._make(out, da)
+        return lincomb(((1, self), (-1, other)))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return Poly.zero()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly._make(out, self.den * other.den)
+            return lincomb(((1, self, other),))
         if isinstance(other, (int, Fraction)):  # both carry numerator and denominator
             return Poly._make([c * other.numerator for c in self.nums],
                               self.den * other.denominator)
@@ -315,7 +301,7 @@ def lincomb(terms: Iterable[tuple]) -> Poly:
     each numerator of the shorter factor is scaled once by c.num*(L // den)
     and multiply-added against the longer one into one integer list (a
     2-tuple's second factor is 1), and that list over L is reduced once.  The
-    result equals the left fold of ``+`` over the terms.
+    result equals the sum of the terms taken in Fraction coefficients.
     """
     kept = []
     for c, p, *q in terms:
@@ -367,7 +353,7 @@ def shift(p: Poly, h: RationalLike) -> Poly:
 
 
 def delta_w(p: Poly, w: RationalLike) -> Poly:
-    """Forward divided difference (p(x+w) - p(x)) / w: shift(p, w) - p over w in one _make.
+    """Forward divided difference (p(x+w) - p(x)) / w, as one ``lincomb``.
 
     Lowers the degree by exactly one and annihilates constants.  w = 0 is
     rejected; the w -> 0 limit is the formal derivative.
@@ -375,8 +361,8 @@ def delta_w(p: Poly, w: RationalLike) -> Poly:
     w = as_rational(w)
     if w == 0:
         raise ValueError("delta_w requires w != 0; use derivative() for the w -> 0 limit")
-    diff = shift(p, w) - p
-    return Poly._make([c * w.denominator for c in diff.nums], diff.den * w.numerator)
+    inv = 1 / w
+    return lincomb(((inv, shift(p, w)), (-inv, p)))
 
 
 def derivative(p: Poly) -> Poly:

@@ -7,12 +7,12 @@ route to an object ``dops.series``, ``dops.polynomials``, ``dops.families``,
 
 import math
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from dops.families import FamilyParamError
 from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
-from dops.polynomials import (Poly, RationalLike, as_rational, binomial, delta_w, factorial, lincomb,
-                              shift)
+from dops.polynomials import Poly, RationalLike, as_rational, binomial, delta_w, lincomb, shift
 
 
 def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

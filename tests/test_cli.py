@@ -341,7 +341,34 @@ class TestConfigResolution:
         **{f"hyp-beta-{command}": ([command, "--family", "hyp-laguerre", "--d", "2",
                                     "--alphavec", "1/2,1/3", "--beta", "-2"], "beta = -2")
            for command in ("gen", "moments", "verify")},
+        # Counts and lengths the parameter classes check.
+        "zero-d": (["gen", "--family", "ml", "--d", "0", "--alpha", "1", "--beta", "-1"],
+                   "d must be a positive integer"),
+        "zero-l": (["gen", "--family", "hyp-laguerre", "--d", "2", "--alphavec", "1/2,1/3",
+                    "--l", "0"], "--l must be a positive integer"),
+        "short-b": (["gen", "--family", "laguerre", "--d", "3", "--a", "1", "--b", "1,2"],
+                    "expected 3 exponent coefficients b"),
+        "short-alphavec": (["gen", "--family", "hyp-laguerre", "--d", "2", "--alphavec", "1/2"],
+                           "expected 2 parameters alphavec"),
     }
+
+    # Files the run cannot read: file name and contents (None: not written),
+    # the flag that names it, and the error.
+    BAD_FILES = {
+        "missing-config": (None, "--config", "cannot read config file"),
+        "list-config": ("[1, 2]", "--config", "config file must hold a JSON object"),
+        "missing-table": (None, "--from-table", "cannot read table artifact"),
+        "invalid-table": ("{bad", "--from-table", "cannot read table artifact"),
+    }
+
+    @pytest.mark.parametrize("text, flag, named", BAD_FILES.values(), ids=BAD_FILES.keys())
+    def test_unreadable_file_is_bad_input(self, tmp_path, capsys, text, flag, named):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(["verify", flag, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_suites_entry_is_read_by_suite_commands(self, tmp_path, capsys, command):

@@ -43,7 +43,7 @@ from dops.ml_suites import (
     verify_sz5,
     _hahn_shift,
 )
-from dops.orthogonality import (FitError, fit_recurrence, moments_by_inversion,
+from dops.orthogonality import (FitError, RecurrenceTable, fit_recurrence, moments_by_inversion,
                                 quasi_orthogonality_order)
 from dops.polynomials import Poly, Row, delta_w, lincomb, shift
 import oracles
@@ -779,6 +779,46 @@ class TestRowSensitivity:
     def test_one_short_ranges(self, family, identity, k, m):
         statuses = {r.identity: r.status for r in sweep_reports(family, k, m)}
         assert statuses[identity] == "fail"
+
+
+def moved(polys, n):
+    """A copy of polys with 1/7 added to entry n."""
+    return [p + Poly.const(F(1, 7)) if m == n else p for m, p in enumerate(polys)]
+
+
+class TestTruthSensitivity:
+    """Each suite must fail when the side it compares the family against is
+    moved, not only when the table is: routes against the generating-function
+    route, hahn against the predicted companion shift of the fitted table,
+    sz5 against the exponent-route series."""
+
+    @staticmethod
+    def statuses(setup, identity):
+        return {r.status for r in family_suites("ml")[identity](setup)}
+
+    @pytest.fixture
+    def setup(self):
+        return FamilySetup("ml", 10, MLParams(2, 1, -1, [1]))
+
+    @pytest.mark.parametrize("identity", ["routes", "hahn", "sz5"])
+    def test_unmoved_truth_passes(self, setup, identity):
+        assert self.statuses(setup, identity) == {"pass"}
+
+    def test_routes_reads_the_generating_function(self, setup):
+        setup.__dict__["gf"] = moved(setup.gf, 5)
+        assert "fail" in self.statuses(setup, "routes")
+
+    def test_hahn_reads_the_family_table(self, setup):
+        t = setup.p_table
+        beta = tuple(b + F(1, 7) if n == 4 else b for n, b in enumerate(t.beta))
+        setup.__dict__["p_table"] = RecurrenceTable(t.d, t.n_max, beta, t.gamma)
+        assert "fail" in self.statuses(setup, "hahn")
+
+    def test_sz5_reads_the_exponent_series(self, setup, monkeypatch):
+        exponent = ml_suites.ratio_power_exponent
+        monkeypatch.setattr(ml_suites, "ratio_power_exponent",
+                            lambda *args: moved(exponent(*args), 3))
+        assert "fail" in self.statuses(setup, "sz5")
 
 
 # The sweep's families and the hyp family whose aligned reduction is skipped.

@@ -9,6 +9,7 @@ routes in ``tests/oracles.py`` on random graded bases.
 
 from collections import Counter
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from dops.orthogonality import (
     quasi_orthogonality_order,
     verify_d_orthogonality,
 )
-from dops.polynomials import Poly, binomial, delta_w, factorial, lincomb, shift
+from dops.polynomials import Poly, binomial, delta_w, lincomb, shift
 
 X = Poly.x()
 

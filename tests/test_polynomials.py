@@ -14,6 +14,7 @@ from dops.polynomials import (
     binomial,
     delta_w,
     derivative,
+    format_coeffs,
     format_rational,
     lincomb,
     parse_rational,
@@ -245,6 +246,11 @@ class TestStorage:
         assert p.is_zero() == (not a)
 
     @given(storage_polys)
+    @example(Poly([0, F(1, 6), F(2, 3), 1]))
+    def test_format_coeffs_matches_format_rational(self, p):
+        assert format_coeffs(p) == [format_rational(c) for c in p.coeffs]
+
+    @given(storage_polys)
     def test_coeffs_round_trip(self, p):
         again = Poly(p.coeffs)
         assert again == p
@@ -270,17 +276,20 @@ class TestStorage:
         p = Poly([F(1, 2), F(-2, 3), 1])
         table = MomentTable(d=1, n_max=3, rows=(((35, 7, -15, 70), 35),))
         assert table.apply(0, p) == F(1, 2) + F(-2, 3) * F(1, 5) + F(-3, 7)
-        p.degree, p.is_zero(), p.is_monic(), p.coefficient(1), str(p)
+        p.degree, p.is_zero(), p.is_monic(), p.coefficient(1), str(p), format_coeffs(p)
         p + p, p * p, p * 2, p / 3, shift(p, F(1, 2)), derivative(p)
         assert not hasattr(p, "_coeffs")
 
 
 def left_fold(terms):
-    """Reference sum of (c, p) and (c, p, q) terms through the Poly operators."""
-    acc = Poly.zero()
+    """Reference sum of (c, p) and (c, p, q) terms, folded in Fraction
+    coefficients with ``naive_mul`` and ``fraction_add``: no ``lincomb`` and
+    no ``Poly`` operator, both of which are ``lincomb`` underneath."""
+    acc = ()
     for c, p, *q in terms:
-        acc = acc + (p * q[0] if q else p) * as_rational(c)
-    return acc
+        c = as_rational(c)
+        acc = fraction_add(acc, tuple(c * a for a in (naive_mul(p, q[0]) if q else p).coeffs))
+    return Poly(acc)
 
 
 big_rationals = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
@@ -295,7 +304,7 @@ terms_lists = st.lists(st.tuples(coefficients, term_polys)
 
 class TestLincomb:
     """lincomb adds its terms over one common denominator and reduces once;
-    it must give the exact (nums, den) pair of the operator fold."""
+    it must give the exact (nums, den) pair of the Fraction fold."""
 
     @settings(deadline=None)
     @given(terms_lists)

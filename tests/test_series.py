@@ -6,13 +6,14 @@ the oracles work in ordinary coefficients, and ``egf_extract`` and
 ``ordinary`` convert between the two."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dops.identities import ratio_power_closed_form
-from dops.polynomials import Poly, factorial
+from dops.polynomials import Poly
 from dops import families
 from dops.families import LagParams, MLParams, laguerre_type_by_gf, ml_by_gf
 from dops.series import egf_exp, ratio_power_exponent
