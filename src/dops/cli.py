@@ -140,20 +140,29 @@ def _poly_row(p: Poly, n: int) -> dict:
 
 
 def latex_rational(value) -> str:
+    """A rational as a math-mode cell: $p$ or $\\frac{p}{q}$, signed."""
     f = as_rational(value)
     if f.denominator == 1:
-        return str(f.numerator)
+        return f"${f.numerator}$"
     sign = "-" if f.numerator < 0 else ""
-    return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+    return f"${sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}$"
+
+
+# Text-mode spellings of TeX's special characters, and of < and >, which the
+# default font encoding prints as inverted punctuation.
+_TEX_TEXT = str.maketrans({"\\": r"\textbackslash{}", "{": r"\{", "}": r"\}", "$": r"\$",
+                           "&": r"\&", "#": r"\#", "%": r"\%", "_": r"\_",
+                           "^": r"\textasciicircum{}", "~": r"\textasciitilde{}",
+                           "<": r"\textless{}", ">": r"\textgreater{}"})
 
 
 def _padded_rows(gen: dict, order: int, cell):
     """(label, n, cells) for every P row, then every Q row: cell(c) for each
-    coefficient c, padded with "0" to N + 1 columns."""
+    coefficient c, padded with cell("0") to N + 1 columns."""
     for label, key in (("P", "polys"), ("Q", "q_polys")):
         for row in gen.get(key, ()):
             coeffs = row["coeffs"]
-            yield label, row["n"], [*map(cell, coeffs), *["0"] * (order + 1 - len(coeffs))]
+            yield label, row["n"], [*map(cell, coeffs), *[cell("0")] * (order + 1 - len(coeffs))]
 
 
 def _tabular(columns: str, header: list, rows) -> str:
@@ -166,7 +175,8 @@ def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
     """The artifact as text.  json is the canonical artifact.  csv holds the
     P/Q rows (gen), the reports (verify, report) or the moments and then the
     pattern checks (moments); latex holds one tabular per table, and report
-    gives its gen, reports and moments tables in turn."""
+    gives its gen, reports and moments tables in turn, with every formula in
+    math mode and every text cell escaped."""
     if fmt == "json":
         return json.dumps(artifact, indent=2, sort_keys=True) + "\n"
     columns = range(order + 1)
@@ -194,18 +204,19 @@ def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
     if command in ("gen", "report"):
         gen = artifact["generated"] if command == "report" else artifact
         tables.append("% polynomial table: coefficients ascending by power\n" + _tabular(
-            "r|" + "r" * len(columns), ["n", *(f"x^{{{k}}}" for k in columns)],
-            ([f"{label}_{{{n}}}", *cells]
+            "r|" + "r" * len(columns), ["$n$", *(f"$x^{{{k}}}$" for k in columns)],
+            ([f"${label}_{{{n}}}$", *cells]
              for label, n, cells in _padded_rows(gen, order, latex_rational))))
     if command in ("verify", "report"):
         tables.append(_tabular(
             "llrrl", ["identity", "status", "$n_{\\min}$", "$n_{\\max}$", "notes"],
-            ([r["identity"], r["status"], *r["range"], "; ".join(r["notes"]).replace("_", "\\_")]
+            ([r["identity"].translate(_TEX_TEXT), r["status"], *r["range"],
+              "; ".join(r["notes"]).translate(_TEX_TEXT)]
              for r in artifact["reports"])))
     if moments:
         tables.append(_tabular(
             "r|" + "r" * len(columns),
-            ["r", *(f"\\langle u_r, x^{{{k}}}\\rangle" for k in columns)],
+            ["$r$", *(f"$\\langle u_r, x^{{{k}}}\\rangle$" for k in columns)],
             ([row["r"], *map(latex_rational, row["values"])] for row in moments["moments"])))
     return "\n".join(tables)
 
@@ -252,14 +263,16 @@ def _write_output(text: str, out: Optional[str]):
 
 def run_suites(setup: FamilySetup, suites: Sequence[str] = ()) -> list[VerificationReport]:
     """The reports of the named suites, or of all the family's suites if none
-    are named, in order and on the one setup; an unknown id is a usage error
-    before any suite runs."""
+    are named, in order and on the one setup; an unknown or repeated id is a
+    usage error before any suite runs."""
     registry = family_suites(setup.kind)
     suites = suites or list(registry)
     for suite in suites:
         if suite not in registry:
             raise CliError(f"unknown suite {suite!r} for family {setup.kind!r}; "
                            f"choose from {', '.join(registry)}")
+        if suites.count(suite) > 1:
+            raise CliError(f"suite {suite!r} is named more than once; name each suite once")
     return [report for suite in suites for report in registry[suite](setup)]
 
 

@@ -277,8 +277,8 @@ class FamilySetup(Record):
     def lower(self):
         """The family's lowering operator, Poly -> Poly."""
         if self.family.lower is None:
-            raise ValueError("companion sequence is only defined for the ml, charlier, "
-                             "and laguerre families")
+            raise ValueError(f"the {self.kind} family has no lowering operator, "
+                             "so no companion sequence")
         return partial(self.family.lower, self.params)
 
     @cached_property

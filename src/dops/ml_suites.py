@@ -31,13 +31,6 @@ __all__ = ["SUITES", "verify_hahn", "verify_nccd", "verify_sr_block", "verify_sr
 FREE_CONSTANT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-2, 3))
 
 
-def _linear(c: Fraction, slope: Fraction | int = 1) -> Poly:
-    """c + slope*x over the common denominator, with no coercion of either."""
-    den = math.lcm(c.denominator, slope.denominator)
-    return Poly._make([c.numerator * (den // c.denominator),
-                       slope.numerator * (den // slope.denominator)], den)
-
-
 # ---------------------------------------------------------------------------
 # Companions
 # ---------------------------------------------------------------------------
@@ -168,7 +161,7 @@ def _sr6_checks(p, polys, q, n_max: int, variant: str):
     The brackets beta i b_{i-1} - b_i and the factors x - c are formed once."""
     beta, b0 = p.beta, p.b(0)
     brackets = [Poly.const(beta * i * p.b(i - 1) - p.b(i)) for i in range(1, p.d)]
-    samples = [(c, -c, _linear(-c), f"(x - {format_rational(c)})Q_n, variant {variant}")
+    samples = [(c, -c, Poly((-c, 1)), f"(x - {format_rational(c)})Q_n, variant {variant}")
                for c in FREE_CONSTANT_SAMPLES]
     sign = -1 if variant == "stated" else 1
     for n in range(n_max):
@@ -209,14 +202,14 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
                        for i in range(2, d + 1) for j in range(i, d + 1))
 
     def checks(variant):
-        samples = [(c, -c, _linear(-c), f"c = {format_rational(c)}, variant {variant}")
+        samples = [(c, -c, Poly((-c, 1)), f"c = {format_rational(c)}, variant {variant}")
                    for c in FREE_CONSTANT_SAMPLES]
         for n in range(lo, hi + 1):
             q_table = setup.q_table  # fitted only when the range holds an index
             s = correction_sum(q_table, n)
             lam = p.lam(n)
             lam_xi = lam + q_table.beta[n - 1]
-            x_lam, lam_lam_xi = _linear(lam), lam * lam_xi
+            x_lam, lam_lam_xi = Poly((lam, 1)), lam * lam_xi
             for c, minus_c, x_minus_c, label in samples:
                 if variant == "stated":
                     rhs = lincomb(((1, polys[n]), (lam_xi - c, polys[n - 1]), (-1, s)))
@@ -224,7 +217,7 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
                     rhs = lincomb(((1, polys[n]), (lam_xi, polys[n - 1]), (minus_c, q[n - 1]), (-1, s)))
                 yield n, x_minus_c * q[n - 1], rhs, "plain form, " + label
                 if variant == "stated":
-                    rhs2 = lincomb(((1, _linear(lam - c), polys[n]),
+                    rhs2 = lincomb(((1, Poly((lam - c, 1)), polys[n]),
                                     (lam * (lam_xi - c), polys[n - 1]), (-lam, s)))
                 else:
                     rhs2 = lincomb(((1, x_lam, polys[n]), (minus_c, q[n]),
@@ -299,7 +292,7 @@ def verify_de(setup: FamilySetup, k: Optional[int] = None) -> VerificationReport
                 const = base - weight * n - slope * beta_n
                 if corrections:
                     const -= sum(c * g for c, g in zip(corrections, gammas))
-                terms.append((1, _linear(const, slope), dw[i]))
+                terms.append((1, Poly((const, slope)), dw[i]))
             if k is None:
                 lhs = deltas[n - d][0] * (n - d)
             else:

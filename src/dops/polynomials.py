@@ -12,16 +12,17 @@ sequences being equal.  That coefficientwise equality is the single
 pass/fail criterion used by every identity check in the package; nothing is
 ever compared numerically.
 
-Every ``Poly`` operation works on the Python-int numerators and reduces
-once at the end, so no operation does ``Fraction`` arithmetic per
-coefficient.  ``lincomb`` is the one kernel for sums and products: a whole
-linear combination of scaled polynomials or scaled products is added up in
-integers over one common denominator and reduced once, not once per term.
-``+``, ``-``, ``Poly`` products and ``delta_w`` are each one ``lincomb``
-call; a scalar product or quotient rescales the numerators and the
-denominator, and ``shift`` and ``derivative`` have their own integer loops.
-The reduced ``Fraction`` coefficients, ``Poly.coeffs``, are built only when
-something reads them; the serializer ``format_coeffs`` does not.
+``Poly(...)`` is the one way in from rationals and ``_make`` the one way in
+from integers.  Every ``Poly`` operation works on the Python-int numerators
+and reduces once at the end, so no operation does ``Fraction`` arithmetic
+per coefficient.  ``lincomb`` is the one kernel for sums and products: a
+whole linear combination of scaled polynomials or scaled products is added
+up in integers over one common denominator and reduced once, not once per
+term.  ``+``, ``-``, ``Poly`` products and ``delta_w`` are each one
+``lincomb`` call; a scalar product or quotient rescales the numerators and
+the denominator, and ``shift`` and ``derivative`` have their own integer
+loops.  The reduced ``Fraction`` coefficients, ``Poly.coeffs``, are built
+only when something reads them; the serializer ``format_coeffs`` does not.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class Poly:
     den: int
 
     def __new__(cls, coeffs: Iterable[RationalLike] = ()):
-        cs = [as_rational(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else as_rational(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         return cls._make([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -170,12 +171,7 @@ class Poly:
 
     @classmethod
     def const(cls, c: RationalLike) -> "Poly":
-        return cls.monomial(0, c)
-
-    @classmethod
-    def monomial(cls, k: int, c: RationalLike = 1) -> "Poly":
-        f = as_rational(c)
-        return cls._make([0] * k + [f.numerator], f.denominator)
+        return cls((c,))
 
     # -- structure ----------------------------------------------------------
 

@@ -340,7 +340,7 @@ def moments_by_inversion(polys: Sequence[Poly], d: int) -> MomentTable:
         raise ValueError(f"need degrees through at least d = {d}")
     rows: list[list[Fraction]] = [[] for _ in range(d)]
     for k in range(n_max + 1):
-        coeffs = expand_in_basis(Poly.monomial(k), polys)
+        coeffs = expand_in_basis(Poly([0] * k + [1]), polys)
         coeffs += [Fraction(0)] * (n_max + 1 - len(coeffs))
         for r in range(d):
             rows[r].append(coeffs[r])
@@ -367,7 +367,7 @@ def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
         while m + (m * d + r) <= n_max:
             base = m * d + r
             for n in range(base, min(n_max - m, len(polys) - 1) + 1):
-                value = table.apply(r, Poly.monomial(m) * polys[n])
+                value = table.apply(r, Poly([0] * m + [1]) * polys[n])
                 if n == base:
                     checks.append(OrthogonalityCheck(r, m, n, "nonzero", value, value != 0))
                 else:

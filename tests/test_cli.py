@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from dops import cli
 from dops.cli import main, run_suites
-from dops.families import Family, HypParams, LagParams, MLParams
+from dops.families import INT, Family, HypParams, LagParams, MLParams
 from dops.identities import FamilySetup
 from dops.polynomials import Poly, format_rational
 
@@ -144,8 +145,8 @@ class TestGen:
     def test_hyp_family_has_no_companion(self, capsys):
         code, _, err = run_cli(["gen", "--family", "hyp-laguerre", "--d", "1",
                                 "--alphavec", "1/2", "--order", "2", "--with-q"], capsys)
-        assert (code, err) == (2, "error: companion sequence is only defined for the ml, "
-                                  "charlier, and laguerre families\n")
+        assert (code, err) == (2, "error: the hyp-laguerre family has no lowering operator, "
+                                  "so no companion sequence\n")
 
     def test_family_choices_keep_their_order(self, tmp_path, capsys):
         assert cli.FAMILIES == ("ml", "laguerre", "hyp-laguerre", "charlier")
@@ -307,6 +308,9 @@ class TestConfigResolution:
         "top-level-parameter": ("gen", {"family": "laguerre", "d": 1, "parameters": {"a": 1},
                                         "theta": "1/2"}, "'theta'"),
         "misspelt-key": ("gen", {"oder": 3}, "'oder'"),
+        # A repeated suite would run twice and count twice in the summary.
+        "repeated-suite": ("verify", {"suites": ["quasi-order", "quasi-order"]},
+                           "suite 'quasi-order' is named more than once"),
     }
 
     @pytest.mark.parametrize("command, override, named", MALFORMED.values(), ids=MALFORMED.keys())
@@ -338,6 +342,9 @@ class TestConfigResolution:
                                   "--alphavec", "1/2,,1/3"], "--alphavec has an empty entry"),
         "empty-suites-entry": (["verify", "--family", "ml", "--alpha", "1", "--beta", "-1",
                                 "--suites", "routes,,nccd"], "--suites has an empty entry"),
+        "repeated-suite": (["verify", "--family", "ml", "--d", "1", "--alpha", "1", "--beta", "-1",
+                            "--suites", "routes,nccd,routes"],
+                           "suite 'routes' is named more than once"),
         **{f"hyp-beta-{command}": ([command, "--family", "hyp-laguerre", "--d", "2",
                                     "--alphavec", "1/2,1/3", "--beta", "-2"], "beta = -2")
            for command in ("gen", "moments", "verify")},
@@ -386,6 +393,20 @@ class TestConfigResolution:
         code, out, err = run_cli([*argv, "--order", "4"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and named in err
+
+    def test_parameter_flags_match_the_fields(self):
+        """Every parameter field but d has a flag, hyphens for underscores,
+        that sets the field's name; no parameter flag lacks a field; an int
+        field's flag parses to int and any other is read as text."""
+        fields = {name: kind for family in Family.table().values()
+                  for name, kind, _ in family.params.FIELDS if name != "d"}
+        flags = {action.option_strings[0]: action
+                 for action in cli._common_options()._actions
+                 if action.dest not in (*cli.RUN_KEYS, "config", "help")}
+        assert sorted(flags) == sorted(f"--{name.replace('_', '-')}" for name in fields)
+        for flag, action in flags.items():
+            assert action.dest in fields, flag
+            assert action.type is (int if fields[action.dest] == INT else None), flag
 
     def test_build_setup_is_the_setup_hook(self, monkeypatch):
         """The benchmark times setup alone by replacing cli.build_setup with a
@@ -935,6 +956,23 @@ class TestReport:
                                 "--order", "6", "--format", "latex"], capsys)
         assert code == 0
         assert out.count("\\begin{tabular}") >= 2
+
+    # charlier at d = 1 writes "gamma^0" and "d >= 2" in its notes.
+    @pytest.mark.parametrize("family", [ML, CHARLIER, ["--family", "charlier", "--d", "1",
+                                                       "--beta", "-1"], LAGUERRE, HYP],
+                             ids=["ml", "charlier", "charlier-d1", "laguerre", "hyp"])
+    def test_latex_keeps_formulas_in_math_mode(self, capsys, family):
+        """No TeX engine is at hand, so every cell of every table is split
+        out and, outside its $...$ spans, must hold no fraction, superscript,
+        unescaped subscript, angle bracket or stray dollar."""
+        code, out, _ = run_cli(["report", *family, "--order", "6", "--format", "latex"], capsys)
+        assert code == 0
+        cells = [cell for line in out.splitlines() if not line.startswith(("\\begin", "\\end", "%"))
+                 for cell in line.removesuffix(" \\\\ \\hline").removesuffix(" \\\\").split(" & ")]
+        assert any(cell.startswith("$") for cell in cells)
+        for cell in cells:
+            text = re.sub(r"(?<!\\)\$.*?(?<!\\)\$", "", cell)
+            assert not re.search(r"\\frac|\\langle|\^|(?<!\\)[_$<>]", text), cell
 
 
 class TestEntryPoint:

@@ -43,8 +43,8 @@ from dops.ml_suites import (
     verify_sz5,
     _hahn_shift,
 )
-from dops.orthogonality import (FitError, RecurrenceTable, fit_recurrence, moments_by_inversion,
-                                quasi_orthogonality_order)
+from dops.orthogonality import (FitError, MomentTable, RecurrenceTable, fit_recurrence,
+                                moments_by_inversion, quasi_orthogonality_order)
 from dops.polynomials import Poly, Row, delta_w, lincomb, shift
 import oracles
 from oracles import pochhammer
@@ -749,7 +749,7 @@ def sweep_reports(family, k=None, m=None):
     kind, params = SWEEP_FAMILIES[family]
     table = list(sweep_table(family))
     if k is not None:
-        table[m] = table[m] + Poly.monomial(k, F(1, 7))
+        table[m] = table[m] + Poly([0] * k + [F(1, 7)])
     setup = FamilySetup(kind, SWEEP_ORDER, params, table)
     return [report for suite in family_suites(kind).values() for report in suite(setup)]
 
@@ -790,17 +790,22 @@ class TestTruthSensitivity:
     """Each suite must fail when the side it compares the family against is
     moved, not only when the table is: routes against the generating-function
     route, hahn against the predicted companion shift of the fitted table,
-    sz5 against the exponent-route series."""
+    sz5 against the exponent-route series, and every suite below against the
+    computed object it reads."""
 
     @staticmethod
     def statuses(setup, identity):
         return {r.status for r in family_suites("ml")[identity](setup)}
 
+    def assert_fail(self, setup, *identities):
+        assert [i for i in identities if "fail" not in self.statuses(setup, i)] == []
+
     @pytest.fixture
     def setup(self):
         return FamilySetup("ml", 10, MLParams(2, 1, -1, [1]))
 
-    @pytest.mark.parametrize("identity", ["routes", "hahn", "sz5"])
+    @pytest.mark.parametrize("identity", ["routes", "hahn", "sr2", "de1", "de2", "sz4", "sz5",
+                                          "d-orthogonality", "moment-recursion"])
     def test_unmoved_truth_passes(self, setup, identity):
         assert self.statuses(setup, identity) == {"pass"}
 
@@ -819,6 +824,40 @@ class TestTruthSensitivity:
         monkeypatch.setattr(ml_suites, "ratio_power_exponent",
                             lambda *args: moved(exponent(*args), 3))
         assert "fail" in self.statuses(setup, "sz5")
+
+    def test_ratio_power_suites_read_the_closed_forms(self, setup):
+        setup.__dict__["closed_forms"] = moved(setup.closed_forms, 4)
+        self.assert_fail(setup, "sz4", "sz5", "moment-recursion")
+
+    @pytest.mark.parametrize("entry", ["beta5", "gamma30"])
+    def test_companion_suites_read_the_companion_table(self, setup, entry):
+        t = setup.q_table
+        beta, gamma = list(t.beta), dict(t.gamma)
+        if entry == "beta5":
+            beta[5] += F(1, 7)
+        else:
+            gamma[3, 0] += F(1, 7)
+        setup.__dict__["q_table"] = RecurrenceTable(t.d, t.n_max, tuple(beta), gamma)
+        self.assert_fail(setup, "hahn", "sr2")
+
+    def test_moment_suites_read_the_moments(self, setup):
+        t = setup.moments
+        (nums, den), *rest = t.rows
+        nums = nums[:6] + (nums[6] + den,) + nums[7:]
+        setup.__dict__["moments"] = MomentTable(t.d, t.n_max, ((nums, den), *rest))
+        self.assert_fail(setup, "d-orthogonality", "moment-recursion")
+
+    def test_exponential_suites_read_the_exponential_factor(self, setup, monkeypatch):
+        coefficients = ml_suites._exp_coefficients
+        monkeypatch.setattr(ml_suites, "_exp_coefficients", lambda *args: [
+            e + F(1, 7) if m == 3 else e for m, e in enumerate(coefficients(*args))])
+        self.assert_fail(setup, "sz4", "moment-recursion")
+
+    def test_difference_equations_read_the_deltas(self, setup):
+        deltas = [list(row) for row in setup.deltas]
+        deltas[6][2] += Poly.const(F(1, 7))
+        setup.__dict__["deltas"] = deltas
+        self.assert_fail(setup, "de1", "de2")
 
 
 # The sweep's families and the hyp family whose aligned reduction is skipped.
@@ -875,7 +914,7 @@ class TestFitFailureReports:
     def test_failed_fit_report_shape(self, suite):
         kind, params, m, k, fit = FIT_FAILURES[suite]
         table = FamilySetup(kind, SWEEP_ORDER, params).polys
-        table[m] = table[m] + Poly.monomial(k, 12345)
+        table[m] = table[m] + Poly([0] * k + [12345])
         setup = FamilySetup(kind, SWEEP_ORDER, params, table)
         with pytest.raises(FitError) as exc:
             fit(setup)

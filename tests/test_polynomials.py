@@ -75,7 +75,7 @@ class TestPolyBasics:
         assert p / 2 == p * F(1, 2)
         assert p + Poly.zero() == p
         assert Poly([1, 1]) * Poly([-1, 1]) == Poly([-1, 0, 1])
-        assert Poly.monomial(2) * Poly.monomial(3) == Poly.monomial(5)
+        assert Poly([0, 0, 1]) * Poly([0, 0, 0, 1]) == Poly([0, 0, 0, 0, 0, 1])
 
     @given(polys, st.integers(min_value=-50, max_value=50))
     @example(Poly([F(1, 2), F(-3, 4)]), -6)
@@ -87,6 +87,22 @@ class TestPolyBasics:
         for zero in (0, F(0)):
             with pytest.raises(ZeroDivisionError):
                 p / zero
+
+    def test_int_and_fraction_coefficients_build_no_fraction(self, monkeypatch):
+        half, two_thirds, built = F(1, 2), F(2, 3), []
+        new = F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: built.append(args)
+                            or new(cls, *args, **kw))
+        p, c, q = Poly([1, half, -3]), Poly.const(5), Poly((two_thirds, 1))
+        assert built == []
+        monkeypatch.undo()
+        assert (p.nums, p.den, c.nums, c.den, q.nums, q.den) == ((2, 1, -6), 2, (5,), 1, (2, 3), 3)
+
+    def test_other_coefficients_are_read_by_as_rational(self):
+        assert Poly(["1/2", " -3 ", 0]) == Poly([F(1, 2), -3]) == Poly.const("1/2") + Poly([0, -3])
+        for bad, error in ((0.5, TypeError), (None, TypeError), ("1.5", ValueError)):
+            with pytest.raises(error):
+                Poly([1, bad])
 
     def test_str(self):
         assert str(Poly([0, 2, 0, 1])) == "x^3 + 2*x"
@@ -226,7 +242,7 @@ class TestStorage:
     @given(storage_polys, storage_polys, kernel_rationals)
     def test_every_result_is_primitive(self, p, q, h):
         assert_normal(p)
-        for result in (p * q, shift(p, h), Poly.const(h), Poly.monomial(3, h),
+        for result in (p * q, shift(p, h), Poly.const(h), Poly([0, 0, 0, h]),
                        p * 0, p - p, Poly.zero(), Poly.one(), Poly.x()):
             assert_normal(result)
         if h:
@@ -356,7 +372,7 @@ class TestDeltaW:
         # delta_w(x^n) = sum_{k<n} C(n,k) w^(n-1-k) x^k, the w -> 0 limit of
         # which is the derivative.
         expect = Poly([binomial(n, k) * w ** (n - 1 - k) for k in range(n)])
-        assert delta_w(Poly.monomial(n), w) == expect
+        assert delta_w(Poly([0] * n + [1]), w) == expect
 
     @given(polys)
     def test_derivative_is_limit(self, p):
@@ -366,7 +382,7 @@ class TestDeltaW:
 
 class TestDerivative:
     def test_examples(self):
-        assert derivative(Poly.monomial(3)) == Poly([0, 0, 3])
+        assert derivative(Poly([0, 0, 0, 1])) == Poly([0, 0, 3])
         assert derivative(Poly.one()) == Poly.zero()
         assert derivative(Poly([4, 4, 1])) == Poly([4, 2])
 
