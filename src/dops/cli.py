@@ -3,7 +3,8 @@
 Subcommands: ``gen`` writes polynomial tables, ``verify`` runs identity
 suites, ``moments`` emits dual-functional moments with the orthogonality
 pattern, and ``report`` bundles all of it into one artifact.  Output formats
-are json (canonical, byte-stable), csv, and latex; rationals are always
+are json (canonical, byte-stable, and byte for byte what ``json.dumps(...,
+indent=2, sort_keys=True)`` writes), csv, and latex; rationals are always
 serialized as decimal-free p/q strings and coefficient rows are dense,
 ascending by power.
 
@@ -15,9 +16,9 @@ identity check failed, 2 for invalid parameters or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
-import json
 import os
 import re
 import sys
@@ -50,6 +51,8 @@ class CliError(Exception):
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    import json  # here and in _parse_table, so that a default job never loads it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -171,6 +174,66 @@ def _tabular(columns: str, header: list, rows) -> str:
     return "\n".join(lines + ["\\end{tabular}"]) + "\n"
 
 
+def _plain(s: str) -> bool:
+    """Whether json writes s as it is between quotes: printable ASCII but " and \\."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _json_string(s: str) -> str:
+    if _plain(s):
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii  # here, so that a plain artifact needs no json
+    return encode_basestring_ascii(s)
+
+
+@functools.lru_cache(maxsize=256)
+def _json_key(key) -> str:
+    """An object key as json writes it, with its ": "; an artifact holds
+    a few dozen distinct keys, each many times."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_string(key) + ": "
+
+
+# json's spelling of each scalar, by exact type; _json reads subclasses.  The
+# containers look their items up here themselves, which saves a call per item.
+_SCALARS = {str: _json_string, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _json(value, indent: str) -> str:
+    """value as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    with indent the newline and spaces that open value's own line.  value
+    holds dicts with str keys, lists, tuples, strs, ints, bools and None;
+    anything else, a float included, raises TypeError."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            plain = _plain("".join(value))
+        except TypeError:  # an item is not a str
+            plain = False
+        if plain:  # a coefficient row: every item a plain str
+            return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + indent + "]"
+        items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(k) + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _json(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
     """The artifact as text.  json is the canonical artifact.  csv holds the
     P/Q rows (gen), the reports (verify, report) or the moments and then the
@@ -178,7 +241,7 @@ def _render(command: str, fmt: str, artifact: dict, order: int) -> str:
     gives its gen, reports and moments tables in turn, with every formula in
     math mode and every text cell escaped."""
     if fmt == "json":
-        return json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+        return _json(artifact, "\n") + "\n"
     columns = range(order + 1)
     moments = artifact if command == "moments" else artifact.get("moments")
     if fmt == "csv":
@@ -229,7 +292,20 @@ def _write_output(text: str, out: Optional[str]):
     umask, as open would give it.  An existing file that is not regular, such
     as a device or a FIFO, is written in place."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What stdout's buffer still holds would fail again when the
+            # interpreter flushes it at exit; send it to the null device.
+            try:
+                fd = sys.stdout.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            except (OSError, ValueError):  # a stdout with no file descriptor
+                pass
+            raise CliError(f"cannot write <stdout>: {exc.strerror or exc}") from exc
         return
     tmp_path = None
     try:
@@ -291,6 +367,8 @@ def _gen_artifact(setup: FamilySetup, with_q: bool) -> dict:
 
 def _parse_table(path: str) -> FamilySetup:
     """The setup a gen artifact describes, with its rows as the table."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             artifact = json.load(fh)

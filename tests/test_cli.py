@@ -2,6 +2,7 @@
 config/env resolution, and the table-mode round trip."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -13,7 +14,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dops import cli
@@ -26,7 +27,7 @@ from dops.polynomials import Poly, format_rational
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+def test_cli_import_loads_no_dataclasses_inspect_or_csv(tmp_path):
     # Every job is a fresh interpreter, so what ``import dops.cli`` loads is
     # start-up that each job pays again.
     code = "import sys, dops.cli; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
@@ -36,29 +37,45 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     assert done.stdout.strip() == "[]"
     # A job compiles only the suites it runs: none for the import, gen and
     # moments, and only its own family's module for verify.
-    assert loaded_suite_modules() == set()
+    assert loaded_modules() == set()
     for command in ("gen", "moments"):
-        assert loaded_suite_modules(command, *ML, "--order", "4") == set()
+        assert loaded_modules([command, *ML, "--order", "4"]) == set()
     for family in (ML, CHARLIER, LAGUERRE, HYP):
         kind = family[1]
-        assert loaded_suite_modules("verify", *family, "--order", "4") == {
+        assert loaded_modules(["verify", *family, "--order", "4"]) == {
             f"dops.{Family.table()[kind].suites}"}
+    # json is loaded only to read a config file or a table: no default job
+    # loads it, in any format.
+    runs = [[command, *family, "--order", "4", "--format", fmt]
+            for family in (ML, LAGUERRE, HYP) for fmt in cli.FORMATS
+            for command in ("gen", "verify", "moments", "report")]
+    assert {m for m in loaded_modules(*runs) if m.partition(".")[0] == "json"} == set()
+    config, table = tmp_path / "run.json", tmp_path / "table.json"
+    config.write_text(json.dumps({"family": "ml", "d": 2, "order": 4,
+                                  "parameters": {"alpha": "1", "beta": "-1", "c": "1"}}))
+    assert main(["gen", *ML, "--order", "4", "--out", str(table)]) == 0
+    assert "json" in loaded_modules(["gen", "--config", str(config)])
+    assert "json" in loaded_modules(["verify", "--from-table", str(table)])
 
 
-def loaded_suite_modules(*argv) -> set:
-    """The suite modules a fresh interpreter holds after ``import dops.cli``
-    and, given an argv, one successful CLI run of it."""
-    code = ("import contextlib, io, sys\n"
+def loaded_modules(*runs) -> set:
+    """The suite modules and json modules a fresh interpreter holds after
+    ``import dops.cli`` and one successful CLI run of each argv in runs."""
+    code = ("import contextlib, io, itertools, sys\n"
             "from dops import cli\n"
-            "if sys.argv[1:]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "for sep, argv in itertools.groupby(sys.argv[1:], lambda arg: arg == ';'):\n"
+            "    if not sep:\n"
+            "        argv = list(argv)\n"
+            "        with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "            assert cli.main(argv) == 0, argv\n"
             "print(*sorted(sys.modules))")
     env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [arg for run in runs for arg in (*run, ";")]
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    return set(done.stdout.split()) & {f"dops.{family.suites}" for family in Family.table().values()}
+    suites = {f"dops.{family.suites}" for family in Family.table().values()}
+    return {m for m in done.stdout.split() if m in suites or m.partition(".")[0] == "json"}
 
 
 def run_cli(args, capsys):
@@ -107,6 +124,32 @@ class TestGen:
         assert code == 2
         assert err.startswith("error: ") and str(out) in err and ".dops-" not in err
         assert not out.parent.exists()
+
+    def test_failed_stdout_write_is_bad_input(self, capsys, monkeypatch):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(["gen", *ML, "--order", "3"])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_stdout_is_reported_like_a_full_out(self, buffered):
+        # Buffered, the text is still pending when the write fails, and the
+        # interpreter's flush at exit must not fail on it again.
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "" if buffered else "1"}
+        argv = [sys.executable, "-m", "dops.cli", "gen", *ML, "--order", "3"]
+        with open("/dev/full", "w") as full:
+            to_stdout = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE,
+                                       text=True, timeout=120)
+        to_out = subprocess.run([*argv, "--out", "/dev/full"], env=env, capture_output=True,
+                                text=True, timeout=120)
+        message = f"error: cannot write {{}}: {os.strerror(errno.ENOSPC)}\n"
+        assert (to_out.returncode, to_out.stderr) == (2, message.format("/dev/full"))
+        assert (to_stdout.returncode, to_stdout.stderr) == (2, message.format("<stdout>"))
 
     def test_csv_columns_are_stable(self, capsys):
         code, out, _ = run_cli(["gen", "--family", "ml", "--d", "1", "--alpha", "1",
@@ -973,6 +1016,46 @@ class TestReport:
         for cell in cells:
             text = re.sub(r"(?<!\\)\$.*?(?<!\\)\$", "", cell)
             assert not re.search(r"\\frac|\\langle|\^|(?<!\\)[_$<>]", text), cell
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+# Text with every kind of character json escapes or spells as it is.
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u00e9", "\U0001d4b3", "a",
+                                     " ", "/", "-", "7", "~"]))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-(2 ** 200), max_value=2 ** 200) | JSON_TEXT)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda items: (
+    st.lists(items, max_size=4) | st.lists(items, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, items, max_size=4)), max_leaves=24)
+
+
+class TestJsonWriter:
+    """The canonical artifact is ``json.dumps(v, indent=2, sort_keys=True)``,
+    written by cli's own writer so that a job never loads json."""
+
+    @staticmethod
+    def written(value) -> str:
+        return cli._render("gen", "json", value, 0)
+
+    @pytest.mark.parametrize("name", sorted(n for n in os.listdir(GOLDEN) if n.endswith(".json")))
+    def test_golden_values(self, name):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        value = json.loads(text)
+        assert self.written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n" == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example({"\U0001d4b3": ['"', "\\", "\n\x00\x7f\u00e9", -2 ** 70, 2 ** 64, True, False, None],
+              "a": [[], {}, (), ("1/2", "-3", "")], "": {"k": [[1, "x"], {"\"": 0}]}})
+    def test_writes_what_json_dumps_writes(self, value):
+        assert self.written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [0.5, F(1, 2), {1, 2}, {"x": [1, 2.0]}, [("a", {F(1, 3)})],
+                                       {"x": {2: "two"}}])
+    def test_refuses_what_an_artifact_cannot_hold(self, value):
+        with pytest.raises(TypeError):
+            self.written(value)
 
 
 class TestEntryPoint:

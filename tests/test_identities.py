@@ -795,7 +795,7 @@ class TestTruthSensitivity:
 
     @staticmethod
     def statuses(setup, identity):
-        return {r.status for r in family_suites("ml")[identity](setup)}
+        return {r.status for r in family_suites(setup.kind)[identity](setup)}
 
     def assert_fail(self, setup, *identities):
         assert [i for i in identities if "fail" not in self.statuses(setup, i)] == []
@@ -858,6 +858,41 @@ class TestTruthSensitivity:
         deltas[6][2] += Poly.const(F(1, 7))
         setup.__dict__["deltas"] = deltas
         self.assert_fail(setup, "de1", "de2")
+
+    @pytest.mark.parametrize("kind, identity", [
+        ("hyp-laguerre", "quasi-order"), ("hyp-laguerre", "hyp-lincomb"), ("laguerre", "routes"),
+        ("charlier", "routes"), ("charlier", "hahn")])
+    def test_unmoved_truth_passes_beyond_ml(self, kind, identity):
+        assert self.statuses(TRUTH_SETUPS[kind](), identity) == {"pass"}
+
+    def test_hyp_suites_read_the_quasi_family(self):
+        setup = TRUTH_SETUPS["hyp-laguerre"]()
+        setup.__dict__["quasi"] = moved(setup.quasi, 5)
+        self.assert_fail(setup, "quasi-order", "hyp-lincomb")
+
+    @pytest.mark.parametrize("kind", ["laguerre", "charlier"])
+    def test_routes_beyond_ml_read_the_generating_function(self, kind):
+        setup = TRUTH_SETUPS[kind]()
+        setup.__dict__["gf"] = moved(setup.gf, 5)
+        self.assert_fail(setup, "routes")
+
+    def test_charlier_hahn_reads_the_companion_table(self):
+        setup = TRUTH_SETUPS["charlier"]()
+        t = setup.q_table
+        beta = tuple(b + F(1, 7) if n == 5 else b for n, b in enumerate(t.beta))
+        setup.__dict__["q_table"] = RecurrenceTable(t.d, t.n_max, beta, t.gamma)
+        self.assert_fail(setup, "hahn")
+
+
+# Fresh setups of the other families for TestTruthSensitivity, which moves
+# their cached truths.
+TRUTH_SETUPS = {
+    "hyp-laguerre": lambda: FamilySetup("hyp-laguerre", 10,
+                                        HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)),
+    "laguerre": lambda: FamilySetup("laguerre", 10,
+                                    LagParams(3, F(1, 2), F(-3, 2), F(1, 7), [1, F(1, 3), F(1, 5)])),
+    "charlier": lambda: FamilySetup("charlier", 10, MLParams(2, 0, -1, [F(1, 2)])),
+}
 
 
 # The sweep's families and the hyp family whose aligned reduction is skipped.
