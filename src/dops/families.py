@@ -32,7 +32,7 @@ P_n off ``series.egf_exp``, the one exponential.  Parameter conventions:
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
   quasi-orthogonality.  A parameter set's sums for n = 0..N come from one
-  pass over n-free integer step ratios as unreduced rows, made Polys here.
+  pass over n-free integer step ratios as rows over a running lcm, made Polys here.
 """
 
 from __future__ import annotations
@@ -411,24 +411,24 @@ def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
                     den: Sequence[RationalLike]) -> list[Row]:
     """The terminating hypergeometric sums with leading numerator -n,
     sum_{k=0..n} (-n)_k prod (a_j)_k / (prod (b_j)_k k!) x**k for
-    n = 0..n_max, where extra_num are the a_j and den the b_j, as unreduced
-    rows.  Raises if a denominator Pochhammer vanishes at some k <= n_max.
+    n = 0..n_max, where extra_num are the a_j and den the b_j, as rows over
+    a running lcm.  Raises if a denominator Pochhammer vanishes at some k <= n_max.
 
-    One pass builds them all.  Coefficient k of sum n is (-1)**k C(n, k)
-    prod_{i<k} u_i / v_i, and the step ratio u_i / v_i = prod (a_j + i) /
+    One pass builds them all.  Coefficient k of sum n is (-1)**k C(n, k) R_k,
+    R_k = prod_{i<k} u_i / v_i, and the step ratio u_i / v_i = prod (a_j + i) /
     prod (b_j + i) does not depend on n: with a_j = p_j/q_j and b_j = r_j/s_j,
     u_i = prod (p_j + i q_j) prod s_j and v_i = prod (r_j + i s_j) prod q_j,
-    cut down by their gcd and signed so that v_i > 0.  Row n is the integers
-    (-1)**k C(n, k) M_k, M_k = prod_{i<k} u_i prod_{k<=i<n} v_i, over
-    prod_{i<n} v_i; going to n + 1 multiplies each M_k by v_n and appends
-    M_{n+1}.  No row is reduced: ``lincomb`` reads rows as they are.
+    cut down by their gcd and signed so that v_i > 0.  R_k is kept in lowest
+    terms by two gcds per step.  Row n is (-1)**k C(n, k) num R_k L_n / den R_k
+    over L_n = lcm(den R_0, ..., den R_n), a divisor of prod_{i<n} v_i; going
+    to n + 1 scales each numerator by L_{n+1} / L_n and appends the new one.
     """
     ups = [(a.numerator, a.denominator) for a in map(as_rational, extra_num)]
     downs = [(b.numerator, b.denominator) for b in map(as_rational, den)]
     q = math.prod(qj for _, qj in ups)
     s = math.prod(sj for _, sj in downs)
     rows = [Row([1], 1)]
-    signs, scaled, top, denom = [1], [1], 1, 1  # (-1)**k C(n, k), M_k, M_n, prod v_i
+    signs, scaled, top, bottom, lcm = [1], [1], 1, 1, 1  # (-1)**k C(n, k), scales, R_n, L_n
     for i in range(n_max):
         v = q
         for rj, sj in downs:
@@ -439,12 +439,14 @@ def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
         for pj, qj in ups:
             u *= pj + i * qj
         g = math.gcd(u, v) if v > 0 else -math.gcd(u, v)
-        v //= g
-        top *= u // g
+        u, v = u // g, v // g
+        g_up, g_down = math.gcd(u, bottom), math.gcd(top, v)
+        top, bottom = top // g_down * (u // g_up), bottom // g_up * (v // g_down)
+        step = bottom // math.gcd(lcm, bottom)
+        lcm *= step
         signs = [a - b for a, b in zip(signs + [0], [0] + signs)]
-        scaled = [m * v for m in scaled] + [top]
-        denom *= v
-        rows.append(Row([c * m for c, m in zip(signs, scaled)], denom))
+        scaled = [m * step for m in scaled] + [top * (lcm // bottom)]
+        rows.append(Row([c * m for c, m in zip(signs, scaled)], lcm))
     return rows
 
 

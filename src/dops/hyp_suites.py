@@ -68,13 +68,13 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         yield ("index-shift lemma needs N >= 2" if n_max < 2
                else "index-shift lemma verified at a generic non-integer parameter")
 
-        # Component 2: the order-l combination.
+        # Component 2: the order-l combination, as quasi[n]'s coefficients over P_0..P_n.
         shifted_rise, beta_rise = _rising(beta + dl + 1, n_max), _rising(beta + 1, n_max)
-        for n in range(n_max + 1):
-            lhs = [((-1) ** k * binomial(dl, k) * math.perm(n, k)
-                    * shifted_rise[n - k] / beta_rise[n], basis[n - k])
-                   for k in range(min(n, dl) + 1)]
-            yield n, lhs, setup.quasi[n], "order-l combination"
+        for n, coeffs in enumerate(setup.quasi_expansions):
+            weights = [(-1) ** k * binomial(dl, k) * math.perm(n, k) * shifted_rise[n - k]
+                       / beta_rise[n] for k in range(min(n, dl), -1, -1)]
+            yield (n, Poly([0] * (n + 1 - len(weights)) + weights), Poly(coeffs),
+                   f"order-l combination, coefficients over P_0..P_{n}")
         yield "order-l combination verified"
 
         # Component 3: the aligned reduction, alpha_1 replaced by beta2 = alpha_1 - d*l.
@@ -113,7 +113,8 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
                                 f"order l = {l} is detectable only from N >= d*l = {d * l}")]
 
     def checks():
-        found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d)
+        found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d,
+                                                 setup.quasi_expansions)
         yield found, Poly.const(found), Poly.const(l), "detected quasi-orthogonality order"
         yield (found, Poly.const(int(exact)), Poly.one(),
                "bottom expansion coefficient vanished somewhere")

@@ -61,6 +61,7 @@ from .orthogonality import (
     OrthogonalityReport,
     RecurrenceTable,
     check_regularity,
+    expand_in_basis,
     fit_recurrence,
     moments_by_inversion,
     verify_d_orthogonality,
@@ -305,6 +306,11 @@ class FamilySetup(Record):
     @cached_property
     def quasi(self) -> list[Poly]:
         return hyp_quasi(self.params, self.order)
+
+    @cached_property
+    def quasi_expansions(self) -> list[list[Fraction]]:
+        """quasi[n] expanded over P_0..P_n, which quasi-order and hyp-lincomb read."""
+        return [expand_in_basis(q, self.polys) for q in self.quasi]
 
     @cached_property
     def closed_forms(self) -> list[Poly]:

@@ -267,24 +267,24 @@ def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
     return OrthogonalityReport(d=d, n_max=n_max, checks=tuple(checks))
 
 
-def quasi_orthogonality_order(q_seq: Sequence[Poly], basis: Sequence[Poly],
-                              d: int) -> tuple[int, bool]:
+def quasi_orthogonality_order(q_seq: Sequence[Poly], basis: Sequence[Poly], d: int,
+                              expansions: Sequence[list[Fraction]] | None = None) -> tuple[int, bool]:
     """Smallest l such that every q_seq[n] expands over the basis with
     support inside [n - d*l, n], plus whether that order is exact.
 
     The order is exact when the bottom coefficient a_{n, n-d*l} is nonzero
     for every checked n >= d*l; otherwise the sequence is quasi-orthogonal of
-    order at most l.
+    order at most l.  ``expansions``, when given, are the ``expand_in_basis``
+    expansions of q_seq over the basis, made once by the caller.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    expansions: list[list[Fraction]] = []
-    for n, q in enumerate(q_seq):
-        if q.degree != n:
-            raise ValueError(f"element {n} has degree {q.degree}; the sequence must be graded")
-        expansions.append(expand_in_basis(q, basis))
+    if expansions is None:
+        expansions = [expand_in_basis(q, basis) for q in q_seq]
     l = 0
     for n, coeffs in enumerate(expansions):
+        if len(coeffs) != n + 1:
+            raise ValueError(f"element {n} has degree {len(coeffs) - 1}; the sequence must be graded")
         low = next(i for i, c in enumerate(coeffs) if c != 0)
         l = max(l, -((low - n) // d))  # ceil((n - low) / d)
     return l, all(coeffs[n - d * l] != 0 for n, coeffs in enumerate(expansions) if n >= d * l)

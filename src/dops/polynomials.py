@@ -122,11 +122,12 @@ class Poly:
     @classmethod
     def _make(cls, nums: list[int], den: int) -> "Poly":
         """The polynomial nums / den in primitive form (den != 0)."""
-        while nums and not nums[-1]:
-            nums.pop()
-        if not nums:
-            den = 1
-        elif den != 1:
+        if not any(nums):  # zero, the common result of a passing check
+            nums, den = (), 1
+        else:
+            while not nums[-1]:
+                nums.pop()
+        if den != 1:
             g = math.gcd(den, *nums)
             if den < 0:
                 g = -g
@@ -275,7 +276,7 @@ class Record:
 
 
 class Row:
-    """Integer ``nums`` over a positive ``den``: an unreduced ``lincomb`` factor."""
+    """Integer ``nums`` over a positive ``den``, not necessarily primitive: a ``lincomb`` factor."""
 
     __slots__ = ("nums", "den")
 

@@ -418,6 +418,38 @@ class TestTerminatingPfq:
     def test_integer_term_ratio_matches_fraction_loop(self, n_max, extra_num, den):
         assert pfq_outcome(n_max, extra_num, den) == oracle_outcome(n_max, extra_num, den)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12), st.lists(pfq_parameters, max_size=2),
+           st.lists(pfq_parameters, max_size=2))
+    @example(3, [F(1, 2)], [F(2, 3), F(-3)])
+    @example(6, [F(-2)], [F(1, 3)])
+    @example(12, [F(-5), F(1, 2)], [F(-12), F(7, 3)])
+    @example(3, [], [F(5, 4), F(7, 6)])
+    @example(3, [F(1, 2)], [F(-3, 4), F(-7, 6)])
+    def test_row_is_over_the_lcm_of_the_step_products(self, n_max, extra_num, den):
+        """Row n's den is lcm(den R_0, ..., den R_n) for the reduced step
+        products R_k = prod_{i<k} u_i / v_i, a divisor of prod_{i<n} v_i."""
+        try:
+            rows = terminating_pfq(n_max, extra_num, den)
+        except FamilyParamError:
+            return
+        steps = [F(math.prod(a + i for a in extra_num)) / math.prod(b + i for b in den)
+                 for i in range(n_max)]
+        products = [F(1)]
+        for step in steps:
+            products.append(products[-1] * step)
+        for n, row in enumerate(rows):
+            assert row.den == math.lcm(*(r.denominator for r in products[:n + 1]))
+            assert math.prod(step.denominator for step in steps[:n]) % row.den == 0
+
+    def test_running_lcm_keeps_the_benchmark_rows_small(self):
+        # the hyp-verify benchmark's quasi table: d = 2, alphavec 1/2, 1/3,
+        # beta = 1/4, l = 2 and N = 80; over prod v_i row 80's den has 1371 bits
+        p = HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
+        dens = tuple(a + 1 for a in p.alphavec) + (p.beta + 1,)
+        rows = terminating_pfq(80, (p.beta + p.d * p.l + 1,), dens)
+        assert rows[80].den.bit_length() < 900
+
     def test_vanishing_denominator_names_its_index(self):
         # (-3)_k vanishes from k = 4 on, so every table reaching n = 4 raises
         for n_max in (4, 5, 12):

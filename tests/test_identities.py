@@ -544,9 +544,10 @@ class TestHypLincomb:
         lhs = setup.polys[1] * F(-3, 5) + Poly.const(F(4, 5))
         rhs = hyp_laguerre(HypParams(2, [F(1, 2) - dl, F(1, 3)]), 1)[1]
         assert [poly for poly in results if not poly.is_zero()] == [lhs - rhs, lhs, rhs]
-        # lemma (n, k) instances 1 + 2 + 3 + 4 * 8, order-l n = 0..12, the
-        # stated window's n = 0, 1 and two witness sides, the repaired window
-        assert len(results) == 38 + 13 + 4 + 13
+        # lemma (n, k) instances 1 + 2 + 3 + 4 * 8, the stated window's n = 0,
+        # 1 and two witness sides, the repaired window; the order-l
+        # combination is read off the quasi family's expansions, not lincomb
+        assert len(results) == 38 + 4 + 13
 
     def test_lemma_failure_reports_both_sides_reduced(self, monkeypatch):
         # One numerator of the lemma's left-hand table (first parameter
@@ -592,7 +593,8 @@ class TestHypLincomb:
         table = FamilySetup("hyp-laguerre", 8, p).polys
         table[3] = table[3] + Poly.const(F(1, 7))
         rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p, table)))
-        assert (rep.status, rep.witness.n, rep.witness.context) == ("fail", 3, "order-l combination")
+        assert (rep.status, rep.witness.n, rep.witness.context) == (
+            "fail", 3, "order-l combination, coefficients over P_0..P_3")
         assert rep.notes == (HYP_LEMMA_NOTE,)
 
     def test_reduction_failure_carries_every_earlier_note(self, monkeypatch):
@@ -861,7 +863,7 @@ class TestTruthSensitivity:
 
     @pytest.mark.parametrize("kind, identity", [
         ("hyp-laguerre", "quasi-order"), ("hyp-laguerre", "hyp-lincomb"), ("laguerre", "routes"),
-        ("charlier", "routes"), ("charlier", "hahn")])
+        ("laguerre", "d-orthogonality"), ("charlier", "routes"), ("charlier", "hahn")])
     def test_unmoved_truth_passes_beyond_ml(self, kind, identity):
         assert self.statuses(TRUTH_SETUPS[kind](), identity) == {"pass"}
 
@@ -869,6 +871,38 @@ class TestTruthSensitivity:
         setup = TRUTH_SETUPS["hyp-laguerre"]()
         setup.__dict__["quasi"] = moved(setup.quasi, 5)
         self.assert_fail(setup, "quasi-order", "hyp-lincomb")
+
+    def test_order_l_witness_holds_p_basis_coefficients(self):
+        # quasi[5] + 1/7 adds 1/7 on P_0, below the window P_1..P_5 of the
+        # order-l weights (-1)^k C(4, k) 5!/(5-k)! (9/4 + 4)_{5-k} / (5/4)_5
+        setup = TRUTH_SETUPS["hyp-laguerre"]()
+        setup.__dict__["quasi"] = moved(setup.quasi, 5)
+        [report] = family_suites("hyp-laguerre")["hyp-lincomb"](setup)
+        weights = ["2048/663", "-25600/663", "92800/663", "-127600/663", "59015/663"]
+        assert report.witness.to_dict() == {
+            "n": 5, "context": "order-l combination, coefficients over P_0..P_5",
+            "actual": ["0", *weights], "expected": ["1/7", *weights]}
+
+    @pytest.mark.parametrize("entry, identities", [(2, ("quasi-order", "hyp-lincomb")),
+                                                   (7, ("hyp-lincomb",))],
+                             ids=["below-window", "inside-window"])
+    def test_hyp_suites_read_the_quasi_expansions(self, entry, identities):
+        # quasi[9] lies on P_5..P_9 (d*l = 4)
+        setup = TRUTH_SETUPS["hyp-laguerre"]()
+        expansions = [list(coeffs) for coeffs in setup.quasi_expansions]
+        assert [i for i, c in enumerate(expansions[9]) if c] == list(range(5, 10))
+        expansions[9][entry] += F(1, 7)
+        setup.__dict__["quasi_expansions"] = expansions
+        self.assert_fail(setup, *identities)
+
+    def test_laguerre_orthogonality_reads_the_moments(self):
+        setup = TRUTH_SETUPS["laguerre"]()
+        t = setup.moments
+        (nums, den), *rest = t.rows
+        nums = tuple(7 * c + (den if k == 6 else 0) for k, c in enumerate(nums))
+        setup.__dict__["moments"] = MomentTable(t.d, t.n_max, ((nums, 7 * den), *rest))
+        assert t.moment(0, 6) + F(1, 7) == setup.moments.moment(0, 6)
+        self.assert_fail(setup, "d-orthogonality")
 
     @pytest.mark.parametrize("kind", ["laguerre", "charlier"])
     def test_routes_beyond_ml_read_the_generating_function(self, kind):
@@ -922,8 +956,8 @@ def test_one_report_per_evaluation(monkeypatch, family, row):
 # power k, the fit that the change breaks).  Moving the constant of P_5 keeps
 # every Q_n, so the companion replay still passes and the family's own band
 # fit fails; moving its x coefficient changes Q_4, which breaks the companion
-# fit; an x**4 term in P_3 leaves the basis the moments and the quasi-order
-# expansion need.
+# fit; an x**4 term in P_3 leaves the basis the moments and the quasi family's
+# expansions, read by quasi-order and hyp-lincomb, need.
 FIT_ML, FIT_HYP = MLParams(2, 1, -1, [1]), HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2)
 FIT_FAILURES = {
     "hahn": ("ml", FIT_ML, 5, 0, lambda s: fit_recurrence(s.polys, s.d)),
@@ -935,6 +969,7 @@ FIT_FAILURES = {
     "moment-recursion": ("ml", FIT_ML, 3, 4, lambda s: moments_by_inversion(s.polys, s.d)),
     "quasi-order": ("hyp-laguerre", FIT_HYP, 3, 4,
                     lambda s: quasi_orthogonality_order(s.quasi, s.polys, s.d)),
+    "hyp-lincomb": ("hyp-laguerre", FIT_HYP, 3, 4, lambda s: s.quasi_expansions),
 }
 # Notes a suite writes only when its fitted checks pass.
 PASS_NOTES = {"hahn": "fitted companion table shows the predicted shift",

@@ -288,6 +288,13 @@ class TestStorage:
                 delattr(p, name)
         assert Poly(p.coeffs) == p
 
+    @pytest.mark.parametrize("den", [1, 6, -6])
+    @pytest.mark.parametrize("k", range(6))
+    def test_all_zero_numerators_are_the_zero_polynomial(self, k, den):
+        zero = Poly._make([0] * k, den)
+        assert zero == Poly.zero()
+        assert (zero.nums, zero.den) == ((), 1)
+
     def test_readers_leave_coeffs_unbuilt(self):
         p = Poly([F(1, 2), F(-2, 3), 1])
         table = MomentTable(d=1, n_max=3, rows=(((35, 7, -15, 70), 35),))
