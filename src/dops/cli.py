@@ -25,7 +25,7 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-from .families import Family, FamilyParamError, _rational, as_int, comma_list, read_params
+from .families import Family, FamilyParamError, as_int, comma_list, read_params
 from .identities import WARNING_PREFIX, FamilySetup, VerificationReport, family_suites
 from .polynomials import Poly, as_rational, format_coeffs, format_rational
 
@@ -380,7 +380,7 @@ def _parse_table(path: str) -> FamilySetup:
         rows = [row["coeffs"] for row in artifact["polys"]]
         if not all(isinstance(row, list) for row in rows):
             raise TypeError("every coefficient row must be a list")
-        table = [Poly([_rational(c) for c in row]) for row in rows]
+        table = [Poly([as_rational(c) for c in row]) for row in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"table artifact {path} is malformed: {exc!r}") from exc
     if not table:

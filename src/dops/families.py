@@ -104,13 +104,6 @@ def comma_list(text: str, name: str) -> list[str]:
     return parts
 
 
-def _rational(value) -> Fraction:
-    """as_rational, refusing the bool that a JSON true or false gives."""
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
-    return as_rational(value)
-
-
 # A parameter field's kind: a true int, an exact rational, or a tuple of them;
 # REQUIRED stands for the default of a field that has none.
 INT, RATIONAL, RATIONALS = "int", "rational", "rationals"
@@ -144,7 +137,7 @@ class _Params(Record):
             else:
                 scalar = kind == RATIONAL
                 try:
-                    value = _rational(value) if scalar else tuple(_rational(v) for v in value)
+                    value = as_rational(value) if scalar else tuple(map(as_rational, value))
                 except TypeError:
                     shape = ("an exact rational (an integer or a p/q string)" if scalar
                              else "a list of exact rationals (integers or p/q strings)")

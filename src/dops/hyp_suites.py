@@ -113,8 +113,7 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
                                 f"order l = {l} is detectable only from N >= d*l = {d * l}")]
 
     def checks():
-        found, exact = quasi_orthogonality_order(setup.quasi, setup.polys, d,
-                                                 setup.quasi_expansions)
+        found, exact = quasi_orthogonality_order(setup.quasi_expansions, d)
         yield found, Poly.const(found), Poly.const(l), "detected quasi-orthogonality order"
         yield (found, Poly.const(int(exact)), Poly.one(),
                "bottom expansion coefficient vanished somewhere")

@@ -239,15 +239,17 @@ class FamilySetup(Record):
 
     ``kind`` is one of ml, charlier, laguerre and hyp-laguerre, and
     ``params`` its parameter set; ``family`` is the kind's row of
-    ``Family.table()``.  ``table`` is a supplied P_0..P_order; when present
-    it is the family every suite checks.  The cached attributes below are
-    computed at most once per run.
+    ``Family.table()``.  ``table`` is a supplied P_0..P_order, refused at
+    any other length; when present it is the family every suite checks.
+    The cached attributes below are computed at most once per run.
     """
 
     _fields = ("kind", "order", "params", "table")
     __hash__ = None
 
     def __init__(self, kind: str, order: int, params, table: Optional[list[Poly]] = None):
+        if table is not None and len(table) != order + 1:
+            raise ValueError(f"a table for order {order} holds {order + 1} rows, not {len(table)}")
         self.kind, self.order, self.params, self.table = kind, order, params, table
         self.family = Family.table()[kind]
 
@@ -301,7 +303,7 @@ class FamilySetup(Record):
 
     @cached_property
     def pattern(self) -> OrthogonalityReport:
-        return verify_d_orthogonality(self.polys, self.moments, self.d, self.order)
+        return verify_d_orthogonality(self.polys, self.moments)
 
     @cached_property
     def quasi(self) -> list[Poly]:
@@ -361,7 +363,7 @@ def verify_regularity(setup: FamilySetup) -> list[VerificationReport]:
         table = setup.p_table
     except FitError as exc:  # the fit spans P_0..P_N, beyond the range of its flags
         return [_fit_failure("regularity", params, 0, setup.order, exc)]
-    flags = check_regularity(table, upto)
+    flags = check_regularity(table)
     if flags:
         note = (WARNING_PREFIX + "regularity fails at m = " + ", ".join(str(m) for m in flags)
                 + " (gamma^0 vanishing); sequence is not d-orthogonal there")

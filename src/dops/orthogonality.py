@@ -10,6 +10,9 @@ denominator, which is likewise exact and works whether or not the sequence
 is regular; non-regularity is something these tools report, never a reason
 to fail.  Expansion, moments and the pattern's pairings all run on the
 integer numerators of each ``Poly``, with no ``Poly`` arithmetic per step.
+The regularity and pattern checks read d and N from the table they are
+given, so each covers exactly the range its table was fitted or inverted
+over; the quasi-orthogonality order reads expansions made once by the caller.
 """
 
 from __future__ import annotations
@@ -123,10 +126,6 @@ class RecurrenceTable(Record):
             polys.append(self.step(polys, n))
         return polys
 
-    def regular_upto(self) -> int:
-        """Largest m such that gamma_{m+1}^0 is in the fitted range."""
-        return self.n_max - 1 - self.d
-
 
 def fit_recurrence(polys: Sequence[Poly], d: int) -> RecurrenceTable:
     """Solve exactly for the band recurrence reproducing a monic sequence.
@@ -160,15 +159,14 @@ def fit_recurrence(polys: Sequence[Poly], d: int) -> RecurrenceTable:
     return RecurrenceTable(d=d, n_max=n_max, beta=tuple(beta), gamma=gamma)
 
 
-def check_regularity(table: RecurrenceTable, upto: int) -> list[int]:
-    """Indices m <= upto with gamma_{m+1}^0 = 0.
+def check_regularity(table: RecurrenceTable) -> list[int]:
+    """Indices m = 0..n_max - 1 - d with gamma_{m+1}^0 = 0, the whole range
+    the table was fitted over.
 
-    An empty list means the fitted sequence is d-orthogonal through the
-    checked range; a non-empty list is a report, not an error.
+    An empty list means the fitted sequence is d-orthogonal through that
+    range; a non-empty list is a report, not an error.
     """
-    if upto > table.regular_upto():
-        raise ValueError(f"table fitted only through m = {table.regular_upto()}, asked for {upto}")
-    return [m for m in range(upto + 1) if table.gamma_at(m + 1, 0) == 0]
+    return [m for m in range(table.n_max - table.d) if table.gamma_at(m + 1, 0) == 0]
 
 
 class MomentTable(Record):
@@ -236,10 +234,10 @@ class OrthogonalityCheck(Record):
 
 
 class OrthogonalityReport(Record):
-    __slots__ = _fields = ("d", "n_max", "checks")
+    __slots__ = _fields = ("checks",)
 
-    def __init__(self, d: int, n_max: int, checks: tuple[OrthogonalityCheck, ...]):
-        self.d, self.n_max, self.checks = d, n_max, checks
+    def __init__(self, checks: tuple[OrthogonalityCheck, ...]):
+        self.checks = checks
 
     @property
     def zero_failures(self) -> list[OrthogonalityCheck]:
@@ -250,37 +248,34 @@ class OrthogonalityReport(Record):
         return [c for c in self.checks if c.kind == "nonzero" and not c.ok]
 
 
-def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
-                           n_max: int) -> OrthogonalityReport:
-    """Check the full orthogonality pattern within the degree budget:
-    <u_r, x**m P_n> = 0 whenever n >= m d + r + 1, and != 0 at n = m d + r."""
-    if table.d < d:
-        raise ValueError("moment table covers fewer functionals than requested")
+def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable) -> OrthogonalityReport:
+    """Check the full orthogonality pattern of the table's d functionals within
+    its degree budget N = table.n_max, for the sequence the moments were
+    inverted from: <u_r, x**m P_n> = 0 whenever n >= m d + r + 1, and != 0 at
+    n = m d + r, for every m + n <= N."""
+    d, n_max = table.d, table.n_max
     checks: list[OrthogonalityCheck] = []
     for r in range(d):
         for m in range((n_max - r) // (d + 1) + 1):  # while m + (m d + r) <= n_max
             base = m * d + r
-            for n in range(base, min(n_max - m, len(polys) - 1) + 1):
+            for n in range(base, n_max - m + 1):
                 value = table.apply(r, polys[n], m)
                 kind = "nonzero" if n == base else "zero"
                 checks.append(OrthogonalityCheck(r, m, n, kind, value, (value != 0) == (n == base)))
-    return OrthogonalityReport(d=d, n_max=n_max, checks=tuple(checks))
+    return OrthogonalityReport(tuple(checks))
 
 
-def quasi_orthogonality_order(q_seq: Sequence[Poly], basis: Sequence[Poly], d: int,
-                              expansions: Sequence[list[Fraction]] | None = None) -> tuple[int, bool]:
-    """Smallest l such that every q_seq[n] expands over the basis with
-    support inside [n - d*l, n], plus whether that order is exact.
+def quasi_orthogonality_order(expansions: Sequence[list[Fraction]], d: int) -> tuple[int, bool]:
+    """Smallest l such that every expansion, element n's ``expand_in_basis``
+    coefficients over a graded basis, has support inside [n - d*l, n], plus
+    whether that order is exact.
 
     The order is exact when the bottom coefficient a_{n, n-d*l} is nonzero
     for every checked n >= d*l; otherwise the sequence is quasi-orthogonal of
-    order at most l.  ``expansions``, when given, are the ``expand_in_basis``
-    expansions of q_seq over the basis, made once by the caller.
+    order at most l.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if expansions is None:
-        expansions = [expand_in_basis(q, basis) for q in q_seq]
     l = 0
     for n, coeffs in enumerate(expansions):
         if len(coeffs) != n + 1:

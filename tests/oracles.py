@@ -373,4 +373,4 @@ def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable, d: int,
                 else:
                     checks.append(OrthogonalityCheck(r, m, n, "zero", value, value == 0))
             m += 1
-    return OrthogonalityReport(d=d, n_max=n_max, checks=tuple(checks))
+    return OrthogonalityReport(tuple(checks))

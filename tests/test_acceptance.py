@@ -34,6 +34,7 @@ from dops.ml_suites import (
 )
 from dops.orthogonality import (
     check_regularity,
+    expand_in_basis,
     fit_recurrence,
     moments_by_inversion,
     quasi_orthogonality_order,
@@ -158,12 +159,12 @@ def test_criterion_6_orthogonality_pattern():
     p = MLParams(2, 1, -1, [1])
     polys = ml_by_recurrence(p, 10)
     table = moments_by_inversion(polys, 2)
-    report = verify_d_orthogonality(polys, table, 2, 10)
+    report = verify_d_orthogonality(polys, table)
     assert not report.zero_failures and not report.regularity_failures
-    assert not check_regularity(fit_recurrence(polys, 2), 7)
+    assert not check_regularity(fit_recurrence(polys, 2))
 
     degenerate = ml_by_recurrence(MLParams(1, 1, -1), 10)
-    assert check_regularity(fit_recurrence(degenerate, 1), 8) == [0]
+    assert check_regularity(fit_recurrence(degenerate, 1)) == [0]
 
 
 @criterion(7, desc="hypergeometric connections verify and the quasi-orthogonality "
@@ -176,7 +177,9 @@ def test_criterion_7_hypergeometric_connections():
             (rep,) = verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p))
             assert rep.status == "pass", (d, l, rep.witness)
             assert any("reduction" in note for note in rep.notes)
-            assert quasi_orthogonality_order(hyp_quasi(p, 8), hyp_laguerre(p, 8), d) == (l, True)
+            basis = hyp_laguerre(p, 8)
+            expansions = [expand_in_basis(q, basis) for q in hyp_quasi(p, 8)]
+            assert quasi_orthogonality_order(expansions, d) == (l, True)
 
 
 @criterion(8, desc="reconciliation suite validates a documented interpretation of every "

@@ -340,6 +340,11 @@ class TestConfigResolution:
                                                                     "c": 5}}, "--c"),
         "float-in-list": ("gen", {"parameters": {"alphavec": ["1/2", 0.5]}}, "--alphavec"),
         "bool-beta": ("gen", {"parameters": {"alphavec": ["1/2", "1/3"], "beta": True}}, "--beta"),
+        # A pinned parameter is read like any other: a bool is no rational, not 1 or 0.
+        **{f"bool-charlier-alpha-{value}": ("gen", {"family": "charlier", "d": 1, "parameters":
+                                                    {"alpha": value, "beta": "-1"}},
+                                            f"cannot interpret {value} as an exact rational")
+           for value in (True, False)},
         "float-theta": ("gen", {"family": "laguerre", "parameters": {"a": "1", "theta": 0.5}},
                         "--theta"),
         "decimal-string": ("gen", {"family": "ml", "parameters": {"alpha": "1.5", "beta": "-1"}},

@@ -122,6 +122,17 @@ def test_setup_calls_the_routes_bound_on_the_modules(monkeypatch, kind):
     assert calls == expected
 
 
+@pytest.mark.parametrize("rows", [9, 11])
+def test_setup_refuses_a_table_of_another_order(rows):
+    """The moments and fits read N from the table, so a supplied table holds
+    exactly P_0..P_order."""
+    p = MLParams(2, 1, -1, [1])
+    table = ml(p, 10).polys
+    assert FamilySetup("ml", 9, p, table[:10]).polys == table[:10]
+    with pytest.raises(ValueError, match=f"a table for order 9 holds 10 rows, not {rows}"):
+        FamilySetup("ml", 9, p, table[:rows])
+
+
 class TestReportInvariants:
     def test_witness_iff_fail(self):
         with pytest.raises(ValueError):
@@ -827,8 +838,26 @@ class TestTruthSensitivity:
                             lambda *args: moved(exponent(*args), 3))
         assert "fail" in self.statuses(setup, "sz5")
 
-    def test_ratio_power_suites_read_the_closed_forms(self, setup):
+    @staticmethod
+    def move_closed_forms(setup):
         setup.__dict__["closed_forms"] = moved(setup.closed_forms, 4)
+
+    @staticmethod
+    def move_moment(setup):
+        """<u_0, x**6> moved by 1."""
+        t = setup.moments
+        (nums, den), *rest = t.rows
+        nums = nums[:6] + (nums[6] + den,) + nums[7:]
+        setup.__dict__["moments"] = MomentTable(t.d, t.n_max, ((nums, den), *rest))
+
+    @staticmethod
+    def move_deltas(setup):
+        deltas = [list(row) for row in setup.deltas]
+        deltas[6][2] += Poly.const(F(1, 7))
+        setup.__dict__["deltas"] = deltas
+
+    def test_ratio_power_suites_read_the_closed_forms(self, setup):
+        self.move_closed_forms(setup)
         self.assert_fail(setup, "sz4", "sz5", "moment-recursion")
 
     @pytest.mark.parametrize("entry", ["beta5", "gamma30"])
@@ -843,10 +872,7 @@ class TestTruthSensitivity:
         self.assert_fail(setup, "hahn", "sr2")
 
     def test_moment_suites_read_the_moments(self, setup):
-        t = setup.moments
-        (nums, den), *rest = t.rows
-        nums = nums[:6] + (nums[6] + den,) + nums[7:]
-        setup.__dict__["moments"] = MomentTable(t.d, t.n_max, ((nums, den), *rest))
+        self.move_moment(setup)
         self.assert_fail(setup, "d-orthogonality", "moment-recursion")
 
     def test_exponential_suites_read_the_exponential_factor(self, setup, monkeypatch):
@@ -856,14 +882,14 @@ class TestTruthSensitivity:
         self.assert_fail(setup, "sz4", "moment-recursion")
 
     def test_difference_equations_read_the_deltas(self, setup):
-        deltas = [list(row) for row in setup.deltas]
-        deltas[6][2] += Poly.const(F(1, 7))
-        setup.__dict__["deltas"] = deltas
+        self.move_deltas(setup)
         self.assert_fail(setup, "de1", "de2")
 
     @pytest.mark.parametrize("kind, identity", [
         ("hyp-laguerre", "quasi-order"), ("hyp-laguerre", "hyp-lincomb"), ("laguerre", "routes"),
-        ("laguerre", "d-orthogonality"), ("charlier", "routes"), ("charlier", "hahn")])
+        ("laguerre", "d-orthogonality"), ("laguerre", "regularity"), ("charlier", "routes"),
+        ("charlier", "hahn"), ("charlier", "de1"), ("charlier", "de2"), ("charlier", "sz4"),
+        ("charlier", "sz5"), ("charlier", "d-orthogonality"), ("charlier", "moment-recursion")])
     def test_unmoved_truth_passes_beyond_ml(self, kind, identity):
         assert self.statuses(TRUTH_SETUPS[kind](), identity) == {"pass"}
 
@@ -917,6 +943,35 @@ class TestTruthSensitivity:
         setup.__dict__["q_table"] = RecurrenceTable(t.d, t.n_max, beta, t.gamma)
         self.assert_fail(setup, "hahn")
 
+    @pytest.mark.parametrize("move, identities", [
+        ("closed_forms", ("sz4", "sz5", "moment-recursion")),
+        ("moment", ("d-orthogonality", "moment-recursion")), ("deltas", ("de2",))])
+    def test_charlier_suites_read_the_same_truths_as_ml(self, move, identities):
+        setup = TRUTH_SETUPS["charlier"]()
+        getattr(self, f"move_{move}")(setup)
+        self.assert_fail(setup, *identities)
+
+    def test_charlier_de1_never_weighs_the_moved_delta(self):
+        # de1 reads L**2 P_6 only at k = 2, n = 8, weighted by multiples of
+        # alpha and of gamma^0_7.  Charlier has alpha = 0, and at alpha*beta = 0
+        # gamma^0 vanishes identically: the degenerate charlier family of
+        # ROADMAP.md item 2.  So de1 passes where ml's fails; de2 sees the move.
+        setup = TRUTH_SETUPS["charlier"]()
+        self.move_deltas(setup)
+        assert self.statuses(setup, "de1") == {"pass"}
+
+    def test_laguerre_regularity_reads_the_fitted_table(self):
+        # d = 3, N = 10: the flags cover m = 0..N - 1 - d = 6
+        setup = TRUTH_SETUPS["laguerre"]()
+        [report] = family_suites("laguerre")["regularity"](setup)
+        assert report.notes == ("all regularity conditions hold through m = 6",)
+        t = setup.p_table
+        setup.__dict__["p_table"] = RecurrenceTable(t.d, t.n_max, t.beta, {**t.gamma, (4, 0): 0})
+        [report] = family_suites("laguerre")["regularity"](setup)
+        assert (report.status, report.notes) == ("pass", (
+            "warning: regularity fails at m = 3 (gamma^0 vanishing); "
+            "sequence is not d-orthogonal there",))
+
 
 # Fresh setups of the other families for TestTruthSensitivity, which moves
 # their cached truths.
@@ -968,7 +1023,7 @@ FIT_FAILURES = {
     "d-orthogonality": ("ml", FIT_ML, 3, 4, lambda s: moments_by_inversion(s.polys, s.d)),
     "moment-recursion": ("ml", FIT_ML, 3, 4, lambda s: moments_by_inversion(s.polys, s.d)),
     "quasi-order": ("hyp-laguerre", FIT_HYP, 3, 4,
-                    lambda s: quasi_orthogonality_order(s.quasi, s.polys, s.d)),
+                    lambda s: quasi_orthogonality_order(s.quasi_expansions, s.d)),
     "hyp-lincomb": ("hyp-laguerre", FIT_HYP, 3, 4, lambda s: s.quasi_expansions),
 }
 # Notes a suite writes only when its fitted checks pass.

@@ -164,23 +164,18 @@ def test_fit_recovers_arbitrary_band_recurrences(d, data):
 class TestRegularity:
     def test_classical_flags_only_first(self):
         table = fit_recurrence(ml_by_recurrence(CLASSICAL, 10), 1)
-        assert check_regularity(table, 8) == [0]
+        assert check_regularity(table) == [0]
 
     def test_regular_d2_family(self):
         table = fit_recurrence(ml_by_recurrence(REGULAR_D2, 13), 2)
-        assert check_regularity(table, 10) == []
+        assert check_regularity(table) == []
 
     def test_vanishing_product_flags_everything(self):
         # For d >= 2 the bottom gamma class is a multiple of
         # alpha*beta*b_{d-2}; killing that product kills regularity.
         p = MLParams(2, 1, -1, [0])
         table = fit_recurrence(ml_by_recurrence(p, 13), 2)
-        assert check_regularity(table, 10) == list(range(11))
-
-    def test_range_guard(self):
-        table = fit_recurrence(ml_by_recurrence(CLASSICAL, 6), 1)
-        with pytest.raises(ValueError):
-            check_regularity(table, 6)
+        assert check_regularity(table) == list(range(11))  # m = 0..N - 1 - d
 
 
 class TestMoments:
@@ -280,23 +275,23 @@ class TestOrthogonalityPattern:
     def test_regular_d2_full_pattern(self):
         polys = ml_by_recurrence(REGULAR_D2, 10)
         table = moments_by_inversion(polys, 2)
-        report = verify_d_orthogonality(polys, table, 2, 10)
+        report = verify_d_orthogonality(polys, table)
         assert not report.zero_failures
         assert not report.regularity_failures
 
     def test_classical_regularity_gap_matches_table_flags(self):
         polys = ml_by_recurrence(CLASSICAL, 10)
         table = moments_by_inversion(polys, 1)
-        report = verify_d_orthogonality(polys, table, 1, 10)
+        report = verify_d_orthogonality(polys, table)
         assert not report.zero_failures  # vanishing conditions all hold
         assert report.regularity_failures  # but the family is not regular
-        flags = check_regularity(fit_recurrence(polys, 1), 8)
+        flags = check_regularity(fit_recurrence(polys, 1))
         assert bool(flags) == bool(report.regularity_failures)
 
     def test_monomials_evaluation_functional(self):
         polys = monomials(8)
         table = moments_by_inversion(polys, 1)
-        report = verify_d_orthogonality(polys, table, 1, 8)
+        report = verify_d_orthogonality(polys, table)
         assert not report.zero_failures
         bad_m = sorted({c.m for c in report.regularity_failures})
         assert bad_m == list(range(1, max(bad_m) + 1))  # fails beyond m = 0
@@ -306,26 +301,36 @@ class TestOrthogonalityPattern:
         # must produce failing vanishing conditions, not a vacuous pass.
         polys = [Poly.one(), X, Poly([0, 0, 1]), Poly([1, 0, 0, 1]), Poly([0, 0, 0, 0, 1])]
         table = moments_by_inversion(polys, 1)
-        report = verify_d_orthogonality(polys, table, 1, 4)
+        report = verify_d_orthogonality(polys, table)
         assert report.zero_failures
         assert any(c.m >= 1 for c in report.zero_failures)
+
+
+def expansions(q_seq, basis):
+    return [expand_in_basis(q, basis) for q in q_seq]
 
 
 class TestQuasiOrder:
     def test_same_sequence_is_order_zero(self):
         polys = ml_by_recurrence(REGULAR_D2, 8)
-        assert quasi_orthogonality_order(polys, polys, 2) == (0, True)
+        assert quasi_orthogonality_order(expansions(polys, polys), 2) == (0, True)
 
     def test_visible_support(self):
         polys = ml_by_recurrence(CLASSICAL, 8)
         q = [polys[0]] + [polys[n] + polys[n - 1] for n in range(1, 9)]
-        assert quasi_orthogonality_order(q, polys, 1) == (1, True)
+        assert quasi_orthogonality_order(expansions(q, polys), 1) == (1, True)
 
     @pytest.mark.parametrize("d,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_hyp_pairs(self, d, l):
         beta = F(1, 5)
         p = HypParams(d, [F(1, 2), F(4, 3)][:d], beta, l)
-        assert quasi_orthogonality_order(hyp_quasi(p, 8), hyp_laguerre(p, 8), d) == (l, True)
+        found = quasi_orthogonality_order(expansions(hyp_quasi(p, 8), hyp_laguerre(p, 8)), d)
+        assert found == (l, True)
+
+    def test_refuses_a_sequence_that_is_not_graded(self):
+        polys = ml_by_recurrence(CLASSICAL, 4)
+        with pytest.raises(ValueError, match="element 3 has degree 2"):
+            quasi_orthogonality_order(expansions(polys[:3] + polys[2:4], polys), 1)
 
 
 # Coefficients for random graded bases: often zero inside, and a leading
@@ -371,9 +376,8 @@ class TestKernelsAgainstPolyOracles:
         d = data.draw(st.integers(min_value=1, max_value=n_max))
         table = moments_by_inversion(basis, d)
         assert table == oracles.moments_by_inversion(basis, d)
-        budget = data.draw(st.integers(min_value=0, max_value=n_max))
-        assert (verify_d_orthogonality(basis, table, d, budget)
-                == oracles.verify_d_orthogonality(basis, table, d, budget))
+        assert (verify_d_orthogonality(basis, table)
+                == oracles.verify_d_orthogonality(basis, table, d, n_max))
 
     @settings(max_examples=40, deadline=None)
     @given(graded_bases(), st.data())
@@ -430,7 +434,7 @@ def test_moments_and_pattern_need_no_expansion_and_no_product(monkeypatch):
                         counting("expand_in_basis", orthogonality.expand_in_basis))
     monkeypatch.setattr(Poly, "__mul__", counting("Poly.__mul__", Poly.__mul__))
     table = moments_by_inversion(polys, 3)
-    report = verify_d_orthogonality(polys, table, 3, 24)
+    report = verify_d_orthogonality(polys, table)
     assert not calls
     assert not report.zero_failures and len(report.checks) > 100
     # both wrappers are live: the fit still expands, and products still count

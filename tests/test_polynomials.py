@@ -55,6 +55,12 @@ class TestRationalStrings:
         with pytest.raises(ValueError, match="invalid rational literal"):
             parse_rational(text)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_as_rational_refuses_a_bool(self, value):
+        # a JSON true or false is not a number, although Python counts it as an int
+        with pytest.raises(TypeError, match=f"cannot interpret {value} as an exact rational"):
+            as_rational(value)
+
     def test_benchmark_parameters_stay_valid(self):
         values = ["1", "-1", "1/2", "-1/2", "3/2", "-3/2", "1/7", "1/3", "-1/3", "1/5", "-1/5",
                   "1/4", "-1/4", "2"]
