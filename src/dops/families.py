@@ -11,28 +11,28 @@ P_n off ``series.egf_exp``, the one exponential.  Parameter conventions:
 
 * Mittag-Leffler type: generating function ((1-beta t)/(1-alpha t))**(x/w)
   times exp(sum c_i t**i), with w = alpha - beta.  The exponent coefficients
-  c_1..c_{d-1} are the source of truth; the recurrence parameters are derived
-  from them as b_k = (k+1)! c_{k+1} (so b_0 = c_1), with b_k = 0 for
-  k >= d-1.  The lowering operator is the forward difference delta_w with
-  step w.
+  c_1..c_{d-1} are the source of truth; in EGF form the scalar exponent is
+  n! c_n at t**n, zero from n = d on.  The lowering operator is the forward
+  difference delta_w with step w.
 
 * Laguerre type: generating function (1-at)**beta_exp times
-  exp((xt+theta)/(1-at) + sum b_i t**i / i!).  Both routes are the
-  confluent (alpha = beta = a) Mittag-Leffler ones: the generating function
-  is read off the confluent ratio-power exponent x t/(1-at) plus scalar
-  terms, and the recurrence is the confluent table with beta_exp folded
-  into its b, translated by a*theta.  The exponent is built from t**1 on,
-  so the constant exp(theta + b_0) it would have at t = 0 (an irrational
-  for rational nonzero arguments) is never formed: P_0 = 1 and all
-  coefficients stay rational, and b_0 drops out.  Theta then acts only
-  through the t-dependent part of its expansion, which is an x-shift by
-  a*theta.  The lowering operator is d/dx.  Under either operator L the
-  companion sequence is Q_n = L(P_{n+1}) / (n+1).
+  exp((xt+theta)/(1-at) + sum b_i t**i / i!), the confluent (alpha = beta =
+  a) Mittag-Leffler one: the confluent ratio-power exponent x t/(1-at) plus
+  the scalar exponent a**n (n! theta - (n-1)! beta_exp) + b_n at t**n.  The
+  exponent is built from t**1 on, so the constant exp(theta + b_0) it would
+  have at t = 0 (an irrational for rational nonzero arguments) is never
+  formed: P_0 = 1 and all coefficients stay rational, and b_0 drops out.
+  Theta then acts only through the t-dependent part of its expansion, which
+  is an x-shift by a*theta.  The lowering operator is d/dx.
 
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
   quasi-orthogonality.  A parameter set's sums for n = 0..N come from one
   pass over n-free integer step ratios as rows over a running lcm, made Polys here.
+
+The first two are built by the same two routes, which read a parameter
+set's ``ratio`` pair and its scalar ``exponent``.  Under either lowering
+operator L the companion sequence is Q_n = L(P_{n+1}) / (n+1).
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ __all__ = [
     "ml_recurrence_table",
     "ml_by_recurrence",
     "ml_by_gf",
-    "laguerre_type_by_recurrence",
-    "laguerre_type_by_gf",
     "q_sequence",
     "hyp_laguerre",
     "hyp_quasi",
@@ -172,16 +170,15 @@ class MLParams(_Params):
     def w(self) -> Fraction:
         return self.alpha - self.beta
 
-    def b(self, k: int) -> Fraction:
-        """Recurrence parameter b_k = (k+1)! c_{k+1}; zero for k >= d-1."""
-        if 0 <= k <= self.d - 2:
-            return math.factorial(k + 1) * self.c[k]
-        return Fraction(0)
+    @property
+    def ratio(self) -> tuple[Fraction, Fraction]:
+        return self.alpha, self.beta
 
-    def lam(self, n: int) -> Fraction:
-        """Connection coefficient between the family and its difference
-        sequence: lambda_n = n * alpha."""
-        return n * self.alpha
+    def exponent(self, n: int) -> Fraction:
+        """The scalar exponent at t**n, n >= 1, in EGF form: n! c_n, zero from n = d on."""
+        if n < self.d:
+            return math.factorial(n) * self.c[n - 1]
+        return Fraction(0)
 
 
 class LagParams(_Params):
@@ -206,6 +203,16 @@ class LagParams(_Params):
         if 0 <= i < self.d:
             return self.b[i]
         return Fraction(0)
+
+    @property
+    def ratio(self) -> tuple[Fraction, Fraction]:
+        return self.a, self.a
+
+    def exponent(self, n: int) -> Fraction:
+        """The scalar exponent at t**n, n >= 1, in EGF form: n! times a**n
+        (theta - beta_exp/n) + b_n/n!, with b_n = 0 for n >= d."""
+        return self.a ** n * (math.factorial(n) * self.theta
+                              - math.factorial(n - 1) * self.beta_exp) + self.b_at(n)
 
 
 class HypParams(_Params):
@@ -249,7 +256,7 @@ class Family(Record):
         ml = (MLParams, ml_by_recurrence, ml_by_gf, lambda params, p: delta_w(p, params.w),
               "ml_suites", "ml")
         return {"ml": Family(*ml),
-                "laguerre": Family(LagParams, laguerre_type_by_recurrence, laguerre_type_by_gf,
+                "laguerre": Family(LagParams, ml_by_recurrence, ml_by_gf,
                                    lambda params, p: derivative(p), "laguerre_suites", "laguerre"),
                 "hyp-laguerre": Family(HypParams, hyp_laguerre, None, None, "hyp_suites",
                                        "hyp-laguerre"),
@@ -301,30 +308,32 @@ def write_params(params) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler type
+# Mittag-Leffler type, the Laguerre type as its confluent case
 # ---------------------------------------------------------------------------
 
 
-def ml_recurrence_table(alpha: RationalLike, beta: RationalLike, b, d: int,
-                        n_max: int) -> RecurrenceTable:
-    """The (d+2)-term band recurrence of the Mittag-Leffler type family,
+def ml_recurrence_table(params: MLParams | LagParams, n_max: int) -> RecurrenceTable:
+    """The (d+2)-term band recurrence of a Mittag-Leffler type family at
+    ``params.ratio`` = (alpha, beta),
 
         P_{n+1} = (x + (alpha+beta) n + b_0) P_n
                   - n ((n-1) alpha beta + (alpha+beta) b_0 - b_1) P_{n-1}
                   + sum_{k=2..d} C(n,k) [b_k - (alpha+beta) k b_{k-1}
                                          + alpha beta k (k-1) b_{k-2}] P_{n-k},
 
-    as the table of steps 0..n_max-1; ``b`` is a callable k -> b_k, called
-    once for each of b_0..b_d.  The n-free part of every coefficient, such as
-    each bracket, is formed once, so an entry costs one integer times it.
-    alpha = beta is accepted: the coefficients are polynomial in (alpha,
-    beta), so at alpha = beta = a the table is the exact confluent
-    (derivative-operator) limit, and ``laguerre_type_by_recurrence`` is
-    built from it.
+    as the table of steps 0..n_max-1, with b_k = ``params.exponent(k+1)``
+    read once for each of b_0..b_d.  The n-free part of every coefficient,
+    such as each bracket, is formed once, so an entry costs one integer
+    times it.  The coefficients are polynomial in (alpha, beta), so at
+    alpha = beta = a the table is the exact confluent (derivative-operator)
+    limit: the Laguerre family.  There the theta terms of the exponent
+    cancel in every bracket and lower each beta_n by a theta, the
+    translation by a theta in x.
     """
-    alpha, beta = as_rational(alpha), as_rational(beta)
+    alpha, beta = params.ratio
+    d = params.d
     s, p = alpha + beta, alpha * beta
-    bs = [b(k) for k in range(d + 1)]
+    bs = [params.exponent(k + 1) for k in range(d + 1)]
     top = s * bs[0] - bs[1]
     # The bracket of class d-k, negated.
     brackets = {k: s * k * bs[k - 1] - bs[k] - p * k * (k - 1) * bs[k - 2]
@@ -337,62 +346,25 @@ def ml_recurrence_table(alpha: RationalLike, beta: RationalLike, b, d: int,
     return RecurrenceTable(d, n_max, tuple(-(s * n + bs[0]) for n in range(n_max)), gamma)
 
 
-def ml_by_recurrence(params: MLParams, n_max: int) -> list[Poly]:
+def ml_by_recurrence(params: MLParams | LagParams, n_max: int) -> list[Poly]:
     """Monic P_0..P_{n_max} generated by the (d+2)-term band recurrence."""
-    return ml_recurrence_table(params.alpha, params.beta, params.b, params.d, n_max).regenerate()
+    return ml_recurrence_table(params, n_max).regenerate()
 
 
-def _by_gf(alpha: RationalLike, beta: RationalLike, s, n_max: int) -> list[Poly]:
-    """P_0..P_{n_max} read off the exponential generating function
-    exp(ratio_power_exponent(alpha, beta) + sum_{n>=1} s(n) t**n / n!), one
-    exp of the sum: ``s`` is a callable n -> s(n), in EGF form from t**1 on."""
-    exponent = ratio_power_exponent(alpha, beta, n_max)
+def ml_by_gf(params: MLParams | LagParams, n_max: int) -> list[Poly]:
+    """The same family read off the exponential generating function: one exp
+    of the ratio-power exponent at ``params.ratio`` plus the scalar
+    ``params.exponent(n)`` at each t**n, n >= 1, in EGF form."""
+    exponent = ratio_power_exponent(*params.ratio, n_max)
     for n in range(1, n_max + 1):
-        exponent[n] += Poly.const(s(n))
+        exponent[n] += Poly.const(params.exponent(n))
     return egf_exp(exponent)
-
-
-def ml_by_gf(params: MLParams, n_max: int) -> list[Poly]:
-    """The same family read off the exponential generating function
-    ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i), with n! c_n = b_{n-1}."""
-    return _by_gf(params.alpha, params.beta, lambda n: params.b(n - 1), n_max)
 
 
 def q_sequence(polys: Sequence[Poly], lower) -> list[Poly]:
     """Companion sequence Q_n = lower(P_{n+1}) / (n+1) under a lowering
     operator ``lower`` (delta_w or d/dx), monic of degree n when P is."""
     return [lower(polys[n + 1]) / (n + 1) for n in range(len(polys) - 1)]
-
-
-# ---------------------------------------------------------------------------
-# Laguerre type
-# ---------------------------------------------------------------------------
-
-
-def laguerre_type_by_recurrence(params: LagParams, n_max: int) -> list[Poly]:
-    """Monic P_0..P_{n_max} from the band recurrence of the Laguerre-type
-    family: the confluent Mittag-Leffler table ``ml_recurrence_table(a, a,
-    k -> b_{k+1} - k! a**(k+1) beta_exp, d, n_max)`` (b_i = 0 for i >= d)
-    with every beta_n lowered by a theta, which translates the family by
-    a theta in x.  The beta_exp terms cancel in every gamma class below the
-    top one, since -k! + 2k (k-1)! - k(k-1) (k-2)! = 0."""
-    a, beta, b = params.a, params.beta_exp, params.b_at
-    table = ml_recurrence_table(a, a, lambda k: b(k + 1) - math.factorial(k) * a ** (k + 1) * beta,
-                                params.d, n_max)
-    translation = a * params.theta
-    return RecurrenceTable(table.d, n_max, tuple(beta_n - translation for beta_n in table.beta),
-                           table.gamma).regenerate()
-
-
-def laguerre_type_by_gf(params: LagParams, n_max: int) -> list[Poly]:
-    """The same family as exp(beta_exp log(1-at) + (xt+theta)/(1-at) + pi(t)),
-    pi(t) = sum b_i t**i / i!: the confluent ratio-power exponent x t/(1-at)
-    plus a**n (theta - beta_exp/n) + b_n/n! at each t**n, n >= 1, in EGF form
-    a**n (n! theta - (n-1)! beta_exp) + b_n.  Its t = 0 constant theta + b_0
-    is never formed, so P_0 = 1 exactly."""
-    a, beta, theta = params.a, params.beta_exp, params.theta
-    return _by_gf(a, a, lambda n: a ** n * (math.factorial(n) * theta
-                                            - math.factorial(n - 1) * beta) + params.b_at(n), n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def verify_hahn(setup: FamilySetup) -> list[VerificationReport]:
         return [_not_applicable("hahn", params, 0, setup.order - 1,
                                 f"fitting the companion table needs order N >= d + 2 = {p.d + 2}")]
     q = setup.q
-    shifted = _hahn_shift(ml_recurrence_table(p.alpha, p.beta, p.b, p.d, len(q) - 1), p.alpha, p.beta)
+    shifted = _hahn_shift(ml_recurrence_table(p, len(q) - 1), p.alpha, p.beta)
 
     def checks():
         for n in range(len(q) - 1):
@@ -158,9 +158,10 @@ def _sr6_checks(p, polys, q, n_max: int, variant: str):
     sum enters subtracted.  repaired: the free constant multiplies Q_n (so it
     cancels the same term on the left) and the correction sum enters added;
     the repaired variant is the one consistent with the band recurrences.
-    The brackets beta i b_{i-1} - b_i and the factors x - c are formed once."""
-    beta, b0 = p.beta, p.b(0)
-    brackets = [Poly.const(beta * i * p.b(i - 1) - p.b(i)) for i in range(1, p.d)]
+    The brackets beta i b_{i-1} - b_i, b_k = p.exponent(k+1), and the factors
+    x - c are formed once."""
+    beta, b0 = p.beta, p.exponent(1)
+    brackets = [Poly.const(beta * i * p.exponent(i) - p.exponent(i + 1)) for i in range(1, p.d)]
     samples = [(c, -c, Poly((-c, 1)), f"(x - {format_rational(c)})Q_n, variant {variant}")
                for c in FREE_CONSTANT_SAMPLES]
     sign = -1 if variant == "stated" else 1
@@ -207,7 +208,7 @@ def verify_sr2(setup: FamilySetup) -> list[VerificationReport]:
         for n in range(lo, hi + 1):
             q_table = setup.q_table  # fitted only when the range holds an index
             s = correction_sum(q_table, n)
-            lam = p.lam(n)
+            lam = n * alpha
             lam_xi = lam + q_table.beta[n - 1]
             x_lam, lam_lam_xi = Poly((lam, 1)), lam * lam_xi
             for c, minus_c, x_minus_c, label in samples:
@@ -350,12 +351,12 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         "(-beta)**k alpha**(n-k) w**-n replace (beta/alpha)**k (-alpha)**n"))]
 
 
-def _exp_coefficients(b, n_max: int) -> list[Fraction]:
+def _exp_coefficients(s, n_max: int) -> list[Fraction]:
     """E_0..E_{n_max} of exp(sum c_i t**i), read from its exponent in EGF
-    form, b(i-1) = i! c_i at t**i: E_m = m! A_m, where A_m is the multinomial
+    form, s(i) = i! c_i at t**i: E_m = m! A_m, where A_m is the multinomial
     sum of prod c_i**k_i / k_i! over the tuples with sum i k_i = m, the
     composition sum of the sz4 and moment-recursion stated forms."""
-    exponent = [Poly.zero()] + [Poly.const(b(n - 1)) for n in range(1, n_max + 1)]
+    exponent = [Poly.zero()] + [Poly.const(s(n)) for n in range(1, n_max + 1)]
     return [e.coefficient(0) for e in egf_exp(exponent)]
 
 
@@ -375,7 +376,7 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     p, truth, n_max = setup.params, setup.polys, setup.order
     params = setup.public_params(tagged=True)
     alpha, beta, w = p.alpha, p.beta, p.w
-    e_coeffs = _exp_coefficients(p.b, n_max)
+    e_coeffs = _exp_coefficients(p.exponent, n_max)
     # n!/(n-m)! A_m = C(n, m) E_m, with the n-free E_m = m! A_m formed once
     scaled = [(m, Poly.const(e)) for m, e in enumerate(e_coeffs) if e]
 
@@ -433,7 +434,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         return [_not_applicable("moment-recursion", params, 0, n_max,
                                 f"the moments need order N >= d = {p.d}")]
     alpha, beta = p.alpha, p.beta
-    einv = _exp_coefficients(lambda k: -p.b(k), n_max)
+    einv = _exp_coefficients(lambda n: -p.exponent(n), n_max)
 
     def repaired_checks():
         table = setup.moments

@@ -7,8 +7,9 @@ exp route, and the ``routes`` suite requires the sequence read out of it to
 agree coefficientwise with the band recurrence.  Both families share one
 exponent, ``ratio_power_exponent``, which is the Mittag-Leffler exponent for
 alpha != beta and the confluent Laguerre exponent x t/(1 - a t) at alpha =
-beta = a.  A product of exponentials is built as one exp of the summed
-exponents, never as a series product.
+beta = a; ``families.ml_by_gf`` adds each family's scalar exponent to it.
+A product of exponentials is built as one exp of the summed exponents,
+never as a series product.
 
 Every exponent is written in EGF form, F_k = k! times its t**k coefficient,
 and ``egf_exp`` is the one exponential: it reads F as it is and gives P_n =

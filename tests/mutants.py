@@ -76,20 +76,21 @@ MUTANTS = [
     Mutant("d-orthogonality-skips-last-functional", "orthogonality.py",
            "for r in range(d):\n        for m in range(", "for r in range(d - 1):\n        for m in range(",
            ("tests/test_orthogonality.py::TestKernelsAgainstPolyOracles::test_moments_and_pattern",)),
+    Mutant("laguerre-structure-vacuous", "laguerre_suites.py",
+           "yield n, lhs_poly * derivative(polys[n]), rhs_at(n), ",
+           "yield n, lhs_poly * derivative(polys[n]), lhs_poly * derivative(polys[n]), ",
+           (f"{TRUTH}::test_laguerre_structure_reads_the_parameters",)),
+    Mutant("laguerre-exponent-theta-sign", "families.py",
+           "(math.factorial(n) * self.theta", "(-math.factorial(n) * self.theta",
+           ("tests/test_families.py::TestLaguerreDifferential",)),
 ]
-
-
-# Hypothesis imports libcst to report a failing example, and libcst's import
-# raises a DeprecationWarning that the project's warnings-as-errors setting
-# turns into an INTERNALERROR ending the session (exit 3), not a test failure.
-HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
 
 def run_tests(src: str, tests: list[str]) -> subprocess.CompletedProcess:
     """One pytest run of ``tests`` against the package under ``src``: the
     ``pythonpath`` override replaces the repository's own ``src``."""
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-               "-W", HYPOTHESIS_REPORT_WARNING, "-o", f"pythonpath={src}", *tests]
+               "-o", f"pythonpath={src}", *tests]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
 

@@ -153,8 +153,8 @@ def laguerre_by_recurrence(params, n_max: int) -> list[Poly]:
                   + sum_{i=2..d} n!/(n-i)! [b_{i+1}/i! - 2 a b_i/(i-1)!
                                             + a^2 b_{i-1}/(i-2)!] P_{n-i},
 
-    one Poly term at a time: the reference for the confluent-table route
-    ``dops.families.laguerre_type_by_recurrence``."""
+    one Poly term at a time: the reference for the confluent band table that
+    ``dops.families.ml_by_recurrence`` builds from a ``LagParams``'s exponent."""
     a, beta, theta, b, d = params.a, params.beta_exp, params.theta, params.b_at, params.d
     polys = [Poly.one()]
     for n in range(n_max):
@@ -274,8 +274,8 @@ def laguerre_by_gf(params, n_max: int) -> list[Poly]:
     """P_0..P_{n_max} of the Laguerre-type family read off its exponent
     written out term by term: x a**(n-1) + theta a**n + b_n/n! at each t**n,
     n >= 1, plus beta_exp log(1 - a t).  The reference for
-    ``dops.families.laguerre_type_by_gf``, which reads the same family off
-    the confluent ratio-power exponent."""
+    ``dops.families.ml_by_gf`` at a ``LagParams``, which reads the same
+    family off the confluent ratio-power exponent plus the scalar exponent."""
     a, theta = params.a, params.theta
     logs = series_log1p_scaled(a, n_max)
     exponent = [Poly.zero()]

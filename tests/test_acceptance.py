@@ -15,8 +15,6 @@ from dops.families import (
     MLParams,
     hyp_laguerre,
     hyp_quasi,
-    laguerre_type_by_gf,
-    laguerre_type_by_recurrence,
     ml_by_gf,
     ml_by_recurrence,
     q_sequence,
@@ -88,7 +86,7 @@ def test_criterion_1_oracle_equivalence():
     for d, plist in LAG_SETS.items():
         assert len(plist) >= 3
         for p in plist:
-            assert laguerre_type_by_recurrence(p, 12) == laguerre_type_by_gf(p, 12), p
+            assert ml_by_recurrence(p, 12) == ml_by_gf(p, 12), p
 
 
 @criterion(2, desc="classical specialization matches the independent series oracle")
@@ -110,12 +108,13 @@ def test_criterion_3_hahn_property():
         q = q_sequence(polys, lambda f: delta_w(f, p.w))
         alpha, beta = p.alpha, p.beta
         for n in range(12):
-            nxt = (X + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]
+            nxt = (X + Poly.const((alpha + beta) * n + p.exponent(1) + alpha)) * q[n]
             if n >= 1:
-                nxt -= q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.b(0) - p.b(1)))
+                nxt -= q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.exponent(1)
+                                        - p.exponent(2)))
             for k in range(2, min(n, p.d) + 1):
-                coef = (p.b(k) - (alpha + beta) * k * p.b(k - 1)
-                        + alpha * beta * k * (k - 1) * p.b(k - 2))
+                coef = (p.exponent(k + 1) - (alpha + beta) * k * p.exponent(k)
+                        + alpha * beta * k * (k - 1) * p.exponent(k - 1))
                 nxt += q[n - k] * (binomial(n, k) * coef)
             assert q[n + 1] == nxt, (p, n)
         p_table = fit_recurrence(polys, p.d)

@@ -20,8 +20,7 @@ MODULES = sorted(f"dops.{info.name}" for info in pkgutil.iter_modules(dops.__pat
 # Every name the package exports, by the module that defines it.
 PACKAGE_EXPORTS = {
     "families": ("Family", "FamilyParamError", "HypParams", "LagParams", "MLParams",
-                 "hyp_laguerre", "hyp_quasi", "laguerre_type_by_gf",
-                 "laguerre_type_by_recurrence", "ml_by_gf", "ml_by_recurrence", "q_sequence",
+                 "hyp_laguerre", "hyp_quasi", "ml_by_gf", "ml_by_recurrence", "q_sequence",
                  "terminating_pfq"),
     "identities": ("FamilySetup", "VerificationReport", "Witness", "ratio_power_closed_form"),
     "orthogonality": ("FitError", "MomentTable", "RecurrenceTable", "check_regularity",

@@ -18,8 +18,6 @@ from dops.families import (
     write_params,
     hyp_laguerre,
     hyp_quasi,
-    laguerre_type_by_gf,
-    laguerre_type_by_recurrence,
     ml_by_gf,
     ml_by_recurrence,
     ml_recurrence_table,
@@ -66,12 +64,13 @@ class TestMLParams:
         with pytest.raises(FamilyParamError):
             MLParams(1, 1, -1, [1])
 
-    def test_b_conversion(self):
+    def test_exponent_is_egf_form(self):
         p = MLParams(3, 1, -1, [F(1, 2), F(1, 3)])
-        assert p.b(0) == F(1, 2)       # 1! c_1
-        assert p.b(1) == 2 * F(1, 3)   # 2! c_2
-        assert p.b(2) == 0             # zero from d-1 on
-        assert p.b(5) == 0
+        assert p.exponent(1) == F(1, 2)       # 1! c_1
+        assert p.exponent(2) == 2 * F(1, 3)   # 2! c_2
+        assert p.exponent(3) == 0             # zero from d on
+        assert p.exponent(6) == 0
+        assert p.ratio == (1, -1)
 
 
 # (kind, d, the values read_params reads, the same parameters built directly)
@@ -121,7 +120,7 @@ class TestMLFamilies:
         p = MLParams(2, 2, F(1, 2), [F(3, 7)])
         polys = ml_by_recurrence(p, 1)
         assert polys[0] == Poly.one()
-        assert polys[1] == X + Poly.const(p.b(0))
+        assert polys[1] == X + Poly.const(p.exponent(1))
 
     def test_order_zero(self):
         assert ml_by_gf(MLParams(1, 1, -1), 0) == [Poly.one()]
@@ -138,7 +137,7 @@ class TestMLFamilies:
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)
     def test_recurrence_table_is_the_fitted_table(self, p):
-        table = ml_recurrence_table(p.alpha, p.beta, p.b, p.d, 10)
+        table = ml_recurrence_table(p, 10)
         fitted = fit_recurrence(table.regenerate(), p.d)
         assert fitted.beta == table.beta
         assert fitted.gamma == table.gamma
@@ -172,12 +171,13 @@ class TestMLCompanions:
         q = q_sequence(ml_by_recurrence(p, n_max), lambda f: delta_w(f, p.w))
         alpha, beta = p.alpha, p.beta
         for n in range(len(q) - 1):
-            nxt = (X + Poly.const((alpha + beta) * n + p.b(0) + alpha)) * q[n]
+            nxt = (X + Poly.const((alpha + beta) * n + p.exponent(1) + alpha)) * q[n]
             if n >= 1:
-                nxt -= q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.b(0) - p.b(1)))
+                nxt -= q[n - 1] * (n * (n * alpha * beta + (alpha + beta) * p.exponent(1)
+                                        - p.exponent(2)))
             for k in range(2, min(n, p.d) + 1):
-                coef = (p.b(k) - (alpha + beta) * k * p.b(k - 1)
-                        + alpha * beta * k * (k - 1) * p.b(k - 2))
+                coef = (p.exponent(k + 1) - (alpha + beta) * k * p.exponent(k)
+                        + alpha * beta * k * (k - 1) * p.exponent(k - 1))
                 nxt += q[n - k] * (binomial(n, k) * coef)
             assert q[n + 1] == nxt, f"companion recurrence broke at n={n}"
 
@@ -191,37 +191,37 @@ class TestMLCompanions:
 
 class TestLaguerreFamilies:
     def test_normalization(self):
-        assert laguerre_type_by_gf(LagParams(2, 1, 3, F(5, 7), [1, 2]), 0) == [Poly.one()]
+        assert ml_by_gf(LagParams(2, 1, 3, F(5, 7), [1, 2]), 0) == [Poly.one()]
 
     def test_degree_one(self):
         p = LagParams(2, F(1, 2), F(2, 3), F(-1, 5), [4, F(1, 6)])
         expect = X + Poly.const(p.a * (p.theta - p.beta_exp) + p.b[1])
-        assert laguerre_type_by_gf(p, 1)[1] == expect
-        assert laguerre_type_by_recurrence(p, 1)[1] == expect
+        assert ml_by_gf(p, 1)[1] == expect
+        assert ml_by_recurrence(p, 1)[1] == expect
 
     def test_plain_exponential_case(self):
-        assert laguerre_type_by_gf(LagParams(1, 1), 2)[2] == Poly([0, 2, 1])
+        assert ml_by_gf(LagParams(1, 1), 2)[2] == Poly([0, 2, 1])
 
     @pytest.mark.parametrize("p", LAG_GRID, ids=str)
     def test_routes_agree(self, p):
-        assert laguerre_type_by_recurrence(p, 12) == laguerre_type_by_gf(p, 12)
+        assert ml_by_recurrence(p, 12) == ml_by_gf(p, 12)
 
     @pytest.mark.parametrize("p", LAG_GRID, ids=str)
     def test_monic_of_full_degree(self, p):
-        for n, poly in enumerate(laguerre_type_by_recurrence(p, 10)):
+        for n, poly in enumerate(ml_by_recurrence(p, 10)):
             assert poly.degree == n
             assert poly.is_monic()
 
     def test_b0_only_affects_removed_constant(self):
         base = LagParams(2, 1, -2, 0, [0, 1])
         moved = LagParams(2, 1, -2, 0, [F(7, 3), 1])
-        assert laguerre_type_by_gf(base, 8) == laguerre_type_by_gf(moved, 8)
+        assert ml_by_gf(base, 8) == ml_by_gf(moved, 8)
 
     def test_theta_is_an_x_shift(self):
         from dops.polynomials import shift
         p = LagParams(2, 1, -2, F(1, 2), [0, 1])
-        base = laguerre_type_by_recurrence(LagParams(2, 1, -2, 0, [0, 1]), 8)
-        shifted = laguerre_type_by_recurrence(p, 8)
+        base = ml_by_recurrence(LagParams(2, 1, -2, 0, [0, 1]), 8)
+        shifted = ml_by_recurrence(p, 8)
         for n in range(9):
             assert shifted[n] == shift(base[n], p.a * p.theta)
 
@@ -229,8 +229,8 @@ class TestLaguerreFamilies:
         # Q_n = P'_{n+1}/(n+1) is the family with beta_exp lowered by one.
         p = LagParams(2, F(1, 2), F(-3, 2), 0, [1, F(1, 3)])
         lowered = LagParams(2, F(1, 2), F(-5, 2), 0, [1, F(1, 3)])
-        q = q_sequence(laguerre_type_by_recurrence(p, 9), derivative)
-        assert q == laguerre_type_by_recurrence(lowered, 8)
+        q = q_sequence(ml_by_recurrence(p, 9), derivative)
+        assert q == ml_by_recurrence(lowered, 8)
 
     def test_rejects_zero_scale(self):
         with pytest.raises(FamilyParamError, match="a must be nonzero"):
@@ -248,12 +248,10 @@ class TestConfluentLimit:
         # their value at the confluent point alpha = beta = a is the exact
         # w -> 0 limit; it must coincide with the derivative-operator family
         # under b_i = i! c_i, beta_exp = 0, theta = 0.
-        def b(k):
-            return math.factorial(k + 1) * c[k] if 0 <= k < len(c) else F(0)
-
-        confluent = ml_recurrence_table(a, a, b, d, 8).regenerate()
         lag_b = [F(0)] + [math.factorial(i) * c[i - 1] for i in range(1, d)]
-        assert confluent == oracles.laguerre_by_recurrence(LagParams(d, a, 0, 0, lag_b), 8)
+        p = LagParams(d, a, 0, 0, lag_b)
+        confluent = ml_recurrence_table(p, 8).regenerate()
+        assert confluent == oracles.laguerre_by_recurrence(p, 8)
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -276,8 +274,8 @@ class TestLaguerreDifferential:
         # The confluent-table route and the generating function route against
         # the Laguerre band recurrence written out term by term.
         expected = oracles.laguerre_by_recurrence(p, 14)
-        assert laguerre_type_by_recurrence(p, 14) == expected
-        assert laguerre_type_by_gf(p, 14) == expected
+        assert ml_by_recurrence(p, 14) == expected
+        assert ml_by_gf(p, 14) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(lag_params())
@@ -286,36 +284,38 @@ class TestLaguerreDifferential:
         # The generating function route reads the family off the confluent
         # ratio-power exponent; the oracle writes the Laguerre exponent out
         # with its own x term and log(1 - a t) series.
-        assert laguerre_type_by_gf(p, 14) == oracles.laguerre_by_gf(p, 14)
+        assert ml_by_gf(p, 14) == oracles.laguerre_by_gf(p, 14)
 
 
 class TestRecurrenceTableHoist:
-    """ml_recurrence_table reads each of b_0..b_d once, whatever n_max is."""
+    """ml_recurrence_table reads each of exponent(1..d+1) once, whatever n_max is."""
+
+    @staticmethod
+    def count_exponent_calls(monkeypatch, cls):
+        calls = []
+        exponent = cls.exponent
+
+        def counting(params, n):
+            calls.append(n)
+            return exponent(params, n)
+
+        monkeypatch.setattr(cls, "exponent", counting)
+        return calls
 
     @pytest.mark.parametrize("d", range(1, 5))
-    def test_b_is_called_at_most_d_plus_one_times(self, d):
-        calls = []
-
-        def b(k):
-            calls.append(k)
-            return F(k + 1, 3)
-
-        ml_recurrence_table(F(1, 2), F(-1, 3), b, d, 40)
+    def test_ml_reads_the_exponent_at_most_d_plus_one_times(self, monkeypatch, d):
+        p = MLParams(d, F(1, 2), F(-1, 3), [F(k + 1, 3) for k in range(d - 1)])
+        expected = ml_by_gf(p, 40)
+        calls = self.count_exponent_calls(monkeypatch, MLParams)
+        assert ml_by_recurrence(p, 40) == expected
         assert len(calls) <= d + 1
 
     @pytest.mark.parametrize("d", range(1, 5))
-    def test_laguerre_reads_b_at_most_d_plus_one_times(self, monkeypatch, d):
-        calls = []
-        b_at = LagParams.b_at
-
-        def counting(params, i):
-            calls.append(i)
-            return b_at(params, i)
-
+    def test_laguerre_reads_the_exponent_at_most_d_plus_one_times(self, monkeypatch, d):
         p = LagParams(d, F(1, 2), F(-3, 2), F(1, 7), [F(1, k + 2) for k in range(d)])
         expected = oracles.laguerre_by_recurrence(p, 40)
-        monkeypatch.setattr(LagParams, "b_at", counting)
-        assert laguerre_type_by_recurrence(p, 40) == expected
+        calls = self.count_exponent_calls(monkeypatch, LagParams)
+        assert ml_by_recurrence(p, 40) == expected
         assert len(calls) <= d + 1
 
 
@@ -337,7 +337,7 @@ class TestBenchmarkConfigurations:
     @pytest.mark.parametrize("n_max", [48, 64])
     @pytest.mark.parametrize("p", LAGUERRE_REPORT_POOL)
     def test_laguerre_report_routes_agree(self, p, n_max):
-        assert laguerre_type_by_gf(p, n_max) == laguerre_type_by_recurrence(p, n_max)
+        assert ml_by_gf(p, n_max) == ml_by_recurrence(p, n_max)
 
     @pytest.mark.parametrize("p", ML_VERIFY_POOL)
     def test_ml_verify_routes_agree(self, p):
@@ -495,10 +495,10 @@ class TestSympyOracle:
         a, theta = self.rational(p.a), self.rational(p.theta)
         x, t = self.x, self.t
         pi = sum(self.rational(p.b_at(i)) * t**i / self.sympy.factorial(i) for i in range(1, p.d))
-        # the t = 0 constant exp(theta + b_0) is removed, as in laguerre_type_by_gf
+        # the t = 0 constant exp(theta + b_0) is removed, as in ml_by_gf
         gf = ((1 - a * t) ** self.rational(p.beta_exp)
               * self.sympy.exp((x * t + theta) / (1 - a * t) - theta + pi))
-        assert self.egf_polys(gf, 5) == laguerre_type_by_recurrence(p, 5)
+        assert self.egf_polys(gf, 5) == ml_by_recurrence(p, 5)
 
     def test_hyp_laguerre_d1_is_assoc_laguerre(self):
         alpha = F(1, 2)

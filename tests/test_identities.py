@@ -83,7 +83,7 @@ ROUTED_KINDS = {
     "ml": (MLParams(2, 1, -1, [1]), ["ml_by_recurrence", "ml_by_gf", "q_sequence"]),
     "charlier": (MLParams(1, 0, -1), ["ml_by_recurrence", "ml_by_gf", "q_sequence"]),
     "laguerre": (LagParams(2, F(1, 2), F(-3, 2), F(1, 7)),
-                 ["laguerre_type_by_recurrence", "laguerre_type_by_gf", "q_sequence"]),
+                 ["ml_by_recurrence", "ml_by_gf", "q_sequence"]),
     "hyp-laguerre": (HypParams(2, [F(1, 2), F(1, 3)]), ["hyp_laguerre"]),
 }
 
@@ -94,8 +94,8 @@ def test_setup_calls_the_routes_bound_on_the_modules(monkeypatch, kind):
     by rebinding each wrapper at every module attribute, and every value of a
     module-level dict, that held the original.  A route kept anywhere else,
     such as an attribute of a record built at import, would escape it."""
-    routes = [families.ml_by_recurrence, families.ml_by_gf, families.laguerre_type_by_recurrence,
-              families.laguerre_type_by_gf, families.hyp_laguerre, families.q_sequence]
+    routes = [families.ml_by_recurrence, families.ml_by_gf, families.hyp_laguerre,
+              families.q_sequence]
     calls, wrappers = [], {}
     for route in routes:
         def wrapper(*args, _route=route):
@@ -226,7 +226,7 @@ class TestHahnShift:
         # the family's table over the same steps, shifted.
         q = q_sequence(ml_by_recurrence(p, 11), lambda f: delta_w(f, p.w))
         q_table = fit_recurrence(q, p.d)
-        shifted = _hahn_shift(ml_recurrence_table(p.alpha, p.beta, p.b, p.d, 10), p.alpha, p.beta)
+        shifted = _hahn_shift(ml_recurrence_table(p, 10), p.alpha, p.beta)
         assert shifted.beta == q_table.beta
         assert shifted.gamma == q_table.gamma
         # Argument-keyed tooling (bench/spans.py) hashes tables passed to public calls.
@@ -273,7 +273,7 @@ class TestSrBlock:
         p = MLParams(2, 2, F(1, 2), [F(3, 4)])
         polys = ml_by_recurrence(p, 1)
         for c in (F(0), F(7, 5), F(-3)):
-            assert (X - Poly.const(c)) * Poly.one() == polys[1] - Poly.const(c + p.b(0))
+            assert (X - Poly.const(c)) * Poly.one() == polys[1] - Poly.const(c + p.exponent(1))
 
 
 class TestImpliedIdentities:
@@ -656,9 +656,9 @@ class TestLaguerreStructure:
         assert any("x + a*theta" in note for note in rep.notes)
 
     def test_trivial_base_case(self):
-        from dops.families import laguerre_type_by_recurrence
+        from dops.families import ml_by_recurrence
         from dops.polynomials import derivative
-        polys = laguerre_type_by_recurrence(LagParams(1, 1, -1), 1)
+        polys = ml_by_recurrence(LagParams(1, 1, -1), 1)
         assert X * derivative(polys[0]) == Poly.zero()
 
 
@@ -701,10 +701,10 @@ class TestExpCoefficients:
     @example([F(1, 2), F(-1, 3), F(2, 5)], 10)
     def test_entries_are_composition_sums(self, c, n_max):
         # d <= 4 carries at most three exponent coefficients; the sz4 form
-        # reads c and the moment recursion -c, each in EGF form k! c_k = b_{k-1}.
+        # reads c and the moment recursion -c, each in EGF form n! c_n at t**n.
         for values in (c, [-ci for ci in c]):
-            egf = [math.factorial(k + 1) * v for k, v in enumerate(values)]
-            assert ml_suites._exp_coefficients(lambda k: egf[k] if k < len(egf) else 0, n_max) == [
+            egf = [0] + [math.factorial(n) * v for n, v in enumerate(values, 1)]
+            assert ml_suites._exp_coefficients(lambda n: egf[n] if n < len(egf) else 0, n_max) == [
                 math.factorial(m) * oracles.composition_sum(values, m) for m in range(n_max + 1)]
 
 
@@ -887,11 +887,23 @@ class TestTruthSensitivity:
 
     @pytest.mark.parametrize("kind, identity", [
         ("hyp-laguerre", "quasi-order"), ("hyp-laguerre", "hyp-lincomb"), ("laguerre", "routes"),
-        ("laguerre", "d-orthogonality"), ("laguerre", "regularity"), ("charlier", "routes"),
+        ("laguerre", "laguerre-structure"), ("laguerre", "d-orthogonality"),
+        ("laguerre", "regularity"), ("charlier", "routes"),
         ("charlier", "hahn"), ("charlier", "de1"), ("charlier", "de2"), ("charlier", "sz4"),
         ("charlier", "sz5"), ("charlier", "d-orthogonality"), ("charlier", "moment-recursion")])
     def test_unmoved_truth_passes_beyond_ml(self, kind, identity):
         assert self.statuses(TRUTH_SETUPS[kind](), identity) == {"pass"}
+
+    @pytest.mark.parametrize("field", ["b_1", "b_2", "beta_exp"])
+    def test_laguerre_structure_reads_the_parameters(self, field):
+        # The d = 3 family table kept, one parameter the relation reads moved by 1/7.
+        setup = TRUTH_SETUPS["laguerre"]()
+        p = setup.params
+        b = [bi + F(1, 7) if field == f"b_{i}" else bi for i, bi in enumerate(p.b)]
+        beta_exp = p.beta_exp + F(1, 7) if field == "beta_exp" else p.beta_exp
+        moved_params = LagParams(p.d, p.a, beta_exp, p.theta, b)
+        self.assert_fail(FamilySetup("laguerre", setup.order, moved_params, setup.polys),
+                         "laguerre-structure")
 
     def test_hyp_suites_read_the_quasi_family(self):
         setup = TRUTH_SETUPS["hyp-laguerre"]()

@@ -23,7 +23,6 @@ from dops.families import (
     MLParams,
     hyp_laguerre,
     hyp_quasi,
-    laguerre_type_by_recurrence,
     ml_by_recurrence,
 )
 from dops.orthogonality import (
@@ -101,13 +100,14 @@ class TestFitRecurrence:
         table = fit_recurrence(ml_by_recurrence(p, n_max), p.d)
         alpha, beta = p.alpha, p.beta
         for n in range(n_max):
-            assert table.beta[n] == -((alpha + beta) * n + p.b(0))
+            assert table.beta[n] == -((alpha + beta) * n + p.exponent(1))
         for n in range(1, n_max):
-            expect = n * ((n - 1) * alpha * beta + (alpha + beta) * p.b(0) - p.b(1))
+            expect = n * ((n - 1) * alpha * beta + (alpha + beta) * p.exponent(1)
+                          - p.exponent(2))
             assert table.gamma_at(n, p.d - 1) == expect
         for k in range(2, p.d + 1):
-            bracket = (p.b(k) - (alpha + beta) * k * p.b(k - 1)
-                       + alpha * beta * k * (k - 1) * p.b(k - 2))
+            bracket = (p.exponent(k + 1) - (alpha + beta) * k * p.exponent(k)
+                       + alpha * beta * k * (k - 1) * p.exponent(k - 1))
             for n in range(k, n_max):
                 assert table.gamma_at(n - k + 1, p.d - k) == -binomial(n, k) * bracket
 
@@ -420,8 +420,7 @@ class TestKernelsAgainstPolyOracles:
 def test_moments_and_pattern_need_no_expansion_and_no_product(monkeypatch):
     # Forward substitution and shifted pairings are O(d N**2) integer work;
     # a call to either counted function would bring back the O(N**3) route.
-    polys = laguerre_type_by_recurrence(LagParams(3, F(1, 2), F(-3, 2), F(1, 7),
-                                                  [1, F(1, 3), F(1, 5)]), 24)
+    polys = ml_by_recurrence(LagParams(3, F(1, 2), F(-3, 2), F(1, 7), [1, F(1, 3), F(1, 5)]), 24)
     calls = Counter()
 
     def counting(name, fn):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dops.identities import ratio_power_closed_form
 from dops.polynomials import Poly
 from dops import families
-from dops.families import LagParams, MLParams, laguerre_type_by_gf, ml_by_gf
+from dops.families import LagParams, MLParams, ml_by_gf
 from dops.series import egf_exp, ratio_power_exponent
 
 from oracles import (egf_extract, exp_by_convolution, gf_binomial_xw, laguerre_by_gf,
@@ -218,11 +218,11 @@ class TestEgfExtract:
             assert p.is_monic()
 
 
-def route_exponent(monkeypatch, route, params, order):
-    """The exponent a generating-function route hands to ``egf_exp``."""
+def route_exponent(monkeypatch, params, order):
+    """The exponent the generating-function route hands to ``egf_exp``."""
     seen = []
     monkeypatch.setattr(families, "egf_exp", lambda f: seen.append(f) or egf_exp(f))
-    route(params, order)
+    ml_by_gf(params, order)
     monkeypatch.undo()
     (exponent,) = seen
     return exponent
@@ -232,28 +232,27 @@ class TestEgfExpDifferential:
     """The EGF exponential, P_n = sum C(n-1, k-1) F_k P_{n-k}, against the
     ordinary-form convolution g_n = sum (k/n) f_k g_{n-k}, f_k = F_k / k!,
     read out as n! g_n, exactly, on the exponents the generating-function
-    routes build."""
+    route builds for each family kind."""
 
-    ROUTES = {
-        "ml": (ml_by_gf, MLParams(3, F(2, 3), F(-1, 2), [F(1, 2), F(-3, 4)])),
-        "charlier": (ml_by_gf, MLParams(2, 0, F(-3, 2), [F(2, 5)])),
-        "laguerre": (laguerre_type_by_gf,
-                     LagParams(3, F(-1, 2), F(5, 4), F(1, 7), [F(2, 3), F(-1, 3), F(1, 5)])),
+    PARAMS = {
+        "ml": MLParams(3, F(2, 3), F(-1, 2), [F(1, 2), F(-3, 4)]),
+        "charlier": MLParams(2, 0, F(-3, 2), [F(2, 5)]),
+        "laguerre": LagParams(3, F(-1, 2), F(5, 4), F(1, 7), [F(2, 3), F(-1, 3), F(1, 5)]),
     }
 
     @pytest.mark.parametrize("order", range(21))
-    @pytest.mark.parametrize("route, params", ROUTES.values(), ids=ROUTES.keys())
-    def test_route_exponent(self, monkeypatch, route, params, order):
-        exponent = route_exponent(monkeypatch, route, params, order)
+    @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+    def test_route_exponent(self, monkeypatch, params, order):
+        exponent = route_exponent(monkeypatch, params, order)
         assert len(exponent) == order + 1
         assert egf_exp(exponent) == egf_extract(exp_by_convolution(ordinary(exponent))) == \
-            route(params, order)
+            ml_by_gf(params, order)
 
-    @pytest.mark.parametrize("params", [ROUTES["ml"][1], ROUTES["charlier"][1]], ids=str)
+    @pytest.mark.parametrize("params", [PARAMS["ml"], PARAMS["charlier"]], ids=str)
     def test_ml_exponent_is_the_egf_form_of_its_series(self, monkeypatch, params):
         # log of ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i), entry n
         # being n! times its t**n coefficient
-        exponent = route_exponent(monkeypatch, ml_by_gf, params, 6)
+        exponent = route_exponent(monkeypatch, params, 6)
         scalar = scalars([0, *params.c] + [0] * (6 - len(params.c)))
         assert ordinary(exponent) == [r + c for r, c in zip(
             ordinary(ratio_power_exponent(params.alpha, params.beta, 6)), scalar)]
