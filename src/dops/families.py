@@ -7,7 +7,8 @@ coefficients down as a ``RecurrenceTable`` and regenerates it, so fitted and
 constructed recurrences are run by the same code; the table reads each
 parameter b_k once and forms each n-free coefficient once.  A
 generating-function construction writes its exponent in EGF form and reads
-P_n off ``series.egf_exp``, the one exponential.  Parameter conventions:
+P_n off ``series.egf_exp``, the one exponential, with a multiplier that sets
+its cost and never its result.  Parameter conventions:
 
 * Mittag-Leffler type: generating function ((1-beta t)/(1-alpha t))**(x/w)
   times exp(sum c_i t**i), with w = alpha - beta.  The exponent coefficients
@@ -54,7 +55,7 @@ from .polynomials import (
     format_rational,
 )
 from .orthogonality import RecurrenceTable
-from .series import egf_exp, ratio_power_exponent
+from .series import egf_exp, ratio_power_exponent, ratio_power_multiplier
 
 __all__ = [
     "FamilyParamError",
@@ -354,11 +355,12 @@ def ml_by_recurrence(params: MLParams | LagParams, n_max: int) -> list[Poly]:
 def ml_by_gf(params: MLParams | LagParams, n_max: int) -> list[Poly]:
     """The same family read off the exponential generating function: one exp
     of the ratio-power exponent at ``params.ratio`` plus the scalar
-    ``params.exponent(n)`` at each t**n, n >= 1, in EGF form."""
-    exponent = ratio_power_exponent(*params.ratio, n_max)
-    for n in range(1, n_max + 1):
-        exponent[n] += Poly.const(params.exponent(n))
-    return egf_exp(exponent)
+    ``params.exponent(n)`` at each t**n, n >= 1, in EGF form, taken with the
+    multiplier (1 - alpha t)(1 - beta t), which turns the derivative of the
+    exponent into a polynomial in t of degree at most d."""
+    ratio = params.ratio
+    return egf_exp(ratio_power_exponent(*ratio, n_max, params.exponent),
+                   ratio_power_multiplier(*ratio))
 
 
 def q_sequence(polys: Sequence[Poly], lower) -> list[Poly]:

@@ -21,7 +21,7 @@ from .identities import (FamilySetup, VerificationReport, _not_applicable, _rati
                          verify_routes)
 from .orthogonality import RecurrenceTable
 from .polynomials import Poly, binomial, delta_w, format_rational, lincomb, shift
-from .series import egf_exp, ratio_power_exponent
+from .series import egf_exp, ratio_power_exponent, ratio_power_multiplier
 
 __all__ = ["SUITES", "verify_hahn", "verify_nccd", "verify_sr_block", "verify_sr2", "verify_de",
            "verify_de1", "verify_de2", "verify_sz4", "verify_sz5", "verify_moment_recursion"]
@@ -332,7 +332,7 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         "alpha": format_rational(alpha),
         "beta": format_rational(beta),
     }
-    truth = egf_exp(ratio_power_exponent(alpha, beta, n_max))
+    truth = egf_exp(ratio_power_exponent(alpha, beta, n_max), ratio_power_multiplier(alpha, beta))
 
     def stated():
         yield 0, Poly.one(), truth[0], "stated closed form"

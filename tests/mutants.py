@@ -42,7 +42,7 @@ MUTANTS = [
            "(n, rec[n], setup.gf[n], ", "(n, rec[n], rec[n], ",
            (f"{TRUTH}::test_routes_reads_the_generating_function",)),
     Mutant("sz5-truth-is-closed-form", "ml_suites.py",
-           "truth = egf_exp(ratio_power_exponent(alpha, beta, n_max))",
+           "truth = egf_exp(ratio_power_exponent(alpha, beta, n_max), ratio_power_multiplier(alpha, beta))",
            "truth = setup.closed_forms",
            (f"{TRUTH}::test_sz5_reads_the_exponent_series",)),
     Mutant("hahn-beta-shift-vacuous", "ml_suites.py",
@@ -83,6 +83,12 @@ MUTANTS = [
     Mutant("laguerre-exponent-theta-sign", "families.py",
            "(math.factorial(n) * self.theta", "(-math.factorial(n) * self.theta",
            ("tests/test_families.py::TestLaguerreDifferential",)),
+    Mutant("egf-multiplier-side-sign", "series.py",
+           "(-binomial(n, i) * b, out[n + 1 - i])", "(binomial(n, i) * b, out[n + 1 - i])",
+           ("tests/test_series.py::TestEgfExpDifferential::test_route_exponent",)),
+    Mutant("ml-bracket-sign", "families.py",
+           "- p * k * (k - 1) * bs[k - 2]", "+ p * k * (k - 1) * bs[k - 2]",
+           ("tests/test_families.py::TestBenchmarkConfigurations::test_ml_verify_routes_agree",)),
 ]
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from dops.identities import ratio_power_closed_form
 from dops.polynomials import Poly
-from dops import families
-from dops.families import LagParams, MLParams, ml_by_gf
+from dops import families, polynomials, series
+from dops.families import LagParams, MLParams, ml_by_gf, ml_by_recurrence
 from dops.series import egf_exp, ratio_power_exponent
 
 from oracles import (egf_extract, exp_by_convolution, gf_binomial_xw, laguerre_by_gf,
@@ -87,6 +87,22 @@ class TestExpLog:
         assert series_log1p_scaled(1, 3) == scalars([0, -1, F(-1, 2), F(-1, 3)])
         assert series_log1p_scaled(0, 4) == scalars([0] * 5)
         assert series_log1p_scaled(-1, 2) == scalars([0, 1, F(-1, 2)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(rationals, min_size=1, max_size=3).map(Poly)
+                    .filter(lambda p: not p.is_zero()), min_size=0, max_size=9),
+           st.lists(rationals, max_size=4))
+    def test_multiplier_never_changes_the_result(self, tail, den_tail):
+        # exponent entries nonzero at every order, of degree <= 2 in x
+        f = [Poly.zero()] + tail
+        den = [1] + den_tail
+        assert egf_exp(f, den) == egf_exp(f) == \
+            egf_extract(exp_by_convolution(ordinary(f)))
+
+    @pytest.mark.parametrize("den", [(), (2,), (0, 1), (F(1, 2), 3)])
+    def test_exp_rejects_a_multiplier_without_constant_term_one(self, den):
+        with pytest.raises(ValueError, match="multiplier whose constant term is 1"):
+            egf_exp([Poly.zero(), X, X], den)
 
     @settings(max_examples=30)
     @given(st.lists(st.lists(rationals, min_size=0, max_size=3).map(Poly),
@@ -219,20 +235,22 @@ class TestEgfExtract:
 
 
 def route_exponent(monkeypatch, params, order):
-    """The exponent the generating-function route hands to ``egf_exp``."""
+    """The exponent and the multiplier the generating-function route hands
+    to ``egf_exp``."""
     seen = []
-    monkeypatch.setattr(families, "egf_exp", lambda f: seen.append(f) or egf_exp(f))
+    monkeypatch.setattr(families, "egf_exp", lambda f, den: seen.append((f, den)) or egf_exp(f, den))
     ml_by_gf(params, order)
     monkeypatch.undo()
-    (exponent,) = seen
-    return exponent
+    (call,) = seen
+    return call
 
 
 class TestEgfExpDifferential:
     """The EGF exponential, P_n = sum C(n-1, k-1) F_k P_{n-k}, against the
     ordinary-form convolution g_n = sum (k/n) f_k g_{n-k}, f_k = F_k / k!,
     read out as n! g_n, exactly, on the exponents the generating-function
-    route builds for each family kind."""
+    route builds for each family kind, with and without the multiplier the
+    route passes."""
 
     PARAMS = {
         "ml": MLParams(3, F(2, 3), F(-1, 2), [F(1, 2), F(-3, 4)]),
@@ -243,16 +261,38 @@ class TestEgfExpDifferential:
     @pytest.mark.parametrize("order", range(21))
     @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
     def test_route_exponent(self, monkeypatch, params, order):
-        exponent = route_exponent(monkeypatch, params, order)
+        exponent, den = route_exponent(monkeypatch, params, order)
         assert len(exponent) == order + 1
         assert egf_exp(exponent) == egf_extract(exp_by_convolution(ordinary(exponent))) == \
-            ml_by_gf(params, order)
+            egf_exp(exponent, den) == ml_by_gf(params, order)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_route_cost_is_linear_in_order(self, monkeypatch, d):
+        # With the multiplier the route makes one lincomb for A_n and one for
+        # P_{n+1}, each of at most d + 4 terms; the convolution would make
+        # P_n of n terms, and a Poly sum per exponent entry one call more.
+        params = LagParams(d, F(1, 2), F(-3, 2), F(1, 7), [1, F(1, 3), F(1, 5)][:d])
+        sizes, kernel = [], polynomials.lincomb
+
+        def counting(terms):
+            terms = list(terms)
+            sizes.append(len(terms))
+            return kernel(terms)
+
+        for module in (series, polynomials):
+            monkeypatch.setattr(module, "lincomb", counting)
+        n_max = 48
+        got = ml_by_gf(params, n_max)
+        monkeypatch.undo()
+        assert got == ml_by_recurrence(params, n_max)
+        assert len(sizes) <= 2 * n_max + 2
+        assert max(sizes) <= d + 4
 
     @pytest.mark.parametrize("params", [PARAMS["ml"], PARAMS["charlier"]], ids=str)
     def test_ml_exponent_is_the_egf_form_of_its_series(self, monkeypatch, params):
         # log of ((1-beta t)/(1-alpha t))**(x/w) exp(sum c_i t**i), entry n
         # being n! times its t**n coefficient
-        exponent = route_exponent(monkeypatch, params, 6)
+        exponent, _ = route_exponent(monkeypatch, params, 6)
         scalar = scalars([0, *params.c] + [0] * (6 - len(params.c)))
         assert ordinary(exponent) == [r + c for r, c in zip(
             ordinary(ratio_power_exponent(params.alpha, params.beta, 6)), scalar)]
