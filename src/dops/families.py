@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .polynomials import (
@@ -389,13 +389,16 @@ def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
     terms by two gcds per step.  Row n is (-1)**k C(n, k) num R_k L_n / den R_k
     over L_n = lcm(den R_0, ..., den R_n), a divisor of prod_{i<n} v_i; going
     to n + 1 scales each numerator by L_{n+1} / L_n and appends the new one.
+    The signed binomials (-1)**k C(n, k) come from one table per n_max,
+    shared by every table of that order.
     """
     ups = [(a.numerator, a.denominator) for a in map(as_rational, extra_num)]
     downs = [(b.numerator, b.denominator) for b in map(as_rational, den)]
     q = math.prod(qj for _, qj in ups)
     s = math.prod(sj for _, sj in downs)
     rows = [Row([1], 1)]
-    signs, scaled, top, bottom, lcm = [1], [1], 1, 1, 1  # (-1)**k C(n, k), scales, R_n, L_n
+    signed = _signed_binomials(n_max)
+    scaled, top, bottom, lcm = [1], 1, 1, 1  # scales, R_n, L_n
     for i in range(n_max):
         v = q
         for rj, sj in downs:
@@ -411,10 +414,20 @@ def terminating_pfq(n_max: int, extra_num: Sequence[RationalLike],
         top, bottom = top // g_down * (u // g_up), bottom // g_up * (v // g_down)
         step = bottom // math.gcd(lcm, bottom)
         lcm *= step
-        signs = [a - b for a, b in zip(signs + [0], [0] + signs)]
         scaled = [m * step for m in scaled] + [top * (lcm // bottom)]
-        rows.append(Row([c * m for c, m in zip(signs, scaled)], lcm))
+        rows.append(Row([c * m for c, m in zip(signed[i + 1], scaled)], lcm))
     return rows
+
+
+@lru_cache(maxsize=1)
+def _signed_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Row n of (-1)**k C(n, k), k = 0..n, for n = 0..n_max, by one Pascal
+    pass.  A run builds all its terminating tables at one order, so one
+    table is kept."""
+    rows = [(1,)]
+    for _ in range(n_max):
+        rows.append(tuple(a - b for a, b in zip(rows[-1] + (0,), (0,) + rows[-1])))
+    return tuple(rows)
 
 
 def hyp_laguerre(params: HypParams, n_max: int) -> list[Poly]:

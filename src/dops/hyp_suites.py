@@ -14,16 +14,18 @@ from fractions import Fraction
 from .families import _is_negative_integer, terminating_pfq
 from .identities import FamilySetup, VerificationReport, _not_applicable, _reconciled, _report
 from .orthogonality import quasi_orthogonality_order
-from .polynomials import Poly, binomial
+from .polynomials import Poly, Row, binomial
 
 __all__ = ["SUITES", "verify_hyp_lincomb", "verify_quasi_order"]
 
 
-def _rising(y: Fraction, n_max: int) -> list[Fraction]:
-    """The rising factorials (y)_0, ..., (y)_{n_max} as one running product."""
-    out = [Fraction(1)]
+def _rising_nums(y: Fraction, n_max: int) -> list[int]:
+    """q**m (y)_m for m = 0..n_max, with y = p/q in lowest terms: the rising
+    factorials' integer numerators over q**m, as one running product of p + j q."""
+    p, q = y.numerator, y.denominator
+    out = [1]
     for j in range(n_max):
-        out.append(out[-1] * (y + j))
+        out.append(out[-1] * (p + j * q))
     return out
 
 
@@ -46,6 +48,8 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     # a2 = p2/q2, off the integers where its falling factorials vanish.  Term
     # i at (n, k) weighs (-1)^i C(k, i) n!/(n-i)! (n+a2-i)_(k-i) / (a2)_k =
     # (-1)^i C(k, i) n!/(n-i)! q2^i prod_{j<k-i} ((n-i-j) q2 + p2) / a2_falling[k].
+    # The common 1/|a2_falling[k]| is folded into table k's row denominators
+    # and its sign into the weights, which are then integers.
     a2 = beta + dl + Fraction(1, 5 if (beta + Fraction(1, 3)).denominator == 1 else 3)
     p2, q2 = a2.numerator, a2.denominator
     a2_falling = [math.prod(p2 - j * q2 for j in range(k)) for k in range(dl + 1)]
@@ -57,23 +61,30 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         # at first parameter a2 + 1 - k, and sums[0] gives the left side.
         sums = [terminating_pfq(n_max, (a2 + 1 - k,), dens)
                 for k in range(min(n_max - 1, dl) + 1)]
+        for k in range(1, len(sums)):
+            scale = abs(a2_falling[k])
+            sums[k] = [Row(row.nums, row.den * scale) for row in sums[k]]
         for n in range(2, n_max + 1):
             for k in range(1, min(n - 1, dl) + 1):
-                terms, run = [], 1
-                for i in range(k, -1, -1):  # run = prod_{j<k-i} ((n-i-j) q2 + p2)
-                    terms.append((Fraction((-1) ** i * binomial(k, i) * math.perm(n, i) * q2 ** i
-                                           * run, a2_falling[k]), sums[k][n - i]))
+                terms, run = [], -1 if a2_falling[k] < 0 else 1
+                for i in range(k, -1, -1):  # run = ±prod_{j<k-i} ((n-i-j) q2 + p2)
+                    terms.append(((-1) ** i * binomial(k, i) * math.perm(n, i) * q2 ** i * run,
+                                  sums[k][n - i]))
                     run *= (n - i + 1) * q2 + p2
                 yield n, [(1, sums[0][n])], terms, f"index-shift lemma at k = {k}"
         yield ("index-shift lemma needs N >= 2" if n_max < 2
                else "index-shift lemma verified at a generic non-integer parameter")
 
-        # Component 2: the order-l combination, as quasi[n]'s coefficients over P_0..P_n.
-        shifted_rise, beta_rise = _rising(beta + dl + 1, n_max), _rising(beta + 1, n_max)
+        # Component 2: the order-l combination, as quasi[n]'s coefficients over
+        # P_0..P_n.  beta + d*l + 1 and beta + 1 share beta's denominator q, so
+        # weight k is (-1)^k C(d*l, k) n!/(n-k)! q^k shifted[n-k] / rise[n] over
+        # the integer rising numerators.
+        q = beta.denominator
+        shifted, rise = _rising_nums(beta + dl + 1, n_max), _rising_nums(beta + 1, n_max)
         for n, coeffs in enumerate(setup.quasi_expansions):
-            weights = [(-1) ** k * binomial(dl, k) * math.perm(n, k) * shifted_rise[n - k]
-                       / beta_rise[n] for k in range(min(n, dl), -1, -1)]
-            yield (n, Poly([0] * (n + 1 - len(weights)) + weights), Poly(coeffs),
+            nums = [(-1) ** k * binomial(dl, k) * math.perm(n, k) * q ** k * shifted[n - k]
+                    for k in range(min(n, dl), -1, -1)]
+            yield (n, Poly._make([0] * (n + 1 - len(nums)) + nums, rise[n]), Poly(coeffs),
                    f"order-l combination, coefficients over P_0..P_{n}")
         yield "order-l combination verified"
 
@@ -82,13 +93,16 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         if _is_negative_integer(beta2):
             yield "aligned reduction skipped: alpha_1 - d*l is a negative integer"
             return
-        alpha_rise, beta2_rise = _rising(p.alphavec[0] + 1, n_max), _rising(beta2 + 1, n_max)
+        # alpha_1 + 1 and beta2 + 1 share alpha_1's denominator q1.
+        q1 = beta2.denominator
+        alpha_rise = _rising_nums(p.alphavec[0] + 1, n_max)
+        beta2_rise = _rising_nums(beta2 + 1, n_max)
         reduced_family = terminating_pfq(n_max, (), (beta2 + 1,) + dens[1:p.d])
 
         def reduction_checks(window: int):
             for n in range(n_max + 1):
-                lhs = [((-1) ** k * binomial(window, k) * math.perm(n, k)
-                        * alpha_rise[n - k] / beta2_rise[n], basis[n - k])
+                lhs = [(Fraction((-1) ** k * binomial(window, k) * math.perm(n, k) * q1 ** k
+                                 * alpha_rise[n - k], beta2_rise[n]), basis[n - k])
                        for k in range(min(n, window) + 1)]
                 yield n, lhs, [(1, reduced_family[n])], f"aligned reduction, window {window}"
 

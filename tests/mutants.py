@@ -89,6 +89,14 @@ MUTANTS = [
     Mutant("ml-bracket-sign", "families.py",
            "- p * k * (k - 1) * bs[k - 2]", "+ p * k * (k - 1) * bs[k - 2]",
            ("tests/test_families.py::TestBenchmarkConfigurations::test_ml_verify_routes_agree",)),
+    # Every golden and benchmark config has a2 > d*l - 1, where each a2_falling[k] > 0.
+    Mutant("hyp-lemma-sign-fold", "hyp_suites.py",
+           "terms, run = [], -1 if a2_falling[k] < 0 else 1", "terms, run = [], 1",
+           ("tests/test_identities.py::TestHypLincomb::test_pass_notes[a2-negative]",
+            "tests/test_identities.py::TestHypLincomb::test_lemma_failure_at_negative_a2_falling_factorial")),
+    Mutant("hyp-order-l-q-power", "hyp_suites.py",
+           "math.perm(n, k) * q ** k * shifted[n - k]", "math.perm(n, k) * shifted[n - k]",
+           ("tests/test_identities.py::TestHypLincomb::test_pass_notes[stated-window]",)),
 ]
 
 

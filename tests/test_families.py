@@ -418,6 +418,17 @@ class TestTerminatingPfq:
     def test_integer_term_ratio_matches_fraction_loop(self, n_max, extra_num, den):
         assert pfq_outcome(n_max, extra_num, den) == oracle_outcome(n_max, extra_num, den)
 
+    @pytest.mark.parametrize("extra_num, den", [
+        ([F(1, 2)], [F(2, 3), F(5, 4)]),
+        ([F(-5), F(1, 2)], [F(-12), F(7, 3)]),
+        ([F(1, 2)], [F(2, 3), F(-3)]),
+    ])
+    def test_orders_in_any_sequence_match_fraction_loop(self, extra_num, den):
+        # The signed binomials are shared between tables of one order; orders
+        # taken out of sequence in one process must not see each other's.
+        for n_max in (12, 3, 0, 20, 5):
+            assert pfq_outcome(n_max, extra_num, den) == oracle_outcome(n_max, extra_num, den)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 12), st.lists(pfq_parameters, max_size=2),
            st.lists(pfq_parameters, max_size=2))

@@ -22,7 +22,7 @@ from dops.families import (
     ml_recurrence_table,
     q_sequence,
 )
-from dops.hyp_suites import verify_hyp_lincomb, _rising
+from dops.hyp_suites import verify_hyp_lincomb, _rising_nums
 from dops.identities import (
     FamilySetup,
     VerificationReport,
@@ -588,14 +588,48 @@ class TestHypLincomb:
         assert sides["actual"] != sides["expected"]
         assert rep.notes == ()
 
-    @pytest.mark.parametrize("p, reduction", [
-        (HypParams(1, [1], 0, 2), "aligned reduction skipped: alpha_1 - d*l is a negative integer"),
-        (HypParams(1, [F(1, 2)], F(1, 5), 2),
+    @pytest.mark.parametrize("p, order, reduction", [
+        (HypParams(1, [1], 0, 2), 8, "aligned reduction skipped: alpha_1 - d*l is a negative integer"),
+        (HypParams(1, [F(1, 2)], F(1, 5), 2), 8,
          "aligned reduction verified in the stated l-term window"),
-    ], ids=["skipped", "stated-window"])
-    def test_pass_notes(self, p, reduction):
-        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 8, p)))
+        # a2 = -73/6: a2_falling[k] = 1, -73, 5767, -490195 alternates in sign
+        (HypParams(1, [F(1, 2)], F(-31, 2), 3), 12,
+         "aligned reduction verified in the stated l-term window"),
+    ], ids=["skipped", "stated-window", "a2-negative"])
+    def test_pass_notes(self, p, order, reduction):
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", order, p)))
         assert (rep.status, rep.notes) == ("pass", (HYP_LEMMA_NOTE, HYP_ORDER_L_NOTE, reduction))
+
+    def test_lemma_failure_at_negative_a2_falling_factorial(self, monkeypatch):
+        # a2 = -73/6 and (a2)(a2 - 1) = 5767/36 > 0 after a negative a2 at
+        # k = 1.  One numerator of row 5 of the table at first parameter
+        # a2 - 1 (k = 2) is off, so the first check to fail is n = 5 at k = 2,
+        # and its right side is the Fraction-weighted sum over the moved table.
+        p = HypParams(1, [F(1, 2)], F(-31, 2), 3)
+        a2, n, k = F(-73, 6), 5, 2
+        build = hyp_suites.terminating_pfq
+        tables = {}
+
+        def perturbed(n_max, extra_num, den):
+            rows = build(n_max, extra_num, den)
+            if extra_num == (a2 + 1 - k,):
+                nums = list(rows[n].nums)
+                nums[2] += 1
+                rows[n] = Row(nums, rows[n].den)
+            tables[extra_num] = [row.poly() for row in rows]
+            return rows
+
+        monkeypatch.setattr(hyp_suites, "terminating_pfq", perturbed)
+        rep = single(verify_hyp_lincomb(FamilySetup("hyp-laguerre", 12, p)))
+        falling = lambda x, m: math.prod(x - j for j in range(m))
+        right = tables[(a2 + 1 - k,)]
+        expected = sum((right[n - i] * (F((-1) ** i * math.comb(k, i) * math.perm(n, i))
+                                        * falling(a2 + n - i, k - i) / falling(a2, k))
+                        for i in range(k + 1)), Poly.zero())
+        context = "index-shift lemma at k = 2"
+        assert rep.status == "fail"
+        assert rep.witness.to_dict() == Witness(n, expected, tables[(a2 + 1,)][n], context).to_dict()
+        assert rep.notes == ()
 
     def test_order_l_failure_carries_the_lemma_note(self):
         # The lemma reads only its own terminating sums, so a moved row of the
@@ -633,7 +667,8 @@ class TestHypLincomb:
 
     @given(st.fractions(min_value=-5, max_value=5, max_denominator=7), st.integers(0, 12))
     def test_rising_tables_are_pochhammer_values(self, y, n_max):
-        assert _rising(y, n_max) == [pochhammer(y, n) for n in range(n_max + 1)]
+        assert _rising_nums(y, n_max) == [y.denominator ** n * pochhammer(y, n)
+                                          for n in range(n_max + 1)]
 
 
 class TestLaguerreStructure:
