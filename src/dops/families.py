@@ -29,7 +29,8 @@ its cost and never its result.  Parameter conventions:
 * Hypergeometric Laguerre: the terminating 1Fd sums, normalized to value 1
   at x = 0 (not monic), plus the 2F(d+1) combinations used for
   quasi-orthogonality.  A parameter set's sums for n = 0..N come from one
-  pass over n-free integer step ratios as rows over a running lcm, made Polys here.
+  pass over n-free integer step ratios as rows over a running lcm; the
+  family's are made Polys here, the combinations stay rows.
 
 The first two are built by the same two routes, which read a parameter
 set's ``ratio`` pair and its scalar ``exponent``.  Under either lowering
@@ -55,7 +56,6 @@ from .polynomials import (
     format_rational,
 )
 from .orthogonality import RecurrenceTable
-from .series import egf_exp, ratio_power_exponent, ratio_power_multiplier
 
 __all__ = [
     "FamilyParamError",
@@ -357,7 +357,10 @@ def ml_by_gf(params: MLParams | LagParams, n_max: int) -> list[Poly]:
     of the ratio-power exponent at ``params.ratio`` plus the scalar
     ``params.exponent(n)`` at each t**n, n >= 1, in EGF form, taken with the
     multiplier (1 - alpha t)(1 - beta t), which turns the derivative of the
-    exponent into a polynomial in t of degree at most d."""
+    exponent into a polynomial in t of degree at most d.  ``dops.series`` is
+    imported here, so a job that never takes this route never compiles it."""
+    from .series import egf_exp, ratio_power_exponent, ratio_power_multiplier
+
     ratio = params.ratio
     return egf_exp(ratio_power_exponent(*ratio, n_max, params.exponent),
                    ratio_power_multiplier(*ratio))
@@ -437,10 +440,11 @@ def hyp_laguerre(params: HypParams, n_max: int) -> list[Poly]:
     return [row.poly() for row in rows]
 
 
-def hyp_quasi(params: HypParams, n_max: int) -> list[Poly]:
+def hyp_quasi(params: HypParams, n_max: int) -> list[Row]:
     """The 2F(d+1) combinations of degree 0..n_max with extra numerator
     beta + d*l + 1 and extra denominator beta + 1, at the params' beta and
-    l; quasi-orthogonal of order l over the 1Fd family."""
+    l; quasi-orthogonal of order l over the 1Fd family.  They are only ever
+    expanded over that family, so they stay ``terminating_pfq``'s unreduced
+    rows."""
     dens = tuple(ai + 1 for ai in params.alphavec) + (params.beta + 1,)
-    rows = terminating_pfq(n_max, (params.beta + params.d * params.l + 1,), dens)
-    return [row.poly() for row in rows]
+    return terminating_pfq(n_max, (params.beta + params.d * params.l + 1,), dens)

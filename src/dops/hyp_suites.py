@@ -81,10 +81,10 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         # the integer rising numerators.
         q = beta.denominator
         shifted, rise = _rising_nums(beta + dl + 1, n_max), _rising_nums(beta + 1, n_max)
-        for n, coeffs in enumerate(setup.quasi_expansions):
+        for n, coords in enumerate(setup.quasi_expansions):
             nums = [(-1) ** k * binomial(dl, k) * math.perm(n, k) * q ** k * shifted[n - k]
                     for k in range(min(n, dl), -1, -1)]
-            yield (n, Poly._make([0] * (n + 1 - len(nums)) + nums, rise[n]), Poly(coeffs),
+            yield (n, Poly._make([0] * (n + 1 - len(nums)) + nums, rise[n]), coords,
                    f"order-l combination, coefficients over P_0..P_{n}")
         yield "order-l combination verified"
 
@@ -117,9 +117,24 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
     return [_report("hyp-lincomb", params, 0, n_max, checks())]
 
 
+def _window_checks(expansions, dl: int):
+    """Row n's coordinates against the window P_{n-dl}..P_n: those below it
+    must be 0 and the one on P_{n-dl} must not, so the first failing check
+    names the first row at fault, with its offending coordinates as sides."""
+    for n, coords in enumerate(expansions):
+        low = n - dl
+        if low > 0:
+            yield (n, Poly._make(list(coords.nums[:low]), coords.den), Poly.zero(),
+                   f"coordinates of quasi[{n}] below its window P_{low}..P_{n}")
+        if low >= 0 and not coords.nums[low]:
+            yield (n, Poly.zero(), Poly.one(),
+                   f"coordinate of quasi[{n}] on P_{low}, the bottom of its window, is 0")
+
+
 def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
     """The quasi-orthogonal combinations have detected order exactly l over
-    the family, with a nonzero bottom expansion coefficient."""
+    the family, with a nonzero bottom expansion coefficient; a failure names
+    the first row whose expansion leaves the window or vanishes at its bottom."""
     params = setup.public_params()
     d, l = setup.d, setup.params.l
     if setup.order < d * l:
@@ -127,10 +142,11 @@ def verify_quasi_order(setup: FamilySetup) -> list[VerificationReport]:
                                 f"order l = {l} is detectable only from N >= d*l = {d * l}")]
 
     def checks():
-        found, exact = quasi_orthogonality_order(setup.quasi_expansions, d)
-        yield found, Poly.const(found), Poly.const(l), "detected quasi-orthogonality order"
-        yield (found, Poly.const(int(exact)), Poly.one(),
-               "bottom expansion coefficient vanished somewhere")
+        # The detector decides; a detected order other than exactly l means
+        # some row leaves its window or vanishes at its bottom, and the
+        # window checks name the first one.
+        if quasi_orthogonality_order(setup.quasi_expansions, d) != (l, True):
+            yield from _window_checks(setup.quasi_expansions, d * l)
         yield f"quasi-orthogonality order is exactly {l}"
 
     return [_report("quasi-order", params, 0, setup.order, checks())]

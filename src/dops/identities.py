@@ -306,12 +306,13 @@ class FamilySetup(Record):
         return verify_d_orthogonality(self.polys, self.moments)
 
     @cached_property
-    def quasi(self) -> list[Poly]:
+    def quasi(self) -> list[Row]:
         return hyp_quasi(self.params, self.order)
 
     @cached_property
-    def quasi_expansions(self) -> list[list[Fraction]]:
-        """quasi[n] expanded over P_0..P_n, which quasi-order and hyp-lincomb read."""
+    def quasi_expansions(self) -> list[Poly]:
+        """quasi[n]'s coordinates over P_0..P_n (coefficient i is the one on
+        P_i), which quasi-order and hyp-lincomb read."""
         return [expand_in_basis(q, self.polys) for q in self.quasi]
 
     @cached_property

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polynomials import Poly, Record, lincomb
+from .polynomials import Poly, Record, Row, lincomb
 
 __all__ = [
     "FitError",
@@ -57,32 +57,45 @@ def _check_graded(basis: Sequence[Poly]) -> None:
             raise FitError(i, f"basis element {i} has degree {p.degree}, expected {i}")
 
 
-def expand_in_basis(q: Poly, basis: Sequence[Poly]) -> list[Fraction]:
-    """Exact coefficients a_i with q = sum a_i basis[i].
+def expand_in_basis(q: Poly | Row, basis: Sequence[Poly]) -> Poly:
+    """The exact coordinates a_i with q = sum a_i basis[i], as the Poly whose
+    coefficient i is a_i (the zero Poly for q = 0); q is any integer row,
+    a ``Poly`` or an unreduced ``Row``.
 
     The basis must be graded (degree of basis[i] is exactly i) with nonzero
-    leading coefficients; monic is the common case but not required.  Returns
-    a list of length deg(q)+1 (empty for the zero polynomial).  The
-    remainder is integer numerators ``rest`` over one running denominator.
+    leading coefficients; monic is the common case but not required.  The
+    remainder is integer numerators ``rest`` over one running denominator,
+    which grows by a factor of basis[i]'s leading numerator over its gcd
+    with rest[i] at each nonzero step; coordinate i is kept over the
+    denominator of its step and rescaled to the last one at the end.
     """
-    if q.is_zero():
-        return []
-    if q.degree >= len(basis):
-        raise ValueError(f"need basis elements up to degree {q.degree}, have {len(basis) - 1}")
-    _check_graded(basis[: q.degree + 1])
-    out = [Fraction(0)] * (q.degree + 1)
     rest, den = list(q.nums), q.den
-    for i in range(q.degree, -1, -1):
-        if rest[i]:
-            p = basis[i]
-            a = out[i] = Fraction(rest[i] * p.den, den * p.nums[i])
-            new = math.lcm(den, a.denominator * p.den)
-            up, c = new // den, a.numerator * new // (a.denominator * p.den)
-            rest, den = [r * up - c * b for r, b in zip(rest, p.nums)], new
-            if rest[i]:
-                raise AssertionError("basis expansion failed to reduce degree")
+    while rest and not rest[-1]:
         rest.pop()
-    return out
+    top = len(rest) - 1
+    if top < 0:
+        return Poly.zero()
+    if top >= len(basis):
+        raise ValueError(f"need basis elements up to degree {top}, have {len(basis) - 1}")
+    _check_graded(basis[: top + 1])
+    found = []
+    for i in range(top, -1, -1):
+        r = rest.pop()
+        if r:
+            p = basis[i]
+            lead = p.nums[i]
+            g = math.gcd(r, lead)
+            r, lead = (r // g, lead // g) if lead > 0 else (-r // g, -lead // g)
+            if lead == 1:
+                rest = [c - r * b for c, b in zip(rest, p.nums)]
+            else:
+                rest = [c * lead - r * b for c, b in zip(rest, p.nums)]
+                den *= lead
+            found.append((i, r * p.den, den))
+    out = [0] * (top + 1)
+    for i, a, step_den in found:
+        out[i] = a * (den // step_den)
+    return Poly._make(out, den)
 
 
 class RecurrenceTable(Record):
@@ -147,13 +160,12 @@ def fit_recurrence(polys: Sequence[Poly], d: int) -> RecurrenceTable:
     gamma: dict[tuple[int, int], Fraction] = {}
     for n in range(n_max):
         defect = lincomb(((1, Poly.x(), polys[n]), (-1, polys[n + 1])))
-        coeffs = expand_in_basis(defect, polys)
-        coeffs += [Fraction(0)] * (n + 1 - len(coeffs))
-        beta.append(coeffs[n])
+        coords = expand_in_basis(defect, polys)
+        beta.append(coords.coefficient(n))
         for nu in range(min(d, n)):
-            gamma[(n - nu, d - 1 - nu)] = coeffs[n - 1 - nu]
-        for j in range(n - d):
-            if coeffs[j] != 0:
+            gamma[(n - nu, d - 1 - nu)] = coords.coefficient(n - 1 - nu)
+        for j, c in enumerate(coords.nums[:max(n - d, 0)]):
+            if c:
                 raise FitError(n, f"no bandwidth-{d + 2} recurrence: step {n} leaves "
                                   f"a nonzero component on P_{j}")
     return RecurrenceTable(d=d, n_max=n_max, beta=tuple(beta), gamma=gamma)
@@ -265,21 +277,22 @@ def verify_d_orthogonality(polys: Sequence[Poly], table: MomentTable) -> Orthogo
     return OrthogonalityReport(tuple(checks))
 
 
-def quasi_orthogonality_order(expansions: Sequence[list[Fraction]], d: int) -> tuple[int, bool]:
+def quasi_orthogonality_order(expansions: Sequence[Poly], d: int) -> tuple[int, bool]:
     """Smallest l such that every expansion, element n's ``expand_in_basis``
-    coefficients over a graded basis, has support inside [n - d*l, n], plus
+    coordinates over a graded basis, has support inside [n - d*l, n], plus
     whether that order is exact.
 
-    The order is exact when the bottom coefficient a_{n, n-d*l} is nonzero
+    The order is exact when the bottom coordinate a_{n, n-d*l} is nonzero
     for every checked n >= d*l; otherwise the sequence is quasi-orthogonal of
-    order at most l.
+    order at most l.  Only the integer numerators are read.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     l = 0
-    for n, coeffs in enumerate(expansions):
-        if len(coeffs) != n + 1:
-            raise ValueError(f"element {n} has degree {len(coeffs) - 1}; the sequence must be graded")
-        low = next(i for i, c in enumerate(coeffs) if c != 0)
+    for n, coords in enumerate(expansions):
+        nums = coords.nums
+        if len(nums) != n + 1:
+            raise ValueError(f"element {n} has degree {len(nums) - 1}; the sequence must be graded")
+        low = next(i for i, c in enumerate(nums) if c)
         l = max(l, -((low - n) // d))  # ceil((n - low) / d)
-    return l, all(coeffs[n - d * l] != 0 for n, coeffs in enumerate(expansions) if n >= d * l)
+    return l, all(coords.nums[n - d * l] for n, coords in enumerate(expansions) if n >= d * l)

@@ -298,31 +298,43 @@ def lincomb(terms: Iterable[tuple]) -> Poly:
     are dropped, L is the lcm of the term denominators c.den*p.den(*q.den),
     each numerator of the shorter factor is scaled once by c.num*(L // den)
     and multiply-added against the longer one into one integer list (a
-    2-tuple's second factor is 1), and that list over L is reduced once.  The
+    2-tuple's second factor is 1; the first nonzero row is written into the
+    list, not added to zeros), and that list over L is reduced once.  The
     result equals the sum of the terms taken in Fraction coefficients.
     """
-    kept = []
-    for c, p, *q in terms:
+    kept, dens, size = [], [], 0
+    for term in terms:
+        c, p = term[0], term[1]
         if isinstance(c, int):
             num, den = c, p.den
         else:
             c = as_rational(c)
             num, den = c.numerator, c.denominator * p.den
-        b, db = (q[0].nums, q[0].den) if q else ((1,), 1)
-        if num and p.nums and b:
-            a = p.nums
+        a = p.nums
+        if len(term) == 2:
+            a, b = (1,), a
+        else:
+            b = term[2].nums
+            den *= term[2].den
             if len(a) > len(b):
                 a, b = b, a
-            kept.append((num, den * db, a, b))
-    common = math.lcm(*(den for _, den, _, _ in kept))
-    out = [0] * max((len(a) + len(b) - 1 for _, _, a, b in kept), default=0)
+        if num and a and b:
+            kept.append((num, den, a, b))
+            dens.append(den)
+            if len(a) + len(b) - 1 > size:
+                size = len(a) + len(b) - 1
+    common = math.lcm(*dens)
+    out = None
     for num, den, a, b in kept:
         s, m = num * (common // den), len(b)
         for i, ai in enumerate(a):
             if ai:
                 ai *= s
-                out[i:i + m] = [o + ai * bj for o, bj in zip(out[i:i + m], b)]
-    return Poly._make(out, common)
+                if out is None:
+                    out = [0] * i + [ai * bj for bj in b] + [0] * (size - i - m)
+                else:
+                    out[i:i + m] = [o + ai * bj for o, bj in zip(out[i:i + m], b)]
+    return Poly._make(out or [], common)
 
 
 def shift(p: Poly, h: RationalLike) -> Poly:

@@ -97,6 +97,13 @@ MUTANTS = [
     Mutant("hyp-order-l-q-power", "hyp_suites.py",
            "math.perm(n, k) * q ** k * shifted[n - k]", "math.perm(n, k) * shifted[n - k]",
            ("tests/test_identities.py::TestHypLincomb::test_pass_notes[stated-window]",)),
+    Mutant("expand-coordinates-not-rescaled", "orthogonality.py",
+           "out[i] = a * (den // step_den)", "out[i] = a",
+           ("tests/test_orthogonality.py::TestKernelsAgainstPolyOracles::"
+            "test_expansion_of_every_degree",)),
+    Mutant("lincomb-first-row-offset", "polynomials.py",
+           "out = [0] * i + [ai * bj for bj in b]", "out = [ai * bj for bj in b]",
+           ("tests/test_polynomials.py::TestLincomb::test_first_kept_product_at_an_offset",)),
 ]
 
 

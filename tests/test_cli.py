@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 from dops import cli
 from dops.cli import main, run_suites
-from dops.families import INT, Family, HypParams, LagParams, MLParams
+from dops.families import INT, Family, HypParams, LagParams, MLParams, hyp_quasi
 from dops.identities import FamilySetup
-from dops.polynomials import Poly, format_rational
+from dops.polynomials import Poly, format_coeffs, format_rational
+
+import oracles
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -630,6 +632,22 @@ def test_verify_status_lines_follow_the_reports(capsys, family):
         assert run_cli([*argv, "--format", fmt], capsys)[::2] == (code, err)
 
 
+@pytest.mark.parametrize("family, loaded", [(HYP, False), (ML, True)], ids=["hyp", "ml"])
+def test_series_is_compiled_only_by_a_generating_function_job(family, loaded):
+    # families.ml_by_gf imports dops.series when it runs, and hyp-laguerre
+    # has no generating-function route.
+    code = ("import contextlib, io, sys\n"
+            "from dops import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print('dops.series' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, "verify", *family, "--order", "4"],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == str(loaded)
+
+
 # Row n gets coefficient k set to value; n = 9 is P_N of the order-9 tables.
 # sr7 (in sr-block) and laguerre-structure are known to stop one index short:
 # their ranges end at N-1, so they never read P_N and pass a change confined to
@@ -687,6 +705,25 @@ class TestTableMode:
                              ids=[f"{f[1]}-{s}" for f, s in TABLE_SUITES])
     def test_tampered_table_fails_suite(self, tmp_path, capsys, family, suite):
         self._assert_tampered_table_fails(tmp_path, capsys, family, suite, 3, 0, "7")
+
+    def test_failing_quasi_order_names_the_first_row_out_of_its_window(self, tmp_path, capsys):
+        # x**2 of P_5 set to 1/7 leaves P_0..P_4 and so the expansions of
+        # quasi[0..4]; quasi[5] gains a coordinate on P_0, below its window
+        # P_1..P_5 (d*l = 4).  The detected order is 4, which the witness
+        # used to name as its n.
+        table = self._gen(tmp_path, capsys, HYP, "8")
+        self._tamper(table, 5, "1/7", 2)
+        code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", "quasi-order"],
+                               capsys)
+        [report] = json.loads(out)["reports"]
+        basis = [Poly(row["coeffs"]) for row in json.loads(table.read_text())["polys"]]
+        quasi = [row.poly() for row in hyp_quasi(HypParams(2, [F(1, 2), F(1, 3)], F(1, 4), 2), 8)]
+        coords = [oracles.expand_in_basis(q, basis) for q in quasi]
+        for n in range(5):
+            assert not any(coords[n][:max(n - 4, 0)]) and (n < 4 or coords[n][n - 4])
+        assert code == 1 and report["witness"] == {
+            "n": 5, "context": "coordinates of quasi[5] below its window P_1..P_5",
+            "actual": format_coeffs(Poly(coords[5][:1])), "expected": []}
 
     def test_table_without_rows_is_bad_input(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)

@@ -544,8 +544,8 @@ class TestHypLincomb:
         assert sorted(calls["terminating_pfq"]) == sorted(
             [(12, (a2 + 1 - k,), dens) for k in range(dl + 1)] + [(12, (), (F(1, 2) - dl + 1, F(4, 3)))])
         assert calls["hyp_laguerre"] == []
-        # the only rows made Polys are the quasi family's, n = 0..12
-        assert len(made) == 13
+        # no row is made a Poly: the quasi family's rows are expanded as they are
+        assert made == []
         # every check is decided on a zero difference; the only lincomb
         # results that are not zero come from the stated l-term window's
         # first miss at n = 1: the difference, then its two sides reduced,
@@ -942,14 +942,14 @@ class TestTruthSensitivity:
 
     def test_hyp_suites_read_the_quasi_family(self):
         setup = TRUTH_SETUPS["hyp-laguerre"]()
-        setup.__dict__["quasi"] = moved(setup.quasi, 5)
+        setup.__dict__["quasi"] = moved([row.poly() for row in setup.quasi], 5)
         self.assert_fail(setup, "quasi-order", "hyp-lincomb")
 
     def test_order_l_witness_holds_p_basis_coefficients(self):
         # quasi[5] + 1/7 adds 1/7 on P_0, below the window P_1..P_5 of the
         # order-l weights (-1)^k C(4, k) 5!/(5-k)! (9/4 + 4)_{5-k} / (5/4)_5
         setup = TRUTH_SETUPS["hyp-laguerre"]()
-        setup.__dict__["quasi"] = moved(setup.quasi, 5)
+        setup.__dict__["quasi"] = moved([row.poly() for row in setup.quasi], 5)
         [report] = family_suites("hyp-laguerre")["hyp-lincomb"](setup)
         weights = ["2048/663", "-25600/663", "92800/663", "-127600/663", "59015/663"]
         assert report.witness.to_dict() == {
@@ -962,11 +962,22 @@ class TestTruthSensitivity:
     def test_hyp_suites_read_the_quasi_expansions(self, entry, identities):
         # quasi[9] lies on P_5..P_9 (d*l = 4)
         setup = TRUTH_SETUPS["hyp-laguerre"]()
-        expansions = [list(coeffs) for coeffs in setup.quasi_expansions]
-        assert [i for i, c in enumerate(expansions[9]) if c] == list(range(5, 10))
-        expansions[9][entry] += F(1, 7)
+        expansions = list(setup.quasi_expansions)
+        assert [i for i, c in enumerate(expansions[9].nums) if c] == list(range(5, 10))
+        expansions[9] += Poly([0] * entry + [F(1, 7)])
         setup.__dict__["quasi_expansions"] = expansions
         self.assert_fail(setup, *identities)
+
+    def test_quasi_order_names_a_row_with_a_vanished_bottom_coordinate(self):
+        # quasi[6] lies on P_2..P_6 (d*l = 4); its coordinate on P_2 set to 0
+        setup = TRUTH_SETUPS["hyp-laguerre"]()
+        expansions = list(setup.quasi_expansions)
+        expansions[6] -= Poly([0, 0, expansions[6].coefficient(2)])
+        setup.__dict__["quasi_expansions"] = expansions
+        [report] = family_suites("hyp-laguerre")["quasi-order"](setup)
+        assert report.witness.to_dict() == {
+            "n": 6, "context": "coordinate of quasi[6] on P_2, the bottom of its window, is 0",
+            "actual": [], "expected": ["1"]}
 
     def test_laguerre_orthogonality_reads_the_moments(self):
         setup = TRUTH_SETUPS["laguerre"]()

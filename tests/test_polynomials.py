@@ -331,6 +331,28 @@ terms_lists = st.lists(st.tuples(coefficients, term_polys)
                        | st.tuples(coefficients, term_polys, term_polys), max_size=6)
 
 
+@st.composite
+def offset_first_terms(draw):
+    """Terms whose first kept one, after zero-weight terms, is a product
+    with a shorter factor that starts with zero numerators, so the first
+    row lincomb writes sits at an offset."""
+    nonzero = kernel_rationals.filter(bool)
+    short = Poly([0] * draw(st.integers(1, 4)) + draw(st.lists(kernel_rationals, max_size=3))
+                 + [draw(nonzero)])
+    size = draw(st.integers(len(short.nums), len(short.nums) + 4))
+    long = Poly(draw(st.lists(kernel_rationals, min_size=size - 1, max_size=size - 1))
+                + [draw(nonzero)])
+    factors = (short, long) if draw(st.booleans()) else (long, short)
+    skipped = draw(st.lists(st.tuples(st.sampled_from([0, F(0), "0/3"]), term_polys), max_size=2))
+    c = draw(coefficients.filter(lambda c: as_rational(c) != 0))
+    return [*skipped, (c, *factors), *draw(terms_lists)]
+
+
+zero_weight_terms = st.lists(st.tuples(st.sampled_from([0, F(0), "0/3"]), term_polys)
+                             | st.tuples(st.sampled_from([0, F(0)]), term_polys, term_polys),
+                             max_size=5)
+
+
 class TestLincomb:
     """lincomb adds its terms over one common denominator and reduces once;
     it must give the exact (nums, den) pair of the Fraction fold."""
@@ -347,6 +369,18 @@ class TestLincomb:
         result, expected = lincomb(terms), left_fold(terms)
         assert (result.nums, result.den) == (expected.nums, expected.den)
         assert_normal(result)
+    @settings(deadline=None)
+    @given(offset_first_terms())
+    def test_first_kept_product_at_an_offset(self, terms):
+        result, expected = lincomb(terms), left_fold(terms)
+        assert (result.nums, result.den) == (expected.nums, expected.den)
+        assert_normal(result)
+
+    @settings(deadline=None)
+    @given(zero_weight_terms)
+    def test_every_weight_zero(self, terms):
+        result = lincomb(terms)
+        assert (result.nums, result.den) == ((), 1) == (left_fold(terms).nums, left_fold(terms).den)
 
 
 class TestDeltaW:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dops.identities import ratio_power_closed_form
 from dops.polynomials import Poly
-from dops import families, polynomials, series
+from dops import polynomials, series
 from dops.families import LagParams, MLParams, ml_by_gf, ml_by_recurrence
 from dops.series import egf_exp, ratio_power_exponent
 
@@ -238,7 +238,7 @@ def route_exponent(monkeypatch, params, order):
     """The exponent and the multiplier the generating-function route hands
     to ``egf_exp``."""
     seen = []
-    monkeypatch.setattr(families, "egf_exp", lambda f, den: seen.append((f, den)) or egf_exp(f, den))
+    monkeypatch.setattr(series, "egf_exp", lambda f, den: seen.append((f, den)) or egf_exp(f, den))
     ml_by_gf(params, order)
     monkeypatch.undo()
     (call,) = seen
