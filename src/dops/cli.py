@@ -48,26 +48,27 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    import json  # here and in _parse_table, so that a default job never loads it
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, a config file or a table artifact
+    as what names it."""
+    import json  # here, so that a default job never loads it
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise CliError("config file must hold a JSON object")
-    return cfg
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Resolve the run configuration: flags override the config file, which
     overrides defaults (order also honors the environment override).  A
-    null entry is absent; an empty one is bad input."""
-    cfg = _load_config(getattr(args, "config", None))
+    null entry is absent; an empty one is bad input.  With --from-table the
+    table's family, d, order, parameters and rows are the run's entries."""
+    path = getattr(args, "config", None)
+    cfg = _read_json(path, "config file") if path else {}
+    if not isinstance(cfg, dict):
+        raise CliError("config file must hold a JSON object")
     for key in cfg:
         if key not in (*RUN_KEYS, "parameters"):
             raise CliError(f"unknown config entry {key!r}; a config file holds "
@@ -102,6 +103,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if given or parameters:
             raise CliError(f"--from-table takes the family and parameters from the table; "
                            f"remove {', '.join(given + sorted(parameters))}")
+        merged.update(_parse_table(args.from_table))
         return merged
     if merged["order"] is None:
         text = os.environ.get(DEFAULT_ORDER_ENV, "16")
@@ -126,7 +128,8 @@ def build_setup(cfg: dict) -> FamilySetup:
         order = as_int(cfg["order"], "order")
         if order < 0:
             raise CliError("--order must be non-negative")
-        return FamilySetup(family, order, read_params(family, cfg["d"], cfg.get("parameters", {})))
+        return FamilySetup(family, order, read_params(family, cfg["d"], cfg.get("parameters", {})),
+                           cfg.get("table"))
     except (FamilyParamError, TypeError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -195,7 +198,7 @@ def _json_key(key) -> str:
     return _json_string(key) + ": "
 
 
-# json's spelling of each scalar, by exact type; _json reads subclasses.  The
+# json's spelling of each scalar, by exact type: _json refuses a subclass.  The
 # containers look their items up here themselves, which saves a call per item.
 _SCALARS = {str: _json_string, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
             type(None): lambda _: "null"}
@@ -204,15 +207,12 @@ _SCALARS = {str: _json_string, int: int.__repr__, bool: {True: "true", False: "f
 def _json(value, indent: str) -> str:
     """value as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     with indent the newline and spaces that open value's own line.  value
-    holds dicts with str keys, lists, tuples, strs, ints, bools and None;
-    anything else, a float included, raises TypeError."""
+    holds dicts with str keys, lists, tuples, and strs, ints, bools and None
+    of exactly those types; anything else, a float or a subclass of str or
+    int included, raises TypeError."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -365,15 +365,10 @@ def _gen_artifact(setup: FamilySetup, with_q: bool) -> dict:
     return artifact
 
 
-def _parse_table(path: str) -> FamilySetup:
-    """The setup a gen artifact describes, with its rows as the table."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            artifact = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read table artifact {path}: {exc}") from exc
+def _parse_table(path: str) -> dict:
+    """The run entries a gen artifact decides: its family, d (1 when the
+    params hold none), order and parameters, and its rows as the table."""
+    artifact = _read_json(path, "table artifact")
     try:
         family = artifact["family"]
         params = dict(artifact["params"])
@@ -385,9 +380,8 @@ def _parse_table(path: str) -> FamilySetup:
         raise CliError(f"table artifact {path} is malformed: {exc!r}") from exc
     if not table:
         raise CliError(f"table artifact {path} holds no rows")
-    setup = build_setup({"family": family, "d": params.pop("d", 1), "order": len(table) - 1,
-                         "parameters": params})
-    return FamilySetup(setup.kind, setup.order, setup.params, table)
+    return {"family": family, "d": params.pop("d", 1), "order": len(table) - 1,
+            "parameters": params, "table": table}
 
 
 def _moments_artifact(setup: FamilySetup) -> dict:
@@ -420,10 +414,7 @@ def run_command(args: argparse.Namespace) -> int:
     command's artifact, render and write it; returns the exit code."""
     command = args.command
     cfg = _merge_config(args)
-    if getattr(args, "from_table", None):
-        setup = _parse_table(args.from_table)
-    else:
-        setup = build_setup(cfg)
+    setup = build_setup(cfg)
     notices = []
     if command == "gen":
         artifact, status = _gen_artifact(setup, args.with_q), 0

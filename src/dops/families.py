@@ -50,7 +50,6 @@ from .polynomials import (
     Record,
     Row,
     as_rational,
-    binomial,
     delta_w,
     derivative,
     format_rational,
@@ -343,7 +342,7 @@ def ml_recurrence_table(params: MLParams | LagParams, n_max: int) -> RecurrenceT
     for n in range(1, n_max):
         gamma[(n, d - 1)] = n * ((n - 1) * p + top)
         for k in range(2, min(n, d) + 1):
-            gamma[(n - k + 1, d - k)] = binomial(n, k) * brackets[k]
+            gamma[(n - k + 1, d - k)] = math.comb(n, k) * brackets[k]
     return RecurrenceTable(d, n_max, tuple(-(s * n + bs[0]) for n in range(n_max)), gamma)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .families import _is_negative_integer, terminating_pfq
 from .identities import FamilySetup, VerificationReport, _not_applicable, _reconciled, _report
 from .orthogonality import quasi_orthogonality_order
-from .polynomials import Poly, Row, binomial
+from .polynomials import Poly, Row
 
 __all__ = ["SUITES", "verify_hyp_lincomb", "verify_quasi_order"]
 
@@ -68,7 +68,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
             for k in range(1, min(n - 1, dl) + 1):
                 terms, run = [], -1 if a2_falling[k] < 0 else 1
                 for i in range(k, -1, -1):  # run = ±prod_{j<k-i} ((n-i-j) q2 + p2)
-                    terms.append(((-1) ** i * binomial(k, i) * math.perm(n, i) * q2 ** i * run,
+                    terms.append(((-1) ** i * math.comb(k, i) * math.perm(n, i) * q2 ** i * run,
                                   sums[k][n - i]))
                     run *= (n - i + 1) * q2 + p2
                 yield n, [(1, sums[0][n])], terms, f"index-shift lemma at k = {k}"
@@ -82,7 +82,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
         q = beta.denominator
         shifted, rise = _rising_nums(beta + dl + 1, n_max), _rising_nums(beta + 1, n_max)
         for n, coords in enumerate(setup.quasi_expansions):
-            nums = [(-1) ** k * binomial(dl, k) * math.perm(n, k) * q ** k * shifted[n - k]
+            nums = [(-1) ** k * math.comb(dl, k) * math.perm(n, k) * q ** k * shifted[n - k]
                     for k in range(min(n, dl), -1, -1)]
             yield (n, Poly._make([0] * (n + 1 - len(nums)) + nums, rise[n]), coords,
                    f"order-l combination, coefficients over P_0..P_{n}")
@@ -101,7 +101,7 @@ def verify_hyp_lincomb(setup: FamilySetup) -> list[VerificationReport]:
 
         def reduction_checks(window: int):
             for n in range(n_max + 1):
-                lhs = [(Fraction((-1) ** k * binomial(window, k) * math.perm(n, k) * q1 ** k
+                lhs = [(Fraction((-1) ** k * math.comb(window, k) * math.perm(n, k) * q1 ** k
                                  * alpha_rise[n - k], beta2_rise[n]), basis[n - k])
                        for k in range(min(n, window) + 1)]
                 yield n, lhs, [(1, reduced_family[n])], f"aligned reduction, window {window}"

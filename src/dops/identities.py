@@ -154,7 +154,7 @@ def first_mismatch(checks: Iterable, notes: Optional[list] = None) -> Optional[W
                 continue
         else:
             plus, minus = ([(1, s)] if isinstance(s, Poly) else s for s in (actual, expected))
-            if lincomb(plus + [(-c, *factors) for c, *factors in minus]).is_zero():
+            if lincomb(plus + [(-term[0],) + term[1:] for term in minus]).is_zero():
                 continue
             actual, expected = (s if isinstance(s, Poly) else lincomb(s) for s in (actual, expected))
         return Witness(n=n, expected=expected, actual=actual, context=context)

@@ -20,7 +20,7 @@ from .identities import (FamilySetup, VerificationReport, _not_applicable, _rati
                          _reconciled, _report, verify_orthogonality, verify_regularity,
                          verify_routes)
 from .orthogonality import RecurrenceTable
-from .polynomials import Poly, binomial, delta_w, format_rational, lincomb, shift
+from .polynomials import Poly, delta_w, format_rational, lincomb, shift
 from .series import egf_exp, ratio_power_exponent, ratio_power_multiplier
 
 __all__ = ["SUITES", "verify_hahn", "verify_nccd", "verify_sr_block", "verify_sr2", "verify_de",
@@ -167,7 +167,7 @@ def _sr6_checks(p, polys, q, n_max: int, variant: str):
     sign = -1 if variant == "stated" else 1
     for n in range(n_max):
         lead = b0 + beta * n
-        correction = [(sign * binomial(n, i), polys[n - i], bracket)
+        correction = [(sign * math.comb(n, i), polys[n - i], bracket)
                       for i, bracket in enumerate(brackets[:n], 1)]
         for c, minus_c, x_minus_c, context in samples:
             if variant == "stated":
@@ -251,9 +251,9 @@ def _de_scalars(alpha: Fraction, w: Fraction, top: int, scale: int, e: Fraction,
     powers = [alpha ** m for m in range(top + 2)]
     out = [(1, scale * w - scale * alpha * offset, scale * alpha, ())]
     for i in range(1, top + 1):
-        slope, weight = powers[i] * binomial(top, i), powers[i + 1] * binomial(top + 1, i + 1)
+        slope, weight = powers[i] * math.comb(top, i), powers[i + 1] * math.comb(top + 1, i + 1)
         out.append((slope, slope * e - weight * (offset + i), weight,
-                    [binomial(top - 1 - j, i - 1 - j) * powers[i - 1 - j] for j in range(i)]))
+                    [math.comb(top - 1 - j, i - 1 - j) * powers[i - 1 - j] for j in range(i)]))
     return out
 
 
@@ -339,7 +339,7 @@ def verify_sz5(setup: FamilySetup) -> list[VerificationReport]:
         x = Poly.x()
         for n, row in enumerate(_ratio_windows(alpha - beta, n_max), 1):
             scale = (-alpha) ** n
-            form = lincomb((binomial(n, k) * (beta / alpha) ** k * scale, x, window)
+            form = lincomb((math.comb(n, k) * (beta / alpha) ** k * scale, x, window)
                            for k, window in enumerate(row))
             yield n, form, truth[n], "stated closed form"
 
@@ -381,7 +381,7 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
     scaled = [(m, Poly.const(e)) for m, e in enumerate(e_coeffs) if e]
 
     def repaired(n: int) -> Poly:
-        return lincomb((binomial(n, m), setup.closed_forms[n - m], e)
+        return lincomb((math.comb(n, m), setup.closed_forms[n - m], e)
                        for m, e in scaled if m <= n)
 
     def stated():
@@ -393,7 +393,7 @@ def verify_sz4(setup: FamilySetup) -> list[VerificationReport]:
             for s in range(n + 1):
                 for m in range(min(s, n - 1) + 1):  # m = n: window of negative length
                     # n!/((n-s)! (s-m)! m!) A_m = C(n, s) C(s, m) E_m / m!
-                    coef = (Fraction(binomial(n, s) * binomial(s, m), math.factorial(m))
+                    coef = (Fraction(math.comb(n, s) * math.comb(s, m), math.factorial(m))
                             * e_coeffs[m] * (beta / alpha) ** s * (-alpha) ** n * (-beta) ** m)
                     if coef != 0:
                         terms.append((coef, Poly.x(), rows[n - m][s - m]))
@@ -441,7 +441,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         for r in range(p.d):
             context = f"biorthogonal recursion, r = {r}"
             for n in range(n_max + 1):  # n!/r! Ainv_{n-r} = C(n, r) Einv_{n-r}
-                lhs = Poly.const(binomial(n, r) * einv[n - r]) if n >= r else Poly.zero()
+                lhs = Poly.const(math.comb(n, r) * einv[n - r]) if n >= r else Poly.zero()
                 yield n, lhs, Poly.const(table.apply(r, setup.closed_forms[n])), context
 
     def stated_checks():
@@ -449,7 +449,7 @@ def verify_moment_recursion(setup: FamilySetup) -> list[VerificationReport]:
         for r in range(p.d):
             for n in range(r, n_max + 1):
                 lhs = einv[n - r] / math.factorial(r)
-                rhs = sum(binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
+                rhs = sum(math.comb(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
                           for k in range(r, n + 1))
                 yield n, Poly.const(lhs), Poly.const(rhs), f"stated recursion, r = {r}"
 

@@ -45,7 +45,6 @@ __all__ = [
     "shift",
     "delta_w",
     "derivative",
-    "binomial",
 ]
 
 
@@ -89,12 +88,6 @@ def format_coeffs(p: Poly) -> list[str]:
         g = math.gcd(c, den)
         out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class Poly:

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import Poly, RationalLike, as_rational, binomial, lincomb
+from .polynomials import Poly, RationalLike, as_rational, lincomb
 
 __all__ = ["egf_exp", "ratio_power_exponent", "ratio_power_multiplier"]
 
@@ -63,15 +63,12 @@ def egf_exp(f: list[Poly], den: Sequence[RationalLike] = (1,)) -> list[Poly]:
     side = [(i, b.numerator * (scale // b.denominator)) for i, b in enumerate(den) if i and b]
     out, terms = [Poly.one()], []  # terms: (j, D A_j) for the nonzero A_j so far
     for n in range(len(f) - 1):
-        if side:
-            a = lincomb([(scale, f[n + 1])] + [(binomial(n, i) * b, f[n + 1 - i])
-                                               for i, b in side if i <= n])
-        else:
-            a = f[n + 1]
+        a = lincomb([(scale, f[n + 1])] + [(math.comb(n, i) * b, f[n + 1 - i])
+                                           for i, b in side if i <= n])
         if not a.is_zero():
             terms.append((n, a))
-        p = lincomb([(binomial(n, j), a_j, out[n - j]) for j, a_j in terms]
-                    + [(-binomial(n, i) * b, out[n + 1 - i]) for i, b in side if i <= n])
+        p = lincomb([(math.comb(n, j), a_j, out[n - j]) for j, a_j in terms]
+                    + [(-math.comb(n, i) * b, out[n + 1 - i]) for i, b in side if i <= n])
         out.append(p if scale == 1 else p / scale)
     return out
 

@@ -64,7 +64,7 @@ MUTANTS = [
            "((n, repaired(n), truth[n], ", "((n, repaired(n), repaired(n), ",
            (f"{TRUTH}::test_ratio_power_suites_read_the_closed_forms",)),
     Mutant("lincomb-sided-checks-never-fail", "identities.py",
-           "if lincomb(plus + [(-c, *factors) for c, *factors in minus]).is_zero():",
+           "if lincomb(plus + [(-term[0],) + term[1:] for term in minus]).is_zero():",
            "if True:",
            ("tests/test_cli.py::test_reduction_note_claims_only_a_checked_window",)),
     Mutant("single-index-range-not-applicable", "identities.py",
@@ -84,7 +84,7 @@ MUTANTS = [
            "(math.factorial(n) * self.theta", "(-math.factorial(n) * self.theta",
            ("tests/test_families.py::TestLaguerreDifferential",)),
     Mutant("egf-multiplier-side-sign", "series.py",
-           "(-binomial(n, i) * b, out[n + 1 - i])", "(binomial(n, i) * b, out[n + 1 - i])",
+           "(-math.comb(n, i) * b, out[n + 1 - i])", "(math.comb(n, i) * b, out[n + 1 - i])",
            ("tests/test_series.py::TestEgfExpDifferential::test_route_exponent",)),
     Mutant("ml-bracket-sign", "families.py",
            "- p * k * (k - 1) * bs[k - 2]", "+ p * k * (k - 1) * bs[k - 2]",
@@ -104,6 +104,10 @@ MUTANTS = [
     Mutant("lincomb-first-row-offset", "polynomials.py",
            "out = [0] * i + [ai * bj for bj in b]", "out = [ai * bj for bj in b]",
            ("tests/test_polynomials.py::TestLincomb::test_first_kept_product_at_an_offset",)),
+    Mutant("from-table-setup-drops-table", "cli.py",
+           'cfg.get("parameters", {})),\n                           cfg.get("table"))',
+           'cfg.get("parameters", {})),\n                           None)',
+           ("tests/test_cli.py::TestTableMode::test_tampered_table_fails_suite[ml-routes]",)),
 ]
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from dops.families import FamilyParamError
 from dops.orthogonality import FitError, MomentTable, OrthogonalityCheck, OrthogonalityReport
-from dops.polynomials import Poly, RationalLike, as_rational, binomial, delta_w, lincomb, shift
+from dops.polynomials import Poly, RationalLike, as_rational, delta_w, lincomb, shift
 
 
 def fraction_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -32,7 +32,7 @@ def fraction_delta_w(coeffs: tuple[Fraction, ...], w: Fraction) -> tuple[Fractio
     """(p(x+w) - p(x)) / w coefficientwise in Fractions, trailing zeros
     stripped, with p(x+w) expanded by the binomial theorem: the reference for
     ``dops.polynomials.delta_w``."""
-    shifted = [sum(c * binomial(k, j) * w ** (k - j) for k, c in enumerate(coeffs) if k >= j)
+    shifted = [sum(c * math.comb(k, j) * w ** (k - j) for k, c in enumerate(coeffs) if k >= j)
                for j in range(len(coeffs))]
     return fraction_add(tuple((s - c) / w for s, c in zip(shifted, coeffs)), ())
 
@@ -62,7 +62,7 @@ def ratio_power_closed_form(alpha: RationalLike, beta: RationalLike, n: int) -> 
     w = alpha - beta
     if n == 0:
         return Poly.one()
-    return sum((ratio_window(w, n, k) * Poly.x() * (binomial(n, k) * (-beta) ** k
+    return sum((ratio_window(w, n, k) * Poly.x() * (math.comb(n, k) * (-beta) ** k
                                                     * alpha ** (n - k) / w ** n)
                 for k in range(n + 1)), Poly.zero())
 
@@ -74,7 +74,7 @@ def ratio_power_stated_form(alpha: RationalLike, beta: RationalLike, n: int) -> 
     w = alpha - beta
     if n == 0:
         return Poly.one()
-    return sum((ratio_window(w, n, k) * Poly.x() * (binomial(n, k) * (beta / alpha) ** k
+    return sum((ratio_window(w, n, k) * Poly.x() * (math.comb(n, k) * (beta / alpha) ** k
                                                     * (-alpha) ** n)
                 for k in range(n + 1)), Poly.zero())
 
@@ -138,7 +138,7 @@ def moment_recursion_stated(params, table: MomentTable, n_max: int) -> list:
     for r in range(params.d):
         for n in range(r, n_max + 1):
             left = Fraction(factorial(n - r), factorial(r)) * composition_sum(minus_c, n - r)
-            right = sum((binomial(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
+            right = sum((math.comb(n, k) * (beta / alpha) ** k * (-alpha) ** n * table.moment(r, k)
                          for k in range(r, n + 1)), Fraction(0))
             checks.append((n, Poly.const(left), Poly.const(right), f"stated recursion, r = {r}"))
     return checks

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Every check is an exact
 
 import functools
 import json
+import math
 from fractions import Fraction as F
 
 from dops.cli import main as cli_main
@@ -38,7 +39,7 @@ from dops.orthogonality import (
     quasi_orthogonality_order,
     verify_d_orthogonality,
 )
-from dops.polynomials import Poly, binomial, delta_w
+from dops.polynomials import Poly, delta_w
 
 from oracles import egf_extract, exp_by_convolution, series_log1p_scaled
 
@@ -115,7 +116,7 @@ def test_criterion_3_hahn_property():
             for k in range(2, min(n, p.d) + 1):
                 coef = (p.exponent(k + 1) - (alpha + beta) * k * p.exponent(k)
                         + alpha * beta * k * (k - 1) * p.exponent(k - 1))
-                nxt += q[n - k] * (binomial(n, k) * coef)
+                nxt += q[n - k] * (math.comb(n, k) * coef)
             assert q[n + 1] == nxt, (p, n)
         p_table = fit_recurrence(polys, p.d)
         q_table = fit_recurrence(q, p.d)

@@ -413,9 +413,11 @@ class TestConfigResolution:
     # the flag that names it, and the error.
     BAD_FILES = {
         "missing-config": (None, "--config", "cannot read config file"),
+        "invalid-config": ("{bad", "--config", "cannot read config file"),
         "list-config": ("[1, 2]", "--config", "config file must hold a JSON object"),
         "missing-table": (None, "--from-table", "cannot read table artifact"),
         "invalid-table": ("{bad", "--from-table", "cannot read table artifact"),
+        "list-table": ("[1, 2]", "--from-table", "is malformed"),
     }
 
     @pytest.mark.parametrize("text, flag, named", BAD_FILES.values(), ids=BAD_FILES.keys())
@@ -732,6 +734,22 @@ class TestTableMode:
         table.write_text(json.dumps(artifact))
         code, out, err = run_cli(["verify", "--from-table", str(table)], capsys)
         assert (code, out, err) == (2, "", f"error: table artifact {table} holds no rows\n")
+
+    def test_table_d_is_read_as_the_artifact_holds_it(self, tmp_path, capsys):
+        """A table without d is at d = 1; a null d is bad input, not absent
+        as a null config entry is."""
+        table = self._gen(tmp_path, capsys, ["--family", "ml", "--d", "1", "--alpha", "1",
+                                             "--beta", "-1"])
+        artifact = json.loads(table.read_text())
+        del artifact["params"]["d"]
+        table.write_text(json.dumps(artifact))
+        code, out, _ = run_cli(["verify", "--from-table", str(table), "--suites", "routes"], capsys)
+        assert (code, json.loads(out)["params"]["d"]) == (0, 1)
+        artifact["params"]["d"] = None
+        table.write_text(json.dumps(artifact))
+        code, out, err = run_cli(["verify", "--from-table", str(table), "--suites", "routes"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --d ")
 
     def test_failing_status_line(self, tmp_path, capsys):
         table = self._gen(tmp_path, capsys)

@@ -25,7 +25,7 @@ from dops.families import (
     terminating_pfq,
 )
 from dops.orthogonality import fit_recurrence
-from dops.polynomials import Poly, binomial, delta_w, derivative
+from dops.polynomials import Poly, delta_w, derivative
 import oracles
 from oracles import terminating_pfq as fraction_pfq
 
@@ -178,7 +178,7 @@ class TestMLCompanions:
             for k in range(2, min(n, p.d) + 1):
                 coef = (p.exponent(k + 1) - (alpha + beta) * k * p.exponent(k)
                         + alpha * beta * k * (k - 1) * p.exponent(k - 1))
-                nxt += q[n - k] * (binomial(n, k) * coef)
+                nxt += q[n - k] * (math.comb(n, k) * coef)
             assert q[n + 1] == nxt, f"companion recurrence broke at n={n}"
 
     @pytest.mark.parametrize("p", ML_GRID, ids=str)

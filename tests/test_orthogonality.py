@@ -7,6 +7,7 @@ The three integer-numerator kernels are also compared with the ``Poly``
 routes in ``tests/oracles.py`` on random graded bases.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 from math import factorial
@@ -36,7 +37,7 @@ from dops.orthogonality import (
     quasi_orthogonality_order,
     verify_d_orthogonality,
 )
-from dops.polynomials import Poly, Row, binomial, delta_w, lincomb, shift
+from dops.polynomials import Poly, Row, delta_w, lincomb, shift
 
 X = Poly.x()
 
@@ -109,7 +110,7 @@ class TestFitRecurrence:
             bracket = (p.exponent(k + 1) - (alpha + beta) * k * p.exponent(k)
                        + alpha * beta * k * (k - 1) * p.exponent(k - 1))
             for n in range(k, n_max):
-                assert table.gamma_at(n - k + 1, p.d - k) == -binomial(n, k) * bracket
+                assert table.gamma_at(n - k + 1, p.d - k) == -math.comb(n, k) * bracket
 
     def test_table_equality_reads_gamma(self):
         # Two tables that differ only in gamma run different recurrences, so

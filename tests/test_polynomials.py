@@ -11,7 +11,6 @@ from dops.orthogonality import MomentTable
 from dops.polynomials import (
     Poly,
     as_rational,
-    binomial,
     delta_w,
     derivative,
     format_coeffs,
@@ -418,7 +417,7 @@ class TestDeltaW:
     def test_monomial_expansion(self, n, w):
         # delta_w(x^n) = sum_{k<n} C(n,k) w^(n-1-k) x^k, the w -> 0 limit of
         # which is the derivative.
-        expect = Poly([binomial(n, k) * w ** (n - 1 - k) for k in range(n)])
+        expect = Poly([math.comb(n, k) * w ** (n - 1 - k) for k in range(n)])
         assert delta_w(Poly([0] * n + [1]), w) == expect
 
     @given(polys)
